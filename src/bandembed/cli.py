@@ -1,7 +1,7 @@
 """Command-line entry point and the end-to-end pipeline orchestrator.
 
 Exit codes: 0 success, 2 certified failure (an honest negative verdict or a
-search that exhausted its budget), 1 internal error.  Every run is
+search that exhausted its budget), 1 input or internal error.  Every run is
 replayable: reports carry the seeds, and fixed seeds reproduce identical
 stage outputs.
 """
@@ -25,7 +25,7 @@ from .embedder import (
     embedding_respects_partition,
     verify_embedding,
 )
-from .errors import BandembedError, InvalidInputError
+from .errors import BandembedError, InvalidInputError, ParameterError
 from .graph import (
     BandwidthOrdering,
     Graph,
@@ -57,6 +57,7 @@ from .partition import (
     verify_partition_structure,
 )
 from .regularity import build_reduced_graph, check_regular_pair, check_super_regular_pair
+from .rng import as_fraction
 from .walks import Matching, find_closed_shifted_walk
 
 __all__ = ["main", "run_full_pipeline", "PipelineReport", "StageResult"]
@@ -154,7 +155,6 @@ def run_full_pipeline(
         "a_chord": list(prep.partition.a_chord),
         "b_chord": list(prep.partition.b_chord),
         "balance_steps": prep.balance_ledger.step_count,
-        "baseline_structure_ok": prep.certification.all_ok(),
         "reduced_expander": expander_verdict.to_json() if expander_verdict else None,
     }))
 
@@ -190,8 +190,7 @@ def run_full_pipeline(
     # Stage 3: redistribute to the demanded sizes.
     t0 = time.perf_counter()
     try:
-        a_t = [demanded[2 * i] - prep.baseline_sizes[2 * i] for i in range(k)]
-        b_t = [demanded[2 * i + 1] - prep.baseline_sizes[2 * i + 1] for i in range(k)]
+        a_t, b_t = _pair_targets(demanded, prep.baseline_sizes)
         final, ledger = redistribute_to_sizes(
             g, prep.partition, prep.reduced, a_t, b_t, cfg,
             verify_pairs=False, seed=seed,
@@ -266,6 +265,12 @@ def run_full_pipeline(
     return report
 
 
+def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], list[int]]:
+    """Per-pair size changes, A sides then B sides, that turn `baseline` into `demanded`."""
+    diff = [want - have for want, have in zip(demanded, baseline)]
+    return diff[0::2], diff[1::2]
+
+
 # ---------------------------------------------------------------------------
 # CLI plumbing
 # ---------------------------------------------------------------------------
@@ -293,6 +298,13 @@ def _load_cfg(args) -> Config:
         with open(args.config) as fh:
             return load_config(fh.read())
     return Config()
+
+
+def _load_sizes(path: str) -> list[int]:
+    data = _load_json(path)
+    if not isinstance(data, dict) or "sizes" not in data:
+        raise InvalidInputError(f"{path} has no \"sizes\" key")
+    return data["sizes"]
 
 
 def _load_host_bundle(path: str, partition_path: str | None = None) -> HostBundle:
@@ -412,27 +424,40 @@ def _cmd_find_walk(args) -> int:
 def _cmd_lemma_g(args) -> int:
     bundle = _load_host_bundle(args.host, args.partition)
     cfg = _load_cfg(args)
-    demanded = None
-    if args.demand:
-        demanded = _load_json(args.demand)["sizes"]
-    rep = prepare_host_partition(
-        bundle.graph, bundle.partition, cfg, demanded=demanded, seed=args.seed
-    )
+    demanded = _load_sizes(args.demand) if args.demand else None
+    g = bundle.graph
+    rep = prepare_host_partition(g, bundle.partition, cfg, seed=args.seed)
+    final = rep.partition
+    if demanded is not None:
+        baseline, n = rep.baseline_sizes, g.n
+        if len(demanded) != 2 * rep.k or sum(demanded) != n:
+            raise ParameterError("demanded sizes must partition n over 2k classes")
+        xi_n = as_fraction(cfg.xi) * n
+        for idx, (want, have) in enumerate(zip(demanded, baseline)):
+            if want > have + xi_n:
+                raise ParameterError(
+                    f"demanded size {want} exceeds {have} + xi*n at class {idx}"
+                )
+        a_t, b_t = _pair_targets(demanded, baseline)
+        final, _ = redistribute_to_sizes(
+            g, final, rep.reduced, a_t, b_t, cfg, verify_pairs=False, seed=args.seed
+        )
+    structure = verify_partition_structure(g, final, demanded, cfg, seed=args.seed)
     _emit({
         "k": rep.k,
         "baseline_sizes": rep.baseline_sizes,
-        "a_chord": list(rep.partition.a_chord),
-        "b_chord": list(rep.partition.b_chord),
-        "partition": rep.partition.to_json(),
-        "structure": rep.certification.to_json(),
+        "a_chord": list(final.a_chord),
+        "b_chord": list(final.b_chord),
+        "partition": final.to_json(),
+        "structure": structure.to_json(),
         "balance_steps": rep.balance_ledger.step_count,
     }, args)
-    return 0 if rep.certification.all_ok() else 2
+    return 0 if structure.all_ok() else 2
 
 
 def _cmd_build_hom(args) -> int:
     target = _load_target_bundle(args.h)
-    sizes = _load_json(args.sizes)["sizes"]
+    sizes = _load_sizes(args.sizes)
     chord = tuple(int(x) for x in args.chord.split(","))
     cfg = _load_cfg(args)
     k = len(sizes) // 2

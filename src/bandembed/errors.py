@@ -60,11 +60,3 @@ class RetryBudgetError(BandembedError):
 class EmbeddingNotFoundError(BandembedError):
     """The desk-scale embedder exhausted its budget without a full embedding."""
 
-
-class PipelineStageError(BandembedError):
-    """Wraps a failure with the identity of the pipeline stage that raised it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause

@@ -13,7 +13,6 @@ justified it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .errors import (
     BalancingError,
     InvalidInputError,
     ParameterError,
-    PipelineStageError,
     RedistributionError,
     StructuralError,
     WalkNotFoundError,
@@ -401,10 +399,6 @@ class BalanceLedger:
     @property
     def step_count(self) -> int:
         return len(self.steps)
-
-
-def _pair_imbalances(classes: list[set[int]], k: int) -> list[int]:
-    return [len(classes[2 * i]) - len(classes[2 * i + 1]) for i in range(k)]
 
 
 def _sigma_star(classes: list[set[int]], k: int, lam_n: Fraction) -> int:
@@ -834,10 +828,7 @@ class HostPartitionReport:
     partition: ClusterPartition
     structure: CycleStructure
     reduced: ReducedGraph
-    certification: StructureReport | None
     balance_ledger: BalanceLedger
-    mobility_ledger: MobilityLedger | None
-    stage_seconds: dict
 
 
 def _auto_mode(*class_sizes: int) -> str:
@@ -898,112 +889,41 @@ def prepare_host_partition(
     g: Graph,
     partition: ClusterPartition,
     cfg: Config,
-    demanded: list[int] | None = None,
     *,
     budget: int = 120,
     seed: int = 0,
 ) -> HostPartitionReport:
-    """Full host-side pipeline from an injected clustering to a certified partition.
+    """Host-side baseline: an injected clustering turned into a balanced partition.
 
-    Stages: absorb leftover vertices, build the working reduced graph, find
-    the Hamilton cycle and chords, balance pair sizes, optionally
-    redistribute to demanded sizes, then certify the final structure.  The
+    Absorbs leftover vertices, builds the working reduced graph, finds the
+    Hamilton cycle and chords, and balances pair sizes to within lam*n.  The
     host graph itself serves as the pure subgraph: hosts are generated
-    pair-pure and every certificate is a pair-level check.  Stage failures
-    raise PipelineStageError naming the stage.
+    pair-pure and every certificate is a pair-level check.  The baseline is
+    neither redistributed nor certified here: callers hit demanded sizes with
+    `redistribute_to_sizes` and certify the partition they keep, once, with
+    `verify_partition_structure`.  Raises ParameterError below n0 and the
+    failing step's own error otherwise.
     """
-    times: dict = {}
-
-    def run_stage(name: str, fn):
-        t0 = time.perf_counter()
-        try:
-            result = fn()
-        except Exception as exc:  # re-raised with stage identity
-            raise PipelineStageError(name, exc) from exc
-        times[name] = time.perf_counter() - t0
-        return result
-
     if g.n < cfg.n0:
-        raise PipelineStageError(
-            "validate", ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
-        )
-
-    def stage_absorb():
-        v0 = set(range(g.n)) - partition.covered()
-        return assign_exceptional_vertices(g, partition, v0, cfg)
-
-    part1 = run_stage("absorb", stage_absorb)
-
-    def stage_reduced():
-        mode = _auto_mode(*(len(c) for c in part1.classes))
-        return build_reduced_graph(
-            g, part1.classes, cfg.eps_prime, cfg.d_prime,
-            mode=mode, budget=budget, seed=seed,
-        )
-
-    reduced1 = run_stage("reduced", stage_reduced)
-
-    def stage_structure():
-        structure = find_hamilton_cycle_and_chords(reduced1)
-        return structure, relabel_partition(part1, structure), relabel_reduced(reduced1, structure)
-
-    structure, part2, reduced2 = run_stage("structure", stage_structure)
-
-    def stage_balance():
-        return balance_partition(g, part2, reduced2, cfg)
-
-    part3, balance_ledger = run_stage("balance", stage_balance)
-
+        raise ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
+    leftover = set(range(g.n)) - partition.covered()
+    part1 = assign_exceptional_vertices(g, partition, leftover, cfg)
+    reduced1 = build_reduced_graph(
+        g, part1.classes, cfg.eps_prime, cfg.d_prime,
+        mode=_auto_mode(*(len(c) for c in part1.classes)), budget=budget, seed=seed,
+    )
+    structure = find_hamilton_cycle_and_chords(reduced1)
+    part2 = relabel_partition(part1, structure)
+    reduced2 = relabel_reduced(reduced1, structure)
+    part3, balance_ledger = balance_partition(g, part2, reduced2, cfg)
     baseline = part3.sizes()
-    n = g.n
-    k = part3.k
-    lam_n = as_fraction(cfg.lam) * n
-    for i in range(k):
-        if abs(baseline[2 * i] - baseline[2 * i + 1]) > lam_n:
-            raise PipelineStageError(
-                "balance", BalancingError(f"pair {i} imbalanced beyond lam*n")
-            )
-    if any(Fraction(s) <= Fraction(n, 3 * k) for s in baseline):
-        raise PipelineStageError(
-            "balance", BalancingError("a class fell to n/(3k) or below")
-        )
-
-    mobility_ledger = None
-    part4 = part3
-    if demanded is not None:
-        def stage_demand():
-            if len(demanded) != 2 * k or sum(demanded) != n:
-                raise ParameterError("demanded sizes must partition n over 2k classes")
-            xi_n = as_fraction(cfg.xi) * n
-            for idx, (want, have) in enumerate(zip(demanded, baseline)):
-                if want > have + xi_n:
-                    raise ParameterError(
-                        f"demanded size {want} exceeds {have} + xi*n at class {idx}"
-                    )
-            a_t = [demanded[2 * i] - baseline[2 * i] for i in range(k)]
-            b_t = [demanded[2 * i + 1] - baseline[2 * i + 1] for i in range(k)]
-            return redistribute_to_sizes(
-                g, part3, reduced2, a_t, b_t, cfg,
-                verify_pairs=False, budget=budget, seed=seed,
-            )
-
-        part4, mobility_ledger = run_stage("demand", stage_demand)
-
-    def stage_verify():
-        return verify_partition_structure(
-            g, part4, demanded, cfg, budget=budget, seed=seed
-        )
-
-    structure_report = run_stage("verify", stage_verify)
-
+    if any(Fraction(s) <= Fraction(g.n, 3 * part3.k) for s in baseline):
+        raise BalancingError("a class fell to n/(3k) or below")
     return HostPartitionReport(
-        k=k,
+        k=part3.k,
         baseline_sizes=baseline,
-        partition=part4,
+        partition=part3,
         structure=structure,
         reduced=reduced2,
-        certification=structure_report,
         balance_ledger=balance_ledger,
-        mobility_ledger=mobility_ledger,
-        stage_seconds=times,
     )

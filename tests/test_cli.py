@@ -134,6 +134,27 @@ class TestPipelineCommand:
         assert not report.ok
         assert report.failed_stage is not None
         assert report.embedding is None
+        # Host-side failures surface under their own type, not a wrapper.
+        assert report.stages[-1].detail["error"].startswith("StructuralError:")
+
+    def test_partition_certified_once(self, small_world, tmp_path, monkeypatch):
+        import bandembed.cli
+        import bandembed.partition
+
+        calls = []
+        original = bandembed.partition.verify_partition_structure
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (bandembed.cli, bandembed.partition):
+            monkeypatch.setattr(module, "verify_partition_structure", counting)
+        host_path, h_path, cfg_path = small_world
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
+                     "--config", str(cfg_path), "--seed", "4",
+                     "--json-out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 1
 
     def test_lemma_g_subcommand(self, small_world, capsys):
         host_path, _, cfg_path = small_world
@@ -141,6 +162,25 @@ class TestPipelineCommand:
                      "--config", str(cfg_path), "--seed", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["k"] == 2 and out["structure"]["all_ok"]
+
+    def test_sizes_file_without_sizes_key(self, small_world, tmp_path, capsys):
+        host_path, h_path, cfg_path = small_world
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"size": [16, 16, 16, 16]}))
+        for argv in (
+            ["lemma-g", "--host", str(host_path), "--demand", str(bad)],
+            ["build-hom", "--h", str(h_path), "--sizes", str(bad), "--chord", "1,3"],
+        ):
+            assert main(argv + ["--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f'input error: {bad} has no "sizes" key\n'
+
+    def test_lemma_g_host_below_n0(self, small_world, tmp_path, capsys):
+        host_path, _, _ = small_world
+        cfg_path = tmp_path / "big.txt"
+        cfg_path.write_text("n0 = 1000\n")
+        assert main(["lemma-g", "--host", str(host_path), "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("input error: host has 64 < n0 = 1000")
 
     def test_build_hom_subcommand(self, small_world, tmp_path, capsys):
         _, h_path, cfg_path = small_world

@@ -1,12 +1,13 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from bandembed.cli import build_parser, main
 from bandembed.errors import (
     AssignmentError,
     BalancingError,
     ParameterError,
-    PipelineStageError,
     RedistributionError,
     StructuralError,
 )
@@ -354,7 +355,10 @@ class TestHostPipeline:
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg, seed=0)
-        assert report.certification.all_ok()
+        structure = verify_partition_structure(
+            bundle.graph, report.partition, None, cfg, seed=0
+        )
+        assert structure.all_ok()
         assert all(s == 10 for s in report.baseline_sizes)
 
     def test_demanded_sizes_hit_exactly(self):
@@ -364,24 +368,36 @@ class TestHostPipeline:
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
         demanded = [11, 10, 9, 10, 10, 10]
-        report = prepare_host_partition(
-            bundle.graph, bundle.partition, cfg, demanded=demanded, seed=0
+        report = prepare_host_partition(bundle.graph, bundle.partition, cfg, seed=0)
+        diff = [want - have for want, have in zip(demanded, report.baseline_sizes)]
+        final, _ = redistribute_to_sizes(
+            bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg,
+            verify_pairs=False, seed=0,
         )
-        assert report.partition.sizes() == demanded
-        assert report.certification.sizes_exact
+        assert final.sizes() == demanded
+        structure = verify_partition_structure(bundle.graph, final, demanded, cfg, seed=0)
+        assert structure.sizes_exact
 
-    def test_excessive_demand_rejected(self):
+    def test_excessive_demand_rejected(self, tmp_path, capsys):
+        # The demand file is checked where lemma-g reads it: an input error.
         bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
         cfg = Config(
             n0=16, lam=0.05, xi=0.10, eps_prime=0.45, eps=0.5,
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
-        demanded = [25, 10, 5, 0, 10, 10]
-        with pytest.raises(PipelineStageError) as err:
-            prepare_host_partition(
-                bundle.graph, bundle.partition, cfg, demanded=demanded, seed=0
-            )
-        assert err.value.stage == "demand"
+        host_path = tmp_path / "host.json"
+        host_path.write_text(json.dumps(bundle.to_json()))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(dump_config(cfg))
+        demand_path = tmp_path / "demand.json"
+        demand_path.write_text(json.dumps({"sizes": [25, 10, 5, 0, 10, 10]}))
+        argv = ["lemma-g", "--host", str(host_path), "--config", str(cfg_path),
+                "--demand", str(demand_path), "--seed", "0"]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ParameterError, match="exceeds"):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("input error: demanded size 25")
 
     def test_leftover_vertices_absorbed(self):
         bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
