@@ -1,9 +1,9 @@
 """Command-line entry point and the end-to-end pipeline orchestrator.
 
 Exit codes: 0 success, 2 certified failure (an honest negative verdict or a
-search that exhausted its budget), 1 input or internal error.  Every run is
-replayable: reports carry the seeds, and fixed seeds reproduce identical
-stage outputs.
+search that exhausted its budget), 1 input or internal error, command-line
+usage errors included.  Every run is replayable: reports carry the seeds,
+and fixed seeds reproduce identical stage outputs.
 """
 
 from __future__ import annotations
@@ -324,6 +324,9 @@ def _load_host_bundle(path: str, partition_path: str | None = None) -> HostBundl
 
 def _load_target_bundle(path: str) -> TargetBundle:
     data = _load_json(path)
+    for key in ("graph", "ordering", "bipartition"):
+        if not isinstance(data, dict) or key not in data:
+            raise InvalidInputError(f"{path} has no \"{key}\" key")
     ordering = BandwidthOrdering(
         tuple(data["ordering"]["labels"]), data["ordering"]["bound"]
     )
@@ -331,11 +334,22 @@ def _load_target_bundle(path: str) -> TargetBundle:
     return TargetBundle(graph_from_json(data["graph"]), ordering, (bip[0], bip[1]))
 
 
+def _int_list(text: str, count: int, option: str) -> list[int]:
+    """The `count` comma-separated integers given to a command-line option."""
+    try:
+        vals = [int(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
+    if len(vals) != count:
+        raise InvalidInputError(f"{option} needs {count} comma-separated integers, got {text!r}")
+    return vals
+
+
 def _cmd_gen_host(args) -> int:
     if args.kind == "super-regular":
         chords = None
         if args.chords:
-            vals = [int(x) for x in args.chords.split(",")]
+            vals = _int_list(args.chords, 4, "--chords")
             chords = ((vals[0], vals[1]), (vals[2], vals[3]))
         bundle = gen_super_regular_host(args.k, args.size, args.density, chords, args.seed)
         _emit(bundle.to_json(), args)
@@ -458,7 +472,7 @@ def _cmd_lemma_g(args) -> int:
 def _cmd_build_hom(args) -> int:
     target = _load_target_bundle(args.h)
     sizes = _load_sizes(args.sizes)
-    chord = tuple(int(x) for x in args.chord.split(","))
+    chord = tuple(_int_list(args.chord, 2, "--chord"))
     cfg = _load_cfg(args)
     k = len(sizes) // 2
     params = choose_h_parameters(
@@ -527,8 +541,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json-out", help="write the JSON result here instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like other input errors; exit 2 means certified failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bandembed",
         description="certify host structure and embed bounded-degree, "
                     "small-bandwidth bipartite targets",

@@ -163,7 +163,12 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(data) -> Graph:
+    """Load {"n": int >= 0, "edges": [[u, v], ...]}; malformed input is an InvalidInputError."""
     if isinstance(data, str):
         data = json.loads(data)
     try:
@@ -171,4 +176,11 @@ def graph_from_json(data) -> Graph:
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"graph JSON needs 'n' and 'edges': {exc}") from exc
+    if not _is_int(n) or n < 0:
+        raise InvalidInputError(f"graph JSON 'n' must be a nonnegative integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise InvalidInputError("graph JSON 'edges' must be a list")
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise InvalidInputError(f"graph JSON edge {e!r} is not a pair of integer vertices")
     return Graph(n, [tuple(e) for e in edges])

@@ -15,11 +15,12 @@ cycle gives the final homomorphism together with its certificate:
   * loads_bounded:    every cluster receives at most its size + xi * n
   * edges_on_pairs:   every edge outside H[S] lands on a cluster pair
 
-The whole randomized schedule is retried with fresh randomness until the
-certificate holds.  The two internal spread inequalities that imply
-loads_bounded in the asymptotic analysis are evaluated and reported per
-attempt; at coarse segmentations they can be unsatisfiable even though the
-certificate itself holds, so they gate nothing.
+The segmentation is computed once per input; only the randomized schedule
+is re-drawn, with fresh randomness, until the certificate holds.  The two
+internal spread inequalities that imply loads_bounded in the asymptotic
+analysis are evaluated and reported per attempt; at coarse segmentations
+they can be unsatisfiable even though the certificate itself holds, so they
+gate nothing.
 """
 
 from __future__ import annotations
@@ -494,24 +495,31 @@ def _cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:
     return (lo, hi) == (min(chord), max(chord))
 
 
-def build_homomorphism(
-    h: Graph,
-    ordering: BandwidthOrdering,
-    bipartition: tuple,
-    sizes: list[int],
-    chord: tuple[int, int],
-    params: HomomorphismParams,
-    seed: int = 0,
-) -> Homomorphism:
-    """Construct f: V(H) -> [2k] mapping almost all edges onto cluster pairs.
+@dataclass(frozen=True)
+class _Plan:
+    """The deterministic part of a build; immutable, so attempts and seeds share it."""
 
-    sizes lists the 2k cluster capacities in cycle order; chord names two
-    distinct odd (B-side) cluster indices.  The color class with more
-    vertices takes the A role (recorded in roles_swapped).  Each attempt
-    draws fresh phase starts and coins from a child seed; an attempt is
-    accepted when the composed map is a valid homomorphism onto the cycle
-    plus chord and the certificate holds.
-    """
+    h: Graph
+    sizes: tuple[int, ...]
+    chord: tuple[int, int]
+    params: HomomorphismParams
+    roles_swapped: bool
+    a_segments: tuple[tuple[int, ...], ...]
+    b_segments: tuple[tuple[int, ...], ...]
+    boundary: frozenset[int]
+    kprime: int
+    f1: tuple[int, ...]
+    targets: tuple[int, int]  # chord ends on the intermediate cycle, per phase
+    # Per phase, each block's (sober, drifting) small pairs in walking order:
+    # phase 0 walks blocks 1..m3 forwards, phase 1 blocks m2..m3+1 backwards.
+    phases: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    # Per phase, the spread bounds on one cycle pair's sober A and B vertices.
+    spread_bounds: tuple[tuple[Fraction, Fraction], ...]
+
+
+def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list[int],
+          chord: tuple[int, int], params: HomomorphismParams) -> _Plan:
+    """Check the inputs, segment H and lay out both phases' walking order."""
     n = h.n
     if sum(sizes) != n or len(sizes) % 2 != 0 or len(sizes) < 4:
         raise InvalidInputError("sizes must partition n over 2k >= 4 clusters")
@@ -528,7 +536,6 @@ def build_homomorphism(
         raise InvalidInputError("chord must join two distinct odd cluster indices")
     if not (0 <= c1 < 2 * k and 0 <= c2 < 2 * k):
         raise InvalidInputError("chord indices out of range")
-    hp1, hp2 = (c1 - 1) // 2, (c2 - 1) // 2
 
     stretch = verify_bandwidth_ordering(h, ordering)
     if stretch > ordering.claimed_bound:
@@ -552,191 +559,178 @@ def build_homomorphism(
         for i in range(k)
     ]
     kprime = sum(block_sizes)
-    f1 = [0] * (2 * kprime)
-    g_of_pair = []
-    for i, width in enumerate(block_sizes):
-        g_of_pair.extend([i] * width)
-    for j in range(kprime):
-        f1[2 * j] = 2 * g_of_pair[j]
-        f1[2 * j + 1] = 2 * g_of_pair[j] + 1
-    t1 = g_of_pair.index(hp1)
-    t2 = g_of_pair.index(hp2)
+    g_of_pair = [i for i, width in enumerate(block_sizes) for _ in range(width)]
+    f1 = tuple(2 * g + side for g in g_of_pair for side in (0, 1))
 
-    m2, m3, k2 = decomp.m2, decomp.m3, decomp.k2
-    diff = decomp.total_a - decomp.total_b
+    m2, m3 = decomp.m2, decomp.m3
+    blocks = [(decomp.sober_pairs(j), decomp.drifting_pairs(j)) for j in range(1, m2 + 1)]
+    phases = (
+        tuple((tuple(sober), tuple(drift)) for sober, drift in blocks[:m3]),
+        tuple((tuple(sober[::-1]), tuple(drift[::-1])) for sober, drift in reversed(blocks[m3:])),
+    )
+    # Each phase's even share of its blocks, tilted up by diff/(4k') for the
+    # A class and down for the B class, plus slack.
+    slack = xi_f * n / (6 * kprime)
+    tilt = Fraction(decomp.total_a - decomp.total_b, 4 * kprime)
+    shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
+    return _Plan(
+        h=h,
+        sizes=tuple(sizes),
+        chord=(c1, c2),
+        params=params,
+        roles_swapped=roles_swapped,
+        a_segments=tuple(tuple(s) for s in decomp.a_segments),
+        b_segments=tuple(tuple(s) for s in decomp.b_segments),
+        boundary=frozenset(decomp.boundary),
+        kprime=kprime,
+        f1=f1,
+        targets=(g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2)),
+        phases=phases,
+        spread_bounds=tuple((share + tilt + slack, share - tilt + slack) for share in shares),
+    )
+
+
+def _walk_phase(plan: _Plan, phase: int, rng, draws: int):
+    """Walk one phase's blocks; return its start pair, pair slots and coin logs.
+
+    Each block marches its sober pairs and drifts the rest on fair coins; the
+    last block instead homes onto the phase's chord end.  Homing can miss when
+    a drift segment is shorter than k', so the phase redraws its (uniform)
+    start, independently of the other phase, up to `draws` times.
+    """
+    kprime = plan.kprime
+    blocks = plan.phases[phase]
+    for _ in range(draws):
+        start = rand_below(rng, kprime)
+        slots: dict[int, int] = {}  # small-pair index -> intermediate cycle pair
+        logs: list[list[int]] = []
+        current = start
+        try:
+            for j, (sober, drifting) in enumerate(blocks, start=1):
+                out, final = sober_assign(sober, current, kprime)
+                slots.update(zip(sober, out))
+                current = (final + 1) % kprime
+                if j < len(blocks):
+                    out, final, coins = drunken_assign(drifting, current, kprime, rng)
+                    logs.append(coins)
+                else:
+                    out, final = seeking_assign(drifting, current, plan.targets[phase], kprime)
+                slots.update(zip(drifting, out))
+                current = (final + 1) % kprime
+        except SeekMissError:
+            continue
+        return start, slots, logs
+    raise SeekMissError(f"phase {phase + 1} never reached its chord target in {draws} draws")
+
+
+def _sample(plan: _Plan, seed: int) -> Homomorphism:
+    """Draw schedules from child seeds of `seed` until one passes the certificate."""
+    h, n, kprime = plan.h, plan.h.n, plan.kprime
+    xi = as_fraction(plan.params.xi)
+    draws = max(plan.params.max_retries, 8 * kprime)
+    intermediate_chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
+    boundary_small = Fraction(len(plan.boundary)) <= xi * n
     diagnostics: list[AttemptDiagnostics] = []
 
-    # When a drift segment is shorter than k', the target-homing march only
-    # lands when the (uniform) phase start happens to sit close enough; the
-    # two phases carry independent randomness, so each phase redraws its own
-    # start until its march lands, within a bounded number of draws.
-    phase_draws = max(params.max_retries, 8 * kprime)
-
-    def run_phase1(rng):
-        for _ in range(phase_draws):
-            p0 = rand_below(rng, kprime)
-            slots_acc: dict[int, int] = {}
-            logs: list[list[int]] = []
-            current = p0
-            try:
-                for j in range(1, m3 + 1):
-                    sober = decomp.sober_pairs(j)
-                    slots, final = sober_assign(sober, current, kprime)
-                    for t, p in zip(sober, slots):
-                        slots_acc[t] = p
-                    current = (final + 1) % kprime
-                    drifting = decomp.drifting_pairs(j)
-                    if j < m3:
-                        slots, final, coins = drunken_assign(drifting, current, kprime, rng)
-                        logs.append(coins)
-                    else:
-                        slots, final = seeking_assign(drifting, current, t1, kprime)
-                    for t, p in zip(drifting, slots):
-                        slots_acc[t] = p
-                    current = (final + 1) % kprime
-            except SeekMissError:
-                continue
-            return p0, slots_acc, logs
-        raise SeekMissError(f"phase 1 never reached its chord target in {phase_draws} draws")
-
-    def run_phase2(rng):
-        for _ in range(phase_draws):
-            q0 = rand_below(rng, kprime)
-            slots_acc: dict[int, int] = {}
-            logs: list[list[int]] = []
-            current = q0
-            try:
-                for j in range(m2, m3, -1):
-                    sober = decomp.sober_pairs(j)
-                    slots, final = sober_assign(sober, current, kprime)
-                    for t, p in zip(reversed(sober), slots):
-                        slots_acc[t] = p
-                    current = (final + 1) % kprime
-                    drifting = decomp.drifting_pairs(j)
-                    if j > m3 + 1:
-                        slots, final, coins = drunken_assign(drifting, current, kprime, rng)
-                        logs.append(coins)
-                    else:
-                        slots, final = seeking_assign(drifting, current, t2, kprime)
-                    for t, p in zip(reversed(drifting), slots):
-                        slots_acc[t] = p
-                    current = (final + 1) % kprime
-            except SeekMissError:
-                continue
-            return q0, slots_acc, logs
-        raise SeekMissError(f"phase 2 never reached its chord target in {phase_draws} draws")
-
-    for attempt in range(1, params.max_retries + 1):
+    for attempt in range(1, plan.params.max_retries + 1):
         rng = make_rng(derive_seed(seed, attempt))
         coin_logs: list[list[int]] = []
-        pair_slot: dict[int, int] = {}  # small-pair index -> intermediate cycle pair
-        phase_of: dict[int, int] = {}
-        q0: int | None = None
+        walks = []
         try:
-            p0, slots1, logs1 = run_phase1(rng)
-            coin_logs.extend(logs1)
-            for t, p in slots1.items():
-                pair_slot[t] = p
-                phase_of[t] = 1
-            q0, slots2, logs2 = run_phase2(rng)
-            coin_logs.extend(logs2)
-            for t, p in slots2.items():
-                pair_slot[t] = p
-                phase_of[t] = 2
+            for phase in (0, 1):
+                start, slots, logs = _walk_phase(plan, phase, rng, draws)
+                coin_logs.extend(logs)
+                walks.append((start, slots))
         except SeekMissError:
             diagnostics.append(
-                AttemptDiagnostics(-1, q0, coin_logs, True, False, False, False, False, None, None)
+                AttemptDiagnostics(-1, None, coin_logs, True, False, False, False, False, None, None)
             )
             continue
 
+        # Phase 0 puts A segments on even cycle vertices, phase 1 on odd ones.
         f2 = [0] * n
-        for t in range(decomp.m1):
-            p = pair_slot[t]
-            if phase_of[t] == 1:
-                a_slot, b_slot = 2 * p, 2 * p + 1
-            else:
-                a_slot, b_slot = 2 * p + 1, 2 * p
-            for v in decomp.a_segments[t]:
-                f2[v] = a_slot
-            for v in decomp.b_segments[t]:
-                f2[v] = b_slot
-        f = [f1[x] for x in f2]
+        for phase, (_, slots) in enumerate(walks):
+            for t, p in slots.items():
+                for v in plan.a_segments[t]:
+                    f2[v] = 2 * p + phase
+                for v in plan.b_segments[t]:
+                    f2[v] = 2 * p + 1 - phase
+        f = [plan.f1[x] for x in f2]
 
-        intermediate_chord = (2 * t1 + 1, 2 * t2 + 1)
         valid = all(
             _cycle_edge_ok(f2[u], f2[v], 2 * kprime, intermediate_chord)
             for u, v in h.edges()
         )
-        boundary_small = Fraction(len(decomp.boundary)) <= xi_f * n
-        loads = [0] * (2 * k)
+        loads = [0] * len(plan.sizes)
         for c in f:
             loads[c] += 1
-        loads_bounded = all(
-            Fraction(loads[i]) <= sizes[i] + xi_f * n for i in range(2 * k)
-        )
+        loads_bounded = all(load <= size + xi * n for load, size in zip(loads, plan.sizes))
         edges_on_pairs = all(
-            (u in decomp.boundary and v in decomp.boundary)
+            (u in plan.boundary and v in plan.boundary)
             or (abs(f[u] - f[v]) == 1 and min(f[u], f[v]) % 2 == 0)
             for u, v in h.edges()
         )
 
-        spread1 = spread2 = None
+        spread: list[bool | None] = [None, None]
         if valid:
-            lo_counts = [0] * kprime
-            hi_counts = [0] * kprime
-            lo2_counts = [0] * kprime
-            hi2_counts = [0] * kprime
-            for t in range(decomp.m1):
-                j = t // decomp.pairs_per_block() + 1
-                if t not in set(decomp.sober_pairs(j)):
-                    continue
-                p = pair_slot[t]
-                na, nb = len(decomp.a_segments[t]), len(decomp.b_segments[t])
-                if phase_of[t] == 1:
-                    lo_counts[p] += na
-                    hi_counts[p] += nb
-                else:
-                    lo2_counts[p] += nb
-                    hi2_counts[p] += na
-            slack = xi_f * n / (6 * kprime)
-            bound1_lo = Fraction(m3 * n, m2 * 2 * kprime) + Fraction(diff, 4 * kprime) + slack
-            bound1_hi = Fraction(m3 * n, m2 * 2 * kprime) - Fraction(diff, 4 * kprime) + slack
-            spread1 = all(x <= bound1_lo for x in lo_counts) and all(
-                x <= bound1_hi for x in hi_counts
-            )
-            rest = m2 - m3
-            bound2_lo = Fraction(rest * n, m2 * 2 * kprime) - Fraction(diff, 4 * kprime) + slack
-            bound2_hi = Fraction(rest * n, m2 * 2 * kprime) + Fraction(diff, 4 * kprime) + slack
-            spread2 = all(x <= bound2_lo for x in lo2_counts) and all(
-                x <= bound2_hi for x in hi2_counts
-            )
+            for phase, (_, slots) in enumerate(walks):
+                a_counts = [0] * kprime
+                b_counts = [0] * kprime
+                for sober, _ in plan.phases[phase]:
+                    for t in sober:
+                        a_counts[slots[t]] += len(plan.a_segments[t])
+                        b_counts[slots[t]] += len(plan.b_segments[t])
+                a_bound, b_bound = plan.spread_bounds[phase]
+                spread[phase] = (all(x <= a_bound for x in a_counts)
+                                 and all(x <= b_bound for x in b_counts))
 
         diag = AttemptDiagnostics(
-            p0, q0, coin_logs, False, valid,
-            boundary_small, loads_bounded, edges_on_pairs, spread1, spread2,
+            walks[0][0], walks[1][0], coin_logs, False, valid,
+            boundary_small, loads_bounded, edges_on_pairs, spread[0], spread[1],
         )
         diagnostics.append(diag)
         if diag.accepted:
             return Homomorphism(
                 f=f,
-                boundary=set(decomp.boundary),
-                k=k,
+                boundary=set(plan.boundary),
+                k=len(plan.sizes) // 2,
                 kprime=kprime,
-                f1=f1,
+                f1=list(plan.f1),
                 f2=f2,
-                chord=(c1, c2),
+                chord=plan.chord,
                 chord_intermediate=intermediate_chord,
-                sizes=list(sizes),
-                xi=float(xi_f),
-                roles_swapped=roles_swapped,
+                sizes=list(plan.sizes),
+                xi=float(xi),
+                roles_swapped=plan.roles_swapped,
                 attempts=attempt,
                 diagnostics=diagnostics,
             )
 
     raise RetryBudgetError(
-        f"no accepted assignment in {params.max_retries} attempts "
+        f"no accepted assignment in {plan.params.max_retries} attempts "
         f"(last diagnostics: {diagnostics[-1] if diagnostics else None})"
     )
+
+
+def build_homomorphism(
+    h: Graph,
+    ordering: BandwidthOrdering,
+    bipartition: tuple,
+    sizes: list[int],
+    chord: tuple[int, int],
+    params: HomomorphismParams,
+    seed: int = 0,
+) -> Homomorphism:
+    """Construct f: V(H) -> [2k] mapping almost all edges onto cluster pairs.
+
+    sizes lists the 2k cluster capacities in cycle order; chord names two
+    distinct odd (B-side) cluster indices.  The color class with more
+    vertices takes the A role (recorded in roles_swapped).  Each attempt
+    draws fresh phase starts and coins from a child seed; an attempt is
+    accepted when the composed map is a valid homomorphism onto the cycle
+    plus chord and the certificate holds.
+    """
+    return _sample(_plan(h, ordering, bipartition, sizes, chord, params), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -816,15 +810,16 @@ def balance_trial_stats(
     root_seed: int,
     runs: int,
 ) -> dict:
-    """Run seeded builds and report first-try spread passes, retries, recheck failures."""
+    """Run seeded builds and report first-try spread passes, retries, recheck failures.
+
+    H is segmented once; each trial draws only a fresh schedule.
+    """
+    plan = _plan(h, ordering, bipartition, sizes, chord, params)
     first_try = 0
-    successes = 0
     attempts: list[int] = []
     recheck_failures = 0
     for trial in range(runs):
-        seed = derive_seed(root_seed, trial)
-        hom = build_homomorphism(h, ordering, bipartition, sizes, chord, params, seed=seed)
-        successes += 1
+        hom = _sample(plan, derive_seed(root_seed, trial))
         attempts.append(hom.attempts)
         if hom.first_attempt_balance_pass:
             first_try += 1
@@ -835,7 +830,7 @@ def balance_trial_stats(
             recheck_failures += 1
     return {
         "runs": runs,
-        "successes": successes,
+        "successes": len(attempts),
         "first_try_balance_pass": first_try,
         "first_try_fraction": first_try / runs if runs else 0.0,
         "max_attempts": max(attempts) if attempts else 0,

@@ -45,14 +45,32 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
                     queue.append(w)
         return found != _INF
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = pair_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                pair_l[u] = v
-                pair_r[v] = u
+    def dfs(root: int) -> bool:
+        # The textbook recursion, unrolled so augmenting paths may be longer
+        # than the interpreter's recursion limit.  Each frame holds a left
+        # vertex and the index of the neighbour it is trying; neighbours are
+        # tried in the same order as the recursion, so matchings are equal.
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            u, i = frame
+            if i == len(adjacency[u]):
+                dist[u] = _INF
+                stack.pop()
+                if stack:
+                    stack[-1][1] += 1
+                continue
+            w = pair_r[adjacency[u][i]]
+            if w == -1:
+                for u, i in stack:
+                    v = adjacency[u][i]
+                    pair_l[u] = v
+                    pair_r[v] = u
                 return True
-        dist[u] = _INF
+            if dist[w] == dist[u] + 1:
+                stack.append([w, 0])
+            else:
+                frame[1] += 1
         return False
 
     while bfs():

@@ -204,7 +204,12 @@ def load_config(text: str) -> Config:
         key = key.strip()
         if key not in _CONFIG_FIELDS:
             raise ParameterError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = int(val) if key == "n0" else float(val)
+        try:
+            values[key] = int(val) if key == "n0" else float(val)
+        except ValueError:
+            raise ParameterError(
+                f"config line {lineno}: {key} = {val.strip()!r} is not a number"
+            ) from None
     return Config(**values)
 
 

@@ -85,6 +85,19 @@ class TestCheckers:
         assert main(["check-degseq", "--graph", str(bad), "--gamma", "0.1"]) == 1
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph", [
+        {"n": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "edges": [[0.0, 1]]},
+        {"n": "4", "edges": []},
+        {"n": True, "edges": []},
+    ])
+    def test_malformed_graph_is_input_error(self, tmp_path, capsys, graph):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(graph))
+        assert main(["check-degseq", "--graph", str(bad), "--gamma", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
 
 class TestGenerators:
     def test_gen_host_and_gen_h(self, tmp_path):
@@ -99,6 +112,46 @@ class TestGenerators:
                      "--seed", "5", "--json-out", str(h_path)]) == 0
         data = json.loads(h_path.read_text())
         assert data["graph"]["n"] == 40
+
+
+class TestUsage:
+    def test_usage_error_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline"])
+        assert exc.value.code == 1
+        assert "required" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
+    def test_gen_host_bad_chords(self, capsys):
+        assert main(["gen-host", "--chords", "1,2"]) == 1
+        assert capsys.readouterr().err == (
+            "input error: --chords needs 4 comma-separated integers, got '1,2'\n"
+        )
+
+    def test_build_hom_bad_chord(self, small_world, tmp_path, capsys):
+        _, h_path, cfg_path = small_world
+        sizes_path = tmp_path / "sizes.json"
+        sizes_path.write_text(json.dumps({"sizes": [16, 16, 16, 16]}))
+        assert main(["build-hom", "--h", str(h_path), "--sizes", str(sizes_path),
+                     "--chord", "a,b", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: --chord needs 2 comma-separated integers, got 'a,b'\n"
+        )
+
+    @pytest.mark.parametrize("key", ["graph", "ordering", "bipartition"])
+    def test_target_bundle_missing_key(self, small_world, tmp_path, capsys, key):
+        host_path, h_path, cfg_path = small_world
+        bundle = json.loads(h_path.read_text())
+        del bundle[key]
+        bad = tmp_path / "h.json"
+        bad.write_text(json.dumps(bundle))
+        assert main(["pipeline", "--host", str(host_path), "--h", str(bad),
+                     "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f'input error: {bad} has no "{key}" key\n'
 
 
 class TestPipelineCommand:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandembed.homomorphism
 from bandembed.errors import DecompositionError, ParameterError, SeekMissError
 from bandembed.graph import BandwidthOrdering, Graph
 from bandembed.homomorphism import (
     HomomorphismParams,
     SegmentDecomposition,
+    balance_trial_stats,
     binomial_mod_distribution,
     build_homomorphism,
     choose_h_parameters,
@@ -20,7 +25,8 @@ from bandembed.homomorphism import (
     sober_assign,
     verify_homomorphism_certificate,
 )
-from bandembed.rng import make_rng
+from bandembed.hostgen import gen_bandwidth_bipartite_h
+from bandembed.rng import derive_seed, make_rng
 
 
 def perfect_matching_graph(n):
@@ -313,6 +319,86 @@ class TestBuildHomomorphism:
             if total > (1 + delta) * mu:
                 exceed += 1
         assert exceed / trials <= bound + 0.02
+
+
+def mc_shape(bandwidth, k, chord):
+    """A Monte Carlo benchmark shape: n=1536, max degree 2, xi=0.1, H seed 2024."""
+    n = 1536
+    target = gen_bandwidth_bipartite_h(n, 2, bandwidth, seed=2024)
+    params = choose_h_parameters(n, 2, bandwidth, 0.1, k)
+    return (target.graph, target.ordering, target.bipartition,
+            [n // (2 * k)] * (2 * k), chord, params)
+
+
+# Shape A walks drunken segments (coin logs); shape B goes through retries.
+SHAPE_A = (1, 2, (1, 3))
+SHAPE_B = (2, 4, (1, 5))
+
+
+class TestTrialPlanReuse:
+    def test_segments_once_per_call(self, monkeypatch):
+        calls = []
+        original = bandembed.homomorphism.chop_into_segments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bandembed.homomorphism, "chop_into_segments", counting)
+        g, ordering, bip = perfect_matching_graph(240)
+        params = choose_h_parameters(240, 1, 1, 0.25, 2)
+        stats = balance_trial_stats(g, ordering, bip, [60] * 4, (1, 3), params,
+                                    root_seed=5, runs=5)
+        assert stats["successes"] == 5
+        assert len(calls) == 1
+
+    def test_stats_match_independent_builds(self):
+        h, ordering, bip, sizes, chord, params = mc_shape(*SHAPE_B)
+        runs, root = 8, 616
+        homs = [build_homomorphism(h, ordering, bip, sizes, chord, params,
+                                   seed=derive_seed(root, trial)) for trial in range(runs)]
+        attempts = [hom.attempts for hom in homs]
+        assert max(attempts) > 1
+        first_try = sum(hom.first_attempt_balance_pass for hom in homs)
+        assert balance_trial_stats(h, ordering, bip, sizes, chord, params,
+                                   root_seed=root, runs=runs) == {
+            "runs": runs,
+            "successes": runs,
+            "first_try_balance_pass": first_try,
+            "first_try_fraction": first_try / runs,
+            "max_attempts": max(attempts),
+            "mean_attempts": sum(attempts) / runs,
+            "recheck_failures": 0,
+        }
+
+    @pytest.mark.parametrize("shape, pin", [
+        (SHAPE_A, "cd94d6392d711da79ebd7885c170464948da43ffe6d589f272597f750ea99cce"),
+        (SHAPE_B, "87177a6f36239e6f49b04c5a946e40e308d17347978120614d72f20deec1e0d1"),
+    ], ids=["A", "B"])
+    def test_seeded_outputs_pinned(self, shape, pin):
+        # Maps, intermediate maps and every attempt's diagnostics (coin logs
+        # included) for ten seeds, hashed; any change to the draw order shows.
+        h, ordering, bip, sizes, chord, params = mc_shape(*shape)
+        digest = hashlib.sha256()
+        for trial in range(10):
+            hom = build_homomorphism(h, ordering, bip, sizes, chord, params,
+                                     seed=derive_seed(616, trial))
+            digest.update(json.dumps({
+                "hom": hom.to_json(),
+                "f2": hom.f2,
+                "diagnostics": [dataclasses.asdict(d) for d in hom.diagnostics],
+            }, sort_keys=True).encode())
+        assert digest.hexdigest() == pin
+
+    def test_result_shares_nothing_with_plan(self):
+        plan = bandembed.homomorphism._plan(*mc_shape(*SHAPE_A))
+        first = bandembed.homomorphism._sample(plan, 1)
+        expected = (list(first.f1), set(first.boundary), list(first.sizes))
+        first.f1.clear()
+        first.boundary.clear()
+        first.sizes.clear()
+        again = bandembed.homomorphism._sample(plan, 1)
+        assert (again.f1, again.boundary, again.sizes) == expected
 
 
 class TestChooseParameters:

@@ -78,6 +78,10 @@ class TestConfig:
         with pytest.raises(ParameterError, match="unknown key"):
             load_config("bogus = 1\n")
 
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(ParameterError, match=r"config line 2: xi = 'abc' is not a number"):
+            load_config("lam = 0.01\nxi = abc\n")
+
     def test_comments_and_blanks(self):
         cfg = load_config("# comment\n\nxi = 0.25\n")
         assert cfg.xi == 0.25
