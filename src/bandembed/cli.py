@@ -29,6 +29,8 @@ from .errors import BandembedError, InvalidInputError, ParameterError
 from .graph import (
     BandwidthOrdering,
     Graph,
+    _is_int,
+    _is_int_list,
     degree_sequence,
     graph_from_json,
     graph_to_json,
@@ -191,10 +193,7 @@ def run_full_pipeline(
     t0 = time.perf_counter()
     try:
         a_t, b_t = _pair_targets(demanded, prep.baseline_sizes)
-        final, ledger = redistribute_to_sizes(
-            g, prep.partition, prep.reduced, a_t, b_t, cfg,
-            verify_pairs=False, seed=seed,
-        )
+        final, ledger = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
     except Exception as exc:
         return fail("redistribute", t0, exc)
     stages.append(StageResult("redistribute", True, time.perf_counter() - t0, {
@@ -277,11 +276,15 @@ def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], 
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the file at `path`; every file the CLI reads holds one."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _emit(data: dict, args) -> None:
@@ -300,37 +303,56 @@ def _load_cfg(args) -> Config:
     return Config()
 
 
-def _load_sizes(path: str) -> list[int]:
+def _load_ints(path: str, key: str) -> list[int]:
+    """The list of integers under `key` in the JSON file at `path`."""
     data = _load_json(path)
-    if not isinstance(data, dict) or "sizes" not in data:
-        raise InvalidInputError(f"{path} has no \"sizes\" key")
-    return data["sizes"]
+    if key not in data:
+        raise InvalidInputError(f"{path} has no \"{key}\" key")
+    if not _is_int_list(data[key]):
+        raise InvalidInputError(f"{path}: \"{key}\" must be a list of integers")
+    return data[key]
+
+
+def _from_json(load, data, where: str):
+    """`load(data)`, its input errors naming `where`, the file `data` was read from."""
+    try:
+        return load(data)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{where}: {exc}") from None
+
+
+def _load_partition(data, where: str, n: int) -> ClusterPartition:
+    """Partition JSON read from `where`, with every vertex in a graph on n vertices."""
+    partition = _from_json(ClusterPartition.from_json, data, where)
+    if not all(0 <= v < n for v in partition.covered()):
+        raise InvalidInputError(f"{where}: a class vertex lies outside [0,{n})")
+    return partition
 
 
 def _load_host_bundle(path: str, partition_path: str | None = None) -> HostBundle:
     data = _load_json(path)
     graph = graph_from_json(data["graph"] if "graph" in data else data)
     if partition_path:
-        partition = ClusterPartition.from_json(_load_json(partition_path))
+        partition = _load_partition(_load_json(partition_path), partition_path, graph.n)
+    elif "partition" in data:
+        partition = _load_partition(data["partition"], path, graph.n)
     else:
-        try:
-            partition = ClusterPartition.from_json(data["partition"])
-        except KeyError:
-            raise InvalidInputError(
-                f"{path} has no partition; pass one with --partition"
-            ) from None
+        raise InvalidInputError(f"{path} has no partition; pass one with --partition")
     return HostBundle(graph, partition)
 
 
 def _load_target_bundle(path: str) -> TargetBundle:
     data = _load_json(path)
     for key in ("graph", "ordering", "bipartition"):
-        if not isinstance(data, dict) or key not in data:
+        if key not in data:
             raise InvalidInputError(f"{path} has no \"{key}\" key")
-    ordering = BandwidthOrdering(
-        tuple(data["ordering"]["labels"]), data["ordering"]["bound"]
-    )
-    bip = data["bipartition"]
+    ordering, bip = data["ordering"], data["bipartition"]
+    if not (isinstance(ordering, dict) and _is_int_list(ordering.get("labels"))
+            and _is_int(ordering.get("bound"))):
+        raise InvalidInputError(f"{path}: \"ordering\" needs integer \"labels\" and \"bound\"")
+    if not (isinstance(bip, list) and len(bip) == 2 and all(map(_is_int_list, bip))):
+        raise InvalidInputError(f"{path}: \"bipartition\" must be two lists of integers")
+    ordering = BandwidthOrdering(tuple(ordering["labels"]), ordering["bound"])
     return TargetBundle(graph_from_json(data["graph"]), ordering, (bip[0], bip[1]))
 
 
@@ -400,8 +422,10 @@ def _cmd_check_ore(args) -> int:
 
 def _cmd_check_pair(args) -> int:
     g = graph_from_json(_load_json(args.graph))
-    part = _load_json(args.partition)
-    classes = part["classes"]
+    classes = _load_partition(_load_json(args.partition), args.partition, g.n).classes
+    for option, index in (("--a", args.a), ("--b", args.b)):
+        if not 0 <= index < len(classes):
+            raise InvalidInputError(f"{option} {index} is not a class index of {args.partition}")
     a_cls, b_cls = classes[args.a], classes[args.b]
     checker = check_super_regular_pair if args.super else check_regular_pair
     verdict = checker(
@@ -414,9 +438,9 @@ def _cmd_check_pair(args) -> int:
 
 def _cmd_build_reduced(args) -> int:
     g = graph_from_json(_load_json(args.graph))
-    part = _load_json(args.partition)
     reduced = build_reduced_graph(
-        g, part["classes"], args.eps, args.density,
+        g, _load_partition(_load_json(args.partition), args.partition, g.n).classes,
+        args.eps, args.density,
         mode=args.mode, budget=args.budget, seed=args.seed,
     )
     _emit({
@@ -429,7 +453,7 @@ def _cmd_build_reduced(args) -> int:
 
 def _cmd_find_walk(args) -> int:
     g = graph_from_json(_load_json(args.graph))
-    matching = Matching.from_json(_load_json(args.matching))
+    matching = _from_json(Matching.from_json, _load_json(args.matching), args.matching)
     walk = find_closed_shifted_walk(g, matching, args.start, args.nu)
     _emit({"walk": list(walk.vertices), "length": walk.length}, args)
     return 0
@@ -438,7 +462,7 @@ def _cmd_find_walk(args) -> int:
 def _cmd_lemma_g(args) -> int:
     bundle = _load_host_bundle(args.host, args.partition)
     cfg = _load_cfg(args)
-    demanded = _load_sizes(args.demand) if args.demand else None
+    demanded = _load_ints(args.demand, "sizes") if args.demand else None
     g = bundle.graph
     rep = prepare_host_partition(g, bundle.partition, cfg, seed=args.seed)
     final = rep.partition
@@ -453,9 +477,7 @@ def _cmd_lemma_g(args) -> int:
                     f"demanded size {want} exceeds {have} + xi*n at class {idx}"
                 )
         a_t, b_t = _pair_targets(demanded, baseline)
-        final, _ = redistribute_to_sizes(
-            g, final, rep.reduced, a_t, b_t, cfg, verify_pairs=False, seed=args.seed
-        )
+        final, _ = redistribute_to_sizes(g, final, rep.reduced, a_t, b_t, cfg)
     structure = verify_partition_structure(g, final, demanded, cfg, seed=args.seed)
     _emit({
         "k": rep.k,
@@ -471,7 +493,7 @@ def _cmd_lemma_g(args) -> int:
 
 def _cmd_build_hom(args) -> int:
     target = _load_target_bundle(args.h)
-    sizes = _load_sizes(args.sizes)
+    sizes = _load_ints(args.sizes, "sizes")
     chord = tuple(_int_list(args.chord, 2, "--chord"))
     cfg = _load_cfg(args)
     k = len(sizes) // 2
@@ -496,9 +518,11 @@ def _cmd_build_hom(args) -> int:
 def _cmd_embed(args) -> int:
     host = _load_host_bundle(args.host)
     target = _load_target_bundle(args.h)
-    hom_data = _load_json(args.hom)
-    f = hom_data["f"]
+    f = _load_ints(args.hom, "f")
     k = len(host.partition.classes) // 2
+    if len(f) != target.graph.n or not all(0 <= c < 2 * k for c in f):
+        raise InvalidInputError(f"{args.hom}: \"f\" must send all {target.graph.n} target "
+                                f"vertices to classes 0..{2 * k - 1}")
     w_classes = [[v for v in range(target.graph.n) if f[v] == i] for i in range(2 * k)]
     rprime = {(2 * i, 2 * i + 1) for i in range(k)}
     emb = embed_blowup(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph
+from .graph import Graph, vertex_mask
 from .rng import as_fraction, ceil_frac, floor_frac, make_rng, rand_range, sample_indices
 
 __all__ = [
@@ -97,9 +97,7 @@ def robust_neighborhood(g: Graph, s, nu) -> set[int]:
     threshold = ceil_frac(nu * g.n)
     if threshold < 1:
         threshold = 1
-    smask = 0
-    for v in s:
-        smask |= 1 << v
+    smask = vertex_mask(s)
     masks = g.masks
     return {v for v in range(g.n) if (masks[v] & smask).bit_count() >= threshold}
 
@@ -130,14 +128,13 @@ def check_robust_expander(
     mode: str = "exact",
     seed: int = 0,
     trials: int = 200,
-    exact_cap: int = EXACT_EXPANDER_CAP,
 ) -> ExpanderVerdict:
     """Certify (exact) or probe (sampled) the robust expansion property.
 
     Exact mode enumerates all S in the size window and is a ground truth
-    verdict; it requires n <= exact_cap.  Sampled mode draws |S| uniformly in
-    the window and then a uniform subset of that size, so holds=True is only
-    a non-refutation claim.
+    verdict; it requires n <= EXACT_EXPANDER_CAP.  Sampled mode draws |S|
+    uniformly in the window and then a uniform subset of that size, so
+    holds=True is only a non-refutation claim.
     """
     nu = as_fraction(nu)
     tau = as_fraction(tau)
@@ -149,9 +146,9 @@ def check_robust_expander(
     masks = g.masks
 
     if mode == "exact":
-        if n > exact_cap:
+        if n > EXACT_EXPANDER_CAP:
             raise FeasibilityError(
-                f"exact expander check capped at n <= {exact_cap} (got {n}); "
+                f"exact expander check capped at n <= {EXACT_EXPANDER_CAP} (got {n}); "
                 "use mode='sampled'"
             )
         if lo > hi:
@@ -173,9 +170,7 @@ def check_robust_expander(
         for _ in range(trials):
             size = rand_range(rng, lo, hi)
             chosen = sample_indices(rng, n, size)
-            smask = 0
-            for v in chosen:
-                smask |= 1 << v
+            smask = vertex_mask(chosen)
             need = ceil_frac(size + nu * n)
             if _rn_size(masks, n, smask, threshold, need) < need:
                 return ExpanderVerdict(

@@ -31,6 +31,8 @@ __all__ = [
     "embedding_respects_partition",
 ]
 
+BUDGET_FACTOR = 10
+
 
 @dataclass
 class CompatibilityReport:
@@ -188,12 +190,11 @@ def embed_blowup(
     v_classes: list,
     rprime_edges,
     seed: int = 0,
-    budget_factor: int = 10,
 ) -> Embedding:
     """Injective edge-preserving placement of H into G along the class partition.
 
     Restricted-graph components must be single edges (cluster pairs).  The
-    reassignment budget is budget_factor * |H|; exceeding it raises
+    reassignment budget is BUDGET_FACTOR * |H|; exceeding it raises
     EmbeddingNotFoundError, which is a legitimate certified failure.
     """
     num = len(w_classes)
@@ -236,7 +237,7 @@ def embed_blowup(
     constrained = sorted(s_all | t_all)
 
     gmasks = g.masks
-    budget = budget_factor * h.n
+    budget = BUDGET_FACTOR * h.n
     spent = 0
     attempt = 0
     constrained_set = set(constrained)

@@ -7,7 +7,6 @@ belong to the file-format layer, not to the algorithms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -15,6 +14,7 @@ from .errors import InvalidInputError
 __all__ = [
     "Graph",
     "BandwidthOrdering",
+    "vertex_mask",
     "verify_bandwidth_ordering",
     "degree_sequence",
     "neighborhood",
@@ -22,6 +22,14 @@ __all__ = [
     "graph_to_json",
     "graph_from_json",
 ]
+
+
+def vertex_mask(vertices) -> int:
+    """Bitmask with bit v set for each vertex v in `vertices`."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 class Graph:
@@ -66,9 +74,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(s) for s in self._adj) // 2
 
-    def min_degree(self) -> int:
-        return min((len(s) for s in self._adj), default=0)
-
     def max_degree(self) -> int:
         return max((len(s) for s in self._adj), default=0)
 
@@ -76,13 +81,7 @@ class Graph:
     def masks(self) -> list[int]:
         """Adjacency bitmasks, built lazily; mask[v] has bit u set iff uv is an edge."""
         if self._masks is None:
-            masks = []
-            for v in range(self.n):
-                m = 0
-                for u in self._adj[v]:
-                    m |= 1 << u
-                masks.append(m)
-            self._masks = masks
+            self._masks = [vertex_mask(s) for s in self._adj]
         return self._masks
 
     def __eq__(self, other):
@@ -109,12 +108,6 @@ class BandwidthOrdering:
     def validate_bijection(self, n: int) -> None:
         if len(self.labels) != n or sorted(self.labels) != list(range(n)):
             raise InvalidInputError("labels must be a permutation of 0..n-1")
-
-    def position_to_vertex(self) -> list[int]:
-        inv = [0] * len(self.labels)
-        for v, pos in enumerate(self.labels):
-            inv[pos] = v
-        return inv
 
 
 def verify_bandwidth_ordering(g: Graph, ordering: BandwidthOrdering) -> int:
@@ -167,10 +160,12 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
 def graph_from_json(data) -> Graph:
     """Load {"n": int >= 0, "edges": [[u, v], ...]}; malformed input is an InvalidInputError."""
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         n = data["n"]
         edges = data["edges"]

@@ -55,6 +55,8 @@ __all__ = [
     "balance_trial_stats",
 ]
 
+MAX_RETRIES = 50
+
 
 # ---------------------------------------------------------------------------
 # Segment decomposition
@@ -126,7 +128,7 @@ def chop_into_segments(
     if m1 < 1 or not 0 <= beta < 1:
         raise ParameterError("need m1 >= 1 and 0 <= beta < 1")
     class_a, class_b = set(bipartition[0]), set(bipartition[1])
-    if class_a & class_b or len(class_a) + len(class_b) != n:
+    if class_a & class_b or class_a | class_b != set(range(n)):
         raise InvalidInputError("bipartition must split the vertex set")
     for u, v in h.edges():
         if (u in class_a) == (v in class_a):
@@ -366,7 +368,6 @@ class HomomorphismParams:
     k1: int
     k2: int
     xi: float
-    max_retries: int = 50
 
 
 def choose_h_parameters(n: int, delta: int, bandwidth: int, xi, k: int) -> HomomorphismParams:
@@ -627,12 +628,12 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
     """Draw schedules from child seeds of `seed` until one passes the certificate."""
     h, n, kprime = plan.h, plan.h.n, plan.kprime
     xi = as_fraction(plan.params.xi)
-    draws = max(plan.params.max_retries, 8 * kprime)
+    draws = max(MAX_RETRIES, 8 * kprime)
     intermediate_chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
     boundary_small = Fraction(len(plan.boundary)) <= xi * n
     diagnostics: list[AttemptDiagnostics] = []
 
-    for attempt in range(1, plan.params.max_retries + 1):
+    for attempt in range(1, MAX_RETRIES + 1):
         rng = make_rng(derive_seed(seed, attempt))
         coin_logs: list[list[int]] = []
         walks = []
@@ -707,7 +708,7 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
             )
 
     raise RetryBudgetError(
-        f"no accepted assignment in {plan.params.max_retries} attempts "
+        f"no accepted assignment in {MAX_RETRIES} attempts "
         f"(last diagnostics: {diagnostics[-1] if diagnostics else None})"
     )
 

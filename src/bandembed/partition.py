@@ -12,8 +12,7 @@ justified it.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     StructuralError,
     WalkNotFoundError,
 )
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _is_int_list, induced_subgraph, vertex_mask
 from .regularity import (
     EXACT_REGULARITY_CAP,
     RegularityVerdict,
@@ -54,6 +53,8 @@ __all__ = [
     "balance_partition",
     "redistribute_to_sizes",
     "prepare_host_partition",
+    "verify_partition_structure",
+    "check_mobility_hypotheses",
     "load_config",
     "dump_config",
 ]
@@ -115,15 +116,14 @@ class ClusterPartition:
 
     @classmethod
     def from_json(cls, data) -> "ClusterPartition":
-        if isinstance(data, str):
-            data = json.loads(data)
-        a = data.get("a_chord")
-        b = data.get("b_chord")
-        return cls(
-            [set(c) for c in data["classes"]],
-            tuple(a) if a else None,
-            tuple(b) if b else None,
-        )
+        """Load partition JSON; malformed input is an InvalidInputError."""
+        classes = data.get("classes") if isinstance(data, dict) else None
+        if not (isinstance(classes, list) and all(map(_is_int_list, classes))):
+            raise InvalidInputError('partition JSON needs "classes", a list of integer lists')
+        chords = [data.get("a_chord"), data.get("b_chord")]
+        if not all(c is None or (_is_int_list(c) and len(c) == 2) for c in chords):
+            raise InvalidInputError("partition JSON chords must be null or two integers")
+        return cls([set(c) for c in classes], *(tuple(c) if c else None for c in chords))
 
 
 @dataclass(frozen=True)
@@ -172,23 +172,10 @@ class Config:
             raise ParameterError("n0 must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "n0": self.n0,
-            "lam": self.lam,
-            "xi": self.xi,
-            "eps_prime": self.eps_prime,
-            "eps": self.eps,
-            "d": self.d,
-            "d_prime": self.d_prime,
-            "nu": self.nu,
-            "tau": self.tau,
-            "eta": self.eta,
-        }
+        return asdict(self)
 
 
-_CONFIG_FIELDS = (
-    "n0", "lam", "xi", "eps_prime", "eps", "d", "d_prime", "nu", "tau", "eta"
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(Config))
 
 
 def load_config(text: str) -> Config:
@@ -441,12 +428,7 @@ def balance_partition(
 
     cur = [set(c) for c in partition.classes]
     orig = [frozenset(c) for c in partition.classes]
-    orig_masks = []
-    for c in orig:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        orig_masks.append(m)
+    orig_masks = [vertex_mask(c) for c in orig]
     m_prime = Fraction(sum(len(c) for c in orig), len(orig))
     wc_threshold = d_prime * m_prime / 8
     per_hop = max(1, ceil_frac(lam_n / 2))
@@ -575,7 +557,6 @@ class HypothesisReport:
     cycle_in_reduced: bool
     a_chord_in_reduced: bool
     b_chord_in_reduced: bool
-    pairs_super_regular: bool
     targets_small: bool
     totals_cancel: bool
     net_flow_small: bool
@@ -586,7 +567,6 @@ class HypothesisReport:
             self.cycle_in_reduced
             and self.a_chord_in_reduced
             and self.b_chord_in_reduced
-            and self.pairs_super_regular
             and self.targets_small
             and self.totals_cancel
             and self.net_flow_small
@@ -618,18 +598,10 @@ def check_mobility_hypotheses(
     a_targets: list[int],
     b_targets: list[int],
     cfg: Config,
-    *,
-    eps=None,
-    d=None,
-    verify_pairs: bool = True,
-    budget: int = 64,
-    seed: int = 0,
 ) -> HypothesisReport:
+    """Reduced-graph and target hypotheses; callers certify the pairs themselves."""
     k = partition.k
-    n = g.n
-    xi_n = as_fraction(cfg.xi) * n
-    eps = as_fraction(cfg.eps_prime if eps is None else eps)
-    d = as_fraction(cfg.d_prime if d is None else d)
+    xi_n = as_fraction(cfg.xi) * g.n
 
     cycle_ok = True
     for i in range(k):
@@ -645,17 +617,6 @@ def check_mobility_hypotheses(
         partition.b_chord is not None
         and reduced.has_edge(2 * partition.b_chord[0] + 1, 2 * partition.b_chord[1] + 1)
     )
-    pairs_ok = True
-    if verify_pairs:
-        for i in range(k):
-            a_cls, b_cls = partition.a_class(i), partition.b_class(i)
-            mode = "exact" if max(len(a_cls), len(b_cls)) <= EXACT_REGULARITY_CAP else "heuristic"
-            verdict = check_super_regular_pair(
-                g, a_cls, b_cls, eps, d, mode=mode, budget=budget, seed=seed
-            )
-            if not verdict.regular:
-                pairs_ok = False
-                break
     small_ok = all(abs(x) < xi_n for x in a_targets) and all(
         abs(x) < xi_n for x in b_targets
     )
@@ -663,7 +624,7 @@ def check_mobility_hypotheses(
     cancel_ok = total_a + total_b == 0
     flow_ok = abs(total_a) <= xi_n and abs(total_b) <= xi_n
     return HypothesisReport(
-        cycle_ok, a_ok, b_ok, pairs_ok, small_ok, cancel_ok, flow_ok,
+        cycle_ok, a_ok, b_ok, small_ok, cancel_ok, flow_ok,
         details={"total_a": total_a, "total_b": total_b, "xi_n": xi_n},
     )
 
@@ -678,9 +639,6 @@ def redistribute_to_sizes(
     *,
     eps=None,
     d=None,
-    verify_pairs: bool = True,
-    budget: int = 64,
-    seed: int = 0,
 ) -> tuple[ClusterPartition, MobilityLedger]:
     """Hit |A'_i| = |A_i| + a_i and |B'_i| = |B_i| + b_i exactly.
 
@@ -694,10 +652,7 @@ def redistribute_to_sizes(
     k = partition.k
     if len(a_targets) != k or len(b_targets) != k:
         raise InvalidInputError("need one target per pair on each side")
-    report = check_mobility_hypotheses(
-        g, partition, reduced, a_targets, b_targets, cfg,
-        eps=eps, d=d, verify_pairs=verify_pairs, budget=budget, seed=seed,
-    )
+    report = check_mobility_hypotheses(g, partition, reduced, a_targets, b_targets, cfg)
     if not report.all_ok():
         raise RedistributionError(f"hypotheses violated: {report.to_json()}")
 
@@ -705,12 +660,7 @@ def redistribute_to_sizes(
     d_f = as_fraction(cfg.d_prime if d is None else d)
     cur = [set(c) for c in partition.classes]
     orig = [frozenset(c) for c in partition.classes]
-    orig_masks = []
-    for c in orig:
-        m = 0
-        for v in c:
-            m |= 1 << v
-        orig_masks.append(m)
+    orig_masks = [vertex_mask(c) for c in orig]
     gmasks = g.masks
     ledger = MobilityLedger()
 
@@ -831,7 +781,6 @@ class HostPartitionReport:
     k: int
     baseline_sizes: list[int]
     partition: ClusterPartition
-    structure: CycleStructure
     reduced: ReducedGraph
     balance_ledger: BalanceLedger
 
@@ -846,47 +795,33 @@ def verify_partition_structure(
     demanded: list[int] | None,
     cfg: Config,
     *,
-    budget: int = 120,
     seed: int = 0,
 ) -> StructureReport:
-    """Certify the five structural conditions of a finished partition."""
+    """Certify the five structural conditions of a finished partition at (eps, d)."""
     k = partition.k
     eps, d = as_fraction(cfg.eps), as_fraction(cfg.d)
     sizes_exact = True
     if demanded is not None:
         sizes_exact = partition.sizes() == list(demanded)
-    supers = []
-    for i in range(k):
-        a_cls, b_cls = partition.a_class(i), partition.b_class(i)
-        supers.append(
-            check_super_regular_pair(
-                g, a_cls, b_cls, eps, d,
-                mode=_auto_mode(len(a_cls), len(b_cls)), budget=budget, seed=seed,
-            )
-        )
-    cycles = []
-    for i in range(k):
-        b_cls = partition.b_class(i)
-        a_next = partition.a_class((i + 1) % k)
-        cycles.append(
-            check_regular_pair(
-                g, b_cls, a_next, eps, d,
-                mode=_auto_mode(len(b_cls), len(a_next)), budget=budget, seed=seed,
-            )
-        )
+
+    def check(checker, x: set[int], y: set[int]) -> RegularityVerdict:
+        return checker(g, x, y, eps, d, mode=_auto_mode(len(x), len(y)), seed=seed)
+
+    supers = [
+        check(check_super_regular_pair, partition.a_class(i), partition.b_class(i))
+        for i in range(k)
+    ]
+    cycles = [
+        check(check_regular_pair, partition.b_class(i), partition.a_class((i + 1) % k))
+        for i in range(k)
+    ]
     chord_a = chord_b = None
     if partition.a_chord:
         i1, j1 = partition.a_chord
-        x, y = partition.a_class(i1), partition.a_class(j1)
-        chord_a = check_regular_pair(
-            g, x, y, eps, d, mode=_auto_mode(len(x), len(y)), budget=budget, seed=seed
-        )
+        chord_a = check(check_regular_pair, partition.a_class(i1), partition.a_class(j1))
     if partition.b_chord:
         i2, j2 = partition.b_chord
-        x, y = partition.b_class(i2), partition.b_class(j2)
-        chord_b = check_regular_pair(
-            g, x, y, eps, d, mode=_auto_mode(len(x), len(y)), budget=budget, seed=seed
-        )
+        chord_b = check(check_regular_pair, partition.b_class(i2), partition.b_class(j2))
     return StructureReport(sizes_exact, supers, cycles, chord_a, chord_b)
 
 
@@ -895,7 +830,6 @@ def prepare_host_partition(
     partition: ClusterPartition,
     cfg: Config,
     *,
-    budget: int = 120,
     seed: int = 0,
 ) -> HostPartitionReport:
     """Host-side baseline: an injected clustering turned into a balanced partition.
@@ -915,7 +849,7 @@ def prepare_host_partition(
     part1 = assign_exceptional_vertices(g, partition, leftover, cfg)
     reduced1 = build_reduced_graph(
         g, part1.classes, cfg.eps_prime, cfg.d_prime,
-        mode=_auto_mode(*(len(c) for c in part1.classes)), budget=budget, seed=seed,
+        mode=_auto_mode(*(len(c) for c in part1.classes)), seed=seed,
     )
     structure = find_hamilton_cycle_and_chords(reduced1)
     part2 = relabel_partition(part1, structure)
@@ -928,7 +862,6 @@ def prepare_host_partition(
         k=part3.k,
         baseline_sizes=baseline,
         partition=part3,
-        structure=structure,
         reduced=reduced2,
         balance_ledger=balance_ledger,
     )

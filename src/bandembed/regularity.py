@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph
+from .graph import Graph, vertex_mask
 from .rng import as_fraction, ceil_frac, make_rng, rand_below, sample_indices
 
 __all__ = [
@@ -78,15 +78,6 @@ class ReducedGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, i: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
     @property
     def size(self) -> int:
         return len(self.clusters)
@@ -109,18 +100,14 @@ def pair_density(g: Graph, a_side, b_side) -> Fraction:
         raise InvalidInputError("both classes must be nonempty")
     if a & b:
         raise InvalidInputError("classes must be disjoint")
-    bmask = 0
-    for v in b:
-        bmask |= 1 << v
+    bmask = vertex_mask(b)
     masks = g.masks
     e = sum((masks[v] & bmask).bit_count() for v in a)
     return Fraction(e, len(a) * len(b))
 
 
 def _degrees_into(g: Graph, xs: list[int], b_list: list[int]) -> list[int]:
-    xmask = 0
-    for v in xs:
-        xmask |= 1 << v
+    xmask = vertex_mask(xs)
     masks = g.masks
     return [(masks[b] & xmask).bit_count() for b in b_list]
 
@@ -168,13 +155,13 @@ def check_regular_pair(
     mode: str = "exact",
     budget: int = 120,
     seed: int = 0,
-    exact_cap: int = EXACT_REGULARITY_CAP,
 ) -> RegularityVerdict:
     """Ground-truth (exact) or budgeted (heuristic) regularity verdict.
 
-    Density below d refutes immediately with no witness.  A heuristic
-    'regular' result is a non-refutation; a heuristic witness is exact by
-    construction since densities are recomputed exactly.
+    Exact mode is capped at EXACT_REGULARITY_CAP vertices per side.  Density
+    below d refutes immediately with no witness.  A heuristic 'regular'
+    result is a non-refutation; a heuristic witness is exact by construction
+    since densities are recomputed exactly.
     """
     eps = as_fraction(eps)
     d = as_fraction(d)
@@ -190,9 +177,9 @@ def check_regular_pair(
     q_min = max(1, ceil_frac(eps * nb))
 
     if mode == "exact":
-        if na > exact_cap or nb > exact_cap:
+        if na > EXACT_REGULARITY_CAP or nb > EXACT_REGULARITY_CAP:
             raise FeasibilityError(
-                f"exact regularity capped at {exact_cap} per side "
+                f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
         for xmask in range(1, 1 << na):
@@ -240,15 +227,12 @@ def check_super_regular_pair(
     mode: str = "exact",
     budget: int = 120,
     seed: int = 0,
-    exact_cap: int = EXACT_REGULARITY_CAP,
 ) -> RegularityVerdict:
     """Regularity plus both one-sided minimum cross-degree floors (always exact)."""
     d_f = as_fraction(d)
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
-    verdict = check_regular_pair(
-        g, a_list, b_list, eps, d, mode=mode, budget=budget, seed=seed, exact_cap=exact_cap
-    )
+    verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget, seed=seed)
     bset = frozenset(b_list)
     aset = frozenset(a_list)
     min_a = min(len(g.adj(v) & bset) for v in a_list)

@@ -9,11 +9,10 @@ redistribution between clusters downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, WalkNotFoundError, WalkValidationError
-from .graph import Graph
+from .graph import Graph, _is_int_list
 from .rng import as_fraction, floor_frac
 
 __all__ = [
@@ -68,9 +67,11 @@ class Matching:
 
     @classmethod
     def from_json(cls, data) -> "Matching":
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls([tuple(p) for p in data["pairs"]])
+        """Load {"pairs": [[u, v], ...]}; malformed input is an InvalidInputError."""
+        pairs = data.get("pairs") if isinstance(data, dict) else None
+        if not (isinstance(pairs, list) and all(_is_int_list(p) and len(p) == 2 for p in pairs)):
+            raise InvalidInputError('matching JSON needs "pairs", a list of integer pairs')
+        return cls([tuple(p) for p in pairs])
 
 
 @dataclass(frozen=True)

@@ -188,10 +188,7 @@ def test_criterion_4_mobility_exactness():
         b_t.append(-(sum(a_t) + sum(b_t)))
         if abs(b_t[-1]) >= xi_n or abs(sum(a_t)) > xi_n:
             continue
-        out, ledger = redistribute_to_sizes(
-            g, part, reduced, a_t, b_t, cfg, verify_pairs=False,
-            seed=derive_seed(7, trial),
-        )
+        out, ledger = redistribute_to_sizes(g, part, reduced, a_t, b_t, cfg)
         sizes = out.sizes()
         base = part.sizes()
         for i in range(k):

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandembed.cli import main, run_full_pipeline
 from bandembed.graph import Graph, graph_to_json
@@ -152,6 +158,140 @@ class TestUsage:
         assert main(["pipeline", "--host", str(host_path), "--h", str(bad),
                      "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f'input error: {bad} has no "{key}" key\n'
+
+
+_PAIR = ["--eps", "0.3", "--density", "0.3"]
+
+
+def _ordering_without(key):
+    return lambda host, target: dict(
+        target, ordering={k: v for k, v in target["ordering"].items() if k != key})
+
+
+class TestMalformedFiles:
+    # (argv with {bad} for the malformed file, its content built from the
+    # small_world host and target, the path or option the error names)
+    @pytest.mark.parametrize("argv, content, named", [
+        # Host side.
+        pytest.param(["lemma-g", "--host", "{bad}"], lambda host, target: 5, "{bad}",
+                     id="host-not-an-object"),
+        pytest.param(["lemma-g", "--host", "{host}", "--partition", "{bad}"],
+                     lambda host, target: {"a_chord": None}, "{bad}",
+                     id="partition-file-without-classes"),
+        pytest.param(["lemma-g", "--host", "{bad}"],
+                     lambda host, target: dict(host, partition={"class": []}), "{bad}",
+                     id="host-partition-without-classes"),
+        pytest.param(["lemma-g", "--host", "{bad}"],
+                     lambda host, target: dict(host, partition={"classes": [[0], [1], [2], [64]]}),
+                     "{bad}", id="partition-vertex-outside-graph"),
+        pytest.param(["check-pair", "--graph", "{graph}", "--partition", "{bad}", "--a", "0",
+                      "--b", "1", *_PAIR], lambda host, target: {"class": []}, "{bad}",
+                     id="check-pair-without-classes"),
+        pytest.param(["build-reduced", "--graph", "{graph}", "--partition", "{bad}", *_PAIR],
+                     lambda host, target: [], "{bad}", id="build-reduced-partition-not-an-object"),
+        pytest.param(["check-pair", "--graph", "{graph}", "--partition", "{bad}", "--a", "0",
+                      "--b", "9", *_PAIR], lambda host, target: host["partition"], "--b 9",
+                     id="check-pair-class-index"),
+        # Target side and the other loaders.
+        pytest.param(["build-hom", "--h", "{bad}", "--sizes", "{sizes}", "--chord", "1,3"],
+                     _ordering_without("labels"), "{bad}", id="ordering-without-labels"),
+        pytest.param(["build-hom", "--h", "{bad}", "--sizes", "{sizes}", "--chord", "1,3"],
+                     _ordering_without("bound"), "{bad}", id="ordering-without-bound"),
+        pytest.param(["build-hom", "--h", "{bad}", "--sizes", "{sizes}", "--chord", "1,3"],
+                     lambda host, target: dict(target, bipartition=[[0, 1], 5]), "{bad}",
+                     id="bipartition-not-two-lists"),
+        pytest.param(["embed", "--host", "{host}", "--h", "{h}", "--hom", "{bad}"],
+                     lambda host, target: {"g": []}, "{bad}", id="hom-without-f"),
+        pytest.param(["embed", "--host", "{host}", "--h", "{h}", "--hom", "{bad}"],
+                     lambda host, target: {"f": [0] * 63}, "{bad}", id="hom-f-too-short"),
+        pytest.param(["find-walk", "--graph", "{graph}", "--matching", "{bad}", "--start", "0",
+                      "--nu", "0.5"], lambda host, target: {"pair": []}, "{bad}",
+                     id="matching-without-pairs"),
+        pytest.param(["lemma-g", "--host", "{host}", "--demand", "{bad}"],
+                     lambda host, target: {"sizes": [16, "16", 16, 16]}, "{bad}",
+                     id="demand-sizes-not-ints"),
+        pytest.param(["build-hom", "--h", "{h}", "--sizes", "{bad}", "--chord", "1,3"],
+                     lambda host, target: {"sizes": 5}, "{bad}", id="sizes-not-a-list"),
+    ])
+    def test_exits_1_naming_the_file(self, small_world, tmp_path, capsys, argv, content, named):
+        host_path, h_path, cfg_path = small_world
+        host = json.loads(host_path.read_text())
+        files = {
+            "host": host_path, "h": h_path, "bad": tmp_path / "bad.json",
+            "graph": tmp_path / "graph.json", "sizes": tmp_path / "sizes.json",
+        }
+        files["bad"].write_text(json.dumps(content(host, json.loads(h_path.read_text()))))
+        files["graph"].write_text(json.dumps(host["graph"]))
+        files["sizes"].write_text(json.dumps({"sizes": [16, 16, 16, 16]}))
+        names = {key: str(path) for key, path in files.items()}
+        assert main([arg.format(**names) for arg in argv] + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+        assert named.format(**names) in err
+
+
+# Loader fuzzing: generated JSON, from well-shaped to arbitrary, in every file
+# a command reads.  Integers stay small so that no input builds a large graph.
+_INTS = st.integers(-3, 40)
+_KEYS = ["n", "edges", "graph", "partition", "classes", "a_chord", "b_chord", "ordering",
+         "labels", "bound", "bipartition", "sizes", "f", "pairs"]
+_ANY = st.recursive(
+    st.none() | st.booleans() | _INTS | st.sampled_from(["", "a"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+_INT_LIST = st.lists(_INTS, max_size=8)
+_PAIRS = st.lists(st.lists(_INTS, min_size=2, max_size=2), max_size=8)
+
+
+def _shaped(**fields):
+    """An object with the given keys, each value well-typed or arbitrary; or anything."""
+    return st.fixed_dictionaries({k: v | _ANY for k, v in fields.items()}) | _ANY
+
+
+_GRAPH = _shaped(n=_INTS, edges=_PAIRS)
+_PARTITION = _shaped(classes=st.lists(_INT_LIST, max_size=6),
+                     a_chord=st.none() | st.lists(_INTS, min_size=2, max_size=2),
+                     b_chord=st.none() | st.lists(_INTS, min_size=2, max_size=2))
+_FILES = {
+    "graph": _GRAPH,
+    "host": _shaped(graph=_GRAPH, partition=_PARTITION),
+    "partition": _PARTITION,
+    "target": _shaped(graph=_GRAPH, ordering=_shaped(labels=_INT_LIST, bound=_INTS),
+                      bipartition=st.lists(_INT_LIST, min_size=2, max_size=2)),
+    "sizes": _shaped(sizes=_INT_LIST),
+    "hom": _shaped(f=_INT_LIST),
+    "matching": _shaped(pairs=_PAIRS),
+}
+_FUZZ_COMMANDS = [
+    ["lemma-g", "--host", "{host}", "--demand", "{sizes}"],
+    ["lemma-g", "--host", "{graph}", "--partition", "{partition}"],
+    ["check-pair", "--graph", "{graph}", "--partition", "{partition}", "--a", "{a}",
+     "--b", "{b}", "--eps", "0.3", "--density", "0.3", "--super"],
+    ["build-reduced", "--graph", "{graph}", "--partition", "{partition}", "--eps", "0.3",
+     "--density", "0.3"],
+    ["build-hom", "--h", "{target}", "--sizes", "{sizes}", "--chord", "1,3"],
+    ["embed", "--host", "{host}", "--h", "{target}", "--hom", "{hom}"],
+    ["find-walk", "--graph", "{graph}", "--matching", "{matching}", "--start", "0",
+     "--nu", "0.5"],
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_COMMANDS), st.data())
+def test_loader_fuzz_exits_0_1_or_2(argv, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {"a": str(data.draw(st.integers(-1, 6))), "b": str(data.draw(st.integers(-1, 6)))}
+        for key, files in _FILES.items():
+            if "{%s}" % key in argv:
+                path = Path(tmp) / f"{key}.json"
+                path.write_text(json.dumps(data.draw(files, label=key)))
+                names[key] = str(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main([arg.format(**names) for arg in argv])
+    assert code in (0, 1, 2)
 
 
 class TestPipelineCommand:

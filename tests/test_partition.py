@@ -262,7 +262,7 @@ class TestRedistribute:
     def run(self, bundle, reduced, a_t, b_t):
         return redistribute_to_sizes(
             bundle.graph, bundle.partition, reduced, a_t, b_t, STRICT,
-            eps=self.MOVE_EPS, d=self.MOVE_D, verify_pairs=False,
+            eps=self.MOVE_EPS, d=self.MOVE_D
         )
 
     def test_zero_targets_identity(self):
@@ -283,16 +283,16 @@ class TestRedistribute:
         assert all(Fraction(c) <= bound for c in ledger.churn)
 
     def test_hypotheses_verified_on_complete_host(self):
-        # With complete pairs every sub-density equals 1, so even the tight
-        # working parameters verify exactly and the full hypothesis check runs.
+        # With complete pairs every sub-density equals 1, so the exact reduced
+        # graph at the tight working parameters carries the cycle and both
+        # chords, and redistribution runs at its default move thresholds.
         bundle = gen_super_regular_host(k=3, size=10, d=1.0, seed=0)
         reduced = build_reduced_graph(
             bundle.graph, bundle.partition.classes, STRICT.eps_prime, STRICT.d_prime,
             mode="exact",
         )
         out, _ = redistribute_to_sizes(
-            bundle.graph, bundle.partition, reduced, [1, -1, 0], [0, 1, -1], STRICT,
-            verify_pairs=True,
+            bundle.graph, bundle.partition, reduced, [1, -1, 0], [0, 1, -1], STRICT
         )
         assert out.sizes() == [11, 10, 9, 11, 10, 9]
 
@@ -326,19 +326,16 @@ class TestRedistribute:
         bundle, reduced = self.build()
         big = int(as_fraction(STRICT.xi) * bundle.graph.n) + 1
         report = check_mobility_hypotheses(
-            bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0], STRICT,
-            verify_pairs=False,
+            bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0], STRICT
         )
         assert not report.targets_small
         with pytest.raises(RedistributionError):
             redistribute_to_sizes(
-                bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0],
-                STRICT, verify_pairs=False,
+                bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0], STRICT
             )
         with pytest.raises(RedistributionError):
             redistribute_to_sizes(
-                bundle.graph, bundle.partition, reduced, [1, 0, 0], [0, 0, 0],
-                STRICT, verify_pairs=False,
+                bundle.graph, bundle.partition, reduced, [1, 0, 0], [0, 0, 0], STRICT
             )
 
     def test_moves_are_well_connected(self):
@@ -375,8 +372,7 @@ class TestHostPipeline:
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg, seed=0)
         diff = [want - have for want, have in zip(demanded, report.baseline_sizes)]
         final, _ = redistribute_to_sizes(
-            bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg,
-            verify_pairs=False, seed=0,
+            bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg
         )
         assert final.sizes() == demanded
         structure = verify_partition_structure(bundle.graph, final, demanded, cfg, seed=0)

@@ -153,11 +153,11 @@ class TestSuperRegularPair:
         g = gen_random_graph(24, 0.5, seed=11)
         a = list(range(12))
         b = list(range(12, 24))
-        verdict = check_super_regular_pair(g, a, b, 0.3, 0.3, mode="exact", exact_cap=12)
+        verdict = check_super_regular_pair(g, a, b, 0.3, 0.3, mode="exact")
         # The sampled instance is checked exhaustively; both properties are
         # instance-level facts, not probabilistic claims.
         assert verdict.regular == (verdict.degree_ok and check_regular_pair(
-            g, a, b, 0.3, 0.3, exact_cap=12).regular)
+            g, a, b, 0.3, 0.3).regular)
 
 
 class TestReducedGraph:
@@ -231,7 +231,7 @@ class TestRegularDegreeFact:
             g = gen_random_graph(20, 0.5, seed=seed)
             a = list(range(10))
             b = list(range(10, 20))
-            verdict = check_regular_pair(g, a, b, eps, d, exact_cap=10)
+            verdict = check_regular_pair(g, a, b, eps, d)
             if not verdict.regular:
                 continue
             for _ in range(8):
@@ -254,7 +254,7 @@ class TestPerturbationPreservesRegularity:
             g = gen_random_graph(20, 0.55, seed=seed)
             a = list(range(10))
             b = list(range(10, 20))
-            if not check_regular_pair(g, a, b, eps, d, exact_cap=10).regular:
+            if not check_regular_pair(g, a, b, eps, d).regular:
                 continue
             # Swap one vertex out of each side: alpha = beta = 1/10.
             a2 = a[1:] + [b[0]] if False else a[1:]
@@ -262,5 +262,5 @@ class TestPerturbationPreservesRegularity:
             out = perturbation_bound(eps, d, 0.1, 0.1)
             if out.eps >= 1 or not a2 or not b2:
                 continue
-            verdict = check_regular_pair(g, a2, b2, out.eps, out.d, exact_cap=10)
+            verdict = check_regular_pair(g, a2, b2, out.eps, out.d)
             assert verdict.regular
