@@ -275,11 +275,18 @@ def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], 
 # ---------------------------------------------------------------------------
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: not UTF-8 text") from None
+
+
 def _load_json(path: str) -> dict:
     """The JSON object in the file at `path`; every file the CLI reads holds one."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(data, dict):
@@ -298,8 +305,7 @@ def _emit(data: dict, args) -> None:
 
 def _load_cfg(args) -> Config:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return load_config(fh.read())
+        return load_config(_read_text(args.config))
     return Config()
 
 
@@ -321,6 +327,10 @@ def _from_json(load, data, where: str):
         raise InvalidInputError(f"{where}: {exc}") from None
 
 
+def _load_graph(path: str) -> Graph:
+    return _from_json(graph_from_json, _load_json(path), path)
+
+
 def _load_partition(data, where: str, n: int) -> ClusterPartition:
     """Partition JSON read from `where`, with every vertex in a graph on n vertices."""
     partition = _from_json(ClusterPartition.from_json, data, where)
@@ -331,7 +341,7 @@ def _load_partition(data, where: str, n: int) -> ClusterPartition:
 
 def _load_host_bundle(path: str, partition_path: str | None = None) -> HostBundle:
     data = _load_json(path)
-    graph = graph_from_json(data["graph"] if "graph" in data else data)
+    graph = _from_json(graph_from_json, data["graph"] if "graph" in data else data, path)
     if partition_path:
         partition = _load_partition(_load_json(partition_path), partition_path, graph.n)
     elif "partition" in data:
@@ -353,7 +363,8 @@ def _load_target_bundle(path: str) -> TargetBundle:
     if not (isinstance(bip, list) and len(bip) == 2 and all(map(_is_int_list, bip))):
         raise InvalidInputError(f"{path}: \"bipartition\" must be two lists of integers")
     ordering = BandwidthOrdering(tuple(ordering["labels"]), ordering["bound"])
-    return TargetBundle(graph_from_json(data["graph"]), ordering, (bip[0], bip[1]))
+    graph = _from_json(graph_from_json, data["graph"], path)
+    return TargetBundle(graph, ordering, (bip[0], bip[1]))
 
 
 def _int_list(text: str, count: int, option: str) -> list[int]:
@@ -394,7 +405,7 @@ def _cmd_gen_h(args) -> int:
 
 
 def _cmd_check_expander(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     verdict = check_robust_expander(
         g, args.nu, args.tau, mode=args.mode, seed=args.seed, trials=args.trials
     )
@@ -403,7 +414,7 @@ def _cmd_check_expander(args) -> int:
 
 
 def _cmd_check_degseq(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     verdict = check_degree_sequence_condition(degree_sequence(g), args.gamma)
     out = verdict.to_json()
     out["params"] = {"gamma": args.gamma}
@@ -412,7 +423,7 @@ def _cmd_check_degseq(args) -> int:
 
 
 def _cmd_check_ore(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     verdict = check_ore_condition(g, args.gamma)
     out = verdict.to_json()
     out["params"] = {"gamma": args.gamma}
@@ -421,7 +432,7 @@ def _cmd_check_ore(args) -> int:
 
 
 def _cmd_check_pair(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     classes = _load_partition(_load_json(args.partition), args.partition, g.n).classes
     for option, index in (("--a", args.a), ("--b", args.b)):
         if not 0 <= index < len(classes):
@@ -437,7 +448,7 @@ def _cmd_check_pair(args) -> int:
 
 
 def _cmd_build_reduced(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     reduced = build_reduced_graph(
         g, _load_partition(_load_json(args.partition), args.partition, g.n).classes,
         args.eps, args.density,
@@ -452,7 +463,7 @@ def _cmd_build_reduced(args) -> int:
 
 
 def _cmd_find_walk(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = _load_graph(args.graph)
     matching = _from_json(Matching.from_json, _load_json(args.matching), args.matching)
     walk = find_closed_shifted_walk(g, matching, args.start, args.nu)
     _emit({"walk": list(walk.vertices), "length": walk.length}, args)

@@ -142,7 +142,9 @@ def check_robust_expander(
         raise InvalidInputError("need 0 < nu <= tau < 1")
     n = g.n
     lo, hi = _size_window(n, tau)
-    threshold = max(1, ceil_frac(nu * n))
+    # |S| is an integer, so ceil(|S| + nu*n) = |S| + ceil(nu*n).
+    nu_n = ceil_frac(nu * n)
+    threshold = max(1, nu_n)
     masks = g.masks
 
     if mode == "exact":
@@ -157,7 +159,7 @@ def check_robust_expander(
             size = smask.bit_count()
             if size < lo or size > hi:
                 continue
-            need = ceil_frac(size + nu * n)
+            need = size + nu_n
             if _rn_size(masks, n, smask, threshold, need) < need:
                 witness = frozenset(v for v in range(n) if smask >> v & 1)
                 return ExpanderVerdict(False, "exact", nu, tau, witness=witness)
@@ -171,7 +173,7 @@ def check_robust_expander(
             size = rand_range(rng, lo, hi)
             chosen = sample_indices(rng, n, size)
             smask = vertex_mask(chosen)
-            need = ceil_frac(size + nu * n)
+            need = size + nu_n
             if _rn_size(masks, n, smask, threshold, need) < need:
                 return ExpanderVerdict(
                     False, "sampled", nu, tau, witness=frozenset(chosen), trials=trials

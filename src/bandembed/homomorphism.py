@@ -134,24 +134,29 @@ def chop_into_segments(
         if (u in class_a) == (v in class_a):
             raise InvalidInputError(f"edge ({u},{v}) stays inside one class")
 
+    # With beta*n = bnum/bden, ceil((s + c*beta*n)*m1/n) is the integer
+    # ceiling of (s*bden + c*bnum)*m1 / (n*bden).
     bn = beta * n
+    bnum, bden = bn.numerator, bn.denominator
+    nden = n * bden
     a_segments: list[list[int]] = [[] for _ in range(m1)]
     b_segments: list[list[int]] = [[] for _ in range(m1)]
     boundary: set[int] = set()
 
     for v in range(n):
         s = ordering.labels[v] + 1  # positions are 1-based in the windowing
+        sd = s * bden
         if v in class_a:
-            if s > n - bn:
+            if sd > nden - bnum:
                 i = m1
             else:
-                i = ceil_frac((s + bn) * m1 / n)
+                i = -((-(sd + bnum) * m1) // nden)
             a_segments[i - 1].append(v)
         else:
-            j = ceil_frac(Fraction(s) * m1 / n)
+            j = -((-s * m1) // n)
             b_segments[j - 1].append(v)
-        i_lo = ceil_frac((s - bn) * m1 / n)
-        i_hi = ceil_frac((s + 2 * bn) * m1 / n) - 1
+        i_lo = -((-(sd - bnum) * m1) // nden)
+        i_hi = -((-(sd + 2 * bnum) * m1) // nden) - 1
         if max(1, i_lo) <= min(m1, i_hi):
             boundary.add(v)
 
@@ -200,11 +205,14 @@ def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> None:
     n = h.n
     m1 = decomp.m1
     bn = decomp.beta * n
+    # n/m1 - beta*n <= size <= n/m1 + beta*n, times m1 * bn.denominator.
+    lo = n * bn.denominator - m1 * bn.numerator
+    hi = n * bn.denominator + m1 * bn.numerator
     for i in range(m1):
         size = len(decomp.a_segments[i]) + len(decomp.b_segments[i])
-        if not Fraction(n, m1) - bn <= size <= Fraction(n, m1) + bn:
+        if not lo <= size * m1 * bn.denominator <= hi:
             raise DecompositionError(f"pair size property fails at segment {i}: {size}")
-    if len(decomp.boundary) > 3 * m1 * bn:
+    if len(decomp.boundary) * bn.denominator > 3 * m1 * bn.numerator:
         raise DecompositionError(
             f"boundary property fails: |S| = {len(decomp.boundary)} > 3*m1*beta*n"
         )

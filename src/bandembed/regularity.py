@@ -8,14 +8,16 @@ have at least d times the opposite class size as cross-degree.
 Exact verdicts enumerate subsets of one side and use the fact that, for a
 fixed X and fixed |Y|, the extreme values of e(X, Y) are attained by taking
 the |Y| largest (or smallest) X-degrees in B.  That makes the search exact at
-a cost of 2^|A| instead of 2^|A|+|B|.  Density comparisons are exact rational
-arithmetic throughout.
+a cost of 2^|A| instead of 2^|A|+|B|.  Density comparisons are exact integer
+cross-multiplication throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import sqrt
 
 from .errors import FeasibilityError, InvalidInputError
@@ -123,27 +125,38 @@ def _extreme_violation(
 ):
     """Check all |Y| against the greedy extremes for this X; return a witness or None.
 
-    Violation means |e(X,Y)/(pq) - e_ab/ab| >= eps, compared by integer
-    cross-multiplication.
+    Violation means |e(X,Y)/(pq) - e_ab/ab| >= eps.  With eps = en/ed that is
+    e(X,Y)*ab*ed >= pq*(e_ab*ed + en*ab) at the high extreme and
+    e(X,Y)*ab*ed <= pq*(e_ab*ed - en*ab) at the low one, all in integers.
     """
     p = len(x_vertices)
     deg_of = _degrees_into(g, x_vertices, b_list)
     nb = len(b_list)
-    order = sorted(range(nb), key=lambda i: (deg_of[i], i))
-    prefix = [0]
-    for i in order:
-        prefix.append(prefix[-1] + deg_of[i])
+    # Stable, so equal degrees keep index order.
+    order = sorted(range(nb), key=deg_of.__getitem__)
+    prefix = [0, *accumulate(deg_of[i] for i in order)]
     total = prefix[-1]
+    scale = ab * eps.denominator
+    hi = e_ab * eps.denominator + eps.numerator * ab
+    lo = e_ab * eps.denominator - eps.numerator * ab
     for q in range(max(1, q_min), nb + 1):
-        denom = p * q * ab
-        low_e = prefix[q]
-        high_e = total - prefix[nb - q]
-        # d(X,Y) - d(A,B) >= eps at the high extreme?
-        if Fraction(high_e * ab - e_ab * p * q, denom) >= eps:
+        pq = p * q
+        if (total - prefix[nb - q]) * scale >= pq * hi:
             return frozenset(b_list[i] for i in order[nb - q:])
-        if Fraction(e_ab * p * q - low_e * ab, denom) >= eps:
+        if prefix[q] * scale <= pq * lo:
             return frozenset(b_list[i] for i in order[:q])
     return None
+
+
+@lru_cache(maxsize=16)
+def _random_candidates(seed: int, na: int, p_min: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The heuristic's `count` random X index sets; they depend on no graph."""
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        p = p_min + rand_below(rng, na - p_min + 1)
+        out.append(tuple(sample_indices(rng, na, p)))
+    return tuple(out)
 
 
 def check_regular_pair(
@@ -195,20 +208,17 @@ def check_regular_pair(
         return RegularityVerdict(True, dens, "exact", eps, d)
 
     if mode == "heuristic":
-        rng = make_rng(seed)
-        candidates: list[list[int]] = []
         # Degree-outlier seeds: extremal subsets witness irregularity in the
         # standard constructions.
-        by_deg = sorted(a_list, key=lambda v: (len(g.adj(v) & frozenset(b_list)), v))
+        bmask = vertex_mask(b_list)
+        masks = g.masks
+        by_deg = sorted(a_list, key=lambda v: (masks[v] & bmask).bit_count())
         sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
-        for p in sizes:
-            candidates.append(by_deg[:p])
-            candidates.append(by_deg[-p:])
-        while len(candidates) < budget:
-            p = p_min + rand_below(rng, na - p_min + 1)
-            candidates.append([a_list[i] for i in sample_indices(rng, na, p)])
+        candidates = [xs for p in sizes for xs in (by_deg[:p], by_deg[-p:])]
+        drawn = _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
+        candidates += ([a_list[i] for i in idx] for idx in drawn)
         for xs in candidates[:budget]:
-            y = _extreme_violation(g, sorted(xs), b_list, q_min, e_ab, ab, eps)
+            y = _extreme_violation(g, xs, b_list, q_min, e_ab, ab, eps)
             if y is not None:
                 return RegularityVerdict(
                     False, dens, "heuristic", eps, d, witness=(frozenset(xs), y)
@@ -233,23 +243,21 @@ def check_super_regular_pair(
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget, seed=seed)
-    bset = frozenset(b_list)
-    aset = frozenset(a_list)
-    min_a = min(len(g.adj(v) & bset) for v in a_list)
-    min_b = min(len(g.adj(v) & aset) for v in b_list)
-    verdict.min_cross_degree = (min_a, min_b)
+    masks = g.masks
+    amask, bmask = vertex_mask(a_list), vertex_mask(b_list)
+    deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
+    deg_b = [(masks[v] & amask).bit_count() for v in b_list]
+    verdict.min_cross_degree = (min(deg_a), min(deg_b))
+    # An integer degree is below d*|B| iff it is below ceil(d*|B|).
+    floors = (("A", a_list, deg_a, ceil_frac(d_f * len(b_list))),
+              ("B", b_list, deg_b, ceil_frac(d_f * len(a_list))))
     verdict.degree_ok = True
-    for v in a_list:
-        if len(g.adj(v) & bset) < d_f * len(b_list):
+    for side, own, degs, need in floors:
+        failing = next((v for v, deg in zip(own, degs) if deg < need), None)
+        if failing is not None:
             verdict.degree_ok = False
-            verdict.degree_failure = ("A", v)
+            verdict.degree_failure = (side, failing)
             break
-    if verdict.degree_ok:
-        for v in b_list:
-            if len(g.adj(v) & aset) < d_f * len(a_list):
-                verdict.degree_ok = False
-                verdict.degree_failure = ("B", v)
-                break
     if not verdict.degree_ok:
         verdict.regular = False
     return verdict

@@ -102,7 +102,7 @@ class TestCheckers:
         bad.write_text(json.dumps(graph))
         assert main(["check-degseq", "--graph", str(bad), "--gamma", "0.1"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and err.count("\n") == 1
+        assert err.startswith(f"input error: {bad}: graph JSON") and err.count("\n") == 1
 
 
 class TestGenerators:
@@ -228,6 +228,33 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
         assert named.format(**names) in err
+
+    def test_graph_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"n": 0, "edges": []}')
+        assert main(["check-degseq", "--graph", str(bad), "--gamma", "0.1"]) == 1
+        assert capsys.readouterr().err == f"input error: {bad}: not UTF-8 text\n"
+
+    def test_config_file_not_utf8(self, small_world, tmp_path, capsys):
+        host_path, _, _ = small_world
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfexi = 0.3\n")
+        assert main(["lemma-g", "--host", str(host_path), "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"input error: {bad}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("which", ["host", "h"])
+    def test_embed_names_the_bad_graph_file(self, small_world, tmp_path, capsys, which):
+        host_path, h_path, cfg_path = small_world
+        files = {"host": host_path, "h": h_path}
+        bundle = json.loads(files[which].read_text())
+        files[which] = tmp_path / "bad.json"
+        files[which].write_text(json.dumps(dict(bundle, graph={"n": "64", "edges": []})))
+        hom = tmp_path / "hom.json"
+        hom.write_text(json.dumps({"f": [0] * 64}))
+        argv = ["embed", "--host", str(files["host"]), "--h", str(files["h"]),
+                "--hom", str(hom), "--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"input error: {files[which]}: graph JSON")
 
 
 # Loader fuzzing: generated JSON, from well-shaped to arbitrary, in every file

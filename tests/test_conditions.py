@@ -29,6 +29,45 @@ def brute_robust_neighborhood(g, s, nu):
     return out
 
 
+def expander_reference(g, nu, tau):
+    """First failing S in mask order, with need = ceil(|S| + nu*n) in Fractions."""
+    nu, tau, n = as_fraction(nu), as_fraction(tau), g.n
+    lo, hi = ceil_frac(tau * n), (1 - tau) * n
+    for smask in range(1 << n):
+        s = [v for v in range(n) if smask >> v & 1]
+        if lo <= len(s) <= hi:
+            rn = brute_robust_neighborhood(g, s, nu) if s else set()
+            if len(rn) < ceil_frac(len(s) + nu * n):
+                return frozenset(s)
+    return None
+
+
+class TestExpanderNeed:
+    NUS = [Fraction(1, 20), Fraction(1, 10), Fraction(1, 7), Fraction(1, 4), Fraction(1, 3),
+           Fraction(12347, 100003)]
+
+    def test_need_is_size_plus_ceiling(self):
+        for n in range(1, 41):
+            for nu in self.NUS:
+                for size in range(n + 1):
+                    assert size + ceil_frac(nu * n) == ceil_frac(size + nu * n)
+
+    def test_exact_verdict_matches_fraction_form(self):
+        outcomes = set()
+        for seed in range(24):
+            n = 4 + seed % 7
+            g = gen_random_graph(n, Fraction(2 + seed % 6, 8), seed=seed)
+            for nu in self.NUS:
+                for tau in (Fraction(1, 3), Fraction(2, 5)):
+                    if nu > tau:
+                        continue
+                    verdict = check_robust_expander(g, nu, tau)
+                    assert verdict.witness == expander_reference(g, nu, tau)
+                    assert verdict.holds == (verdict.witness is None)
+                    outcomes.add(verdict.holds)
+        assert outcomes == {True, False}
+
+
 class TestRobustNeighborhood:
     def test_complete_small_threshold(self):
         assert robust_neighborhood(complete_graph(4), {0, 1}, 0.25) == {0, 1, 2, 3}

@@ -26,7 +26,7 @@ from bandembed.homomorphism import (
     verify_homomorphism_certificate,
 )
 from bandembed.hostgen import gen_bandwidth_bipartite_h
-from bandembed.rng import derive_seed, make_rng
+from bandembed.rng import ceil_frac, derive_seed, make_rng, shuffled
 
 
 def perfect_matching_graph(n):
@@ -98,6 +98,67 @@ class TestChop:
         bip = ([0, 2, 4, 6], [1, 3, 5, 7])
         with pytest.raises(DecompositionError):
             chop_into_segments(g, ordering, bip, Fraction(1, 8), 8, 1)
+
+
+def chop_windows_reference(n, labels, class_a, beta, m1):
+    """The Fraction windowing and size checks of the chop, kept as an oracle.
+
+    Returns (a_segments, b_segments, boundary), or the DecompositionError
+    message the size or boundary check gives.
+    """
+    bn = beta * n
+    a_segments = [[] for _ in range(m1)]
+    b_segments = [[] for _ in range(m1)]
+    boundary = set()
+    for v in range(n):
+        s = labels[v] + 1
+        if v in class_a:
+            i = m1 if s > n - bn else ceil_frac((s + bn) * m1 / n)
+            a_segments[i - 1].append(v)
+        else:
+            b_segments[ceil_frac(Fraction(s) * m1 / n) - 1].append(v)
+        i_lo = ceil_frac((s - bn) * m1 / n)
+        i_hi = ceil_frac((s + 2 * bn) * m1 / n) - 1
+        if max(1, i_lo) <= min(m1, i_hi):
+            boundary.add(v)
+    for i in range(m1):
+        size = len(a_segments[i]) + len(b_segments[i])
+        if not Fraction(n, m1) - bn <= size <= Fraction(n, m1) + bn:
+            return f"pair size property fails at segment {i}: {size}"
+    if len(boundary) > 3 * m1 * bn:
+        return f"boundary property fails: |S| = {len(boundary)} > 3*m1*beta*n"
+    return a_segments, b_segments, boundary
+
+
+class TestChopWindowing:
+    BETAS = [Fraction(0), Fraction(1, 97), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3),
+             Fraction(123457, 1000003), Fraction(999, 1000)]
+
+    def test_integer_windows_match_fraction_form(self):
+        # Edgeless targets with delta = 0: no edge property and no repair
+        # step can fail, so the outcome is the windowing and the two size
+        # checks alone.
+        rng = make_rng(8)
+        outcomes = set()
+        for n in (1, 5, 12, 40, 97, 256):
+            g = Graph(n, [])
+            for m1 in (1, 2, 3, 7, 16):
+                for beta in self.BETAS:
+                    labels = tuple(shuffled(rng, list(range(n))))
+                    class_a = {v for v in range(n) if rng.getrandbits(1)}
+                    bip = (sorted(class_a), sorted(set(range(n)) - class_a))
+                    ordering = BandwidthOrdering(labels, n)
+                    expected = chop_windows_reference(n, labels, class_a, beta, m1)
+                    if isinstance(expected, str):
+                        outcomes.add(expected.split(" property")[0])
+                        with pytest.raises(DecompositionError) as info:
+                            chop_into_segments(g, ordering, bip, beta, m1, 0)
+                        assert str(info.value) == expected
+                    else:
+                        outcomes.add("ok")
+                        decomp = chop_into_segments(g, ordering, bip, beta, m1, 0)
+                        assert (decomp.a_segments, decomp.b_segments, decomp.boundary) == expected
+        assert outcomes == {"ok", "pair size", "boundary"}
 
 
 def synthetic_decomposition(a_sizes, b_sizes, beta=Fraction(0)):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import bandembed.regularity
 from bandembed.errors import FeasibilityError, InvalidInputError
 from bandembed.graph import Graph
 from bandembed.hostgen import gen_random_graph, gen_super_regular_host
@@ -13,7 +14,8 @@ from bandembed.regularity import (
     pair_density,
     perturbation_bound,
 )
-from bandembed.rng import as_fraction, make_rng, sample_indices
+from bandembed.regularity import _extreme_violation, _random_candidates
+from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices
 
 from conftest import complete_graph
 
@@ -41,6 +43,136 @@ def brute_force_regular(g, a, b, eps, d):
                     if abs(dens - pair_density(g, xs, ys)) >= eps:
                         return False
     return True
+
+
+def extreme_violation_reference(g, x_vertices, b_list, q_min, e_ab, ab, eps):
+    """The Fraction form of the greedy-extreme scan, kept as an oracle."""
+    p = len(x_vertices)
+    xset = set(x_vertices)
+    deg_of = [len(g.adj(b) & xset) for b in b_list]
+    nb = len(b_list)
+    order = sorted(range(nb), key=lambda i: (deg_of[i], i))
+    prefix = [0]
+    for i in order:
+        prefix.append(prefix[-1] + deg_of[i])
+    total = prefix[-1]
+    for q in range(max(1, q_min), nb + 1):
+        denom = p * q * ab
+        low_e = prefix[q]
+        high_e = total - prefix[nb - q]
+        if Fraction(high_e * ab - e_ab * p * q, denom) >= eps:
+            return frozenset(b_list[i] for i in order[nb - q:])
+        if Fraction(e_ab * p * q - low_e * ab, denom) >= eps:
+            return frozenset(b_list[i] for i in order[:q])
+    return None
+
+
+def extreme_gaps(g, x_vertices, b_list, q_min, e_ab, ab):
+    """(high, low) density gaps of every extreme Y with |Y| >= q_min."""
+    xset = set(x_vertices)
+    degs = sorted(len(g.adj(b) & xset) for b in b_list)
+    p, nb = len(x_vertices), len(b_list)
+    dens = Fraction(e_ab, ab)
+    high = [Fraction(sum(degs[nb - q:]), p * q) - dens for q in range(max(1, q_min), nb + 1)]
+    low = [dens - Fraction(sum(degs[:q]), p * q) for q in range(max(1, q_min), nb + 1)]
+    return high, low
+
+
+def random_scan_case(rng, seed):
+    """A seeded pair, an X inside A and the scan arguments besides eps."""
+    na, nb = 2 + rand_below(rng, 9), 2 + rand_below(rng, 9)
+    g = gen_random_graph(na + nb, Fraction(1 + rand_below(rng, 9), 10), seed=seed)
+    a, b = list(range(na)), list(range(na, na + nb))
+    xs = [a[i] for i in sample_indices(rng, na, 1 + rand_below(rng, na))]
+    e_ab = sum(len(g.adj(v) & set(b)) for v in a)
+    return g, xs, b, 1 + rand_below(rng, nb), e_ab, na * nb
+
+
+class TestIntegerScan:
+    """The integer kernel against the Fraction form it replaced."""
+
+    EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7),
+                Fraction(1, 2), Fraction(99999, 100000), Fraction(1), Fraction(-1, 5)]
+
+    def test_matches_fraction_form_on_random_pairs(self):
+        rng = make_rng(5)
+        for seed in range(300):
+            g, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
+            for eps in self.EPSILONS:
+                assert _extreme_violation(g, xs, b, q_min, e_ab, ab, eps) == \
+                    extreme_violation_reference(g, xs, b, q_min, e_ab, ab, eps)
+
+    def test_gap_equal_to_eps_is_a_violation(self):
+        rng = make_rng(6)
+        sides_hit = set()
+        for seed in range(300):
+            g, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
+            high, low = extreme_gaps(g, xs, b, q_min, e_ab, ab)
+            eps = max(high + low)
+            if eps <= 0:
+                continue
+            sides_hit.add("high" if eps in high and eps not in low else
+                          "low" if eps in low and eps not in high else "both")
+            at = _extreme_violation(g, xs, b, q_min, e_ab, ab, eps)
+            assert at is not None
+            assert at == extreme_violation_reference(g, xs, b, q_min, e_ab, ab, eps)
+            above = eps + Fraction(1, 10**9)
+            assert _extreme_violation(g, xs, b, q_min, e_ab, ab, above) is None
+            assert extreme_violation_reference(g, xs, b, q_min, e_ab, ab, above) is None
+        assert {"high", "low"} <= sides_hit
+
+    def test_exact_gap_on_each_side(self):
+        # A 2x2 pair with one edge (density 1/4): X = {0} sees Y = {2} at
+        # density 1, a gap of exactly 3/4 above.  With three edges (density
+        # 3/4), X = {1} sees Y = {3} at density 0, exactly 3/4 below.
+        sparse = Graph(4, [(0, 2)])
+        dense = Graph(4, [(0, 2), (0, 3), (1, 2)])
+        eps = Fraction(3, 4)
+        for g, xs, e_ab, y in ((sparse, [0], 1, {2}), (dense, [1], 3, {3})):
+            assert _extreme_violation(g, xs, [2, 3], 1, e_ab, 4, eps) == y
+            assert _extreme_violation(g, xs, [2, 3], 1, e_ab, 4, eps + Fraction(1, 10**12)) is None
+
+
+class TestRandomCandidatesDrawnOnce:
+    def _count_draws(self, monkeypatch):
+        calls = []
+        real = bandembed.regularity.sample_indices
+
+        def counting(rng, n, k):
+            calls.append((n, k))
+            return real(rng, n, k)
+
+        monkeypatch.setattr(bandembed.regularity, "sample_indices", counting)
+        _random_candidates.cache_clear()
+        return calls
+
+    def test_reduced_graph_draws_each_candidate_once(self, monkeypatch):
+        # Eight clusters of 12 in a dense random graph: 28 pairs, every one
+        # above the density floor and none refuted, so every pair scans its
+        # full budget of candidates.
+        g = gen_random_graph(96, 0.7, seed=1)
+        classes = [list(range(12 * i, 12 * i + 12)) for i in range(8)]
+        calls = self._count_draws(monkeypatch)
+        check_regular_pair(g, classes[0], classes[1], 0.5, 0.3, mode="heuristic", budget=40)
+        one_pair = len(calls)
+        calls = self._count_draws(monkeypatch)
+        reduced = build_reduced_graph(g, classes, 0.5, 0.3, mode="heuristic", budget=40)
+        assert len(reduced.edges) == 28
+        assert 0 < len(calls) == one_pair <= 40
+
+    def test_cache_is_bounded_and_immutable(self):
+        for seed in range(40):
+            drawn = _random_candidates(seed, 12, 3, 10)
+            assert isinstance(drawn, tuple) and all(isinstance(x, tuple) for x in drawn)
+        assert _random_candidates.cache_info().currsize <= 16
+
+    def test_draws_match_a_fresh_stream(self):
+        rng = make_rng(17)
+        fresh = []
+        for _ in range(30):
+            p = 4 + rand_below(rng, 20 - 4 + 1)
+            fresh.append(tuple(sample_indices(rng, 20, p)))
+        assert _random_candidates(17, 20, 4, 30) == tuple(fresh)
 
 
 class TestPairDensity:
@@ -148,6 +280,18 @@ class TestSuperRegularPair:
         verdict = check_super_regular_pair(g2, a, b, 0.2, 0.2)
         assert not verdict.regular
         assert verdict.degree_failure == ("A", 0)
+
+    def test_degree_floor_is_the_ceiling_of_d_times_size(self):
+        # d * |B| = 0.3 * 5 = 1.5: a cross-degree of 2 passes, 1 fails.  With
+        # d = 0.4, d * |B| = 2 exactly and a cross-degree of 2 passes.
+        a, b = [0, 1], [2, 3, 4, 5, 6]
+        g = Graph(7, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
+        for d, ok in ((0.3, True), (0.4, True), (Fraction(2, 5) + Fraction(1, 10**9), False)):
+            verdict = check_super_regular_pair(g, a, b, 0.5, d)
+            assert verdict.min_cross_degree[0] == 2
+            assert (verdict.degree_failure != ("A", 0)) == ok
+        g2 = Graph(7, [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
+        assert check_super_regular_pair(g2, a, b, 0.5, 0.3).degree_failure == ("A", 0)
 
     def test_random_dense_pair_super_regular(self):
         g = gen_random_graph(24, 0.5, seed=11)
