@@ -12,9 +12,11 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .conditions import (
+    EXACT_EXPANDER_CAP,
     check_degree_sequence_condition,
     check_ore_condition,
     check_robust_expander,
@@ -106,6 +108,10 @@ class PipelineReport:
         }
 
 
+class _StageFailed(Exception):
+    """Ends a pipeline run after its failing stage has been recorded."""
+
+
 def run_full_pipeline(
     host: HostBundle,
     target: TargetBundle,
@@ -119,149 +125,130 @@ def run_full_pipeline(
     re-verification of the embedding.  The first failing stage aborts the
     run with its identity; certified failure is a legitimate outcome.
     """
-    stages: list[StageResult] = []
-    report = PipelineReport(False, None, stages, seed, cfg.to_json())
+    report = PipelineReport(False, None, [], seed, cfg.to_json())
 
-    def fail(name: str, t0: float, exc: Exception) -> PipelineReport:
-        stages.append(
-            StageResult(name, False, time.perf_counter() - t0,
-                        {"error": f"{type(exc).__name__}: {exc}"})
-        )
-        report.failed_stage = name
-        return report
+    @contextmanager
+    def stage(name: str):
+        """Time and record one stage; an exception or ok=False ends the run there."""
+        result = StageResult(name, True, 0.0)
+        t0 = time.perf_counter()
+        try:
+            yield result
+        except Exception as exc:
+            result.ok, result.detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+        result.seconds = time.perf_counter() - t0
+        report.stages.append(result)
+        if not result.ok:
+            report.failed_stage = name
+            raise _StageFailed
 
     g, h = host.graph, target.graph
-    if g.n != h.n:
-        t0 = time.perf_counter()
-        return fail("validate", t0, InvalidInputError(
-            f"host has {g.n} vertices but the target has {h.n}"))
-
-    # Stage 1: host-side partition baseline.
-    t0 = time.perf_counter()
     try:
-        prep = prepare_host_partition(g, host.partition, cfg, seed=seed)
-    except Exception as exc:
-        return fail("host-partition", t0, exc)
-    k = prep.k
-    i2, j2 = prep.partition.b_chord
-    # The walk search runs at nu/4 in the reduced graph; certify that level
-    # exactly while the reduced graph is small.
-    sub = prep.reduced.as_graph()
-    expander_verdict = (
-        check_robust_expander(sub, cfg.nu / 4, cfg.tau, mode="exact")
-        if sub.n <= 20 else None
-    )
-    stages.append(StageResult("host-partition", True, time.perf_counter() - t0, {
-        "k": k,
-        "baseline_sizes": prep.baseline_sizes,
-        "a_chord": list(prep.partition.a_chord),
-        "b_chord": list(prep.partition.b_chord),
-        "balance_steps": prep.balance_ledger.step_count,
-        "reduced_expander": expander_verdict.to_json() if expander_verdict else None,
-    }))
+        if g.n != h.n:
+            with stage("validate"):
+                raise InvalidInputError(f"host has {g.n} vertices but the target has {h.n}")
 
-    # Stage 2: homomorphism guided by the baseline sizes and the B-side chord.
-    t0 = time.perf_counter()
-    try:
-        chord = (2 * i2 + 1, 2 * j2 + 1)
-        params = choose_h_parameters(
-            h.n, max(1, h.max_degree()), target.ordering.claimed_bound, cfg.xi, k
-        )
-        hom = build_homomorphism(
-            h, target.ordering, target.bipartition, prep.baseline_sizes,
-            chord, params, seed=seed,
-        )
-        recheck = verify_homomorphism_certificate(
-            h, hom.f, hom.boundary, prep.baseline_sizes, cfg.xi, chord
-        )
-        if not recheck["all_ok"]:
-            raise BandembedError(f"independent certificate recheck failed: {recheck}")
-    except Exception as exc:
-        return fail("homomorphism", t0, exc)
-    demanded = hom.loads()
-    stages.append(StageResult("homomorphism", True, time.perf_counter() - t0, {
-        "attempts": hom.attempts,
-        "kprime": hom.kprime,
-        "chord": list(chord),
-        "boundary_size": len(hom.boundary),
-        "loads": demanded,
-        "params": {"m1": params.m1, "m2": params.m2, "k1": params.k1, "k2": params.k2},
-        "certificate_recheck": {key: val for key, val in recheck.items() if key != "loads"},
-    }))
+        # Stage 1: host-side partition baseline.
+        with stage("host-partition") as st:
+            prep = prepare_host_partition(g, host.partition, cfg, seed=seed)
+            # The walk search runs at nu/4 in the reduced graph; certify that
+            # level exactly while the reduced graph is small.
+            sub = prep.reduced.as_graph()
+            expander_verdict = (
+                check_robust_expander(sub, cfg.nu / 4, cfg.tau, mode="exact")
+                if sub.n <= EXACT_EXPANDER_CAP else None
+            )
+            st.detail = {
+                "k": prep.k,
+                "baseline_sizes": prep.baseline_sizes,
+                "a_chord": list(prep.partition.a_chord),
+                "b_chord": list(prep.partition.b_chord),
+                "balance_steps": prep.balance_ledger.step_count,
+                "reduced_expander": expander_verdict.to_json() if expander_verdict else None,
+            }
 
-    # Stage 3: redistribute to the demanded sizes.
-    t0 = time.perf_counter()
-    try:
-        a_t, b_t = _pair_targets(demanded, prep.baseline_sizes)
-        final, ledger = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
-    except Exception as exc:
-        return fail("redistribute", t0, exc)
-    stages.append(StageResult("redistribute", True, time.perf_counter() - t0, {
-        "a_targets": a_t,
-        "b_targets": b_t,
-        "mirrored": ledger.mirrored,
-        "churn": ledger.churn,
-        "moves": len(ledger.all_moves()),
-    }))
+        # Stage 2: homomorphism guided by the baseline sizes and the B-side chord.
+        with stage("homomorphism") as st:
+            i2, j2 = prep.partition.b_chord
+            chord = (2 * i2 + 1, 2 * j2 + 1)
+            params = choose_h_parameters(
+                h.n, max(1, h.max_degree()), target.ordering.claimed_bound, cfg.xi, prep.k
+            )
+            hom = build_homomorphism(
+                h, target.ordering, target.bipartition, prep.baseline_sizes,
+                chord, params, seed=seed,
+            )
+            recheck = verify_homomorphism_certificate(
+                h, hom.f, hom.boundary, prep.baseline_sizes, cfg.xi, chord
+            )
+            if not recheck["all_ok"]:
+                raise BandembedError(f"independent certificate recheck failed: {recheck}")
+            demanded = hom.loads()
+            st.detail = {
+                "attempts": hom.attempts,
+                "kprime": hom.kprime,
+                "chord": list(chord),
+                "boundary_size": len(hom.boundary),
+                "loads": demanded,
+                "params": {"m1": params.m1, "m2": params.m2, "k1": params.k1, "k2": params.k2},
+                "certificate_recheck": {
+                    key: val for key, val in recheck.items() if key != "loads"
+                },
+            }
 
-    # Stage 4: final structural certification.
-    t0 = time.perf_counter()
-    try:
-        structure = verify_partition_structure(g, final, demanded, cfg, seed=seed)
-        if not structure.all_ok():
-            raise BandembedError("final partition failed structural certification")
-    except Exception as exc:
-        return fail("verify-partition", t0, exc)
-    stages.append(
-        StageResult("verify-partition", True, time.perf_counter() - t0, structure.to_json())
-    )
+        # Stage 3: redistribute to the demanded sizes.
+        with stage("redistribute") as st:
+            a_t, b_t = _pair_targets(demanded, prep.baseline_sizes)
+            final, ledger = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
+            st.detail = {
+                "a_targets": a_t,
+                "b_targets": b_t,
+                "mirrored": ledger.mirrored,
+                "churn": ledger.churn,
+                "moves": len(ledger.all_moves()),
+            }
 
-    # Stage 5: compatibility of the preimage partition with the host partition.
-    t0 = time.perf_counter()
-    try:
-        w_classes = [[v for v in range(h.n) if hom.f[v] == i] for i in range(2 * k)]
-        r_edges = set()
-        for i in range(k):
-            r_edges.add((2 * i, 2 * i + 1))
-            r_edges.add(tuple(sorted((2 * i + 1, (2 * i + 2) % (2 * k)))))
-        i1, j1 = final.a_chord
-        r_edges.add(tuple(sorted((2 * i1, 2 * j1))))
-        r_edges.add(tuple(sorted((2 * i2 + 1, 2 * j2 + 1))))
-        rprime = {(2 * i, 2 * i + 1) for i in range(k)}
-        compat = check_compatibility(
-            h, w_classes, g, final.classes, r_edges, rprime, cfg.eps
-        )
-        if not compat.all_ok():
-            raise BandembedError(f"compatibility failed: {compat.to_json()}")
-    except Exception as exc:
-        return fail("compatibility", t0, exc)
-    stages.append(
-        StageResult("compatibility", True, time.perf_counter() - t0, compat.to_json())
-    )
+        # Stage 4: final structural certification.
+        with stage("verify-partition") as st:
+            structure = verify_partition_structure(g, final, demanded, cfg, seed=seed)
+            if not structure.all_ok():
+                raise BandembedError("final partition failed structural certification")
+            st.detail = structure.to_json()
 
-    # Stage 6: the embedding itself.
-    t0 = time.perf_counter()
-    try:
-        emb = embed_blowup(h, w_classes, g, final.classes, rprime, seed=seed)
-    except Exception as exc:
-        return fail("embed", t0, exc)
-    stages.append(StageResult("embed", True, time.perf_counter() - t0, {}))
+        # Stage 5: compatibility of the preimage partition with the host partition.
+        with stage("compatibility") as st:
+            w_classes, rprime = _pull_back(hom.f, prep.k)
+            compat = check_compatibility(
+                h, w_classes, g, final.classes, final.skeleton(), rprime, cfg.eps
+            )
+            if not compat.all_ok():
+                raise BandembedError(f"compatibility failed: {compat.to_json()}")
+            st.detail = compat.to_json()
 
-    # Stage 7: unconditional final gate.
-    t0 = time.perf_counter()
-    valid = verify_embedding(h, g, emb.phi)
-    respects = embedding_respects_partition(emb.phi, w_classes, final.classes)
-    stages.append(StageResult("verify-embedding", valid and respects,
-                              time.perf_counter() - t0,
-                              {"edge_preserving_injection": valid,
-                               "respects_partition": respects}))
-    if not (valid and respects):
-        report.failed_stage = "verify-embedding"
+        # Stage 6: the embedding itself.
+        with stage("embed"):
+            emb = embed_blowup(h, w_classes, g, final.classes, rprime, seed=seed)
+
+        # Stage 7: unconditional final gate.
+        with stage("verify-embedding") as st:
+            valid = verify_embedding(h, g, emb.phi)
+            respects = embedding_respects_partition(emb.phi, w_classes, final.classes)
+            st.ok = valid and respects
+            st.detail = {"edge_preserving_injection": valid, "respects_partition": respects}
+    except _StageFailed:
         return report
 
     report.ok = True
     report.embedding = list(emb.phi)
     return report
+
+
+def _pull_back(f: list[int], k: int) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """The target classes W_i = f^-1(i), and the cluster pairs (2i, 2i+1) they embed along."""
+    w_classes: list[list[int]] = [[] for _ in range(2 * k)]
+    for v, c in enumerate(f):
+        w_classes[c].append(v)
+    return w_classes, {(2 * i, 2 * i + 1) for i in range(k)}
 
 
 def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], list[int]]:
@@ -534,8 +521,7 @@ def _cmd_embed(args) -> int:
     if len(f) != target.graph.n or not all(0 <= c < 2 * k for c in f):
         raise InvalidInputError(f"{args.hom}: \"f\" must send all {target.graph.n} target "
                                 f"vertices to classes 0..{2 * k - 1}")
-    w_classes = [[v for v in range(target.graph.n) if f[v] == i] for i in range(2 * k)]
-    rprime = {(2 * i, 2 * i + 1) for i in range(k)}
+    w_classes, rprime = _pull_back(f, k)
     emb = embed_blowup(
         target.graph, w_classes, host.graph, host.partition.classes, rprime,
         seed=args.seed,

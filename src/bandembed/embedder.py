@@ -64,9 +64,6 @@ class CompatibilityReport:
 class Embedding:
     phi: list[int]
 
-    def to_json(self) -> dict:
-        return {"phi": list(self.phi)}
-
 
 def _normalize_edges(edges) -> set[tuple[int, int]]:
     out = set()
@@ -90,6 +87,28 @@ def _components(num: int, edges: set[tuple[int, int]]) -> list[int]:
         if ru != rv:
             comp[max(ru, rv)] = min(ru, rv)
     return [find(x) for x in range(num)]
+
+
+def _boundary(
+    h: Graph, cluster_of: dict[int, int], num: int, rp: set[tuple[int, int]]
+) -> tuple[list[set[int]], list[set[int]]]:
+    """The per-class S and T sets of `check_compatibility` for the restricted edges `rp`.
+
+    `rp` holds (min, max) pairs.  An H-edge inside one class adds nothing to S.
+    """
+    s_sets: list[set[int]] = [set() for _ in range(num)]
+    for u, v in h.edges():
+        iu, iv = cluster_of[u], cluster_of[v]
+        if iu != iv and (min(iu, iv), max(iu, iv)) not in rp:
+            s_sets[iu].add(u)
+            s_sets[iv].add(v)
+    s_all = set().union(*s_sets)
+    t_sets: list[set[int]] = [set() for _ in range(num)]
+    for v in s_all:
+        for u in h.adj(v):
+            if u not in s_all:
+                t_sets[cluster_of[u]].add(u)
+    return s_sets, t_sets
 
 
 def check_compatibility(
@@ -131,33 +150,14 @@ def check_compatibility(
             sizes_ok = False
             offending_sizes.append(i)
 
-    edges_ok = True
     offending_edges: list[tuple[int, int]] = []
-    s_sets: list[set[int]] = [set() for _ in range(num)]
     for u, v in h.edges():
         iu, iv = cluster_of[u], cluster_of[v]
-        if iu == iv:
-            edges_ok = False
-            if (iu, iv) not in offending_edges:
-                offending_edges.append((iu, iv))
-            continue
         key = (min(iu, iv), max(iu, iv))
-        if key not in r:
-            edges_ok = False
-            if key not in offending_edges:
-                offending_edges.append(key)
-        if key not in rp:
-            s_sets[iu].add(u)
-            s_sets[iv].add(v)
-
-    s_all: set[int] = set()
-    for s in s_sets:
-        s_all |= s
-    t_sets: list[set[int]] = [set() for _ in range(num)]
-    for v in s_all:
-        for u in h.adj(v):
-            if u not in s_all:
-                t_sets[cluster_of[u]].add(u)
+        if (iu == iv or key not in r) and key not in offending_edges:
+            offending_edges.append(key)
+    edges_ok = not offending_edges
+    s_sets, t_sets = _boundary(h, cluster_of, num, rp)
 
     comp = _components(num, rp)
     comp_min: dict[int, int] = {}
@@ -216,25 +216,14 @@ def embed_blowup(
         for v in ws:
             cluster_of[v] = i
 
-    # Boundary set: vertices with edges leaving their restricted component,
-    # plus their neighbors.
-    rp_set = set(rp)
-    s_all: set[int] = set()
     for u, v in h.edges():
-        iu, iv = cluster_of[u], cluster_of[v]
-        if iu == iv:
+        if cluster_of[u] == cluster_of[v]:
             raise InvalidInputError(
-                f"edge ({u},{v}) stays inside class {iu}; the input is incompatible"
+                f"edge ({u},{v}) stays inside class {cluster_of[u]}; the input is incompatible"
             )
-        if (min(iu, iv), max(iu, iv)) not in rp_set:
-            s_all.add(u)
-            s_all.add(v)
-    t_all: set[int] = set()
-    for v in s_all:
-        for u in h.adj(v):
-            if u not in s_all:
-                t_all.add(u)
-    constrained = sorted(s_all | t_all)
+    # Boundary vertices (S and T of every class) are placed first.
+    s_sets, t_sets = _boundary(h, cluster_of, num, set(rp))
+    constrained = sorted(set().union(*s_sets, *t_sets))
 
     gmasks = g.masks
     budget = BUDGET_FACTOR * h.n

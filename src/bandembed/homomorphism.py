@@ -390,20 +390,21 @@ def choose_h_parameters(n: int, delta: int, bandwidth: int, xi, k: int) -> Homom
     """
     xi_f = as_fraction(xi)
     b = max(1, bandwidth)
-    caps = [
-        floor_frac(Fraction(n, 3 * b + 1)),
-        floor_frac(xi_f * n / (3 * b)),
-    ]
+    caps = {
+        "window n/(3b+1)": floor_frac(Fraction(n, 3 * b + 1)),
+        "boundary xi*n/(3b)": floor_frac(xi_f * n / (3 * b)),
+    }
     if delta > 0:
-        caps.append(n // (4 * delta))
-    m1_max = min(caps)
+        caps["repair n/(4*delta)"] = n // (4 * delta)
+    binding = min(caps, key=caps.get)
+    m1_max = caps[binding]
     # Segment counts divide n so window integer counts stay within beta*n of
     # n/m1 for any color split.
     candidates = [m for m in range(4, m1_max + 1) if n % m == 0 and m % 2 == 0]
     if not candidates:
         raise ParameterError(
-            f"no admissible segmentation: need an even divisor of {n} in [4, {m1_max}] "
-            f"(n={n}, b={b}, xi={xi})"
+            f"no admissible segmentation: the {binding} cap allows at most {m1_max} "
+            f"segments, and {n} has no even divisor in [4, {m1_max}] (n={n}, b={b}, xi={xi})"
         )
     k_upper = 8 + k
     by_four = [m for m in candidates if m % 4 == 0]

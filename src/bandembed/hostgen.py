@@ -116,14 +116,10 @@ def gen_super_regular_host(
     rng = make_rng(seed)
     edge_set: set[tuple[int, int]] = set()
 
-    pair_edges = []
-    for i in range(k):
-        pair_edges.append((2 * i, 2 * i + 1))          # (A_i, B_i)
-        pair_edges.append((2 * i + 1, (2 * i + 2) % (2 * k)))  # (B_i, A_{i+1})
-    pair_edges.append((2 * i1, 2 * j1))                # A-side chord
-    pair_edges.append((2 * i2 + 1, 2 * j2 + 1))        # B-side chord
-
-    for x, y in pair_edges:
+    partition = ClusterPartition(
+        [set(c) for c in classes], a_chord=(i1, j1), b_chord=(i2, j2)
+    )
+    for x, y in partition.skeleton():
         edge_set |= _random_bipartite_edges(rng, classes[x], classes[y], d)
 
     if d < 1:
@@ -168,11 +164,7 @@ def gen_super_regular_host(
                             edge_set.add(key)
                             deg += 1
 
-    graph = Graph(n, sorted(edge_set))
-    partition = ClusterPartition(
-        [set(c) for c in classes], a_chord=(i1, j1), b_chord=(i2, j2)
-    )
-    return HostBundle(graph, partition)
+    return HostBundle(Graph(n, sorted(edge_set)), partition)
 
 
 def gen_extremal_counterexample(n: int, m: int) -> Graph:

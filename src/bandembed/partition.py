@@ -102,6 +102,23 @@ class ClusterPartition:
             out |= c
         return out
 
+    def skeleton(self) -> list[tuple[int, int]]:
+        """Class-index edges of the cluster cycle A_1 B_1 ... A_k B_k and its chords.
+
+        In walking order: (2i, 2i+1) then (2i+1, 2i+2 mod 2k) for each i, then
+        the A-side chord (2i1, 2j1) and the B-side chord (2i2+1, 2j2+1) that
+        are set.
+        """
+        k = self.k
+        out = []
+        for i in range(k):
+            out += [(2 * i, 2 * i + 1), (2 * i + 1, (2 * i + 2) % (2 * k))]
+        if self.a_chord:
+            out.append((2 * self.a_chord[0], 2 * self.a_chord[1]))
+        if self.b_chord:
+            out.append((2 * self.b_chord[0] + 1, 2 * self.b_chord[1] + 1))
+        return out
+
     def copy(self) -> "ClusterPartition":
         return ClusterPartition(
             [set(c) for c in self.classes], self.a_chord, self.b_chord
@@ -603,20 +620,10 @@ def check_mobility_hypotheses(
     k = partition.k
     xi_n = as_fraction(cfg.xi) * g.n
 
-    cycle_ok = True
-    for i in range(k):
-        if not reduced.has_edge(2 * i, 2 * i + 1):
-            cycle_ok = False
-        if not reduced.has_edge(2 * i + 1, (2 * i + 2) % (2 * k)):
-            cycle_ok = False
-    a_ok = (
-        partition.a_chord is not None
-        and reduced.has_edge(2 * partition.a_chord[0], 2 * partition.a_chord[1])
-    )
-    b_ok = (
-        partition.b_chord is not None
-        and reduced.has_edge(2 * partition.b_chord[0] + 1, 2 * partition.b_chord[1] + 1)
-    )
+    skeleton = partition.skeleton()
+    cycle_ok = all(reduced.has_edge(x, y) for x, y in skeleton[:2 * k])
+    # A chord joins two A-classes (even indices) or two B-classes (odd).
+    chord_ok = {x % 2: reduced.has_edge(x, y) for x, y in skeleton[2 * k:]}
     small_ok = all(abs(x) < xi_n for x in a_targets) and all(
         abs(x) < xi_n for x in b_targets
     )
@@ -624,7 +631,7 @@ def check_mobility_hypotheses(
     cancel_ok = total_a + total_b == 0
     flow_ok = abs(total_a) <= xi_n and abs(total_b) <= xi_n
     return HypothesisReport(
-        cycle_ok, a_ok, b_ok, small_ok, cancel_ok, flow_ok,
+        cycle_ok, chord_ok.get(0, False), chord_ok.get(1, False), small_ok, cancel_ok, flow_ok,
         details={"total_a": total_a, "total_b": total_b, "xi_n": xi_n},
     )
 
@@ -694,8 +701,8 @@ def redistribute_to_sizes(
 
     goal_a = [len(orig[2 * i]) + a_targets[i] for i in range(k)]
     goal_b = [len(orig[2 * i + 1]) + b_targets[i] for i in range(k)]
-    if any(x < 0 for x in goal_a + goal_b):
-        raise RedistributionError("targets drive a class size below zero")
+    if any(x < 1 for x in goal_a + goal_b):
+        raise RedistributionError("targets leave a class empty")
 
     max_rounds = sum(abs(x) for x in a_targets + b_targets) + abs(total_a) + 2 * k + 4
 
@@ -804,25 +811,17 @@ def verify_partition_structure(
     if demanded is not None:
         sizes_exact = partition.sizes() == list(demanded)
 
-    def check(checker, x: set[int], y: set[int]) -> RegularityVerdict:
-        return checker(g, x, y, eps, d, mode=_auto_mode(len(x), len(y)), seed=seed)
+    def check(checker, x: int, y: int) -> RegularityVerdict:
+        cx, cy = partition.classes[x], partition.classes[y]
+        return checker(g, cx, cy, eps, d, mode=_auto_mode(len(cx), len(cy)), seed=seed)
 
-    supers = [
-        check(check_super_regular_pair, partition.a_class(i), partition.b_class(i))
-        for i in range(k)
-    ]
-    cycles = [
-        check(check_regular_pair, partition.b_class(i), partition.a_class((i + 1) % k))
-        for i in range(k)
-    ]
-    chord_a = chord_b = None
-    if partition.a_chord:
-        i1, j1 = partition.a_chord
-        chord_a = check(check_regular_pair, partition.a_class(i1), partition.a_class(j1))
-    if partition.b_chord:
-        i2, j2 = partition.b_chord
-        chord_b = check(check_regular_pair, partition.b_class(i2), partition.b_class(j2))
-    return StructureReport(sizes_exact, supers, cycles, chord_a, chord_b)
+    skeleton = partition.skeleton()
+    cycle, chords = skeleton[:2 * k], skeleton[2 * k:]
+    supers = [check(check_super_regular_pair, x, y) for x, y in cycle[0::2]]
+    cycles = [check(check_regular_pair, x, y) for x, y in cycle[1::2]]
+    # A chord joins two A-classes (even indices) or two B-classes (odd).
+    chord = {x % 2: check(check_regular_pair, x, y) for x, y in chords}
+    return StructureReport(sizes_exact, supers, cycles, chord.get(0), chord.get(1))
 
 
 def prepare_host_partition(

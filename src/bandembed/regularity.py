@@ -176,6 +176,8 @@ def check_regular_pair(
     result is a non-refutation; a heuristic witness is exact by construction
     since densities are recomputed exactly.
     """
+    if mode not in ("exact", "heuristic"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
     eps = as_fraction(eps)
     d = as_fraction(d)
     a_list = sorted(set(a_side))
@@ -195,19 +197,12 @@ def check_regular_pair(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        for xmask in range(1, 1 << na):
-            p = xmask.bit_count()
-            if p < p_min:
-                continue
-            xs = [a_list[i] for i in range(na) if xmask >> i & 1]
-            y = _extreme_violation(g, xs, b_list, q_min, e_ab, ab, eps)
-            if y is not None:
-                return RegularityVerdict(
-                    False, dens, "exact", eps, d, witness=(frozenset(xs), y)
-                )
-        return RegularityVerdict(True, dens, "exact", eps, d)
-
-    if mode == "heuristic":
+        # Every X of at least p_min vertices, in mask order.
+        candidates = (
+            [a_list[i] for i in range(na) if xmask >> i & 1]
+            for xmask in range(1, 1 << na) if xmask.bit_count() >= p_min
+        )
+    else:
         # Degree-outlier seeds: extremal subsets witness irregularity in the
         # standard constructions.
         bmask = vertex_mask(b_list)
@@ -217,15 +212,12 @@ def check_regular_pair(
         candidates = [xs for p in sizes for xs in (by_deg[:p], by_deg[-p:])]
         drawn = _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
         candidates += ([a_list[i] for i in idx] for idx in drawn)
-        for xs in candidates[:budget]:
-            y = _extreme_violation(g, xs, b_list, q_min, e_ab, ab, eps)
-            if y is not None:
-                return RegularityVerdict(
-                    False, dens, "heuristic", eps, d, witness=(frozenset(xs), y)
-                )
-        return RegularityVerdict(True, dens, "heuristic", eps, d)
-
-    raise InvalidInputError(f"unknown mode {mode!r}")
+        candidates = candidates[:budget]
+    for xs in candidates:
+        y = _extreme_violation(g, xs, b_list, q_min, e_ab, ab, eps)
+        if y is not None:
+            return RegularityVerdict(False, dens, mode, eps, d, witness=(frozenset(xs), y))
+    return RegularityVerdict(True, dens, mode, eps, d)
 
 
 def check_super_regular_pair(

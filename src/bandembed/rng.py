@@ -17,7 +17,6 @@ __all__ = [
     "derive_seed",
     "rand_below",
     "rand_range",
-    "coin",
     "sample_indices",
     "shuffled",
     "as_fraction",
@@ -49,10 +48,6 @@ def rand_below(rng: random.Random, n: int) -> int:
 def rand_range(rng: random.Random, lo: int, hi: int) -> int:
     """Uniform integer in [lo, hi] inclusive."""
     return lo + rand_below(rng, hi - lo + 1)
-
-
-def coin(rng: random.Random) -> int:
-    return rng.getrandbits(1)
 
 
 def sample_indices(rng: random.Random, n: int, k: int) -> list[int]:

@@ -55,7 +55,7 @@ from bandembed.walks import (
     validate_shifted_walk,
 )
 
-from conftest import two_cliques
+from conftest import strip_seconds, two_cliques
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -69,14 +69,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 # sha256 over the seed 0-19 reports of criterion 1, "seconds" keys stripped:
 # seeded pipeline output is pinned bit for bit.
 PIPELINE_DIGEST = "268994899f6d628893fdc57911b1ec973f42e023e348d19cbefa3e858d54059c"
-
-
-def strip_seconds(obj):
-    if isinstance(obj, dict):
-        return {k: strip_seconds(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, (list, tuple)):
-        return [strip_seconds(v) for v in obj]
-    return obj
 
 
 def test_criterion_1_end_to_end_embedding():

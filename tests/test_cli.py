@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -18,7 +19,7 @@ from bandembed.hostgen import (
 )
 from bandembed.partition import ClusterPartition, Config
 
-from conftest import two_cliques
+from conftest import strip_seconds, two_cliques
 
 
 @pytest.fixture
@@ -416,3 +417,36 @@ class TestPipelineCommand:
                      "--bandwidth", "1", "--k", "2", "--runs", "5", "--seed", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["runs"] == 5 and out["successes"] == 5
+
+
+class TestPipelineFailurePaths:
+    """One run per failing stage: the stage, the error type and the whole report are pinned."""
+
+    # (k, size, bandwidth, seed, target vertices missing) -> failed stage, error type and
+    # sha256 of the seconds-stripped report.
+    CELLS = [
+        ((4, 50, 10, 0, 1), "validate", "InvalidInputError",
+         "f70c217e39052fb5f6648b1bfa925d3b14828cc126d26d064ce88aab8f5c75bc"),
+        ((3, 40, 10, 0, 0), "homomorphism", "ParameterError",
+         "56f39e1abd02fe48ed9c23b30e43439792418f14ab6ac64869cc6c9dd8f6ad10"),
+        ((5, 40, 10, 0, 0), "redistribute", "RedistributionError",
+         "4dfb2cfd69a5dc385009573f3d85ac5f29b115f14f0796913b3025106363e7eb"),
+        ((3, 40, 5, 1, 0), "verify-partition", "BandembedError",
+         "4abff89794cfa1317fc5c8a102b5de5ac1df8758c6a7f9682644325d1660c7c6"),
+        ((3, 40, 5, 0, 0), "embed", "EmbeddingNotFoundError",
+         "3c3a6069c1dd30a704885db18f09da020662e20b193c83ee7c29c4df92488b0c"),
+    ]
+
+    @pytest.mark.parametrize("shape, stage, error_type, digest", CELLS,
+                             ids=["k{}-size{}-b{}-seed{}-missing{}".format(*c[0]) for c in CELLS])
+    def test_failed_stage_is_pinned(self, shape, stage, error_type, digest):
+        k, size, b, seed, missing = shape
+        host = gen_super_regular_host(k, size, d=0.5, seed=seed)
+        target = gen_bandwidth_bipartite_h(2 * k * size - missing, 3, b, seed=seed)
+        report = run_full_pipeline(host, target, Config(), seed=seed)
+        assert not report.ok and report.embedding is None
+        assert report.failed_stage == stage
+        assert report.stages[-1].name == stage and not report.stages[-1].ok
+        assert report.stages[-1].detail["error"].split(":")[0] == error_type
+        output = json.dumps(strip_seconds(report.to_json()), sort_keys=True, default=str)
+        assert hashlib.sha256(output.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -477,3 +478,12 @@ class TestChooseParameters:
     def test_infeasible_rejected(self):
         with pytest.raises(ParameterError):
             choose_h_parameters(40, 3, 10, 0.1, 2)
+
+    @pytest.mark.parametrize("n, delta, b, xi, cap", [
+        (240, 3, 10, 0.3, "boundary xi*n/(3b) cap allows at most 2 segments"),
+        (100, 10, 1, 0.3, "repair n/(4*delta) cap allows at most 2 segments"),
+        (20, 1, 2, 0.9, "window n/(3b+1) cap allows at most 2 segments"),
+    ])
+    def test_segmentation_error_names_the_binding_cap(self, n, delta, b, xi, cap):
+        with pytest.raises(ParameterError, match=re.escape(cap)):
+            choose_h_parameters(n, delta, b, xi, 3)

@@ -338,6 +338,15 @@ class TestRedistribute:
                 bundle.graph, bundle.partition, reduced, [1, 0, 0], [0, 0, 0], STRICT
             )
 
+    def test_emptied_class_is_a_redistribution_error(self):
+        # |A_0| = 12 lies inside the default xi*n = 21.6, so only the size floor refuses it.
+        bundle, reduced = self.build()
+        with pytest.raises(RedistributionError, match="leave a class empty"):
+            redistribute_to_sizes(
+                bundle.graph, bundle.partition, reduced, [-12, 12, 0], [0, 0, 0], Config(),
+                eps=self.MOVE_EPS, d=self.MOVE_D,
+            )
+
     def test_moves_are_well_connected(self):
         bundle, reduced = self.build(seed=9)
         a_t, b_t = [2, -1, -1], [-1, 1, 0]

@@ -210,6 +210,14 @@ class TestRegularPair:
         assert not verdict.regular and verdict.witness is None
         assert verdict.density == Fraction(1, 9)
 
+    @pytest.mark.parametrize("checker", [check_regular_pair, check_super_regular_pair])
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(u, v) for u in range(3) for v in range(3, 6)]],
+                             ids=["below-d", "complete"])
+    def test_unknown_mode_rejected(self, checker, edges):
+        # Checked before the density shortcut, so a sparse pair cannot hide it.
+        with pytest.raises(InvalidInputError, match="unknown mode 'bogus'"):
+            checker(Graph(6, edges), [0, 1, 2], [3, 4, 5], 0.3, 0.5, mode="bogus")
+
     def test_split_halves_witnessed(self):
         # Two complete 4x4 blocks on an 8+8 pair: overall density 1/2, the
         # matched halves have density 1, the crossed halves 0.
