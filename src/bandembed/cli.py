@@ -27,6 +27,7 @@ from .embedder import (
     embedding_respects_partition,
     verify_embedding,
 )
+from . import errors
 from .errors import BandembedError, InvalidInputError, ParameterError
 from .graph import (
     BandwidthOrdering,
@@ -65,6 +66,8 @@ from .rng import as_fraction
 from .walks import Matching, find_closed_shifted_walk
 
 __all__ = ["main", "run_full_pipeline", "PipelineReport", "StageResult"]
+
+RECHECK_FAILED = "independent certificate recheck failed"
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,7 @@ def run_full_pipeline(
                 h, hom.f, hom.boundary, prep.baseline_sizes, cfg.xi, chord
             )
             if not recheck["all_ok"]:
-                raise BandembedError(f"independent certificate recheck failed: {recheck}")
+                raise BandembedError(f"{RECHECK_FAILED}: {recheck}")
             demanded = hom.loads()
             st.detail = {
                 "attempts": hom.attempts,
@@ -537,7 +540,18 @@ def _cmd_pipeline(args) -> int:
     cfg = _load_cfg(args)
     report = run_full_pipeline(host, target, cfg, seed=args.seed)
     _emit(report.to_json(), args)
-    return 0 if report.ok else 2
+    if report.ok:
+        return 0
+    return 2 if _certified_negative(report.stages[-1]) else 1
+
+
+def _certified_negative(failed: StageResult) -> bool:
+    """Whether a failed stage is an honest "no": a library error that is neither an
+    input error nor the recheck's fault (a failed final re-verification has no error)."""
+    name, _, message = failed.detail.get("error", "").partition(": ")
+    kind = getattr(errors, name, None)
+    return (isinstance(kind, type) and issubclass(kind, BandembedError)
+            and not issubclass(kind, InvalidInputError) and not message.startswith(RECHECK_FAILED))
 
 
 def _cmd_montecarlo_balance(args) -> int:

@@ -241,14 +241,16 @@ def embed_blowup(
         phi: dict[int, int] = {}
         used: set[int] = set()
 
-        def candidates(v: int, pool: list[int]) -> list[int]:
-            mask = None
+        def admissible(v: int) -> int:
+            """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
+            mask = -1
             for u in h.adj(v):
                 if u in phi:
-                    m = gmasks[phi[u]]
-                    mask = m if mask is None else mask & m
-            if mask is None:
-                return [x for x in pool if x not in used]
+                    mask &= gmasks[phi[u]]
+            return mask
+
+        def candidates(v: int, pool: list[int]) -> list[int]:
+            mask = admissible(v)
             return [x for x in pool if x not in used and mask >> x & 1]
 
         # Phase 1: boundary vertices, most-constrained-by-structure first.
@@ -262,13 +264,13 @@ def embed_blowup(
                 break
             # Prefer the host vertex that blocks the fewest peers in the
             # same cluster; random tie-break so restarts explore.
-            peers = [
-                u for u in remaining
+            allowed = [
+                admissible(u) for u in remaining
                 if u != v and cluster_of[u] == cluster_of[v]
             ]
             best = None
             for c in shuffled(rng, cands):
-                load = sum(1 for u in peers if _still_candidate(gmasks, h, phi, u, c))
+                load = sum(m >> c & 1 for m in allowed)
                 if best is None or load < best[0]:
                     best = (load, c)
             phi[v] = best[1]
@@ -326,14 +328,6 @@ def embed_blowup(
     raise EmbeddingNotFoundError(
         f"no embedding within the reassignment budget ({budget} placements)"
     )
-
-
-def _still_candidate(gmasks, h, phi, u, c) -> bool:
-    """Whether host vertex c would still be admissible for unplaced u."""
-    for w in h.adj(u):
-        if w in phi and not gmasks[phi[w]] >> c & 1:
-            return False
-    return True
 
 
 def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:

@@ -10,6 +10,11 @@ fixed X and fixed |Y|, the extreme values of e(X, Y) are attained by taking
 the |Y| largest (or smallest) X-degrees in B.  That makes the search exact at
 a cost of 2^|A| instead of 2^|A|+|B|.  Density comparisons are exact integer
 cross-multiplication throughout.
+
+Single-size lemma: for a fixed X, the mean of the q largest X-degrees in B
+never rises as q grows and the mean of the q smallest never falls.  So if
+|Y| = max(1, ceil(eps|B|)) violates eps at neither extreme, no larger |Y|
+does, and each X is scanned at that one size.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import sqrt
 
 from .errors import FeasibilityError, InvalidInputError
@@ -108,54 +112,36 @@ def pair_density(g: Graph, a_side, b_side) -> Fraction:
     return Fraction(e, len(a) * len(b))
 
 
-def _degrees_into(g: Graph, xs: list[int], b_list: list[int]) -> list[int]:
-    xmask = vertex_mask(xs)
-    masks = g.masks
-    return [(masks[b] & xmask).bit_count() for b in b_list]
+def _extreme_violation(cols: list[int], xmask: int, q: int,
+                       hi_num: int, hi_den: int, lo_num: int, lo_den: int):
+    """B-indices of a |Y| = q extreme set violating eps against the X of `xmask`, or None.
 
-
-def _extreme_violation(
-    g: Graph,
-    x_vertices: list[int],
-    b_list: list[int],
-    q_min: int,
-    e_ab: int,
-    ab: int,
-    eps: Fraction,
-):
-    """Check all |Y| against the greedy extremes for this X; return a witness or None.
-
-    Violation means |e(X,Y)/(pq) - e_ab/ab| >= eps.  With eps = en/ed that is
-    e(X,Y)*ab*ed >= pq*(e_ab*ed + en*ab) at the high extreme and
-    e(X,Y)*ab*ed <= pq*(e_ab*ed - en*ab) at the low one, all in integers.
+    `cols[j]` is B-vertex j's neighbourhood as an A-index mask and q is the
+    smallest allowed |Y| (the single-size lemma).  Violation means
+    e(X,Y)/(pq) >= hi = d(A,B) + eps at the high extreme, or <= lo = d(A,B) - eps
+    at the low one; both are integer comparisons on hi and lo in lowest terms.
+    q > |B| (eps > 1) fails both.
     """
-    p = len(x_vertices)
-    deg_of = _degrees_into(g, x_vertices, b_list)
-    nb = len(b_list)
-    # Stable, so equal degrees keep index order.
-    order = sorted(range(nb), key=deg_of.__getitem__)
-    prefix = [0, *accumulate(deg_of[i] for i in order)]
-    total = prefix[-1]
-    scale = ab * eps.denominator
-    hi = e_ab * eps.denominator + eps.numerator * ab
-    lo = e_ab * eps.denominator - eps.numerator * ab
-    for q in range(max(1, q_min), nb + 1):
-        pq = p * q
-        if (total - prefix[nb - q]) * scale >= pq * hi:
-            return frozenset(b_list[i] for i in order[nb - q:])
-        if prefix[q] * scale <= pq * lo:
-            return frozenset(b_list[i] for i in order[:q])
+    nb = len(cols)
+    deg_of = [(c & xmask).bit_count() for c in cols]
+    degs = sorted(deg_of)
+    pq = xmask.bit_count() * q
+    if sum(degs[nb - q:]) * hi_den >= pq * hi_num:
+        # Stable, so equal degrees keep index order.
+        return sorted(range(nb), key=deg_of.__getitem__)[nb - q:]
+    if sum(degs[:q]) * lo_den <= pq * lo_num:
+        return sorted(range(nb), key=deg_of.__getitem__)[:q]
     return None
 
 
 @lru_cache(maxsize=16)
-def _random_candidates(seed: int, na: int, p_min: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """The heuristic's `count` random X index sets; they depend on no graph."""
+def _random_candidates(seed: int, na: int, p_min: int, count: int) -> tuple[int, ...]:
+    """The heuristic's `count` random X index masks; they depend on no graph."""
     rng = make_rng(seed)
     out = []
     for _ in range(count):
         p = p_min + rand_below(rng, na - p_min + 1)
-        out.append(tuple(sample_indices(rng, na, p)))
+        out.append(vertex_mask(sample_indices(rng, na, p)))
     return tuple(out)
 
 
@@ -186,8 +172,6 @@ def check_regular_pair(
     if dens < d:
         return RegularityVerdict(False, dens, mode, eps, d, witness=None)
     na, nb = len(a_list), len(b_list)
-    e_ab = dens.numerator * (na * nb) // dens.denominator
-    ab = na * nb
     p_min = max(1, ceil_frac(eps * na))
     q_min = max(1, ceil_frac(eps * nb))
 
@@ -197,26 +181,31 @@ def check_regular_pair(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        # Every X of at least p_min vertices, in mask order.
-        candidates = (
-            [a_list[i] for i in range(na) if xmask >> i & 1]
-            for xmask in range(1, 1 << na) if xmask.bit_count() >= p_min
-        )
+        # Every X of at least p_min vertices, as A-index masks in order.
+        candidates = (xmask for xmask in range(1, 1 << na) if xmask.bit_count() >= p_min)
     else:
         # Degree-outlier seeds: extremal subsets witness irregularity in the
         # standard constructions.
         bmask = vertex_mask(b_list)
         masks = g.masks
-        by_deg = sorted(a_list, key=lambda v: (masks[v] & bmask).bit_count())
+        deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
+        by_deg = sorted(range(na), key=deg_a.__getitem__)
         sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
-        candidates = [xs for p in sizes for xs in (by_deg[:p], by_deg[-p:])]
-        drawn = _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
-        candidates += ([a_list[i] for i in idx] for idx in drawn)
+        candidates = [vertex_mask(idx) for p in sizes for idx in (by_deg[:p], by_deg[-p:])]
+        candidates += _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
         candidates = candidates[:budget]
-    for xs in candidates:
-        y = _extreme_violation(g, xs, b_list, q_min, e_ab, ab, eps)
+    # Each B-vertex's neighbourhood as an A-index mask, shared by every X.
+    bit = {v: 1 << i for i, v in enumerate(a_list)}
+    a_set = frozenset(a_list)
+    cols = [sum(map(bit.__getitem__, g.adj(v) & a_set)) for v in b_list]
+    hi, lo = dens + eps, dens - eps
+    bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+    for xmask in candidates:
+        y = _extreme_violation(cols, xmask, q_min, *bounds)
         if y is not None:
-            return RegularityVerdict(False, dens, mode, eps, d, witness=(frozenset(xs), y))
+            xs = frozenset(v for i, v in enumerate(a_list) if xmask >> i & 1)
+            return RegularityVerdict(False, dens, mode, eps, d,
+                                     witness=(xs, frozenset(b_list[j] for j in y)))
     return RegularityVerdict(True, dens, mode, eps, d)
 
 

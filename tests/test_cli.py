@@ -450,3 +450,24 @@ class TestPipelineFailurePaths:
         assert report.stages[-1].detail["error"].split(":")[0] == error_type
         output = json.dumps(strip_seconds(report.to_json()), sort_keys=True, default=str)
         assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+    # (k, size, bandwidth, seed, target vertices missing) -> exit code: an input
+    # error exits 1 even though the report is written; a certified negative exits 2.
+    EXITS = [
+        ((4, 50, 10, 0, 1), "validate", 1),
+        ((3, 40, 10, 0, 0), "homomorphism", 1),
+        ((3, 40, 5, 0, 0), "embed", 2),
+    ]
+
+    @pytest.mark.parametrize("shape, stage, code", EXITS,
+                             ids=["k{}-size{}-b{}-seed{}-missing{}".format(*c[0]) for c in EXITS])
+    def test_exit_code_follows_the_error_type(self, tmp_path, shape, stage, code):
+        k, size, b, seed, missing = shape
+        host = gen_super_regular_host(k, size, d=0.5, seed=seed)
+        target = gen_bandwidth_bipartite_h(2 * k * size - missing, 3, b, seed=seed)
+        host_path, h_path, out = tmp_path / "host.json", tmp_path / "h.json", tmp_path / "r.json"
+        host_path.write_text(json.dumps(host.to_json()))
+        h_path.write_text(json.dumps(target.to_json()))
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
+                     "--seed", str(seed), "--json-out", str(out)]) == code
+        assert json.loads(out.read_text())["failed_stage"] == stage

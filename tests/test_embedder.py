@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
+import bandembed.embedder
+from bandembed.cli import _pair_targets, _pull_back
 from bandembed.embedder import (
     check_compatibility,
     embed_blowup,
@@ -8,7 +13,9 @@ from bandembed.embedder import (
 )
 from bandembed.errors import EmbeddingNotFoundError, InvalidInputError
 from bandembed.graph import Graph
-from bandembed.hostgen import gen_random_graph
+from bandembed.homomorphism import build_homomorphism, choose_h_parameters
+from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
+from bandembed.partition import Config, prepare_host_partition, redistribute_to_sizes
 
 from conftest import complete_graph
 
@@ -20,6 +27,25 @@ def complete_pair_host(k, size):
     for i in range(k):
         edges += [(u, v) for u in classes[2 * i] for v in classes[2 * i + 1]]
     return Graph(2 * k * size, edges), classes
+
+
+def pipeline_embed_inputs(k, size, bandwidth, seed):
+    """The arguments `run_full_pipeline` passes to `embed_blowup` on one generated
+    instance, built even where the final partition would fail certification."""
+    cfg = Config()
+    host = gen_super_regular_host(k, size, d=0.5, seed=seed)
+    target = gen_bandwidth_bipartite_h(2 * k * size, 3, bandwidth, seed=seed)
+    g, h = host.graph, target.graph
+    prep = prepare_host_partition(g, host.partition, cfg, seed=seed)
+    i2, j2 = prep.partition.b_chord
+    chord = (2 * i2 + 1, 2 * j2 + 1)
+    params = choose_h_parameters(h.n, h.max_degree(), bandwidth, cfg.xi, k)
+    hom = build_homomorphism(h, target.ordering, target.bipartition, prep.baseline_sizes,
+                             chord, params, seed=seed)
+    a_t, b_t = _pair_targets(hom.loads(), prep.baseline_sizes)
+    final, _ = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
+    w_classes, rprime = _pull_back(hom.f, k)
+    return h, w_classes, g, final.classes, rprime
 
 
 class TestCompatibility:
@@ -148,6 +174,37 @@ class TestEmbedBlowup:
                  list(range(2 * size, 3 * size)), list(range(3 * size, 4 * size))]
             emb = embed_blowup(h, w, g, classes, {(0, 1), (2, 3)}, seed=seed)
             assert verify_embedding(h, g, emb.phi)
+
+
+class TestGoldenPlacements:
+    """Seeded placements pinned bit for bit on inputs where phase 1 restarts."""
+
+    # (k, size, bandwidth, seed).  The b=5 cells exhaust the budget, so their
+    # error message and attempt count stand in for phi.
+    CELLS = [(4, 50, 10, s) for s in (0, 1, 3, 4, 5, 6, 8, 9)] + [(4, 50, 5, s) for s in range(3)]
+    # sha256 over [phi or error, attempts] of every cell.
+    PIN = "d9d339b41e1ee42ed5ae03626cee359b800e6989b5c1762f940658001a44c06a"
+
+    def test_restarting_placements_are_pinned(self, monkeypatch):
+        attempts = []
+        real = bandembed.embedder.derive_seed
+
+        def counting(root, counter):
+            attempts.append(counter)
+            return real(root, counter)
+
+        monkeypatch.setattr(bandembed.embedder, "derive_seed", counting)
+        digest = hashlib.sha256()
+        for k, size, bandwidth, seed in self.CELLS:
+            inputs = pipeline_embed_inputs(k, size, bandwidth, seed)
+            attempts.clear()
+            try:
+                out = embed_blowup(*inputs, seed=seed).phi
+            except EmbeddingNotFoundError as exc:
+                out = f"EmbeddingNotFoundError: {exc}"
+            assert len(attempts) >= 2
+            digest.update(json.dumps([out, len(attempts)]).encode())
+        assert digest.hexdigest() == self.PIN
 
 
 class TestVerifyEmbedding:

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 import bandembed.regularity
 from bandembed.errors import FeasibilityError, InvalidInputError
-from bandembed.graph import Graph
+from bandembed.graph import Graph, vertex_mask
 from bandembed.hostgen import gen_random_graph, gen_super_regular_host
 from bandembed.regularity import (
     build_reduced_graph,
@@ -15,7 +17,7 @@ from bandembed.regularity import (
     perturbation_bound,
 )
 from bandembed.regularity import _extreme_violation, _random_candidates
-from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices
+from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
 from conftest import complete_graph
 
@@ -79,17 +81,28 @@ def extreme_gaps(g, x_vertices, b_list, q_min, e_ab, ab):
 
 
 def random_scan_case(rng, seed):
-    """A seeded pair, an X inside A and the scan arguments besides eps."""
+    """A seeded pair (A, B), an X inside A and the scan arguments besides eps."""
     na, nb = 2 + rand_below(rng, 9), 2 + rand_below(rng, 9)
     g = gen_random_graph(na + nb, Fraction(1 + rand_below(rng, 9), 10), seed=seed)
     a, b = list(range(na)), list(range(na, na + nb))
     xs = [a[i] for i in sample_indices(rng, na, 1 + rand_below(rng, na))]
     e_ab = sum(len(g.adj(v) & set(b)) for v in a)
-    return g, xs, b, 1 + rand_below(rng, nb), e_ab, na * nb
+    return g, a, xs, b, 1 + rand_below(rng, nb), e_ab, na * nb
+
+
+def scan(g, a, xs, b, q_min, e_ab, ab, eps):
+    """The kernel's witness as B-vertices, called with the reference's arguments."""
+    index = {v: i for i, v in enumerate(a)}
+    cols = [vertex_mask(index[u] for u in g.adj(v) if u in index) for v in b]
+    xmask = vertex_mask(index[v] for v in xs)
+    hi, lo = Fraction(e_ab, ab) + eps, Fraction(e_ab, ab) - eps
+    y = _extreme_violation(cols, xmask, max(1, q_min),
+                           hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+    return None if y is None else frozenset(b[j] for j in y)
 
 
 class TestIntegerScan:
-    """The integer kernel against the Fraction form it replaced."""
+    """The single-size integer kernel against the Fraction form that scans every |Y|."""
 
     EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7),
                 Fraction(1, 2), Fraction(99999, 100000), Fraction(1), Fraction(-1, 5)]
@@ -97,27 +110,42 @@ class TestIntegerScan:
     def test_matches_fraction_form_on_random_pairs(self):
         rng = make_rng(5)
         for seed in range(300):
-            g, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
+            g, a, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
             for eps in self.EPSILONS:
-                assert _extreme_violation(g, xs, b, q_min, e_ab, ab, eps) == \
+                assert scan(g, a, xs, b, q_min, e_ab, ab, eps) == \
                     extreme_violation_reference(g, xs, b, q_min, e_ab, ab, eps)
+
+    def test_only_the_smallest_size_can_violate_first(self):
+        # The lemma behind the kernel: for a fixed X the mean of the top q
+        # degrees never rises with q and the mean of the bottom q never falls,
+        # so the first violating |Y| is max(1, q_min) or there is none.
+        rng = make_rng(5)
+        violated = 0
+        for seed in range(300):
+            g, _, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
+            for eps in self.EPSILONS:
+                # The reference scans |Y| upward and returns its first violating Y.
+                y = extreme_violation_reference(g, xs, b, q_min, e_ab, ab, eps)
+                assert y is None or len(y) == max(1, q_min)
+                violated += y is not None
+        assert 0 < violated < 300 * len(self.EPSILONS)
 
     def test_gap_equal_to_eps_is_a_violation(self):
         rng = make_rng(6)
         sides_hit = set()
         for seed in range(300):
-            g, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
+            g, a, xs, b, q_min, e_ab, ab = random_scan_case(rng, seed)
             high, low = extreme_gaps(g, xs, b, q_min, e_ab, ab)
             eps = max(high + low)
             if eps <= 0:
                 continue
             sides_hit.add("high" if eps in high and eps not in low else
                           "low" if eps in low and eps not in high else "both")
-            at = _extreme_violation(g, xs, b, q_min, e_ab, ab, eps)
+            at = scan(g, a, xs, b, q_min, e_ab, ab, eps)
             assert at is not None
             assert at == extreme_violation_reference(g, xs, b, q_min, e_ab, ab, eps)
             above = eps + Fraction(1, 10**9)
-            assert _extreme_violation(g, xs, b, q_min, e_ab, ab, above) is None
+            assert scan(g, a, xs, b, q_min, e_ab, ab, above) is None
             assert extreme_violation_reference(g, xs, b, q_min, e_ab, ab, above) is None
         assert {"high", "low"} <= sides_hit
 
@@ -129,8 +157,8 @@ class TestIntegerScan:
         dense = Graph(4, [(0, 2), (0, 3), (1, 2)])
         eps = Fraction(3, 4)
         for g, xs, e_ab, y in ((sparse, [0], 1, {2}), (dense, [1], 3, {3})):
-            assert _extreme_violation(g, xs, [2, 3], 1, e_ab, 4, eps) == y
-            assert _extreme_violation(g, xs, [2, 3], 1, e_ab, 4, eps + Fraction(1, 10**12)) is None
+            assert scan(g, [0, 1], xs, [2, 3], 1, e_ab, 4, eps) == y
+            assert scan(g, [0, 1], xs, [2, 3], 1, e_ab, 4, eps + Fraction(1, 10**12)) is None
 
 
 class TestRandomCandidatesDrawnOnce:
@@ -163,7 +191,7 @@ class TestRandomCandidatesDrawnOnce:
     def test_cache_is_bounded_and_immutable(self):
         for seed in range(40):
             drawn = _random_candidates(seed, 12, 3, 10)
-            assert isinstance(drawn, tuple) and all(isinstance(x, tuple) for x in drawn)
+            assert isinstance(drawn, tuple) and all(isinstance(x, int) for x in drawn)
         assert _random_candidates.cache_info().currsize <= 16
 
     def test_draws_match_a_fresh_stream(self):
@@ -171,7 +199,7 @@ class TestRandomCandidatesDrawnOnce:
         fresh = []
         for _ in range(30):
             p = 4 + rand_below(rng, 20 - 4 + 1)
-            fresh.append(tuple(sample_indices(rng, 20, p)))
+            fresh.append(vertex_mask(sample_indices(rng, 20, p)))
         assert _random_candidates(17, 20, 4, 30) == tuple(fresh)
 
 
@@ -246,6 +274,11 @@ class TestRegularPair:
                 mine = check_regular_pair(g, a, b, eps, d).regular
                 assert mine == brute_force_regular(g, a, b, eps, d)
 
+    def test_eps_above_one_is_never_violated(self):
+        # No density gap exceeds 1, and |Y| >= eps|B| would exceed |B|.
+        g = Graph(16, [(u, v) for u in range(4) for v in range(8, 12)])
+        assert check_regular_pair(g, range(8), range(8, 16), Fraction(3, 2), 0).regular
+
     def test_cap_enforced(self):
         g, a, b = complete_pair(15, 15)
         with pytest.raises(FeasibilityError):
@@ -272,6 +305,36 @@ class TestRegularPair:
             heuristic = check_regular_pair(g, a, b, 0.35, 0.25, mode="heuristic", budget=80)
             if not heuristic.regular:
                 assert not exact.regular
+
+
+class TestGoldenVerdicts:
+    """Seeded verdicts pinned bit for bit: a faster kernel must keep every witness."""
+
+    EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5), Fraction(-1, 5),
+                Fraction(1)]
+    # mode -> (largest side, pairs, sha256 over the to_json() of every verdict)
+    PINS = {
+        "exact": (12, 60, "404f5071fe6e2c49a89b42f3ca59df795ac486d71727740a3f6d23c18a83cafa"),
+        "heuristic": (51, 60, "fccd544cbd6211ac1d6badbb2cd834af1c9a07ca653edd52478aa75548167022"),
+    }
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_random_pair_sweep(self, mode):
+        top, pairs, pin = self.PINS[mode]
+        rng = make_rng(7)
+        digest = hashlib.sha256()
+        for seed in range(pairs):
+            na, nb = 2 + rand_below(rng, top - 1), 2 + rand_below(rng, top - 1)
+            g = gen_random_graph(na + nb + 3, (1 + rand_below(rng, 9)) / 10, seed=seed)
+            # Shuffled labels, so sides are not contiguous ranges.
+            labels = shuffled(rng, list(range(g.n)))
+            a, b = labels[:na], labels[na:na + nb]
+            d = Fraction(rand_below(rng, 3), 4)
+            for eps in self.EPSILONS:
+                for checker in (check_regular_pair, check_super_regular_pair):
+                    verdict = checker(g, a, b, eps, d, mode=mode, seed=seed)
+                    digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == pin
 
 
 class TestSuperRegularPair:
