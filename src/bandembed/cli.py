@@ -377,7 +377,7 @@ def _cmd_gen_host(args) -> int:
         bundle = gen_super_regular_host(args.k, args.size, args.density, chords, args.seed)
         _emit(bundle.to_json(), args)
     elif args.kind == "cycle-blowup":
-        graph = gen_cycle_blowup(args.classes, args.size, args.seed)
+        graph = gen_cycle_blowup(args.classes, args.size)
         _emit({"graph": graph_to_json(graph)}, args)
     elif args.kind == "extremal":
         graph = gen_extremal_counterexample(args.n, args.m)

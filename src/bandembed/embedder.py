@@ -234,6 +234,15 @@ def embed_blowup(
         constrained,
         key=lambda v: (-sum(1 for u in h.adj(v) if u in constrained_set), v),
     )
+    # Fixed once the boundary is known, so computed outside the restarts:
+    # each boundary vertex's same-class peers placed after it, and the other
+    # vertices whose neighbors are all boundary vertices.
+    by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
+    later = {v: vs[i + 1:] for vs in by_class for i, v in enumerate(vs)}
+    enclosed = [
+        v for v in range(h.n)
+        if v not in constrained_set and h.degree(v) > 0 and h.adj(v) <= constrained_set
+    ]
 
     while spent <= budget:
         attempt += 1
@@ -255,19 +264,14 @@ def embed_blowup(
 
         # Phase 1: boundary vertices, most-constrained-by-structure first.
         ok = True
-        remaining = set(constrained)
         for v in order:
             cands = candidates(v, v_sets[cluster_of[v]])
             if not cands:
                 ok = False
-                spent += len(constrained)
                 break
-            # Prefer the host vertex that blocks the fewest peers in the
-            # same cluster; random tie-break so restarts explore.
-            allowed = [
-                admissible(u) for u in remaining
-                if u != v and cluster_of[u] == cluster_of[v]
-            ]
+            # Prefer the host vertex that blocks the fewest later peers in
+            # the same cluster; random tie-break so restarts explore.
+            allowed = [admissible(u) for u in later[v]]
             best = None
             for c in shuffled(rng, cands):
                 load = sum(m >> c & 1 for m in allowed)
@@ -275,22 +279,10 @@ def embed_blowup(
                     best = (load, c)
             phi[v] = best[1]
             used.add(best[1])
-            remaining.discard(v)
-        if not ok:
-            continue
-
-        # A vertex whose neighbors are all already placed has a candidate
-        # list no pair-level retry can change; if any such list is empty the
-        # boundary placement itself is poisoned.
-        poisoned = False
-        for v in range(h.n):
-            if v in phi:
-                continue
-            if all(u in phi for u in h.adj(v)) and h.degree(v) > 0:
-                if not candidates(v, v_sets[cluster_of[v]]):
-                    poisoned = True
-                    break
-        if poisoned:
+        # An enclosed vertex has a candidate list no pair-level retry can
+        # change; if any such list is empty the boundary placement itself is
+        # poisoned.
+        if not ok or not all(candidates(v, v_sets[cluster_of[v]]) for v in enclosed):
             spent += len(constrained)
             continue
 
@@ -305,38 +297,37 @@ def embed_blowup(
             local_tries = 0
             while spent <= budget and local_tries < 20:
                 local_tries += 1
-                saved_phi = dict(phi)
-                saved_used = set(used)
                 spent += pair_cost
-                status = _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates)
+                placed: set[int] = set()
+                status = _complete_pair(h, phi, used, placed, w_sets, v_sets, x, y, rng,
+                                        candidates)
                 if status == "ok":
                     done = True
                     break
-                phi.clear()
-                phi.update(saved_phi)
-                used.clear()
-                used |= saved_used
+                # A failed try takes back its own placements and nothing else.
+                for v in placed:
+                    used.discard(phi.pop(v))
                 if status == "stuck":
                     break
             if not done:
                 ok = False
                 break
         if ok:
-            out = [phi[v] for v in range(h.n)]
-            return Embedding(out)
+            break
+    else:
+        raise EmbeddingNotFoundError(
+            f"no embedding within the reassignment budget ({budget} placements)"
+        )
+    return Embedding([phi[v] for v in range(h.n)])
 
-    raise EmbeddingNotFoundError(
-        f"no embedding within the reassignment budget ({budget} placements)"
-    )
 
+def _complete_pair(h, phi, used, placed_here, w_sets, v_sets, x, y, rng, candidates) -> str:
+    """Fill one cluster pair, adding each H vertex it places to `placed_here`.
 
-def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:
-    """Fill one cluster pair; returns 'ok', 'retry', or 'stuck'.
-
-    'stuck' means a vertex failed whose placed neighbors were all placed
-    before this pair began, so re-rolling the pair cannot change anything.
+    Returns 'ok', 'retry', or 'stuck'.  'stuck' means a vertex failed whose
+    placed neighbors were all placed before this pair began, so re-rolling
+    the pair cannot change anything.
     """
-    placed_here: set[int] = set()
     for side in (x, y):
         unplaced = [v for v in w_sets[side] if v not in phi]
         hosts = [c for c in v_sets[side] if c not in used]

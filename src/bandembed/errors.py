@@ -9,8 +9,8 @@ class InvalidInputError(BandembedError, ValueError):
     """Malformed or out-of-contract input."""
 
 
-class FeasibilityError(BandembedError):
-    """Exact mode requested beyond its configured size cap."""
+class FeasibilityError(InvalidInputError):
+    """Exact mode requested beyond its configured size cap: nothing was decided."""
 
 
 class WalkValidationError(InvalidInputError):

@@ -56,11 +56,10 @@ class TargetBundle:
         }
 
 
-def gen_cycle_blowup(classes: int, size: int, seed: int = 0) -> Graph:
+def gen_cycle_blowup(classes: int, size: int) -> Graph:
     """Blow-up of a cycle: complete bipartite between consecutive classes only.
 
-    Every vertex gets degree 2*size.  Deterministic; the seed is accepted for
-    interface uniformity.
+    Every vertex gets degree 2*size.  Deterministic, so it takes no seed.
     """
     if classes < 3 or size < 1:
         raise InvalidInputError("need at least 3 classes of size >= 1")

@@ -284,18 +284,14 @@ def find_hamilton_cycle_and_chords(reduced: ReducedGraph) -> CycleStructure:
     for order in _hamilton_cycles(adj, n):
         saw_cycle = True
         pos = {c: p for p, c in enumerate(order)}
-        a_chord = None
-        b_chord = None
+        # The first chord among A-positions (even) and among B-positions (odd).
+        chords: dict[int, tuple[int, int]] = {}
         for u, v in sorted(reduced.edges):
-            pu, pv = pos[u], pos[v]
-            if pu % 2 == 0 and pv % 2 == 0 and a_chord is None:
-                pair = (min(pu, pv) // 2, max(pu, pv) // 2)
-                a_chord = pair
-            elif pu % 2 == 1 and pv % 2 == 1 and b_chord is None:
-                pair = (min(pu, pv) // 2, max(pu, pv) // 2)
-                b_chord = pair
-        if a_chord is not None and b_chord is not None:
-            return CycleStructure(order, a_chord, b_chord)
+            pu, pv = sorted((pos[u], pos[v]))
+            if pu % 2 == pv % 2:
+                chords.setdefault(pu % 2, (pu // 2, pv // 2))
+        if len(chords) == 2:
+            return CycleStructure(order, chords[0], chords[1])
     if saw_cycle:
         raise StructuralError("no Hamilton cycle of the reduced graph has both chords")
     raise StructuralError("reduced graph has no Hamilton cycle")
@@ -318,8 +314,60 @@ def relabel_reduced(reduced: ReducedGraph, structure: CycleStructure) -> Reduced
 
 
 # ---------------------------------------------------------------------------
-# Leftover-vertex assignment
+# Moving host vertices between classes
 # ---------------------------------------------------------------------------
+
+
+class _LivePartition:
+    """Classes that vertices move between, next to the classes they started as.
+
+    Every host-side move follows one rule: a vertex joins class c because it
+    has enough neighbours in the original partner class c ^ 1, so witness
+    counts are always taken against the starting partition, never the live one.
+    """
+
+    def __init__(self, g: Graph, partition: ClusterPartition):
+        self.partition = partition
+        self.gmasks = g.masks
+        self.cur = [set(c) for c in partition.classes]
+        self.orig = [frozenset(c) for c in partition.classes]
+        self.orig_masks = [vertex_mask(c) for c in self.orig]
+        # m' is the cluster scale; the mean stays meaningful when classes are
+        # momentarily imbalanced.
+        self.m_prime = Fraction(sum(map(len, self.orig)), len(self.orig))
+
+    def witnesses(self, v: int, c: int) -> int:
+        """Neighbours of v in original class c."""
+        return (self.gmasks[v] & self.orig_masks[c]).bit_count()
+
+    def drift(self, c: int) -> tuple[int, int]:
+        """(vertices gained, vertices lost) by class c since the start."""
+        return len(self.cur[c] - self.orig[c]), len(self.orig[c] - self.cur[c])
+
+    def move_best(self, src: int, dst: int, count: int, threshold: Fraction,
+                  sink: list[MoveRecord], error: type[Exception], wanted: str,
+                  skip=frozenset()) -> None:
+        """Move the `count` vertices of `src` with most neighbours in original class
+        dst ^ 1 to `dst`, ties to the lowest id, logging each move in `sink`.
+
+        Only vertices outside `skip` with at least `threshold` such neighbours
+        qualify; too few raise `error`, naming how many of the `wanted` kind exist.
+        """
+        ranked = []
+        for v in self.cur[src]:
+            wc = self.witnesses(v, dst ^ 1)
+            if wc >= threshold and v not in skip:
+                ranked.append((-wc, v))
+        if len(ranked) < count:
+            raise error(f"class {src} holds only {len(ranked)} {wanted}")
+        ranked.sort()
+        for negc, v in ranked[:count]:
+            self.cur[src].discard(v)
+            self.cur[dst].add(v)
+            sink.append(MoveRecord(v, src, dst, -negc, threshold))
+
+    def result(self) -> ClusterPartition:
+        return ClusterPartition(self.cur, self.partition.a_chord, self.partition.b_chord)
 
 
 def assign_exceptional_vertices(
@@ -333,39 +381,29 @@ def assign_exceptional_vertices(
     neighbors wins, ties to the lowest index.
     """
     leftovers = sorted(set(v0))
-    if not leftovers:
-        return partition.copy()
     covered = partition.covered()
     for v in leftovers:
         if v in covered:
             raise InvalidInputError(f"vertex {v} is already in a class")
-    out = partition.copy()
-    # m' is the cluster scale; the mean stays meaningful when classes are
-    # momentarily imbalanced.
-    m_prime = Fraction(sum(len(c) for c in out.classes), len(out.classes))
+    part = _LivePartition(g, partition)
     eta = as_fraction(cfg.eta)
-    eps_p = as_fraction(cfg.eps_prime)
-    threshold = eta * m_prime / 4
-    cap = floor_frac(8 * eps_p * m_prime / eta)
-    received = [0] * len(out.classes)
-    snapshot = [frozenset(c) for c in out.classes]
+    threshold = eta * part.m_prime / 4
+    cap = floor_frac(8 * as_fraction(cfg.eps_prime) * part.m_prime / eta)
     for v in leftovers:
         best = None
-        for c, members in enumerate(snapshot):
-            target = c ^ 1  # partner class within the pair
-            if received[target] >= cap:
+        for c in range(len(part.cur)):
+            # The partner class within the pair receives v.
+            if part.drift(c ^ 1)[0] >= cap:
                 continue
-            count = len(g.adj(v) & members)
+            count = part.witnesses(v, c)
             if count >= threshold and (best is None or count > best[0]):
                 best = (count, c)
         if best is None:
             raise AssignmentError(
                 f"vertex {v} has no admissible cluster (threshold {threshold})"
             )
-        _, c = best
-        out.classes[c ^ 1].add(v)
-        received[c ^ 1] += 1
-    return out
+        part.cur[best[1] ^ 1].add(v)
+    return part.result()
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +474,21 @@ def balance_partition(
     (1 - nu/12) fraction floor the run aborts.
     """
     k = partition.k
-    n = g.n
-    lam_n = as_fraction(cfg.lam) * n
+    lam_n = as_fraction(cfg.lam) * g.n
     nu = as_fraction(cfg.nu)
-    d_prime = as_fraction(cfg.d_prime)
     eta = as_fraction(cfg.eta)
     eps_p = float(cfg.eps_prime)
 
-    cur = [set(c) for c in partition.classes]
-    orig = [frozenset(c) for c in partition.classes]
-    orig_masks = [vertex_mask(c) for c in orig]
-    m_prime = Fraction(sum(len(c) for c in orig), len(orig))
-    wc_threshold = d_prime * m_prime / 8
+    part = _LivePartition(g, partition)
+    cur = part.cur
+    wc_threshold = as_fraction(cfg.d_prime) * part.m_prime / 8
     per_hop = max(1, ceil_frac(lam_n / 2))
-    drift_cap = (eps_p ** (1.0 / 3.0)) * float(m_prime) - float(lam_n)
+    drift_cap = (eps_p ** (1.0 / 3.0)) * float(part.m_prime) - float(lam_n)
     floor_live = (1 - nu / 12) * (2 * k)
     max_steps = max(1, ceil_frac(4 * as_fraction(cfg.eps_prime) / (eta * as_fraction(cfg.lam)))) + 4
 
     live = set(range(k))
     ledger = BalanceLedger()
-    gmasks = g.masks
 
     def oversized() -> list[int]:
         out = []
@@ -466,9 +499,6 @@ def balance_partition(
             elif -da > lam_n:
                 out.append(2 * i + 1)
         return out
-
-    def wc_count(v: int, target_class: int) -> int:
-        return (gmasks[v] & orig_masks[target_class]).bit_count()
 
     for _ in range(max_steps):
         heavy = oversized()
@@ -490,56 +520,33 @@ def balance_partition(
         seq = [old_ids[s] for s in walk.vertices]
         length = len(seq) // 2
 
-        def partner(c: int) -> int:
-            return c ^ 1
-
-        u_chain = [seq[2 * i] for i in range(length)] + [partner(seq[-1])]
-        w_chain = [partner(seq[0])] + [seq[2 * i + 1] for i in range(length)]
+        # c ^ 1 is the partner of class c within its pair.
+        u_chain = [seq[2 * i] for i in range(length)] + [seq[-1] ^ 1]
+        w_chain = [seq[0] ^ 1] + [seq[2 * i + 1] for i in range(length)]
 
         ep1, ep2 = seq[0], seq[-1]
         shrink = 4 if ep1 == ep2 else 2
 
         def exit_amount(c: int) -> int:
-            d = abs(len(cur[c]) - len(cur[partner(c)]))
+            d = abs(len(cur[c]) - len(cur[c ^ 1]))
             return max(1, ceil_frac((Fraction(d) - lam_n) / shrink))
 
         step_moves = min(per_hop, exit_amount(ep1), exit_amount(ep2))
         sigma_before = _sigma_star(cur, k, lam_n)
-        moved_now: set[int] = set()
         records: list[MoveRecord] = []
-
-        def do_move(src: int, dst: int, wc_target: int) -> None:
-            candidates = [
-                (-wc_count(v, wc_target), v)
-                for v in cur[src]
-                if v not in moved_now and wc_count(v, wc_target) >= wc_threshold
-            ]
-            if len(candidates) < step_moves:
-                raise BalancingError(
-                    f"class {src} holds only {len(candidates)} well-connected "
-                    f"unmoved vertices (< {step_moves})"
-                )
-            candidates.sort()
-            for negc, v in candidates[:step_moves]:
-                cur[src].discard(v)
-                cur[dst].add(v)
-                moved_now.add(v)
-                records.append(MoveRecord(v, src, dst, -negc, wc_threshold))
-
-        for i in range(len(u_chain) - 1):
-            do_move(u_chain[i], u_chain[i + 1], wc_target=partner(u_chain[i + 1]))
-        for j in range(len(w_chain) - 1, 0, -1):
-            do_move(w_chain[j], w_chain[j - 1], wc_target=partner(w_chain[j - 1]))
+        # The u-chain slides forward and the w-chain backward; no vertex
+        # moves twice in one step.
+        w_back = w_chain[::-1]
+        for src, dst in [*zip(u_chain, u_chain[1:]), *zip(w_back, w_back[1:])]:
+            part.move_best(
+                src, dst, step_moves, wc_threshold, records, BalancingError,
+                f"well-connected unmoved vertices (< {step_moves})",
+                skip={m.vertex for m in records},
+            )
 
         retired = []
         for i in sorted(live):
-            drifted = False
-            for c in (2 * i, 2 * i + 1):
-                grown = len(cur[c] - orig[c])
-                lost = len(orig[c] - cur[c])
-                if grown >= drift_cap or lost >= drift_cap:
-                    drifted = True
-            if drifted:
+            if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1)):
                 live.discard(i)
                 retired.append(i)
         if 2 * len(live) < floor_live:
@@ -560,8 +567,7 @@ def balance_partition(
                 f"pair {i} still imbalanced after balancing "
                 f"({len(cur[2*i])} vs {len(cur[2*i+1])})"
             )
-    out = ClusterPartition(cur, partition.a_chord, partition.b_chord)
-    return out, ledger
+    return part.result(), ledger
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +649,6 @@ def redistribute_to_sizes(
     a_targets: list[int],
     b_targets: list[int],
     cfg: Config,
-    *,
-    eps=None,
-    d=None,
 ) -> tuple[ClusterPartition, MobilityLedger]:
     """Hit |A'_i| = |A_i| + a_i and |B'_i| = |B_i| + b_i exactly.
 
@@ -653,8 +656,8 @@ def redistribute_to_sizes(
     chord first (vertices of B_{i2} with enough neighbors across the chord
     join A_{j2}); the mirrored case uses the A-side chord.  Then single
     vertices cycle between A-classes in one direction and between B-classes
-    in the other, each move justified by a recorded cross-degree into the
-    next pair's partner class.
+    in the other, each move justified by a recorded cross-degree of at least
+    (d_prime - eps_prime)|C| into the next pair's partner class C.
     """
     k = partition.k
     if len(a_targets) != k or len(b_targets) != k:
@@ -663,41 +666,24 @@ def redistribute_to_sizes(
     if not report.all_ok():
         raise RedistributionError(f"hypotheses violated: {report.to_json()}")
 
-    eps_f = as_fraction(cfg.eps_prime if eps is None else eps)
-    d_f = as_fraction(cfg.d_prime if d is None else d)
-    cur = [set(c) for c in partition.classes]
-    orig = [frozenset(c) for c in partition.classes]
-    orig_masks = [vertex_mask(c) for c in orig]
-    gmasks = g.masks
+    slack = as_fraction(cfg.d_prime) - as_fraction(cfg.eps_prime)
+    part = _LivePartition(g, partition)
+    cur, orig = part.cur, part.orig
     ledger = MobilityLedger()
 
-    def wc_count(v: int, target_class: int) -> int:
-        return (gmasks[v] & orig_masks[target_class]).bit_count()
-
-    def take_best(src: int, target_class: int, count: int, sink: list[MoveRecord], dst: int):
-        threshold = (d_f - eps_f) * len(orig[target_class])
-        candidates = sorted(
-            ((-wc_count(v, target_class), v) for v in cur[src]
-             if wc_count(v, target_class) >= threshold),
-        )
-        if len(candidates) < count:
-            raise RedistributionError(
-                f"class {src} holds only {len(candidates)} vertices with "
-                f">= {threshold} neighbors in class {target_class}"
-            )
-        for negc, v in candidates[:count]:
-            cur[src].discard(v)
-            cur[dst].add(v)
-            sink.append(MoveRecord(v, src, dst, -negc, threshold))
+    def take_best(src: int, dst: int, count: int, sink: list[MoveRecord]):
+        threshold = slack * len(orig[dst ^ 1])
+        part.move_best(src, dst, count, threshold, sink, RedistributionError,
+                       f"vertices with >= {threshold} neighbors in class {dst ^ 1}")
 
     total_a = sum(a_targets)
     if total_a > 0:
         i2, j2 = partition.b_chord
-        take_best(2 * i2 + 1, 2 * j2 + 1, total_a, ledger.chord_moves, dst=2 * j2)
+        take_best(2 * i2 + 1, 2 * j2, total_a, ledger.chord_moves)
     elif total_a < 0:
         ledger.mirrored = True
         i1, j1 = partition.a_chord
-        take_best(2 * i1, 2 * j1, -total_a, ledger.chord_moves, dst=2 * j1 + 1)
+        take_best(2 * i1, 2 * j1 + 1, -total_a, ledger.chord_moves)
 
     goal_a = [len(orig[2 * i]) + a_targets[i] for i in range(k)]
     goal_b = [len(orig[2 * i + 1]) + b_targets[i] for i in range(k)]
@@ -729,9 +715,7 @@ def redistribute_to_sizes(
             t = j
             while t != i:
                 nxt = (t + step) % k
-                src = 2 * t + side
-                dst = 2 * nxt + side
-                take_best(src, dst ^ 1, 1, sink, dst=dst)
+                take_best(2 * t + side, 2 * nxt + side, 1, sink)
                 t = nxt
         else:
             raise RedistributionError("redistribution did not converge")
@@ -741,11 +725,8 @@ def redistribute_to_sizes(
     run_side(goal_a, side=0, step=-1, sink=ledger.a_moves)
     run_side(goal_b, side=1, step=+1, sink=ledger.b_moves)
 
-    ledger.churn = [
-        len(cur[c] - orig[c]) + len(orig[c] - cur[c]) for c in range(2 * k)
-    ]
-    out = ClusterPartition(cur, partition.a_chord, partition.b_chord)
-    return out, ledger
+    ledger.churn = [sum(part.drift(c)) for c in range(2 * k)]
+    return part.result(), ledger
 
 
 # ---------------------------------------------------------------------------

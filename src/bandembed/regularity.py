@@ -183,6 +183,9 @@ def check_regular_pair(
             )
         # Every X of at least p_min vertices, as A-index masks in order.
         candidates = (xmask for xmask in range(1, 1 << na) if xmask.bit_count() >= p_min)
+    elif p_min > na:
+        # No X holds ceil(eps|A|) > |A| vertices (eps > 1), as in exact mode.
+        candidates = []
     else:
         # Degree-outlier seeds: extremal subsets witness irregularity in the
         # standard constructions.

@@ -18,7 +18,7 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (partition.prepare_host_partition, ["g", "partition", "cfg", "seed"]),
     (partition.verify_partition_structure, ["g", "partition", "demanded", "cfg", "seed"]),
     (partition.check_mobility_hypotheses, REDISTRIBUTION),
-    (partition.redistribute_to_sizes, REDISTRIBUTION + ["eps", "d"]),
+    (partition.redistribute_to_sizes, REDISTRIBUTION),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "rprime_edges", "seed"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_parameter_list(fn, params):

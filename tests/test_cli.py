@@ -61,6 +61,38 @@ class TestCheckers:
         out = json.loads(capsys.readouterr().out)
         assert not out["holds"] and "witness" in out
 
+    @staticmethod
+    def pair_files(tmp_path, size):
+        """A complete size x size bipartite pair and its two classes, as files."""
+        g = Graph(2 * size, [(u, v) for u in range(size) for v in range(size, 2 * size)])
+        part = tmp_path / "pair.json"
+        part.write_text(json.dumps({"classes": [list(range(size)),
+                                                list(range(size, 2 * size))]}))
+        return write_graph(tmp_path, g, "pair_graph.json"), part
+
+    def test_pair_with_eps_above_one_is_regular_in_heuristic_mode(self, tmp_path, capsys):
+        graph, part = self.pair_files(tmp_path, 8)
+        assert main(["check-pair", "--graph", str(graph), "--partition", str(part),
+                     "--a", "0", "--b", "1", "--eps", "1.5", "--density", "0.1",
+                     "--mode", "heuristic"]) == 0
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["regular"] and "witness" not in out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("command", ["check-pair", "check-expander"])
+    def test_exact_size_cap_is_an_input_error(self, tmp_path, capsys, command):
+        # Above the cap nothing is decided, so this is no certified failure.
+        graph, part = self.pair_files(tmp_path, 20)
+        argv = {
+            "check-pair": ["--partition", str(part), "--a", "0", "--b", "1",
+                           "--eps", "0.3", "--density", "0.1"],
+            "check-expander": ["--nu", "0.1", "--tau", "0.3"],
+        }[command]
+        assert main([command, "--graph", str(graph), "--mode", "exact", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: exact") and "capped" in err
+
     def test_degseq_and_ore(self, tmp_path, capsys):
         ext = write_graph(tmp_path, gen_extremal_counterexample(10, 4), "ext.json")
         assert main(["check-degseq", "--graph", str(ext), "--gamma", "0.1"]) == 2

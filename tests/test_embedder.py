@@ -151,6 +151,24 @@ class TestEmbedBlowup:
         with pytest.raises(InvalidInputError, match="single edges"):
             embed_blowup(h, [[0], [1], [2], [3]], g, v_classes, {(0, 1), (1, 2)}, seed=0)
 
+    def test_poisoned_boundary_placement_skips_the_pairs(self, monkeypatch):
+        # H: the cross edge b0-c0 makes S = {b0, c0} and T = {a0, d0}; b1's
+        # only neighbour a0 is a boundary vertex.  In G only y0 sees class 0,
+        # so b0 takes y0 and b1 never has a candidate: every restart must
+        # stop before any pair is completed.
+        a, b, c, d = (3 * i for i in range(4))
+        h = Graph(12, [(b, c), (a, b), (c, d), (b + 1, a)])
+        w = [[a, a + 1, a + 2], [b, b + 1, b + 2], [c, c + 1, c + 2], [d, d + 1, d + 2]]
+        x, y, z, t = w
+        g = Graph(12, [(u, y[0]) for u in x] + [(y[0], v) for v in z]
+                  + [(v, u) for v in z for u in t])
+        tries = []
+        monkeypatch.setattr(bandembed.embedder, "_complete_pair",
+                            lambda *args: tries.append(args) or "stuck")
+        with pytest.raises(EmbeddingNotFoundError):
+            embed_blowup(h, w, g, w, {(0, 1), (2, 3)}, seed=0)
+        assert not tries
+
     def test_complete_pairs_always_succeed(self):
         # Hall's condition is trivial on complete pairs, so any target whose
         # pieces fit inside pairs embeds, with cross-pair edges via boundary

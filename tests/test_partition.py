@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from bandembed.cli import build_parser, main
 from bandembed.errors import (
     AssignmentError,
     BalancingError,
+    BandembedError,
     ParameterError,
     RedistributionError,
     StructuralError,
@@ -94,6 +97,12 @@ class TestHamiltonStructure:
         assert structure.order == tuple(range(8))
         assert structure.a_chord == (0, 2)
         assert structure.b_chord == (0, 2)
+
+    def test_first_chord_on_each_side_is_kept(self):
+        reduced = toy_reduced(4, extra=[(0, 4), (0, 6), (1, 5), (3, 7)])
+        structure = find_hamilton_cycle_and_chords(reduced)
+        assert structure.order == tuple(range(8))
+        assert (structure.a_chord, structure.b_chord) == ((0, 2), (0, 2))
 
     def test_complete_reduced_graph(self):
         clusters = tuple(frozenset({i}) for i in range(6))
@@ -247,10 +256,13 @@ class TestBalance:
 
 
 class TestRedistribute:
-    # Move thresholds are exercised at an explicit (eps, d) = (0.2, 0.5), a
-    # level the dense test hosts genuinely support, so (d - eps)|class| is a
-    # positive, meaningful requirement on every logged move.
-    MOVE_EPS, MOVE_D = 0.2, 0.5
+    # Move thresholds are exercised at (eps_prime, d_prime) = (0.2, 0.5), a
+    # level the dense test hosts genuinely support, so (d_prime - eps_prime)|class|
+    # is a positive, meaningful requirement on every logged move.
+    MOVE = Config(
+        n0=16, lam=0.05, xi=0.10, eps_prime=0.2, eps=0.25,
+        d=0.30, d_prime=0.5, nu=0.55, tau=0.55, eta=0.65,
+    )
 
     def build(self, k=3, size=12, d=0.9, seed=2):
         bundle = gen_super_regular_host(k=k, size=size, d=d, seed=seed)
@@ -261,8 +273,7 @@ class TestRedistribute:
 
     def run(self, bundle, reduced, a_t, b_t):
         return redistribute_to_sizes(
-            bundle.graph, bundle.partition, reduced, a_t, b_t, STRICT,
-            eps=self.MOVE_EPS, d=self.MOVE_D
+            bundle.graph, bundle.partition, reduced, a_t, b_t, self.MOVE
         )
 
     def test_zero_targets_identity(self):
@@ -279,7 +290,7 @@ class TestRedistribute:
         for i in range(3):
             assert sizes[2 * i] == 12 + a_t[i]
             assert sizes[2 * i + 1] == 12 + b_t[i]
-        bound = 5 * 3 * as_fraction(STRICT.xi) * bundle.graph.n
+        bound = 5 * 3 * as_fraction(self.MOVE.xi) * bundle.graph.n
         assert all(Fraction(c) <= bound for c in ledger.churn)
 
     def test_hypotheses_verified_on_complete_host(self):
@@ -304,7 +315,8 @@ class TestRedistribute:
         assert len(ledger.chord_moves) == 2
         i2, j2 = bundle.partition.b_chord
         target = bundle.partition.classes[2 * j2 + 1]
-        threshold = (as_fraction(self.MOVE_D) - as_fraction(self.MOVE_EPS)) * len(target)
+        slack = as_fraction(self.MOVE.d_prime) - as_fraction(self.MOVE.eps_prime)
+        threshold = slack * len(target)
         assert threshold > 0
         for move in ledger.chord_moves:
             assert move.src == 2 * i2 + 1
@@ -344,7 +356,6 @@ class TestRedistribute:
         with pytest.raises(RedistributionError, match="leave a class empty"):
             redistribute_to_sizes(
                 bundle.graph, bundle.partition, reduced, [-12, 12, 0], [0, 0, 0], Config(),
-                eps=self.MOVE_EPS, d=self.MOVE_D,
             )
 
     def test_moves_are_well_connected(self):
@@ -422,3 +433,90 @@ class TestHostPipeline:
         )
         report = prepare_host_partition(bundle.graph, part, cfg, seed=0)
         assert report.partition.covered() == set(range(bundle.graph.n))
+
+
+def _outcome(run):
+    """`run()`, or the repr of the library error it raises."""
+    try:
+        return run()
+    except BandembedError as exc:
+        return repr(exc)
+
+
+def _digest(records) -> str:
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def _classes(part):
+    return [sorted(c) for c in part.classes]
+
+
+class TestMoverPins:
+    """Seeded results of the three host-vertex movers, pinned bit for bit.
+
+    Each pin is the sha256 of the JSON of every case's classes and move log,
+    or of the error a case raises.
+    """
+
+    BALANCE_PIN = "beecfc15b88d1b09b5ae3e9065f0ed7422abfcae81e4e1afa965c39c08a9056a"
+    REDISTRIBUTE_PIN = "e8dd89f562eea21d6906a7a4c2fe46d8d8964171e4cd66fb83eadd50d8b2e53a"
+    ASSIGN_PIN = "bafb25c954d62f7ad8fdd88e2cbb23d381af14ea8f4706715afcc20387c132ea"
+
+    def test_balance_classes_and_ledgers(self):
+        records = []
+        for seed in range(4):
+            for dens in (0.9, 0.6):
+                for src, dst, count in ((3, 1, 12), (0, 5, 10), (6, 2, 16), (1, 6, 14)):
+                    bundle = gen_super_regular_host(k=4, size=20, d=dens, seed=seed)
+                    g, part = bundle.graph, bundle.partition.copy()
+                    for v in sorted(part.classes[src])[:count]:
+                        part.classes[src].discard(v)
+                        part.classes[dst].add(v)
+                    reduced = build_reduced_graph(g, part.classes, 0.5, 0.3, mode="heuristic")
+                    for cfg in (LOOSE, STRICT):
+                        def run():
+                            out, ledger = balance_partition(g, part, reduced, cfg)
+                            steps = [[list(s.walk_classes), s.moved_per_hop, s.sigma_before,
+                                      s.sigma_after, s.retired_pairs,
+                                      [m.to_json() for m in s.moves]] for s in ledger.steps]
+                            return [_classes(out), steps]
+                        records.append(_outcome(run))
+        assert _digest(records) == self.BALANCE_PIN
+
+    def test_redistribution_over_random_targets(self):
+        cfg = Config()
+        records = []
+        for seed in range(3):
+            host = gen_super_regular_host(4, 50, d=0.5, seed=seed)
+            prep = prepare_host_partition(host.graph, host.partition, cfg, seed=seed)
+            rng = random.Random(seed)
+            for spread in (3, 10, 30):
+                for _ in range(4):
+                    a_t = [rng.randint(-spread, spread) for _ in range(4)]
+                    b_t = [rng.randint(-spread, spread) for _ in range(4)]
+                    b_t[rng.randrange(4)] -= sum(a_t) + sum(b_t)
+
+                    def run():
+                        out, ledger = redistribute_to_sizes(
+                            host.graph, prep.partition, prep.reduced, a_t, b_t, cfg
+                        )
+                        return [_classes(out), [m.to_json() for m in ledger.all_moves()],
+                                ledger.churn, ledger.mirrored]
+                    records.append(_outcome(run))
+        assert _digest(records) == self.REDISTRIBUTE_PIN
+
+    def test_assignment_of_dropped_vertices(self):
+        records = []
+        for seed in range(4):
+            for dens in (0.8, 0.2):
+                for drop in (2, 8, 24):
+                    bundle = gen_super_regular_host(k=3, size=10, d=dens, seed=seed)
+                    dropped = random.Random(seed).sample(range(bundle.graph.n), drop)
+                    part = bundle.partition.copy()
+                    for c in part.classes:
+                        c.difference_update(dropped)
+                    for cfg in (LOOSE, STRICT):
+                        records.append(_outcome(lambda: _classes(
+                            assign_exceptional_vertices(bundle.graph, part, dropped, cfg)
+                        )))
+        assert _digest(records) == self.ASSIGN_PIN

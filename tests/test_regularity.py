@@ -275,9 +275,11 @@ class TestRegularPair:
                 assert mine == brute_force_regular(g, a, b, eps, d)
 
     def test_eps_above_one_is_never_violated(self):
-        # No density gap exceeds 1, and |Y| >= eps|B| would exceed |B|.
+        # No density gap exceeds 1, and |X| >= eps|A| would exceed |A|.
         g = Graph(16, [(u, v) for u in range(4) for v in range(8, 12)])
-        assert check_regular_pair(g, range(8), range(8, 16), Fraction(3, 2), 0).regular
+        for mode in ("exact", "heuristic"):
+            verdict = check_regular_pair(g, range(8), range(8, 16), Fraction(3, 2), 0, mode=mode)
+            assert verdict.regular and verdict.witness is None
 
     def test_cap_enforced(self):
         g, a, b = complete_pair(15, 15)
