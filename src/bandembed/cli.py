@@ -317,13 +317,15 @@ def _from_json(load, data, where: str):
         raise InvalidInputError(f"{where}: {exc}") from None
 
 
-def _load_graph(path: str) -> Graph:
-    return _from_json(graph_from_json, _load_json(path), path)
+def _load_graph(path: str, data: dict | None = None) -> Graph:
+    """The graph in the JSON file at `path` (`data` if read already), bare or under "graph"."""
+    data = _load_json(path) if data is None else data
+    return _from_json(graph_from_json, data.get("graph", data), path)
 
 
-def _load_partition(data, where: str, n: int) -> ClusterPartition:
-    """Partition JSON read from `where`, with every vertex in a graph on n vertices."""
-    partition = _from_json(ClusterPartition.from_json, data, where)
+def _load_partition(data: dict, where: str, n: int) -> ClusterPartition:
+    """Partition JSON from `where`, bare or a host bundle's "partition", inside [0, n)."""
+    partition = _from_json(ClusterPartition.from_json, data.get("partition", data), where)
     if not all(0 <= v < n for v in partition.covered()):
         raise InvalidInputError(f"{where}: a class vertex lies outside [0,{n})")
     return partition
@@ -331,11 +333,11 @@ def _load_partition(data, where: str, n: int) -> ClusterPartition:
 
 def _load_host_bundle(path: str, partition_path: str | None = None) -> HostBundle:
     data = _load_json(path)
-    graph = _from_json(graph_from_json, data["graph"] if "graph" in data else data, path)
+    graph = _load_graph(path, data)
     if partition_path:
         partition = _load_partition(_load_json(partition_path), partition_path, graph.n)
     elif "partition" in data:
-        partition = _load_partition(data["partition"], path, graph.n)
+        partition = _load_partition(data, path, graph.n)
     else:
         raise InvalidInputError(f"{path} has no partition; pass one with --partition")
     return HostBundle(graph, partition)

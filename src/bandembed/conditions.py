@@ -3,8 +3,13 @@
 A graph is a robust (nu,tau)-expander when every vertex set S with
 tau*n <= |S| <= (1-tau)*n has a nu-robust neighborhood of size at least
 |S| + nu*n, where the nu-robust neighborhood collects the vertices with at
-least nu*n neighbors inside S.  Exact mode enumerates every admissible S;
-sampled mode only tries to refute.
+least nu*n neighbors inside S.  Exact mode decides every admissible S at
+once, S being bit S (a "lane") of Python ints: the lanes where each vertex
+has at least ceil(nu*n) neighbors in S are counted per lane against
+|S| + ceil(nu*n), and the lowest failing lane, the first failing mask in
+ascending order, is the witness.  Lanes come in ascending blocks of 2^16,
+within which the vertices above the 16th are fixed.  Sampled mode only
+tries to refute.
 
 Threshold comparisons (nu*n, gamma*n, ...) are exact rational throughout.
 Index offsets such as n - i - gamma*n are floored; floor is the conservative
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph, vertex_mask
+from .graph import Graph, at_least, subset_lanes, vertex_mask
 from .rng import as_fraction, ceil_frac, floor_frac, make_rng, rand_range, sample_indices
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
 ]
 
 EXACT_EXPANDER_CAP = 20
+_BLOCK_BITS = 16
 
 
 @dataclass
@@ -140,6 +146,8 @@ def check_robust_expander(
     tau = as_fraction(tau)
     if not 0 < nu <= tau < 1:
         raise InvalidInputError("need 0 < nu <= tau < 1")
+    if trials < 0:
+        raise InvalidInputError(f"trials must be nonnegative, got {trials}")
     n = g.n
     lo, hi = _size_window(n, tau)
     # |S| is an integer, so ceil(|S| + nu*n) = |S| + ceil(nu*n).
@@ -155,12 +163,24 @@ def check_robust_expander(
             )
         if lo > hi:
             return ExpanderVerdict(True, "exact", nu, tau)
-        for smask in range(1 << n):
-            size = smask.bit_count()
-            if size < lo or size > hi:
-                continue
-            need = size + nu_n
-            if _rn_size(masks, n, smask, threshold, need) < need:
+        low = min(n, _BLOCK_BITS)
+        lanes = subset_lanes(low)
+        full = (1 << (1 << low)) - 1
+        # reach[v][k]: lanes where v has at least k neighbours among the low vertices of S.
+        reach = [at_least([lanes[u] for u in g.adj(v) if u < low], threshold, full)
+                 for v in range(n)]
+        low_size = at_least(lanes, low + 1, full)
+        for block in range(1 << (n - low)):
+            high, base = block << low, block.bit_count()
+            # The high vertices of S are fixed in a block, so is each v's count of them.
+            robust = [reach[v][max(0, threshold - (masks[v] & high).bit_count())]
+                      for v in range(n)]
+            enough = at_least(robust, hi + nu_n, full)
+            bad = 0
+            for size in range(max(lo, base), min(hi, base + low) + 1):
+                bad |= low_size[size - base] & ~low_size[size - base + 1] & ~enough[size + nu_n]
+            if bad:
+                smask = high | ((bad & -bad).bit_length() - 1)
                 witness = frozenset(v for v in range(n) if smask >> v & 1)
                 return ExpanderVerdict(False, "exact", nu, tau, witness=witness)
         return ExpanderVerdict(True, "exact", nu, tau)

@@ -15,6 +15,8 @@ __all__ = [
     "Graph",
     "BandwidthOrdering",
     "vertex_mask",
+    "subset_lanes",
+    "at_least",
     "verify_bandwidth_ordering",
     "degree_sequence",
     "neighborhood",
@@ -30,6 +32,30 @@ def vertex_mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def subset_lanes(n: int) -> list[int]:
+    """Lane vectors over the 2^n subset masks S of range(n): bit S of entry u is set iff u is in S.
+
+    Entry u is 2^u clear bits then 2^u set bits, doubled by shifts up to 2^n bits.
+    """
+    lanes = []
+    for u in range(n):
+        vec, span = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+        while span < 1 << n:
+            vec |= vec << span
+            span *= 2
+        lanes.append(vec)
+    return lanes
+
+
+def at_least(vectors, top: int, full: int) -> list[int]:
+    """For k = 0..top, the lanes set in at least k of `vectors` (each within `full`)."""
+    ge = [full] + [0] * top
+    for i, vec in enumerate(filter(None, vectors)):
+        for k in range(min(top, i + 1), 0, -1):
+            ge[k] |= ge[k - 1] & vec
+    return ge
 
 
 class Graph:

@@ -5,16 +5,22 @@ and every sub-pair (X, Y) with |X| >= eps|A|, |Y| >= eps|B| has density
 within eps of the whole; super-regular additionally requires every vertex to
 have at least d times the opposite class size as cross-degree.
 
-Exact verdicts enumerate subsets of one side and use the fact that, for a
-fixed X and fixed |Y|, the extreme values of e(X, Y) are attained by taking
-the |Y| largest (or smallest) X-degrees in B.  That makes the search exact at
-a cost of 2^|A| instead of 2^|A|+|B|.  Density comparisons are exact integer
-cross-multiplication throughout.
+Exact verdicts range over the subsets X of one side and use the fact that,
+for a fixed X and fixed |Y|, the extreme values of e(X, Y) are attained by
+taking the |Y| largest (or smallest) X-degrees in B.  That makes the search
+exact at a cost of 2^|A| instead of 2^|A|+|B|.  Density comparisons are
+exact integer cross-multiplication throughout.
 
 Single-size lemma: for a fixed X, the mean of the q largest X-degrees in B
 never rises as q grows and the mean of the q smallest never falls.  So if
 |Y| = max(1, ceil(eps|B|)) violates eps at neither extreme, no larger |Y|
 does, and each X is scanned at that one size.
+
+Exact mode decides every X at once, X being bit X (a "lane") of Python
+ints: with cnt_t(X) = #{j in B : |N(j) & X| >= t}, the q largest X-degrees
+sum to sum_t min(q, cnt_t) and the q smallest to
+sum_t max(0, cnt_t - (|B| - q)).  Only the least violating X is rescanned,
+for its witness Y, so an exact verdict costs about the same either way.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 from math import sqrt
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph, vertex_mask
+from .graph import Graph, at_least, subset_lanes, vertex_mask
 from .rng import as_fraction, ceil_frac, make_rng, rand_below, sample_indices
 
 __all__ = [
@@ -134,6 +140,29 @@ def _extreme_violation(cols: list[int], xmask: int, q: int,
     return None
 
 
+def _first_violating_x(cols: list[int], na: int, p_min: int, q: int,
+                       hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> int | None:
+    """Least X index mask with |X| >= p_min that `_extreme_violation` refutes, or None."""
+    if p_min > na:
+        return None
+    nb = len(cols)
+    lanes = subset_lanes(na)
+    full = (1 << (1 << na)) - 1
+    degree = [at_least([lanes[i] for i in range(na) if col >> i & 1], na, full) for col in cols]
+    cnt = [at_least([deg[t] for deg in degree], nb, full) for t in range(1, na + 1)]
+    # top[k] / bottom[k]: lanes whose q largest / smallest X-degrees sum to at least k.
+    cap = na * q + 1
+    top = at_least([c[j] for c in cnt for j in range(1, q + 1)], cap, full)
+    bottom = at_least([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)], cap, full)
+    size = at_least(lanes, na + 1, full)
+    bad = 0
+    for p in range(p_min, na + 1):
+        high = min(max(-(-p * q * hi_num // hi_den), 0), cap)
+        low = min(max(p * q * lo_num // lo_den + 1, 0), cap)
+        bad |= size[p] & ~size[p + 1] & (top[high] | ~bottom[low])
+    return (bad & -bad).bit_length() - 1 if bad else None
+
+
 @lru_cache(maxsize=16)
 def _random_candidates(seed: int, na: int, p_min: int, count: int) -> tuple[int, ...]:
     """The heuristic's `count` random X index masks; they depend on no graph."""
@@ -164,6 +193,8 @@ def check_regular_pair(
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
     eps = as_fraction(eps)
     d = as_fraction(d)
     a_list = sorted(set(a_side))
@@ -175,14 +206,21 @@ def check_regular_pair(
     p_min = max(1, ceil_frac(eps * na))
     q_min = max(1, ceil_frac(eps * nb))
 
+    # Each B-vertex's neighbourhood as an A-index mask, shared by every X.
+    bit = {v: 1 << i for i, v in enumerate(a_list)}
+    a_set = frozenset(a_list)
+    cols = [sum(map(bit.__getitem__, g.adj(v) & a_set)) for v in b_list]
+    hi, lo = dens + eps, dens - eps
+    bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+
     if mode == "exact":
         if na > EXACT_REGULARITY_CAP or nb > EXACT_REGULARITY_CAP:
             raise FeasibilityError(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        # Every X of at least p_min vertices, as A-index masks in order.
-        candidates = (xmask for xmask in range(1, 1 << na) if xmask.bit_count() >= p_min)
+        first = _first_violating_x(cols, na, p_min, q_min, *bounds)
+        candidates = [] if first is None else [first]
     elif p_min > na:
         # No X holds ceil(eps|A|) > |A| vertices (eps > 1), as in exact mode.
         candidates = []
@@ -197,12 +235,6 @@ def check_regular_pair(
         candidates = [vertex_mask(idx) for p in sizes for idx in (by_deg[:p], by_deg[-p:])]
         candidates += _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
         candidates = candidates[:budget]
-    # Each B-vertex's neighbourhood as an A-index mask, shared by every X.
-    bit = {v: 1 << i for i, v in enumerate(a_list)}
-    a_set = frozenset(a_list)
-    cols = [sum(map(bit.__getitem__, g.adj(v) & a_set)) for v in b_list]
-    hi, lo = dens + eps, dens - eps
-    bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
     for xmask in candidates:
         y = _extreme_violation(cols, xmask, q_min, *bounds)
         if y is not None:

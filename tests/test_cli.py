@@ -93,6 +93,57 @@ class TestCheckers:
         err = capsys.readouterr().err
         assert err.startswith("input error: exact") and "capped" in err
 
+    @pytest.mark.parametrize("value, code", [("-3", 1), ("0", 0)])
+    def test_pair_budget_sign(self, tmp_path, capsys, value, code):
+        host = tmp_path / "host.json"
+        assert main(["gen-host", "--kind", "super-regular", "--k", "2", "--size", "14",
+                     "--seed", "1", "--json-out", str(host)]) == 0
+        assert main(["check-pair", "--graph", str(host), "--partition", str(host),
+                     "--a", "0", "--b", "1", "--eps", "0.2", "--density", "0.1",
+                     "--mode", "heuristic", "--budget", value]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("input error: budget must be nonnegative")
+        else:
+            assert json.loads(captured.out)["regular"]
+
+    @pytest.mark.parametrize("value, code", [("-5", 1), ("0", 0)])
+    def test_expander_trials_sign(self, tmp_path, capsys, value, code):
+        graph = write_graph(tmp_path, two_cliques(7))
+        assert main(["check-expander", "--graph", str(graph), "--nu", "0.1", "--tau", "0.3",
+                     "--mode", "sampled", "--trials", value]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("input error: trials must be nonnegative")
+        else:
+            assert json.loads(captured.out)["trials"] == 0
+
+    @pytest.mark.parametrize("shape", ["bundle", "bare"])
+    def test_checks_read_gen_host_output(self, tmp_path, capsys, shape):
+        paths = {}
+        for name, argv in (("random", ["--kind", "random", "--n", "12", "--p", "0.5"]),
+                           ("host", ["--kind", "super-regular", "--k", "2", "--size", "6"])):
+            bundle = tmp_path / f"{name}.json"
+            assert main(["gen-host", *argv, "--seed", "1", "--json-out", str(bundle)]) == 0
+            paths[name] = {"graph": bundle, "partition": bundle}
+            if shape == "bare":
+                data = json.loads(bundle.read_text())
+                for key in data:
+                    paths[name][key] = tmp_path / f"{name}_{key}.json"
+                    paths[name][key].write_text(json.dumps(data[key]))
+        capsys.readouterr()
+        assert main(["check-expander", "--graph", str(paths["random"]["graph"]),
+                     "--nu", "0.1", "--tau", "0.3"]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+        assert main(["check-pair", "--graph", str(paths["host"]["graph"]),
+                     "--partition", str(paths["host"]["partition"]), "--a", "0", "--b", "1",
+                     "--eps", "0.4", "--density", "0.2"]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+        assert main(["build-reduced", "--graph", str(paths["host"]["graph"]),
+                     "--partition", str(paths["host"]["partition"]),
+                     "--eps", "0.4", "--density", "0.2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["clusters"]) == 4
+
     def test_degseq_and_ore(self, tmp_path, capsys):
         ext = write_graph(tmp_path, gen_extremal_counterexample(10, 4), "ext.json")
         assert main(["check-degseq", "--graph", str(ext), "--gamma", "0.1"]) == 2

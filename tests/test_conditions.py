@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from bandembed.conditions import (
 from bandembed.errors import FeasibilityError, InvalidInputError
 from bandembed.graph import Graph, degree_sequence
 from bandembed.hostgen import gen_cycle_blowup, gen_extremal_counterexample, gen_random_graph
-from bandembed.rng import as_fraction, ceil_frac
+from bandembed.rng import as_fraction, ceil_frac, make_rng, rand_below
 
 from conftest import complete_graph, cycle_graph, path_graph, two_cliques
 
@@ -68,6 +70,45 @@ class TestExpanderNeed:
         assert outcomes == {True, False}
 
 
+def top_vertex_thinned(n, seed):
+    """A dense random graph whose last vertex keeps only its three lowest neighbours.
+
+    At nu = tau = 1/10 the first refuting set holds the last vertex, so for
+    n > 16 an exact check must look past the first 2^16 masks.
+    """
+    g = gen_random_graph(n, 0.8, seed=seed)
+    keep = sorted(g.adj(n - 1))[:3]
+    return Graph(n, [(u, v) for u, v in g.edges() if v != n - 1 or u in keep])
+
+
+class TestExactExpanderPin:
+    """Exact verdicts for n = 1..18 pinned bit for bit, witnesses included."""
+
+    # Windows with lo > hi included: tau = 1/2 at odd n and tau = 3/5 at every n.
+    PARAMS = [(Fraction(1, 10), Fraction(1, 10)), (Fraction(1, 10), Fraction(3, 10)),
+              (Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 4), Fraction(2, 5)),
+              (Fraction(1, 3), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 5))]
+    PIN = "32fbc0796507e755a6631cd7bd007b531714ebb93e719d129b051d6438ad23cb"
+
+    def test_seeded_sweep(self):
+        rng = make_rng(13)
+        digest = hashlib.sha256()
+        outcomes, past_first_block = set(), 0
+        for n in range(1, 19):
+            graphs = [gen_random_graph(n, (1 + rand_below(rng, 9)) / 10, seed=n + 100 * rep)
+                      for rep in range(2)]
+            if n > 16:
+                graphs.append(top_vertex_thinned(n, seed=n))
+            for g in graphs:
+                for nu, tau in self.PARAMS:
+                    verdict = check_robust_expander(g, nu, tau)
+                    digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+                    outcomes.add(verdict.holds)
+                    past_first_block += not verdict.holds and max(verdict.witness) >= 16
+        assert outcomes == {True, False} and past_first_block >= 2
+        assert digest.hexdigest() == self.PIN
+
+
 class TestRobustNeighborhood:
     def test_complete_small_threshold(self):
         assert robust_neighborhood(complete_graph(4), {0, 1}, 0.25) == {0, 1, 2, 3}
@@ -119,6 +160,15 @@ class TestRobustExpander:
             complete_graph(30), 0.1, 0.3, mode="sampled", seed=1, trials=50
         )
         assert verdict.holds and verdict.trials == 50
+
+    def test_negative_trials_are_rejected(self):
+        g = two_cliques(6)
+        for mode in ("sampled", "exact"):
+            with pytest.raises(InvalidInputError, match="trials"):
+                check_robust_expander(g, 0.1, 0.3, mode=mode, trials=-5)
+        # Zero trials draw nothing: a non-refutation, not an error.
+        verdict = check_robust_expander(g, 0.1, 0.3, mode="sampled", trials=0)
+        assert verdict.holds and verdict.trials == 0
 
     def test_monotone_in_nu_and_tau(self):
         g = gen_random_graph(10, 0.7, seed=3)

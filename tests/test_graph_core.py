@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,11 +8,13 @@ from bandembed.errors import InvalidInputError
 from bandembed.graph import (
     BandwidthOrdering,
     Graph,
+    at_least,
     degree_sequence,
     graph_from_json,
     graph_to_json,
     induced_subgraph,
     neighborhood,
+    subset_lanes,
     verify_bandwidth_ordering,
 )
 
@@ -69,6 +73,32 @@ class TestGraph:
         sub, old = induced_subgraph(g, [0, 1, 2, 5])
         assert old == [0, 1, 2, 5]
         assert set(sub.edges()) == {(0, 1), (1, 2), (0, 3)}
+
+
+class TestLanes:
+    """The lane helpers against per-subset brute force."""
+
+    def test_subset_lanes(self):
+        for n in range(7):
+            lanes = subset_lanes(n)
+            assert len(lanes) == n
+            for u, vec in enumerate(lanes):
+                assert vec >> (1 << n) == 0
+                assert all((vec >> s & 1) == (s >> u & 1) for s in range(1 << n))
+
+    def test_at_least(self):
+        for n in range(7):
+            lanes, full = subset_lanes(n), (1 << (1 << n)) - 1
+            # Runs of up to six vectors from a pool with 0, full, the lanes and differences.
+            pool = [0, full, *lanes] + [a & ~b for a, b in itertools.combinations(lanes, 2)]
+            for start, count in itertools.product((0, 2), range(7)):
+                vectors = pool[start:start + count]
+                for top in range(len(vectors) + 2):
+                    ge = at_least(vectors, top, full)
+                    assert len(ge) == top + 1
+                    for k in range(top + 1):
+                        assert all((ge[k] >> s & 1) == (sum(v >> s & 1 for v in vectors) >= k)
+                                   for s in range(1 << n))
 
 
 class TestBandwidthOrdering:

@@ -286,6 +286,21 @@ class TestRegularPair:
         with pytest.raises(FeasibilityError):
             check_regular_pair(g, a, b, 0.3, 0.3)
 
+    def test_negative_budget_is_rejected(self):
+        # Two 4x4 blocks: the heuristic's first degree-outlier candidate refutes.
+        a, b = list(range(8)), list(range(8, 16))
+        g = Graph(16, [(u, v) for u in a for v in b if (u < 4) == (v < 12)])
+        for checker in (check_regular_pair, check_super_regular_pair):
+            with pytest.raises(InvalidInputError, match="budget"):
+                checker(g, a, b, 0.4, 0.3, mode="heuristic", budget=-3)
+        with pytest.raises(InvalidInputError, match="budget"):
+            build_reduced_graph(g, [a, b], 0.4, 0.3, mode="heuristic", budget=-3)
+        # A zero budget scans nothing: a non-refutation, not an error.
+        assert check_regular_pair(g, a, b, 0.4, 0.3, mode="heuristic", budget=0).regular
+        reduced = build_reduced_graph(g, [a, b], 0.4, 0.3, mode="heuristic", budget=0)
+        assert reduced.edges == {(0, 1)}
+        assert not check_regular_pair(g, a, b, 0.4, 0.3, mode="heuristic", budget=1).regular
+
     def test_heuristic_witness_reverifies(self):
         a = list(range(8))
         b = list(range(8, 16))
@@ -319,6 +334,7 @@ class TestGoldenVerdicts:
         "exact": (12, 60, "404f5071fe6e2c49a89b42f3ca59df795ac486d71727740a3f6d23c18a83cafa"),
         "heuristic": (51, 60, "fccd544cbd6211ac1d6badbb2cd834af1c9a07ca653edd52478aa75548167022"),
     }
+    CAP_PIN = "2b3d2672be8b0bf693da76f3f21bff589aa2b01d5a1754538b336db40a06aa3a"
 
     @pytest.mark.parametrize("mode", ["exact", "heuristic"])
     def test_random_pair_sweep(self, mode):
@@ -337,6 +353,24 @@ class TestGoldenVerdicts:
                     verdict = checker(g, a, b, eps, d, mode=mode, seed=seed)
                     digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == pin
+
+    def test_exact_pairs_at_the_cap(self):
+        # Sides of 13 and 14, beyond the sweep above; both verdicts occur.
+        rng = make_rng(8)
+        digest = hashlib.sha256()
+        outcomes = set()
+        for seed, (na, nb) in enumerate([(13, 13), (13, 14), (14, 13), (14, 14)]):
+            g = gen_random_graph(na + nb + 2, (4 + seed) / 10, seed=seed)
+            labels = shuffled(rng, list(range(g.n)))
+            a, b = labels[:na], labels[na:na + nb]
+            # 7/20 and 3/8 refute some pairs only at an X past mask 1000.
+            for eps in (Fraction(1, 10), Fraction(7, 20), Fraction(3, 8), Fraction(1, 2)):
+                for checker in (check_regular_pair, check_super_regular_pair):
+                    verdict = checker(g, a, b, eps, Fraction(1, 4))
+                    digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+                    outcomes.add((na, nb, verdict.regular, verdict.witness is None))
+        assert {(14, 14, True, True), (14, 14, False, False)} <= outcomes
+        assert digest.hexdigest() == self.CAP_PIN
 
 
 class TestSuperRegularPair:
