@@ -21,14 +21,21 @@ ints: with cnt_t(X) = #{j in B : |N(j) & X| >= t}, the q largest X-degrees
 sum to sum_t min(q, cnt_t) and the q smallest to
 sum_t max(0, cnt_t - (|B| - q)).  Only the least violating X is rescanned,
 for its witness Y, so an exact verdict costs about the same either way.
+
+Heuristic mode takes candidate X's a block at a time (degree outliers, then
+cached seeded random X's).  Summing lane i (a 1 in the byte slot of every X
+holding A-vertex i) over B-vertex j's neighbours gives j's degree into every
+X; top-q sums are at most q*max and bottom-q sums at least q*min, so only
+X's with max >= ceil(p*hi) or min <= floor(p*lo) get the one-X scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import sqrt
+from operator import and_, or_
 
 from .errors import FeasibilityError, InvalidInputError
 from .graph import Graph, at_least, subset_lanes, vertex_mask
@@ -118,20 +125,19 @@ def pair_density(g: Graph, a_side, b_side) -> Fraction:
     return Fraction(e, len(a) * len(b))
 
 
-def _extreme_violation(cols: list[int], xmask: int, q: int,
+def _extreme_violation(deg_of: list[int], p: int, q: int,
                        hi_num: int, hi_den: int, lo_num: int, lo_den: int):
-    """B-indices of a |Y| = q extreme set violating eps against the X of `xmask`, or None.
+    """B-indices of a |Y| = q extreme set violating eps against a p-vertex X, or None.
 
-    `cols[j]` is B-vertex j's neighbourhood as an A-index mask and q is the
-    smallest allowed |Y| (the single-size lemma).  Violation means
-    e(X,Y)/(pq) >= hi = d(A,B) + eps at the high extreme, or <= lo = d(A,B) - eps
-    at the low one; both are integer comparisons on hi and lo in lowest terms.
+    `deg_of[j]` is B-vertex j's degree into X and q is the smallest allowed
+    |Y| (the single-size lemma).  Violation means e(X,Y)/(pq) >= hi =
+    d(A,B) + eps at the high extreme, or <= lo = d(A,B) - eps at the low
+    one; both are integer comparisons on hi and lo in lowest terms.
     q > |B| (eps > 1) fails both.
     """
-    nb = len(cols)
-    deg_of = [(c & xmask).bit_count() for c in cols]
+    nb = len(deg_of)
     degs = sorted(deg_of)
-    pq = xmask.bit_count() * q
+    pq = p * q
     if sum(degs[nb - q:]) * hi_den >= pq * hi_num:
         # Stable, so equal degrees keep index order.
         return sorted(range(nb), key=deg_of.__getitem__)[nb - q:]
@@ -140,15 +146,16 @@ def _extreme_violation(cols: list[int], xmask: int, q: int,
     return None
 
 
-def _first_violating_x(cols: list[int], na: int, p_min: int, q: int,
+def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: int,
                        hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> int | None:
     """Least X index mask with |X| >= p_min that `_extreme_violation` refutes, or None."""
+    na, nb = len(a_list), len(nbrs)
     if p_min > na:
         return None
-    nb = len(cols)
     lanes = subset_lanes(na)
+    lane_of = dict(zip(a_list, lanes))
     full = (1 << (1 << na)) - 1
-    degree = [at_least([lanes[i] for i in range(na) if col >> i & 1], na, full) for col in cols]
+    degree = [at_least(list(map(lane_of.__getitem__, nb_j)), na, full) for nb_j in nbrs]
     cnt = [at_least([deg[t] for deg in degree], nb, full) for t in range(1, na + 1)]
     # top[k] / bottom[k]: lanes whose q largest / smallest X-degrees sum to at least k.
     cap = na * q + 1
@@ -163,15 +170,60 @@ def _first_violating_x(cols: list[int], na: int, p_min: int, q: int,
     return (bad & -bad).bit_length() - 1 if bad else None
 
 
+def _slot_width(na: int) -> int:
+    """Bits per candidate slot: whole bytes holding degrees 0..na plus a headroom bit."""
+    return 8 * ((na.bit_length() + 8) // 8)
+
+
+def _lanes(na: int, xs) -> tuple[int, ...]:
+    """Lane i: a 1 in the slot of every candidate (an A-index tuple in `xs`) holding i."""
+    step = _slot_width(na) // 8
+    bufs = [bytearray(len(xs) * step) for _ in range(na)]
+    for s, idx in enumerate(xs):
+        for i in idx:
+            bufs[i][s * step] = 1
+    return tuple(int.from_bytes(buf, "little") for buf in bufs)
+
+
+def _flagged(degrees: list[int], sizes: list[int], width: int,
+             hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> list[int]:
+    """Slots whose largest degree is >= ceil(p*hi) or smallest <= floor(p*lo), ascending.
+
+    Adding half - t sets a slot's top bit iff its degree is >= t; t is clamped, so none carries.
+    """
+    step, half, nbytes = width // 8, 1 << width - 1, len(sizes) * width // 8
+    hi_key = {p: (half - min(max(-(-p * hi_num // hi_den), 0), half)).to_bytes(step, "little")
+              for p in set(sizes)}
+    lo_key = {p: (half - 1 - min(max(p * lo_num // lo_den, -1), half - 1)).to_bytes(step, "little")
+              for p in set(sizes)}
+    k_hi = int.from_bytes(b"".join(map(hi_key.__getitem__, sizes)), "little")
+    k_lo = int.from_bytes(b"".join(map(lo_key.__getitem__, sizes)), "little")
+    # The byte holding each slot's top bit, from the OR and the AND over B.
+    hi = reduce(or_, [deg + k_hi for deg in degrees]).to_bytes(nbytes, "little")[step - 1::step]
+    lo = reduce(and_, [deg + k_lo for deg in degrees]).to_bytes(nbytes, "little")[step - 1::step]
+    return [s for s in range(len(sizes)) if hi[s] & 0x80 or not lo[s] & 0x80]
+
+
+def _first_refuted(nbrs: list[frozenset], a_list: list[int], xs, lanes, q: int, bounds):
+    """(X, Y) index lists for the first X in `xs` that `_extreme_violation` refutes, or None."""
+    width = _slot_width(len(a_list))
+    lane_of = dict(zip(a_list, lanes))
+    degrees = [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
+    slot = (1 << width) - 1
+    for s in _flagged(degrees, [len(x) for x in xs], width, *bounds):
+        y = _extreme_violation([deg >> s * width & slot for deg in degrees], len(xs[s]), q, *bounds)
+        if y is not None:
+            return xs[s], y
+    return None
+
+
 @lru_cache(maxsize=16)
-def _random_candidates(seed: int, na: int, p_min: int, count: int) -> tuple[int, ...]:
-    """The heuristic's `count` random X index masks; they depend on no graph."""
+def _random_candidates(seed: int, na: int, p_min: int, count: int):
+    """The heuristic's `count` random X's as A-index tuples, with their lanes; no graph needed."""
     rng = make_rng(seed)
-    out = []
-    for _ in range(count):
-        p = p_min + rand_below(rng, na - p_min + 1)
-        out.append(vertex_mask(sample_indices(rng, na, p)))
-    return tuple(out)
+    xs = tuple(tuple(sample_indices(rng, na, p_min + rand_below(rng, na - p_min + 1)))
+               for _ in range(count))
+    return xs, _lanes(na, xs)
 
 
 def check_regular_pair(
@@ -206,42 +258,40 @@ def check_regular_pair(
     p_min = max(1, ceil_frac(eps * na))
     q_min = max(1, ceil_frac(eps * nb))
 
-    # Each B-vertex's neighbourhood as an A-index mask, shared by every X.
-    bit = {v: 1 << i for i, v in enumerate(a_list)}
+    # Each B-vertex's neighbours in A, shared by every X.
     a_set = frozenset(a_list)
-    cols = [sum(map(bit.__getitem__, g.adj(v) & a_set)) for v in b_list]
+    nbrs = [g.adj(v) & a_set for v in b_list]
     hi, lo = dens + eps, dens - eps
     bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
 
+    hit = None
     if mode == "exact":
         if na > EXACT_REGULARITY_CAP or nb > EXACT_REGULARITY_CAP:
             raise FeasibilityError(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        first = _first_violating_x(cols, na, p_min, q_min, *bounds)
-        candidates = [] if first is None else [first]
-    elif p_min > na:
-        # No X holds ceil(eps|A|) > |A| vertices (eps > 1), as in exact mode.
-        candidates = []
-    else:
-        # Degree-outlier seeds: extremal subsets witness irregularity in the
-        # standard constructions.
+        first = _first_violating_x(nbrs, a_list, p_min, q_min, *bounds)
+        if first is not None:
+            xs = [tuple(i for i in range(na) if first >> i & 1)]
+            hit = _first_refuted(nbrs, a_list, xs, _lanes(na, xs), q_min, bounds)
+    elif p_min <= na:
+        # (p_min > |A| when eps > 1: no X, as in exact mode.)  Outliers go first.
         bmask = vertex_mask(b_list)
         masks = g.masks
         deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
         by_deg = sorted(range(na), key=deg_a.__getitem__)
         sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
-        candidates = [vertex_mask(idx) for p in sizes for idx in (by_deg[:p], by_deg[-p:])]
-        candidates += _random_candidates(seed, na, p_min, max(0, budget - len(candidates)))
-        candidates = candidates[:budget]
-    for xmask in candidates:
-        y = _extreme_violation(cols, xmask, q_min, *bounds)
-        if y is not None:
-            xs = frozenset(v for i, v in enumerate(a_list) if xmask >> i & 1)
-            return RegularityVerdict(False, dens, mode, eps, d,
-                                     witness=(xs, frozenset(b_list[j] for j in y)))
-    return RegularityVerdict(True, dens, mode, eps, d)
+        outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
+        hit = _first_refuted(nbrs, a_list, outliers, _lanes(na, outliers), q_min, bounds)
+        if hit is None and budget > len(outliers):
+            xs, lanes = _random_candidates(seed, na, p_min, budget - len(outliers))
+            hit = _first_refuted(nbrs, a_list, xs, lanes, q_min, bounds)
+    if hit is None:
+        return RegularityVerdict(True, dens, mode, eps, d)
+    xs, y = hit
+    return RegularityVerdict(False, dens, mode, eps, d, witness=(
+        frozenset(a_list[i] for i in xs), frozenset(b_list[j] for j in y)))
 
 
 def check_super_regular_pair(

@@ -31,6 +31,7 @@ from bandembed.partition import (
     relabel_reduced,
     verify_partition_structure,
 )
+from bandembed.partition import _LivePartition
 from bandembed.regularity import ReducedGraph, build_reduced_graph
 from bandembed.rng import as_fraction
 
@@ -186,6 +187,35 @@ class TestExceptionalAssignment:
         g = Graph(n + 1, list(g0.edges()))  # isolated leftover vertex
         with pytest.raises(AssignmentError):
             assign_exceptional_vertices(g, bundle.partition, {n}, STRICT)
+
+
+class TestMoveThresholdIsInclusive:
+    """A witness count equal to its threshold qualifies; only fewer fails."""
+
+    def test_move_best_takes_a_vertex_exactly_at_the_threshold(self):
+        bundle = gen_super_regular_host(k=2, size=8, d=0.5, seed=3)
+        part = _LivePartition(bundle.graph, bundle.partition)
+        # Moving from class 0 to class 2 counts neighbours in original class 3.
+        top = max(part.witnesses(v, 3) for v in part.cur[0])
+        sink = []
+        part.move_best(0, 2, 1, Fraction(top), sink, RedistributionError, "movers")
+        assert [(r.src, r.dst, r.witness_count, r.threshold) for r in sink] == \
+            [(0, 2, top, top)]
+        with pytest.raises(RedistributionError, match="holds only 0 movers"):
+            part.move_best(0, 2, 1, Fraction(top + 1), [], RedistributionError, "movers")
+
+    def test_assignment_takes_a_cluster_exactly_at_the_threshold(self):
+        # eta * m' / 4 = (4/5) * 10 / 4 = 2: a leftover vertex with exactly two
+        # neighbours in class 1, and none elsewhere, joins its partner class 0.
+        cfg = Config(eta=0.8)
+        bundle = gen_super_regular_host(k=2, size=10, d=0.5, seed=0)
+        n = bundle.graph.n
+        edges = list(bundle.graph.edges()) + [(n, v) for v in sorted(bundle.partition.classes[1])[:2]]
+        out = assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, {n}, cfg)
+        assert n in out.classes[0]
+        edges.pop()
+        with pytest.raises(AssignmentError, match="threshold 2"):
+            assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, {n}, cfg)
 
 
 def imbalanced_host(seed=7):

@@ -7,7 +7,7 @@ import pytest
 
 import bandembed.regularity
 from bandembed.errors import FeasibilityError, InvalidInputError
-from bandembed.graph import Graph, vertex_mask
+from bandembed.graph import Graph
 from bandembed.hostgen import gen_random_graph, gen_super_regular_host
 from bandembed.regularity import (
     build_reduced_graph,
@@ -16,7 +16,7 @@ from bandembed.regularity import (
     pair_density,
     perturbation_bound,
 )
-from bandembed.regularity import _extreme_violation, _random_candidates
+from bandembed.regularity import _first_refuted, _flagged, _lanes, _random_candidates, _slot_width
 from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
 from conftest import complete_graph
@@ -91,18 +91,22 @@ def random_scan_case(rng, seed):
 
 
 def scan(g, a, xs, b, q_min, e_ab, ab, eps):
-    """The kernel's witness as B-vertices, called with the reference's arguments."""
+    """The kernel's witness as B-vertices, called with the reference's arguments.
+
+    X goes through the heuristic's own path: its lanes, the slot pre-filter
+    and the per-slot sorted check.
+    """
     index = {v: i for i, v in enumerate(a)}
-    cols = [vertex_mask(index[u] for u in g.adj(v) if u in index) for v in b]
-    xmask = vertex_mask(index[v] for v in xs)
+    x = tuple(sorted(index[v] for v in xs))
+    nbrs = [g.adj(v) & set(a) for v in b]
     hi, lo = Fraction(e_ab, ab) + eps, Fraction(e_ab, ab) - eps
-    y = _extreme_violation(cols, xmask, max(1, q_min),
-                           hi.numerator, hi.denominator, lo.numerator, lo.denominator)
-    return None if y is None else frozenset(b[j] for j in y)
+    hit = _first_refuted(nbrs, a, [x], _lanes(len(a), [x]), max(1, q_min),
+                         (hi.numerator, hi.denominator, lo.numerator, lo.denominator))
+    return None if hit is None else frozenset(b[j] for j in hit[1])
 
 
 class TestIntegerScan:
-    """The single-size integer kernel against the Fraction form that scans every |Y|."""
+    """The single-size per-slot kernel against the Fraction form that scans every |Y|."""
 
     EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 7),
                 Fraction(1, 2), Fraction(99999, 100000), Fraction(1), Fraction(-1, 5)]
@@ -190,17 +194,101 @@ class TestRandomCandidatesDrawnOnce:
 
     def test_cache_is_bounded_and_immutable(self):
         for seed in range(40):
-            drawn = _random_candidates(seed, 12, 3, 10)
-            assert isinstance(drawn, tuple) and all(isinstance(x, int) for x in drawn)
+            xs, lanes = _random_candidates(seed, 12, 3, 10)
+            assert isinstance(xs, tuple) and all(isinstance(x, tuple) for x in xs)
+            assert isinstance(lanes, tuple) and all(isinstance(lane, int) for lane in lanes)
         assert _random_candidates.cache_info().currsize <= 16
 
     def test_draws_match_a_fresh_stream(self):
-        rng = make_rng(17)
-        fresh = []
-        for _ in range(30):
-            p = 4 + rand_below(rng, 20 - 4 + 1)
-            fresh.append(vertex_mask(sample_indices(rng, 20, p)))
-        assert _random_candidates(17, 20, 4, 30) == tuple(fresh)
+        for na, width in ((20, 8), (200, 16)):
+            rng = make_rng(17)
+            fresh = []
+            for _ in range(30):
+                p = 4 + rand_below(rng, na - 4 + 1)
+                fresh.append(tuple(sample_indices(rng, na, p)))
+            # Lane i: a 1 at the bottom of slot s whenever X_s holds A-index i.
+            lanes = tuple(sum(1 << width * s for s, x in enumerate(fresh) if i in x)
+                          for i in range(na))
+            assert _slot_width(na) == width
+            assert _random_candidates(17, na, 4, 30) == (tuple(fresh), lanes)
+
+
+class TestSlotFilter:
+    """The all-candidates max/min pre-filter against a brute-force slot decode."""
+
+    @staticmethod
+    def expected(rows, sizes, hi, lo):
+        out = []
+        for s, p in enumerate(sizes):
+            column = [row[s] for row in rows]
+            t_hi = -(-(p * hi).numerator // (p * hi).denominator)
+            t_lo = (p * lo).numerator // (p * lo).denominator
+            if max(column) >= t_hi or min(column) <= t_lo:
+                out.append(s)
+        return out
+
+    def test_flags_exactly_the_max_min_candidates(self):
+        rng = make_rng(23)
+        seen = set()
+        cases = 0
+        for na in (1, 5, 127, 128, 255, 256):
+            width = _slot_width(na)
+            half = 1 << width - 1
+            for _ in range(60):
+                sizes = [1 + rand_below(rng, na) for _ in range(1 + rand_below(rng, 12))]
+                sizes[rand_below(rng, len(sizes))] = na
+                # Degrees 0..p per slot, drawn to hit 0 and the full slot p often.
+                rows = [[(0, p, rand_below(rng, p + 1))[rand_below(rng, 3)] for p in sizes]
+                        for _ in range(1 + rand_below(rng, 5))]
+                degrees = [sum(deg << width * s for s, deg in enumerate(row)) for row in rows]
+                dens = Fraction(rand_below(rng, 11), 10)
+                bounds = [(dens + eps, dens - eps) for eps in (
+                    Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(1), Fraction(3, 2),
+                    Fraction(-1, 5), Fraction(-2))]
+                # The filter takes any bounds: both at or below 0 as well.
+                bounds.append((dens - 1, -dens - Fraction(1, 10)))
+                for hi, lo in bounds:
+                    got = _flagged(degrees, sizes, width,
+                                   hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+                    assert got == self.expected(rows, sizes, hi, lo)
+                    cases += 1
+                    seen.add(("hi<=0", hi <= 0))
+                    seen.add(("hi>half", any(p * hi > half for p in sizes)))
+                    seen.add(("lo<0", lo < 0))
+                    seen.add(("flagged", bool(got)))
+                    seen.add(("unflagged", len(got) < len(sizes)))
+                    if na in (127, 128, 255, 256):
+                        seen.add(("full", na, any(na in row for row in rows)))
+        assert cases == 6 * 60 * 8
+        assert {(k, True) for k in ("hi<=0", "hi>half", "lo<0", "flagged", "unflagged")} <= seen
+        assert {("full", na, True) for na in (127, 128, 255, 256)} <= seen
+
+    def test_slot_widths(self):
+        # Whole bytes holding 0..|A| plus one headroom bit.
+        assert [_slot_width(na) for na in (1, 127, 128, 255, 256, 32767, 32768)] == \
+            [8, 8, 16, 16, 16, 16, 24]
+
+    def test_outlier_refutation_skips_the_random_block(self, monkeypatch):
+        # Two 4x4 blocks: the first degree-outlier candidate refutes.
+        a, b = list(range(8)), list(range(8, 16))
+        g = Graph(16, [(u, v) for u in a for v in b if (u < 4) == (v < 12)])
+        drawn = []
+
+        def recording(*args):
+            drawn.append(args)
+            return _random_candidates(*args)
+
+        monkeypatch.setattr(bandembed.regularity, "_random_candidates", recording)
+        assert not check_regular_pair(g, a, b, 0.4, 0.3, mode="heuristic").regular
+        assert drawn == []
+        # A complete pair refutes nowhere, so the random block is scanned:
+        # sizes {4, 8} give four outliers, and 116 random X's fill the budget.
+        complete = complete_pair(8, 8)[0]
+        assert check_regular_pair(complete, a, b, 0.4, 0.3, mode="heuristic").regular
+        assert drawn == [(0, 8, 4, 120 - 4)]
+        # A budget the outliers fill draws none.
+        assert check_regular_pair(complete, a, b, 0.4, 0.3, mode="heuristic", budget=4).regular
+        assert drawn == [(0, 8, 4, 120 - 4)]
 
 
 class TestPairDensity:
@@ -371,6 +459,61 @@ class TestGoldenVerdicts:
                     outcomes.add((na, nb, verdict.regular, verdict.witness is None))
         assert {(14, 14, True, True), (14, 14, False, False)} <= outcomes
         assert digest.hexdigest() == self.CAP_PIN
+
+
+def slot_boundary_pair(seed, na, nb, planted):
+    """A seeded pair whose A side sits at a slot-width boundary, labels shuffled.
+
+    Planted pairs join the even and the odd positions of sorted(A) and
+    sorted(B) completely and nothing else, so every A-degree is about equal
+    and the degree-outlier candidates are balanced; other pairs are random
+    at density 1/2.
+    """
+    rng = make_rng(seed)
+    labels = shuffled(rng, list(range(na + nb + 2)))
+    a, b = labels[:na], labels[na:na + nb]
+    pos_a = {v: i for i, v in enumerate(sorted(a))}
+    pos_b = {v: i for i, v in enumerate(sorted(b))}
+    edges = [(u, v) for u in a for v in b
+             if ((pos_a[u] + pos_b[v]) % 2 == 0 if planted else rand_below(rng, 10) < 5)]
+    return Graph(na + nb + 2, edges), a, b
+
+
+def degree_outliers(g, a, b, eps):
+    """The heuristic's degree-outlier X's, restated from its documented rule."""
+    a = sorted(a)
+    degs = [len(g.adj(v) & set(b)) for v in a]
+    by_deg = sorted(range(len(a)), key=degs.__getitem__)
+    p_min = max(1, -(-(eps * len(a)).numerator // (eps * len(a)).denominator))
+    sizes = sorted({p_min, max(p_min, len(a) // 4), max(p_min, len(a) // 2), len(a)})
+    return {frozenset(a[i] for i in idx) for p in sizes for idx in (by_deg[:p], by_deg[-p:])}
+
+
+class TestHeuristicSlotBoundaries:
+    """Heuristic verdicts on A sides at slot-width boundaries, pinned bit for bit."""
+
+    PIN = "c353bb8fdfbb3946356168177824f3c1fe855f989e9f61d9bcd8c68a3f0d79cf"
+
+    def test_verdicts_across_slot_widths(self):
+        digest = hashlib.sha256()
+        found_by = set()
+        shapes = [(na, nb) for na in (127, 128, 255, 256, 300) for nb in (18, 160)]
+        for seed, (na, nb) in enumerate(shapes):
+            g, a, b = slot_boundary_pair(seed, na, nb, planted=seed % 3 != 0)
+            for eps in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
+                outliers = degree_outliers(g, a, b, eps)
+                for budget in (0, 1, 9, 120, 400):
+                    for checker in (check_regular_pair, check_super_regular_pair):
+                        verdict = checker(g, a, b, eps, Fraction(1, 4), mode="heuristic",
+                                          budget=budget, seed=seed)
+                        digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+                        if verdict.witness is not None:
+                            found_by.add("outlier" if verdict.witness[0] in outliers
+                                         else "random")
+                        elif verdict.regular:
+                            found_by.add("none")
+        assert found_by == {"outlier", "random", "none"}
+        assert digest.hexdigest() == self.PIN
 
 
 class TestSuperRegularPair:
