@@ -294,7 +294,7 @@ def _emit(data: dict, args) -> None:
 
 
 def _load_cfg(args) -> Config:
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(_read_text(args.config))
     return Config()
 
@@ -572,9 +572,12 @@ def _cmd_montecarlo_balance(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="key = value config file")
+def _add_common(p: argparse.ArgumentParser, *, seed: bool = True, config: bool = False) -> None:
+    """--json-out, plus --seed and --config where the command reads them."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if config:
+        p.add_argument("--config", help="key = value config file")
     p.add_argument("--json-out", help="write the JSON result here instead of stdout")
 
 
@@ -627,13 +630,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-degseq", help="degree-sequence condition")
     p.add_argument("--graph", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_check_degseq)
 
     p = sub.add_parser("check-ore", help="degree-sum condition on non-adjacent pairs")
     p.add_argument("--graph", required=True)
     p.add_argument("--gamma", type=float, required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_check_ore)
 
     p = sub.add_parser("check-pair", help="regularity / super-regularity of one class pair")
@@ -664,14 +667,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matching", required=True)
     p.add_argument("--start", type=int, required=True)
     p.add_argument("--nu", type=float, required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_find_walk)
 
     p = sub.add_parser("lemma-g", help="host-side partition pipeline")
     p.add_argument("--host", required=True)
     p.add_argument("--partition", help="separate partition JSON (else taken from --host)")
     p.add_argument("--demand", help="JSON file with {\"sizes\": [...]}")
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_lemma_g)
 
     p = sub.add_parser("build-hom", help="bandwidth-respecting homomorphism onto the cycle")
@@ -679,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="JSON file with {\"sizes\": [...]}")
     p.add_argument("--chord", required=True, help="two odd cluster indices, comma separated")
     p.add_argument("--coins", action="store_true", help="include per-attempt coin logs")
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_build_hom)
 
     p = sub.add_parser("embed", help="place the target into the host along a homomorphism")
@@ -692,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full end-to-end run")
     p.add_argument("--host", required=True)
     p.add_argument("--h", required=True)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("montecarlo-balance", help="seeded homomorphism trial statistics")
@@ -701,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--runs", type=int, default=100)
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=_cmd_montecarlo_balance)
 
     return parser

@@ -272,13 +272,9 @@ def embed_blowup(
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
             allowed = [admissible(u) for u in later[v]]
-            best = None
-            for c in shuffled(rng, cands):
-                load = sum(m >> c & 1 for m in allowed)
-                if best is None or load < best[0]:
-                    best = (load, c)
-            phi[v] = best[1]
-            used.add(best[1])
+            best = min(shuffled(rng, cands), key=lambda c: sum(m >> c & 1 for m in allowed))
+            phi[v] = best
+            used.add(best)
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
         # poisoned.

@@ -824,6 +824,8 @@ def balance_trial_stats(
 
     H is segmented once; each trial draws only a fresh schedule.
     """
+    if runs < 0:
+        raise InvalidInputError(f"runs must be nonnegative, got {runs}")
     plan = _plan(h, ordering, bipartition, sizes, chord, params)
     first_try = 0
     attempts: list[int] = []

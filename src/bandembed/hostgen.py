@@ -74,14 +74,9 @@ def gen_cycle_blowup(classes: int, size: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def _random_bipartite_edges(rng, left: list[int], right: list[int], density: float) -> set:
-    threshold = int(density * (1 << 30))
-    out = set()
-    for u in left:
-        for v in right:
-            if rng.getrandbits(30) < threshold:
-                out.add((min(u, v), max(u, v)))
-    return out
+def _bernoulli_row(rng, vertices, threshold: int) -> list[int]:
+    """The vertices kept by one 30-bit draw each, below `threshold`, in order."""
+    return [v for v in vertices if rng.getrandbits(30) < threshold]
 
 
 def gen_super_regular_host(
@@ -113,57 +108,53 @@ def gen_super_regular_host(
     n = 2 * k * size
     classes = [list(range(c * size, (c + 1) * size)) for c in range(2 * k)]
     rng = make_rng(seed)
-    edge_set: set[tuple[int, int]] = set()
+    threshold = int(d * (1 << 30))
+    adj: list[set[int]] = [set() for _ in range(n)]
+
+    def link(u: int, vs: list[int]) -> None:
+        adj[u].update(vs)
+        for v in vs:
+            adj[v].add(u)
+
+    def deg(u: int, other: list[int]) -> int:
+        return len(adj[u].intersection(other))
+
+    def top_up(u: int, other: list[int]) -> None:
+        # Always shuffles, even when u already meets the floor: the draws it
+        # consumes are part of the seeded stream that later rows depend on.
+        missing = max(0, floor - deg(u, other))
+        link(u, [v for v in shuffled(rng, other) if v not in adj[u]][:missing])
 
     partition = ClusterPartition(
         [set(c) for c in classes], a_chord=(i1, j1), b_chord=(i2, j2)
     )
     for x, y in partition.skeleton():
-        edge_set |= _random_bipartite_edges(rng, classes[x], classes[y], d)
+        for u in classes[x]:
+            link(u, _bernoulli_row(rng, classes[y], threshold))
 
     if d < 1:
         floor = max(1, int(0.6 * d * size + 0.999999))
+        sides = []
         for i in range(k):
             a_cls, b_cls = classes[2 * i], classes[2 * i + 1]
-            for side, other in ((a_cls, b_cls), (b_cls, a_cls)):
-                for u in side:
-                    deg = sum(1 for v in other if (min(u, v), max(u, v)) in edge_set)
-                    rounds = 0
-                    while deg < floor and rounds < 100:
-                        rounds += 1
-                        for v in other:
-                            key = (min(u, v), max(u, v))
-                            edge_set.discard(key)
-                        deg = 0
-                        threshold = int(d * (1 << 30))
-                        for v in other:
-                            if rng.getrandbits(30) < threshold:
-                                edge_set.add((min(u, v), max(u, v)))
-                                deg += 1
-                    if deg < floor:
-                        for v in shuffled(rng, list(other)):
-                            if deg >= floor:
-                                break
-                            key = (min(u, v), max(u, v))
-                            if key not in edge_set:
-                                edge_set.add(key)
-                                deg += 1
+            sides += [(u, b_cls) for u in a_cls] + [(u, a_cls) for u in b_cls]
+        for u, other in sides:
+            for _ in range(100):
+                if deg(u, other) >= floor:
+                    break
+                adj[u].difference_update(other)
+                for v in other:
+                    adj[v].discard(u)
+                link(u, _bernoulli_row(rng, other, threshold))
+            if deg(u, other) < floor:
+                top_up(u, other)
         # Resampling one row can steal an edge from the opposite side, so a
         # final addition-only sweep restores the floor monotonically.
-        for i in range(k):
-            a_cls, b_cls = classes[2 * i], classes[2 * i + 1]
-            for side, other in ((a_cls, b_cls), (b_cls, a_cls)):
-                for u in side:
-                    deg = sum(1 for v in other if (min(u, v), max(u, v)) in edge_set)
-                    for v in shuffled(rng, list(other)):
-                        if deg >= floor:
-                            break
-                        key = (min(u, v), max(u, v))
-                        if key not in edge_set:
-                            edge_set.add(key)
-                            deg += 1
+        for u, other in sides:
+            top_up(u, other)
 
-    return HostBundle(Graph(n, sorted(edge_set)), partition)
+    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
+    return HostBundle(Graph(n, edges), partition)
 
 
 def gen_extremal_counterexample(n: int, m: int) -> Graph:
@@ -199,11 +190,7 @@ def gen_random_graph(n: int, p: float, seed: int = 0) -> Graph:
         raise InvalidInputError("need n >= 0 and p in [0, 1]")
     rng = make_rng(seed)
     threshold = int(p * (1 << 30))
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if p >= 1 or rng.getrandbits(30) < threshold:
-                edges.append((u, v))
+    edges = [(u, v) for u in range(n) for v in _bernoulli_row(rng, range(u + 1, n), threshold)]
     return Graph(n, edges)
 
 

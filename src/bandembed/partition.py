@@ -12,6 +12,7 @@ justified it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
@@ -170,6 +171,10 @@ class Config:
     eta: float = 0.55
 
     def __post_init__(self):
+        # Every comparison with NaN is false, so the chains below cannot catch it.
+        bad = [f"{k}={v}" for k, v in asdict(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ParameterError(f"config values must be finite, got {', '.join(bad)}")
         chain1 = [0.0, self.lam, self.xi, self.eps_prime, self.eps, 1.0]
         if any(x >= y for x, y in zip(chain1, chain1[1:])):
             raise ParameterError(

@@ -9,8 +9,11 @@ counter via SHA-256, so independent trials never share state.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction
+
+from .errors import InvalidInputError
 
 __all__ = [
     "make_rng",
@@ -73,13 +76,16 @@ def as_fraction(x) -> Fraction:
     """Exact rational view of a threshold parameter.
 
     Floats are read through their decimal repr so 0.1 means exactly 1/10;
-    thresholds like nu*n therefore compare bit-reproducibly.
+    thresholds like nu*n therefore compare bit-reproducibly.  A NaN or
+    infinite float is an InvalidInputError.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InvalidInputError(f"{x!r} is not a finite number")
         return Fraction(repr(x))
     if isinstance(x, str):
         return Fraction(x)

@@ -188,6 +188,17 @@ class TestCheckers:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {bad}: graph JSON") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, value", [
+        pytest.param(["check-degseq", "--gamma", "nan"], "nan", id="check-degseq"),
+        pytest.param(["check-ore", "--gamma", "inf"], "inf", id="check-ore"),
+        pytest.param(["check-expander", "--nu", "nan", "--tau", "0.3"], "nan",
+                     id="check-expander"),
+    ])
+    def test_non_finite_threshold_is_input_error(self, tmp_path, capsys, argv, value):
+        g = write_graph(tmp_path, two_cliques(4))
+        assert main(argv + ["--graph", str(g)]) == 1
+        assert capsys.readouterr().err == f"input error: {value} is not a finite number\n"
+
 
 class TestGenerators:
     def test_gen_host_and_gen_h(self, tmp_path):
@@ -215,6 +226,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["check-degseq", "--graph", "g.json", "--gamma", "0.1", "--seed", "1"],
+                     id="check-degseq-seed"),
+        pytest.param(["check-ore", "--graph", "g.json", "--gamma", "0.1", "--seed", "1"],
+                     id="check-ore-seed"),
+        pytest.param(["find-walk", "--graph", "g.json", "--matching", "m.json", "--start", "0",
+                      "--nu", "0.5", "--seed", "1"], id="find-walk-seed"),
+        pytest.param(["check-pair", "--graph", "g.json", "--partition", "g.json", "--a", "0",
+                      "--b", "1", "--eps", "0.3", "--density", "0.3", "--config", "c.txt"],
+                     id="check-pair-config"),
+        pytest.param(["embed", "--host", "g.json", "--h", "h.json", "--hom", "f.json",
+                      "--config", "c.txt"], id="embed-config"),
+    ])
+    def test_unread_options_are_not_accepted(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_gen_host_bad_chords(self, capsys):
         assert main(["gen-host", "--chords", "1,2"]) == 1
@@ -308,7 +338,10 @@ class TestMalformedFiles:
         files["graph"].write_text(json.dumps(host["graph"]))
         files["sizes"].write_text(json.dumps({"sizes": [16, 16, 16, 16]}))
         names = {key: str(path) for key, path in files.items()}
-        assert main([arg.format(**names) for arg in argv] + ["--config", str(cfg_path)]) == 1
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] in ("lemma-g", "build-hom"):
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and err.count("\n") == 1
         assert named.format(**names) in err
@@ -328,7 +361,7 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("which", ["host", "h"])
     def test_embed_names_the_bad_graph_file(self, small_world, tmp_path, capsys, which):
-        host_path, h_path, cfg_path = small_world
+        host_path, h_path, _ = small_world
         files = {"host": host_path, "h": h_path}
         bundle = json.loads(files[which].read_text())
         files[which] = tmp_path / "bad.json"
@@ -336,7 +369,7 @@ class TestMalformedFiles:
         hom = tmp_path / "hom.json"
         hom.write_text(json.dumps({"f": [0] * 64}))
         argv = ["embed", "--host", str(files["host"]), "--h", str(files["h"]),
-                "--hom", str(hom), "--config", str(cfg_path)]
+                "--hom", str(hom)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(f"input error: {files[which]}: graph JSON")
 
@@ -479,6 +512,16 @@ class TestPipelineCommand:
             err = capsys.readouterr().err
             assert err == f'input error: {bad} has no "sizes" key\n'
 
+    def test_non_finite_config_stops_before_any_stage(self, small_world, tmp_path, capsys):
+        host_path, h_path, _ = small_world
+        cfg_path = tmp_path / "nan.txt"
+        cfg_path.write_text("eps = nan\n")
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
+                     "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: config values must be finite, got eps=nan\n"
+
     def test_lemma_g_host_below_n0(self, small_world, tmp_path, capsys):
         host_path, _, _ = small_world
         cfg_path = tmp_path / "big.txt"
@@ -500,6 +543,12 @@ class TestPipelineCommand:
                      "--bandwidth", "1", "--k", "2", "--runs", "5", "--seed", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["runs"] == 5 and out["successes"] == 5
+
+    def test_montecarlo_negative_runs(self, capsys):
+        assert main(["montecarlo-balance", "--n", "64", "--runs", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: runs must be nonnegative, got -1\n"
 
 
 class TestPipelineFailurePaths:
