@@ -557,8 +557,10 @@ def _certified_negative(failed: StageResult) -> bool:
 
 
 def _cmd_montecarlo_balance(args) -> int:
-    target = gen_bandwidth_bipartite_h(args.n, args.delta, args.bandwidth, args.seed)
     k = args.k
+    if k < 2:
+        raise InvalidInputError(f"--k must be at least 2, got {k}")
+    target = gen_bandwidth_bipartite_h(args.n, args.delta, args.bandwidth, args.seed)
     sizes = [args.n // (2 * k)] * (2 * k)
     sizes[-1] += args.n - sum(sizes)
     chord = (1, 2 * k - 1) if k == 2 else (1, 5)

@@ -10,6 +10,12 @@ Completing the first side before the second means every edge inside the
 pair is constrained when the second side is matched, so a perfect matching
 on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
+
+Both entry points read the classes through one layout, and raise
+InvalidInputError unless there is one host class per H class, the H classes
+partition V(H) and the host classes are pairwise disjoint.  With equal class
+sizes this gives the per-side invariant the pair completion relies on: each
+side has one free host for each unplaced vertex.
 """
 
 from __future__ import annotations
@@ -89,6 +95,26 @@ def _components(num: int, edges: set[tuple[int, int]]) -> list[int]:
     return [find(x) for x in range(num)]
 
 
+def _class_layout(
+    h: Graph, w_classes: list, v_classes: list
+) -> tuple[list[list[int]], list[list[int]], dict[int, int]]:
+    """Sorted H and host classes, and the class index of every H vertex.
+
+    The H classes must partition V(H) and the host classes must be pairwise
+    disjoint, with one host class per H class.
+    """
+    if len(w_classes) != len(v_classes):
+        raise InvalidInputError("need equally many H and host classes")
+    w_sets = [sorted(set(c)) for c in w_classes]
+    v_sets = [sorted(set(c)) for c in v_classes]
+    cluster_of = {v: i for i, ws in enumerate(w_sets) for v in ws}
+    if len(cluster_of) != sum(map(len, w_sets)) or cluster_of.keys() != set(range(h.n)):
+        raise InvalidInputError("the H classes must partition the vertices of H")
+    if len(set().union(*v_sets)) != sum(map(len, v_sets)):
+        raise InvalidInputError("the host classes must be pairwise disjoint")
+    return w_sets, v_sets, cluster_of
+
+
 def _boundary(
     h: Graph, cluster_of: dict[int, int], num: int, rp: set[tuple[int, int]]
 ) -> tuple[list[set[int]], list[set[int]]]:
@@ -111,6 +137,27 @@ def _boundary(
     return s_sets, t_sets
 
 
+def _boundary_plan(
+    h: Graph, cluster_of: dict[int, int], num: int, rp: set[tuple[int, int]]
+) -> tuple[list[int], dict[int, list[int]], list[int]]:
+    """Phase 1's fixed plan, computed once outside the restarts.
+
+    Returns the boundary vertices (S and T of every class) in placement
+    order, most constrained first; each one's same-class peers placed after
+    it; and the other vertices whose neighbors are all boundary vertices.
+    """
+    s_sets, t_sets = _boundary(h, cluster_of, num, rp)
+    constrained = set().union(*s_sets, *t_sets)
+    order = sorted(constrained, key=lambda v: (-len(h.adj(v) & constrained), v))
+    by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
+    later = {v: vs[i + 1:] for vs in by_class for i, v in enumerate(vs)}
+    enclosed = [
+        v for v in range(h.n)
+        if v not in constrained and h.degree(v) > 0 and h.adj(v) <= constrained
+    ]
+    return order, later, enclosed
+
+
 def check_compatibility(
     h: Graph,
     w_classes: list,
@@ -127,36 +174,21 @@ def check_compatibility(
     neighbors of S inside W_i \\ S.  An H-edge inside a single class counts
     against the reduced-edge condition since the reduced graph has no loops.
     """
-    if len(w_classes) != len(v_classes):
-        raise InvalidInputError("need equally many H and host classes")
-    num = len(w_classes)
+    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
+    num = len(w_sets)
     eps = as_fraction(eps)
-    w_sets = [set(c) for c in w_classes]
-    v_sets = [set(c) for c in v_classes]
     r = _normalize_edges(r_edges)
     rp = _normalize_edges(rprime_edges)
     if not rp <= r:
         raise InvalidInputError("the restricted graph must be a subgraph of the reduced graph")
 
-    cluster_of = {}
-    for i, ws in enumerate(w_sets):
-        for v in ws:
-            cluster_of[v] = i
-
-    sizes_ok = True
-    offending_sizes = []
-    for i in range(num):
-        if len(w_sets[i]) != len(v_sets[i]):
-            sizes_ok = False
-            offending_sizes.append(i)
-
+    offending_sizes = [i for i in range(num) if len(w_sets[i]) != len(v_sets[i])]
     offending_edges: list[tuple[int, int]] = []
     for u, v in h.edges():
         iu, iv = cluster_of[u], cluster_of[v]
         key = (min(iu, iv), max(iu, iv))
         if (iu == iv or key not in r) and key not in offending_edges:
             offending_edges.append(key)
-    edges_ok = not offending_edges
     s_sets, t_sets = _boundary(h, cluster_of, num, rp)
 
     comp = _components(num, rp)
@@ -165,20 +197,14 @@ def check_compatibility(
         c = comp[i]
         size = len(v_sets[i])
         comp_min[c] = min(comp_min.get(c, size), size)
-
-    bounds_ok = True
-    offending_bounds = []
-    for i in range(num):
-        n_i = len(v_sets[i])
-        if Fraction(len(s_sets[i])) > eps * n_i:
-            bounds_ok = False
-            offending_bounds.append(i)
-        elif Fraction(len(t_sets[i])) > eps * comp_min[comp[i]]:
-            bounds_ok = False
-            offending_bounds.append(i)
+    offending_bounds = [
+        i for i in range(num)
+        if Fraction(len(s_sets[i])) > eps * len(v_sets[i])
+        or Fraction(len(t_sets[i])) > eps * comp_min[comp[i]]
+    ]
 
     return CompatibilityReport(
-        sizes_ok, edges_ok, bounds_ok,
+        not offending_sizes, not offending_edges, not offending_bounds,
         s_sets, t_sets, offending_sizes, offending_edges, offending_bounds,
     )
 
@@ -197,78 +223,47 @@ def embed_blowup(
     reassignment budget is BUDGET_FACTOR * |H|; exceeding it raises
     EmbeddingNotFoundError, which is a legitimate certified failure.
     """
-    num = len(w_classes)
-    w_sets = [sorted(set(c)) for c in w_classes]
-    v_sets = [sorted(set(c)) for c in v_classes]
+    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
     rp = sorted(_normalize_edges(rprime_edges))
-    touched: set[int] = set()
-    for x, y in rp:
-        if x in touched or y in touched:
-            raise InvalidInputError("restricted-graph components must be single edges")
-        touched.add(x)
-        touched.add(y)
-    for i in range(num):
-        if len(w_sets[i]) != len(v_sets[i]):
-            raise InvalidInputError(f"class {i}: |W| = {len(w_sets[i])} != |V| = {len(v_sets[i])}")
-
-    cluster_of = {}
-    for i, ws in enumerate(w_sets):
-        for v in ws:
-            cluster_of[v] = i
-
+    ends = [i for edge in rp for i in edge]
+    if len(set(ends)) < len(ends):
+        raise InvalidInputError("restricted-graph components must be single edges")
+    for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
+        if len(ws) != len(vs):
+            raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
     for u, v in h.edges():
         if cluster_of[u] == cluster_of[v]:
             raise InvalidInputError(
                 f"edge ({u},{v}) stays inside class {cluster_of[u]}; the input is incompatible"
             )
-    # Boundary vertices (S and T of every class) are placed first.
-    s_sets, t_sets = _boundary(h, cluster_of, num, set(rp))
-    constrained = sorted(set().union(*s_sets, *t_sets))
+    order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets), set(rp))
 
     gmasks = g.masks
     budget = BUDGET_FACTOR * h.n
     spent = 0
     attempt = 0
-    constrained_set = set(constrained)
-    order = sorted(
-        constrained,
-        key=lambda v: (-sum(1 for u in h.adj(v) if u in constrained_set), v),
-    )
-    # Fixed once the boundary is known, so computed outside the restarts:
-    # each boundary vertex's same-class peers placed after it, and the other
-    # vertices whose neighbors are all boundary vertices.
-    by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
-    later = {v: vs[i + 1:] for vs in by_class for i, v in enumerate(vs)}
-    enclosed = [
-        v for v in range(h.n)
-        if v not in constrained_set and h.degree(v) > 0 and h.adj(v) <= constrained_set
-    ]
+    phi: dict[int, int] = {}
+    used: set[int] = set()
 
-    while spent <= budget:
-        attempt += 1
-        rng = make_rng(derive_seed(seed, attempt))
-        phi: dict[int, int] = {}
-        used: set[int] = set()
+    def admissible(v: int) -> int:
+        """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
+        mask = -1
+        for u in h.adj(v):
+            if u in phi:
+                mask &= gmasks[phi[u]]
+        return mask
 
-        def admissible(v: int) -> int:
-            """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
-            mask = -1
-            for u in h.adj(v):
-                if u in phi:
-                    mask &= gmasks[phi[u]]
-            return mask
+    def candidates(v: int) -> list[int]:
+        """The free hosts in v's class that `admissible` allows."""
+        mask = admissible(v)
+        return [x for x in v_sets[cluster_of[v]] if x not in used and mask >> x & 1]
 
-        def candidates(v: int, pool: list[int]) -> list[int]:
-            mask = admissible(v)
-            return [x for x in pool if x not in used and mask >> x & 1]
-
-        # Phase 1: boundary vertices, most-constrained-by-structure first.
-        ok = True
+    def place_boundary(rng) -> bool:
+        """Phase 1: boundary vertices, most-constrained-by-structure first."""
         for v in order:
-            cands = candidates(v, v_sets[cluster_of[v]])
+            cands = candidates(v)
             if not cands:
-                ok = False
-                break
+                return False
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
             allowed = [admissible(u) for u in later[v]]
@@ -278,57 +273,55 @@ def embed_blowup(
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
         # poisoned.
-        if not ok or not all(candidates(v, v_sets[cluster_of[v]]) for v in enclosed):
-            spent += len(constrained)
-            continue
+        return all(candidates(v) for v in enclosed)
 
+    while spent <= budget:
+        attempt += 1
+        rng = make_rng(derive_seed(seed, attempt))
+        phi.clear()
+        used.clear()
+        if not place_boundary(rng):
+            spent += len(order)
+            continue
         # Phase 2: pairs are host-disjoint and share no unplaced edges, so a
         # failed completion re-rolls locally (the first side's free bijection
-        # reshapes the second side's candidate lists); a failure that does
-        # not involve this pair's own placements sends us back to phase 1.
-        ok = True
+        # reshapes the second side's candidate lists); a "stuck" pair, or one
+        # out of local tries, sends us back to phase 1.
         for x, y in rp:
-            pair_cost = len(w_sets[x]) + len(w_sets[y])
-            done = False
-            local_tries = 0
-            while spent <= budget and local_tries < 20:
-                local_tries += 1
-                spent += pair_cost
-                placed: set[int] = set()
-                status = _complete_pair(h, phi, used, placed, w_sets, v_sets, x, y, rng,
-                                        candidates)
-                if status == "ok":
-                    done = True
-                    break
-                # A failed try takes back its own placements and nothing else.
-                for v in placed:
-                    used.discard(phi.pop(v))
-                if status == "stuck":
-                    break
-            if not done:
-                ok = False
+            status, tries = "retry", 0
+            while status == "retry" and tries < 20 and spent <= budget:
+                tries += 1
+                spent += len(w_sets[x]) + len(w_sets[y])
+                status = _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates)
+            if status != "ok":
                 break
-        if ok:
-            break
-    else:
-        raise EmbeddingNotFoundError(
-            f"no embedding within the reassignment budget ({budget} placements)"
-        )
-    return Embedding([phi[v] for v in range(h.n)])
+        else:
+            return Embedding([phi[v] for v in range(h.n)])
+    raise EmbeddingNotFoundError(
+        f"no embedding within the reassignment budget ({budget} placements)"
+    )
 
 
-def _complete_pair(h, phi, used, placed_here, w_sets, v_sets, x, y, rng, candidates) -> str:
-    """Fill one cluster pair, adding each H vertex it places to `placed_here`.
+def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:
+    """Fill one cluster pair, one side at a time.
 
-    Returns 'ok', 'retry', or 'stuck'.  'stuck' means a vertex failed whose
-    placed neighbors were all placed before this pair began, so re-rolling
-    the pair cannot change anything.
+    Returns 'ok', 'retry', or 'stuck'; on 'retry' and 'stuck' the pair's own
+    placements are taken back.  'stuck' means a vertex failed whose placed
+    neighbors were all placed before this pair began, so re-rolling the pair
+    cannot change anything.  Each side has one free host for each unplaced
+    vertex, so once every bound vertex is matched the leftover hosts take the
+    free vertices exactly.
     """
+    placed: set[int] = set()
+
+    def undo(status: str) -> str:
+        for v in placed:
+            used.discard(phi.pop(v))
+        return status
+
     for side in (x, y):
         unplaced = [v for v in w_sets[side] if v not in phi]
         hosts = [c for c in v_sets[side] if c not in used]
-        if len(unplaced) > len(hosts):
-            return "stuck"
         host_index = {c: i for i, c in enumerate(hosts)}
         # Unconstrained vertices take a random bijection slot; constrained
         # ones go through maximum matching on their candidate lists.
@@ -337,26 +330,20 @@ def _complete_pair(h, phi, used, placed_here, w_sets, v_sets, x, y, rng, candida
         bound = [v for v in unplaced if v not in free_set]
         adjacency = []
         for v in bound:
-            cands = candidates(v, v_sets[side])
-            if not cands and not any(u in placed_here for u in h.adj(v)):
-                return "stuck"
+            cands = candidates(v)
+            if not cands and not any(u in placed for u in h.adj(v)):
+                return undo("stuck")
             adjacency.append(sorted(host_index[c] for c in cands))
         matching = hopcroft_karp(adjacency, len(hosts))
         if len(matching) < len(bound):
-            return "retry"
+            return undo("retry")
         taken = set(matching.values())
-        for vi, ci in matching.items():
-            phi[bound[vi]] = hosts[ci]
-            used.add(hosts[ci])
-            placed_here.add(bound[vi])
-        leftover = [hosts[i] for i in range(len(hosts)) if i not in taken]
-        leftover = shuffled(rng, leftover)
-        if len(free) > len(leftover):
-            return "retry"
-        for v, c in zip(free, leftover):
-            phi[v] = c
-            used.add(c)
-            placed_here.add(v)
+        leftover = shuffled(rng, [c for i, c in enumerate(hosts) if i not in taken])
+        placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}
+        placement.update(zip(free, leftover))
+        phi.update(placement)
+        used.update(placement.values())
+        placed.update(placement)
     return "ok"
 
 

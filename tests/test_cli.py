@@ -17,6 +17,7 @@ from bandembed.hostgen import (
     gen_extremal_counterexample,
     gen_super_regular_host,
 )
+from bandembed.homomorphism import build_homomorphism, choose_h_parameters
 from bandembed.partition import ClusterPartition, Config
 
 from conftest import strip_seconds, two_cliques
@@ -538,6 +539,27 @@ class TestPipelineCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["certificate_recheck"]["all_ok"]
 
+    def test_build_hom_coin_logs(self, tmp_path, capsys):
+        # n = 1024 is the smallest power of two whose schedule has drift blocks,
+        # so the coin logs are not empty.
+        target = gen_bandwidth_bipartite_h(1024, 2, 1, seed=3)
+        h_path, sizes_path = tmp_path / "h.json", tmp_path / "sizes.json"
+        h_path.write_text(json.dumps(target.to_json()))
+        sizes_path.write_text(json.dumps({"sizes": [256] * 4}))
+        argv = ["build-hom", "--h", str(h_path), "--sizes", str(sizes_path),
+                "--chord", "1,3", "--seed", "2"]
+        assert main(argv + ["--coins"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        params = choose_h_parameters(1024, target.graph.max_degree(),
+                                     target.ordering.claimed_bound, Config().xi, 2)
+        hom = build_homomorphism(target.graph, target.ordering, target.bipartition,
+                                 [256] * 4, (1, 3), params, seed=2)
+        coin_logs = [d.coin_logs for d in hom.diagnostics]
+        assert any(coin_logs)
+        assert out["coin_logs"] == json.loads(json.dumps(coin_logs))
+        assert main(argv) == 0
+        assert "coin_logs" not in json.loads(capsys.readouterr().out)
+
     def test_montecarlo_subcommand(self, capsys):
         assert main(["montecarlo-balance", "--n", "256", "--delta", "2",
                      "--bandwidth", "1", "--k", "2", "--runs", "5", "--seed", "3"]) == 0
@@ -549,6 +571,14 @@ class TestPipelineCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: runs must be nonnegative, got -1\n"
+
+
+    @pytest.mark.parametrize("k", [0, -1, 1])
+    def test_montecarlo_needs_two_pairs(self, capsys, k):
+        assert main(["montecarlo-balance", "--n", "64", "--runs", "1", "--k", str(k)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --k must be at least 2, got {k}\n"
 
 
 class TestPipelineFailurePaths:

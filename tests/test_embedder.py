@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 
@@ -48,6 +49,66 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
     return h, w_classes, g, final.classes, rprime
 
 
+def split_classes(sizes):
+    """Consecutive vertex ranges of the given sizes."""
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(list(range(start, start + size)))
+        start += size
+    return classes
+
+
+def stuck_instance(spare_edge=True):
+    """A pair completion that can fail before placing anything.
+
+    H classes are [s0, v], [t1, w], [s2, pads], [t3, pads], with the cross edge
+    s0-s2, so S = {s0, s2} and T = {t1, t3}.  The host classes are the same
+    ranges, [a0, a1], [p, q], ...; in G the host p of class 1 sees only a0 of
+    class 0.  When s0 takes a0 and t1 takes p, v (on the first side of the
+    pair, bound by t1) has no free host: "stuck".  When t1 takes q instead, w
+    has no free host on the second side, so the pair re-rolls until its 20
+    tries run out.  When s0 takes a1 the pair completes.  Without the spare
+    edge a1-q, t1 has no candidate after s0 takes a1, and the budget runs out.
+    """
+    w = split_classes([2, 2, 9, 9])  # the 16 isolated pads raise the budget to 220
+    (s0, v), (t1, wv), (s2, *_), (t3, *_) = w
+    h = Graph(sum(map(len, w)), [(s0, t1), (v, t1), (v, wv), (s0, s2), (s2, t3)])
+    (a0, a1), (p, q), z, t = w
+    edges = [(a0, p), (a0, q)] + ([(a1, q)] if spare_edge else [])
+    edges += [(x, y) for x in (a0, a1) for y in z] + [(x, y) for x in z for y in t]
+    return h, w, Graph(h.n, edges), w, {(0, 1), (2, 3)}
+
+
+def poisoned_instance():
+    """Boundary placements that sometimes leave an enclosed vertex no host.
+
+    H is the graph of `test_poisoned_boundary_placement_skips_the_pairs`; b1's only
+    neighbour is the boundary vertex a0.  In G the host x1 of class 0 sees only y0
+    of class 1, so b0 -> y0 with a0 -> x1 poisons the placement and the search
+    restarts before any pair; every other boundary placement embeds.
+    """
+    w = split_classes([3, 3, 3, 3])
+    x, y, z, t = w
+    a, b, c, d = (cls[0] for cls in w)
+    h = Graph(12, [(b, c), (a, b), (c, d), (b + 1, a)])
+    edges = [(x[0], u) for u in y] + [(x[1], y[0]), (x[2], y[1]), (x[2], y[2])]
+    edges += [(u, v) for u in y for v in z] + [(u, v) for u in z for v in t]
+    return h, w, Graph(12, edges), w, {(0, 1), (2, 3)}
+
+
+def retry_instance(spare_edge=True):
+    """One pair, no boundary: vertex 0 sees both of 2 and 3 and is free on the first side.
+
+    Host 1 sees only 2, so the random first-side bijection that sends 0 to 1 fails the
+    second side's matching and the pair re-rolls locally.  Without the spare edge 0-3
+    every try fails and the budget runs out inside the pair's retries.
+    """
+    w = [[0, 1], [2, 3]]
+    h = Graph(4, [(0, 2), (0, 3)])
+    g = Graph(4, [(0, 2), (1, 2)] + ([(0, 3)] if spare_edge else []))
+    return h, w, g, w, {(0, 1)}
+
+
 class TestCompatibility:
     def test_edgeless_passes(self):
         h = Graph(8, [])
@@ -96,6 +157,57 @@ class TestCompatibility:
         report = check_compatibility(h, w_classes := [[0, 1], [2, 3], [4, 5], [6, 7]],
                                      g, v_classes, rp, rp, 0.5)
         assert not report.edges_respect_reduced
+
+    def test_boundary_over_eps_of_own_class(self):
+        # The cross edge 1-2 puts one vertex in S_1 and one in S_2: within
+        # eps * 4 for class 1, above eps * 2 for class 2.
+        w = split_classes([4, 4, 2, 2])
+        h = Graph(12, [(w[1][0], w[2][0])])
+        rp = {(0, 1), (2, 3)}
+        report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.4)
+        assert report.sizes_match and report.edges_respect_reduced
+        assert not report.boundary_bounded and not report.all_ok()
+        assert report.s_sets[1] == {w[1][0]} and report.s_sets[2] == {w[2][0]}
+        assert report.offending_bounds == [2]
+
+    def test_neighbours_over_eps_of_smallest_class_in_component(self):
+        # S_1 = {b0} (cross edge to class 2) and T_0 = {a0, a1}, b0's neighbours:
+        # 2 <= eps * |V_0| = 2, but 2 > eps * 2 for the smaller class 1 of the pair.
+        w = split_classes([4, 2, 4, 2])
+        (a0, a1, *_), (b0, _), (c0, *_), _ = w
+        h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
+        rp = {(0, 1), (2, 3)}
+        report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.5)
+        assert report.sizes_match and report.edges_respect_reduced
+        assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
+        assert not report.boundary_bounded
+        assert report.offending_bounds == [0]
+
+
+class TestMalformedClasses:
+    """Class inputs that are not a layout are input errors for both entry points."""
+
+    @staticmethod
+    def assert_rejected(h, w, v_classes, match):
+        g = complete_graph(h.n)
+        rp = {(0, 1)}
+        with pytest.raises(InvalidInputError, match=match):
+            check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
+        with pytest.raises(InvalidInputError, match=match):
+            embed_blowup(h, w, g, v_classes, rp, seed=0)
+
+    def test_unequal_class_counts(self):
+        h = Graph(4, [(0, 1)])
+        self.assert_rejected(h, [[0], [1], [2], [3]], [[0], [1]], "equally many")
+
+    @pytest.mark.parametrize("w", [[[0, 1], [2]], [[0, 1], [1, 2, 3]], [[0, 1], [2, 3, 4]]],
+                             ids=["vertex-in-no-class", "vertex-in-two-classes", "foreign-vertex"])
+    def test_h_classes_must_partition_h(self, w):
+        self.assert_rejected(Graph(4, [(0, 2), (1, 3)]), w, [[0, 1], [2, 3]], "partition")
+
+    def test_host_classes_must_not_overlap(self):
+        h = Graph(4, [(0, 2), (1, 3)])
+        self.assert_rejected(h, [[0, 1], [2, 3]], [[0, 1], [1, 2]], "disjoint")
 
 
 class TestEmbedBlowup:
@@ -222,6 +334,64 @@ class TestGoldenPlacements:
                 out = f"EmbeddingNotFoundError: {exc}"
             assert len(attempts) >= 2
             digest.update(json.dumps([out, len(attempts)]).encode())
+        assert digest.hexdigest() == self.PIN
+
+
+class TestSearchPaths:
+    """Hand-built inputs that reach every outcome of the restart loop, pinned bit for bit."""
+
+    INSTANCES = {
+        "stuck": stuck_instance(),
+        "stuck-exhausted": stuck_instance(spare_edge=False),
+        "poisoned": poisoned_instance(),
+        "retry": retry_instance(),
+        "retry-exhausted": retry_instance(spare_edge=False),
+    }
+    SEEDS = range(8)
+    # sha256 over [phi or error, derive_seed calls] of every instance and seed.
+    PIN = "28d1b49fcbfa36076c3ef159628b484862529308e64bd64277bafea7a38a32c4"
+
+    def test_every_path_is_reached_and_pinned(self, monkeypatch):
+        attempts, statuses = [], []
+        real_seed = bandembed.embedder.derive_seed
+        real_pair = bandembed.embedder._complete_pair
+
+        def counting(root, counter):
+            attempts.append(counter)
+            return real_seed(root, counter)
+
+        def recording(*args):
+            statuses.append(real_pair(*args))
+            return statuses[-1]
+
+        monkeypatch.setattr(bandembed.embedder, "derive_seed", counting)
+        monkeypatch.setattr(bandembed.embedder, "_complete_pair", recording)
+        digest = hashlib.sha256()
+        runs = collections.defaultdict(list)
+        for name, (h, w, g, v_classes, rp) in self.INSTANCES.items():
+            for seed in self.SEEDS:
+                attempts.clear()
+                statuses.clear()
+                try:
+                    out = embed_blowup(h, w, g, v_classes, rp, seed=seed).phi
+                    assert verify_embedding(h, g, out)
+                    assert embedding_respects_partition(out, w, v_classes)
+                except EmbeddingNotFoundError as exc:
+                    out = f"EmbeddingNotFoundError: {exc}"
+                digest.update(json.dumps([out, len(attempts)]).encode())
+                runs[name].append((isinstance(out, list), len(attempts), list(statuses)))
+        # A "stuck" pair restarts the search and a later attempt embeds.
+        assert any(ok and "stuck" in st for ok, _, st in runs["stuck"])
+        # Twenty local re-rolls of one pair, then a restart.
+        assert any(ok and st.count("retry") == 20 for ok, _, st in runs["stuck"])
+        # A poisoned boundary placement restarts before any pair is tried.
+        assert any(ok and n == 2 and st == ["ok", "ok"] for ok, n, st in runs["poisoned"])
+        # A local re-roll that succeeds within the same attempt.
+        assert any(ok and n == 1 and st[0] == "retry" for ok, n, st in runs["retry"])
+        # The budget runs out across restarts and inside one pair's re-rolls.
+        assert not any(ok for ok, _, _ in runs["stuck-exhausted"] + runs["retry-exhausted"])
+        assert all(n > 1 for _, n, _ in runs["stuck-exhausted"])
+        assert all(n == 1 for _, n, _ in runs["retry-exhausted"])
         assert digest.hexdigest() == self.PIN
 
 
