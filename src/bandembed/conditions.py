@@ -114,19 +114,6 @@ def _size_window(n: int, tau: Fraction) -> tuple[int, int]:
     return lo, hi
 
 
-def _rn_size(masks: list[int], n: int, smask: int, threshold: int, need: int) -> int:
-    """Size of the robust neighborhood, stopping early once `need` is reached."""
-    count = 0
-    for v in range(n):
-        if (masks[v] & smask).bit_count() >= threshold:
-            count += 1
-            if count >= need:
-                return count
-        elif count + (n - v - 1) < need:
-            return count
-    return count
-
-
 def check_robust_expander(
     g: Graph,
     nu,
@@ -192,9 +179,7 @@ def check_robust_expander(
         for _ in range(trials):
             size = rand_range(rng, lo, hi)
             chosen = sample_indices(rng, n, size)
-            smask = vertex_mask(chosen)
-            need = size + nu_n
-            if _rn_size(masks, n, smask, threshold, need) < need:
+            if len(robust_neighborhood(g, chosen, nu)) < size + nu_n:
                 return ExpanderVerdict(
                     False, "sampled", nu, tau, witness=frozenset(chosen), trials=trials
                 )

@@ -13,9 +13,10 @@ budget is a first-class outcome, never a silent success.
 
 Both entry points read the classes through one layout, and raise
 InvalidInputError unless there is one host class per H class, the H classes
-partition V(H) and the host classes are pairwise disjoint.  With equal class
-sizes this gives the per-side invariant the pair completion relies on: each
-side has one free host for each unplaced vertex.
+partition V(H), the host classes are pairwise disjoint and every reduced or
+restricted edge joins two class indices in range.  With equal class sizes
+this gives the per-side invariant the pair completion relies on: each side
+has one free host for each unplaced vertex.
 """
 
 from __future__ import annotations
@@ -71,10 +72,13 @@ class Embedding:
     phi: list[int]
 
 
-def _normalize_edges(edges) -> set[tuple[int, int]]:
+def _normalize_edges(edges, num: int) -> set[tuple[int, int]]:
+    """Edges between class indices as (min, max) pairs; each index must name a class."""
     out = set()
     for e in edges:
         u, v = e
+        if not (0 <= u < num and 0 <= v < num):
+            raise InvalidInputError(f"edge ({u},{v}) names a class outside [0,{num})")
         out.add((min(u, v), max(u, v)))
     return out
 
@@ -177,8 +181,8 @@ def check_compatibility(
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
     num = len(w_sets)
     eps = as_fraction(eps)
-    r = _normalize_edges(r_edges)
-    rp = _normalize_edges(rprime_edges)
+    r = _normalize_edges(r_edges, num)
+    rp = _normalize_edges(rprime_edges, num)
     if not rp <= r:
         raise InvalidInputError("the restricted graph must be a subgraph of the reduced graph")
 
@@ -219,18 +223,21 @@ def embed_blowup(
 ) -> Embedding:
     """Injective edge-preserving placement of H into G along the class partition.
 
-    Restricted-graph components must be single edges (cluster pairs).  The
-    reassignment budget is BUDGET_FACTOR * |H|; exceeding it raises
-    EmbeddingNotFoundError, which is a legitimate certified failure.
+    Restricted-graph components must be single edges (cluster pairs), and
+    every non-empty class must lie in one.  The reassignment budget is
+    BUDGET_FACTOR * |H|; exceeding it raises EmbeddingNotFoundError, which
+    is a legitimate certified failure.
     """
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
-    rp = sorted(_normalize_edges(rprime_edges))
+    rp = sorted(_normalize_edges(rprime_edges, len(w_sets)))
     ends = [i for edge in rp for i in edge]
     if len(set(ends)) < len(ends):
         raise InvalidInputError("restricted-graph components must be single edges")
     for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
         if len(ws) != len(vs):
             raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
+        if ws and i not in ends:
+            raise InvalidInputError(f"class {i} is in no restricted edge, so no pair places it")
     for u, v in h.edges():
         if cluster_of[u] == cluster_of[v]:
             raise InvalidInputError(

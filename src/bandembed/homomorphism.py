@@ -15,12 +15,17 @@ cycle gives the final homomorphism together with its certificate:
   * loads_bounded:    every cluster receives at most its size + xi * n
   * edges_on_pairs:   every edge outside H[S] lands on a cluster pair
 
-The segmentation is computed once per input; only the randomized schedule
-is re-drawn, with fresh randomness, until the certificate holds.  The two
-internal spread inequalities that imply loads_bounded in the asymptotic
-analysis are evaluated and reported per attempt; at coarse segmentations
-they can be unsatisfiable even though the certificate itself holds, so they
-gate nothing.
+The segmentation is computed once per input, and its certificate settles
+what no schedule can change: every edge except the crossing edges from
+B_i to A_{i+1} lies inside one segment pair, which any schedule puts on one
+cycle pair, so each such edge is on the cycle and edges_on_pairs holds.  Only
+the randomized schedule is re-drawn, with fresh randomness, until the
+certificate holds; each draw checks that both phases home onto their chord
+ends (seeking), that loads are bounded, and that the crossing edges land on
+the cycle or the chord.  The two internal spread inequalities that imply
+loads_bounded in the asymptotic analysis are evaluated and reported per
+attempt; at coarse segmentations they can be unsatisfiable even though the
+certificate itself holds, so they gate nothing.
 """
 
 from __future__ import annotations
@@ -77,6 +82,9 @@ class SegmentDecomposition:
     m3: int | None = None
     k2: int | None = None
     imbalances: list[int] | None = None
+    # The edges from B_i to A_{i+1}, both ends in the boundary; every other
+    # edge lies inside one segment pair.
+    crossing: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def total_a(self) -> int:
@@ -85,23 +93,6 @@ class SegmentDecomposition:
     @property
     def total_b(self) -> int:
         return sum(len(s) for s in self.b_segments)
-
-    def pairs_per_block(self) -> int:
-        return self.m1 // self.m2
-
-    def block_pairs(self, j: int) -> range:
-        """Small-pair indices (0-based) of large block j (1-based)."""
-        w = self.pairs_per_block()
-        return range((j - 1) * w, j * w)
-
-    def sober_pairs(self, j: int) -> list[int]:
-        pairs = list(self.block_pairs(j))
-        return pairs[: -self.k2] if j <= self.m3 else pairs[self.k2:]
-
-    def drifting_pairs(self, j: int) -> list[int]:
-        """The k2 pairs assigned by the drunken or target-homing procedure."""
-        pairs = list(self.block_pairs(j))
-        return pairs[-self.k2:] if j <= self.m3 else pairs[: self.k2]
 
 
 def chop_into_segments(
@@ -197,11 +188,12 @@ def chop_into_segments(
         m1,
         delta,
     )
-    _certify_chop(h, decomp)
+    decomp.crossing = _certify_chop(h, decomp)
     return decomp
 
 
-def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> None:
+def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> list[tuple[int, int]]:
+    """Check the four cut properties; return the crossing edges B_i -- A_{i+1}."""
     n = h.n
     m1 = decomp.m1
     bn = decomp.beta * n
@@ -223,22 +215,22 @@ def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> None:
         for v in decomp.b_segments[i]:
             role[v] = ("B", i)
     s = decomp.boundary
+    crossing = []
     for u, v in h.edges():
         ru, rv = role[u], role[v]
-        same_pair = ru[1] == rv[1] and ru[0] != rv[0]
-        if u in s and v in s:
-            crossing = (
-                (ru[0] == "B" and rv[0] == "A" and rv[1] == (ru[1] + 1) % m1)
-                or (rv[0] == "B" and ru[0] == "A" and ru[1] == (rv[1] + 1) % m1)
-            )
-            if not (same_pair or crossing):
-                raise DecompositionError(
-                    f"boundary-edge property fails at edge ({u},{v}): {ru} vs {rv}"
-                )
-        elif not same_pair:
+        if ru[1] == rv[1] and ru[0] != rv[0]:
+            continue  # inside one segment pair
+        if not (u in s and v in s):
             raise DecompositionError(
                 f"interior-edge property fails at edge ({u},{v}): {ru} vs {rv}"
             )
+        if not ((ru[0] == "B" and rv[0] == "A" and rv[1] == (ru[1] + 1) % m1)
+                or (rv[0] == "B" and ru[0] == "A" and ru[1] == (rv[1] + 1) % m1)):
+            raise DecompositionError(
+                f"boundary-edge property fails at edge ({u},{v}): {ru} vs {rv}"
+            )
+        crossing.append((u, v))
+    return crossing
 
 
 def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> SegmentDecomposition:
@@ -462,7 +454,6 @@ class Homomorphism:
     f1: list[int]
     f2: list[int]
     chord: tuple[int, int]
-    chord_intermediate: tuple[int, int]
     sizes: list[int]
     xi: float
     roles_swapped: bool
@@ -509,7 +500,7 @@ def _cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:
 class _Plan:
     """The deterministic part of a build; immutable, so attempts and seeds share it."""
 
-    h: Graph
+    n: int
     sizes: tuple[int, ...]
     chord: tuple[int, int]
     params: HomomorphismParams
@@ -517,6 +508,8 @@ class _Plan:
     a_segments: tuple[tuple[int, ...], ...]
     b_segments: tuple[tuple[int, ...], ...]
     boundary: frozenset[int]
+    # The chop's crossing edges: the only ones a schedule can put off the cycle.
+    crossing: tuple[tuple[int, int], ...]
     kprime: int
     f1: tuple[int, ...]
     targets: tuple[int, int]  # chord ends on the intermediate cycle, per phase
@@ -572,11 +565,13 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
     g_of_pair = [i for i, width in enumerate(block_sizes) for _ in range(width)]
     f1 = tuple(2 * g + side for g in g_of_pair for side in (0, 1))
 
-    m2, m3 = decomp.m2, decomp.m3
-    blocks = [(decomp.sober_pairs(j), decomp.drifting_pairs(j)) for j in range(1, m2 + 1)]
+    m2, m3, k2 = decomp.m2, decomp.m3, decomp.k2
+    w = decomp.m1 // m2
+    blocks = [tuple(range(j * w, (j + 1) * w)) for j in range(m2)]
+    # Phase 0 drifts on each block's last k2 pairs, phase 1 on its first k2.
     phases = (
-        tuple((tuple(sober), tuple(drift)) for sober, drift in blocks[:m3]),
-        tuple((tuple(sober[::-1]), tuple(drift[::-1])) for sober, drift in reversed(blocks[m3:])),
+        tuple((pairs[:-k2], pairs[-k2:]) for pairs in blocks[:m3]),
+        tuple((pairs[k2:][::-1], pairs[:k2][::-1]) for pairs in reversed(blocks[m3:])),
     )
     # Each phase's even share of its blocks, tilted up by diff/(4k') for the
     # A class and down for the B class, plus slack.
@@ -584,7 +579,7 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
     tilt = Fraction(decomp.total_a - decomp.total_b, 4 * kprime)
     shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
     return _Plan(
-        h=h,
+        n=n,
         sizes=tuple(sizes),
         chord=(c1, c2),
         params=params,
@@ -592,6 +587,7 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
         a_segments=tuple(tuple(s) for s in decomp.a_segments),
         b_segments=tuple(tuple(s) for s in decomp.b_segments),
         boundary=frozenset(decomp.boundary),
+        crossing=tuple(decomp.crossing),
         kprime=kprime,
         f1=f1,
         targets=(g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2)),
@@ -635,7 +631,7 @@ def _walk_phase(plan: _Plan, phase: int, rng, draws: int):
 
 def _sample(plan: _Plan, seed: int) -> Homomorphism:
     """Draw schedules from child seeds of `seed` until one passes the certificate."""
-    h, n, kprime = plan.h, plan.h.n, plan.kprime
+    n, kprime = plan.n, plan.kprime
     xi = as_fraction(plan.params.xi)
     draws = max(MAX_RETRIES, 8 * kprime)
     intermediate_chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
@@ -667,19 +663,18 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                     f2[v] = 2 * p + 1 - phase
         f = [plan.f1[x] for x in f2]
 
+        # An edge inside segment pair t lands on 2p and 2p+1, p = slots[t],
+        # which f1 maps onto a host pair: on the cycle and on a pair under
+        # every schedule.  So edges_on_pairs holds and only crossing edges
+        # can break validity.
         valid = all(
             _cycle_edge_ok(f2[u], f2[v], 2 * kprime, intermediate_chord)
-            for u, v in h.edges()
+            for u, v in plan.crossing
         )
         loads = [0] * len(plan.sizes)
         for c in f:
             loads[c] += 1
         loads_bounded = all(load <= size + xi * n for load, size in zip(loads, plan.sizes))
-        edges_on_pairs = all(
-            (u in plan.boundary and v in plan.boundary)
-            or (abs(f[u] - f[v]) == 1 and min(f[u], f[v]) % 2 == 0)
-            for u, v in h.edges()
-        )
 
         spread: list[bool | None] = [None, None]
         if valid:
@@ -696,7 +691,7 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
 
         diag = AttemptDiagnostics(
             walks[0][0], walks[1][0], coin_logs, False, valid,
-            boundary_small, loads_bounded, edges_on_pairs, spread[0], spread[1],
+            boundary_small, loads_bounded, True, spread[0], spread[1],
         )
         diagnostics.append(diag)
         if diag.accepted:
@@ -708,7 +703,6 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 f1=list(plan.f1),
                 f2=f2,
                 chord=plan.chord,
-                chord_intermediate=intermediate_chord,
                 sizes=list(plan.sizes),
                 xi=float(xi),
                 roles_swapped=plan.roles_swapped,

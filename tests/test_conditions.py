@@ -155,6 +155,25 @@ class TestRobustExpander:
         assert not verdict.holds
         assert verify_expander_witness(g, verdict)
 
+    def test_sampled_verdicts_pinned(self):
+        # Verdicts and witnesses over seeds 0-4, hashed: refuted cliques and
+        # paths, held cliques, blow-ups and random graphs.
+        graphs = [two_cliques(12), two_cliques(20), complete_graph(30), path_graph(24),
+                  gen_cycle_blowup(5, 6), gen_random_graph(40, 0.5, seed=3)]
+        digest = hashlib.sha256()
+        outcomes = []
+        for g in graphs:
+            for seed in range(5):
+                verdict = check_robust_expander(g, 0.1, 0.3, mode="sampled", seed=seed,
+                                                trials=100)
+                outcomes.append(verdict.holds)
+                digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
+        assert outcomes[:5] == [True, False, False, False, True]
+        assert outcomes[15:20] == [False] * 5
+        assert digest.hexdigest() == (
+            "f24d3a0c84d77dcf529c0d6977f293cc2aa91ad7af46199b0457fa07a677ea0d"
+        )
+
     def test_sampled_mode_non_refutation(self):
         verdict = check_robust_expander(
             complete_graph(30), 0.1, 0.3, mode="sampled", seed=1, trials=50

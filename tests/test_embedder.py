@@ -209,6 +209,21 @@ class TestMalformedClasses:
         h = Graph(4, [(0, 2), (1, 3)])
         self.assert_rejected(h, [[0, 1], [2, 3]], [[0, 1], [1, 2]], "disjoint")
 
+    @pytest.mark.parametrize("entry", ["check_compatibility", "embed_blowup"])
+    def test_edge_class_index_out_of_range(self, entry):
+        w = [[0], [1], [2], [3]]
+        r = {(0, 7)}
+        args = {"check_compatibility": (r, r, 0.5), "embed_blowup": (r, 0)}[entry]
+        with pytest.raises(InvalidInputError, match=r"edge \(0,7\) names a class outside \[0,4\)"):
+            getattr(bandembed.embedder, entry)(Graph(4, [(0, 1)]), w, complete_graph(4), w, *args)
+
+    def test_class_in_no_restricted_edge_is_named(self):
+        # Classes 2 and 3 hold a vertex each but lie in no pair, so nothing
+        # would ever place them.
+        w = [[0], [1], [2], [3]]
+        with pytest.raises(InvalidInputError, match="class 2 is in no restricted edge"):
+            embed_blowup(Graph(4, [(0, 1)]), w, complete_graph(4), w, {(0, 1)}, seed=0)
+
 
 class TestEmbedBlowup:
     def test_matching_into_complete_pairs(self):

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandembed.homomorphism
-from bandembed.errors import DecompositionError, ParameterError, SeekMissError
+from bandembed.errors import (
+    DecompositionError,
+    ParameterError,
+    RetryBudgetError,
+    SeekMissError,
+)
 from bandembed.graph import BandwidthOrdering, Graph
 from bandembed.homomorphism import (
     HomomorphismParams,
@@ -76,9 +81,15 @@ class TestChop:
                 seg_of[v] = ("A", i)
             for v in decomp.b_segments[i]:
                 seg_of[v] = ("B", i)
+        crossing = []
         for u, v in g.edges():
             if seg_of[u][1] != seg_of[v][1]:
                 assert u in decomp.boundary and v in decomp.boundary
+                (role_b, i), (role_a, j) = sorted((seg_of[u], seg_of[v]), reverse=True)
+                assert (role_b, role_a, j) == ("B", "A", (i + 1) % 5)
+                crossing.append((u, v))
+        # The chop hands exactly these edges on as its crossing edges.
+        assert crossing and decomp.crossing == crossing
 
     def test_boundary_matches_window_rule(self):
         g, ordering, bip = perfect_matching_graph(80)
@@ -461,6 +472,27 @@ class TestTrialPlanReuse:
         first.sizes.clear()
         again = bandembed.homomorphism._sample(plan, 1)
         assert (again.f1, again.boundary, again.sizes) == expected
+
+    def test_crossing_edges_gate_acceptance(self, monkeypatch):
+        # Two vertices of one A segment share an image under every schedule,
+        # so an edge between them is never on the cycle: listed as crossing,
+        # it must fail every drawn schedule.
+        plan = bandembed.homomorphism._plan(*mc_shape(*SHAPE_A))
+        assert bandembed.homomorphism._sample(plan, 1).attempts == 1
+        u, v = plan.a_segments[0][:2]
+        broken = dataclasses.replace(plan, crossing=plan.crossing + ((u, v),))
+        original, seen = bandembed.homomorphism.AttemptDiagnostics, []
+
+        def recording(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(bandembed.homomorphism, "AttemptDiagnostics", recording)
+        with pytest.raises(RetryBudgetError):
+            bandembed.homomorphism._sample(broken, 1)
+        drawn = [d for d in seen if not d.seek_miss]
+        assert len(seen) == bandembed.homomorphism.MAX_RETRIES and drawn
+        assert not any(d.valid for d in drawn)
 
 
 class TestChooseParameters:
