@@ -1,9 +1,12 @@
 """Command-line entry point and the end-to-end pipeline orchestrator.
 
 Exit codes: 0 success, 2 certified failure (an honest negative verdict or a
-search that exhausted its budget), 1 input or internal error, command-line
-usage errors included.  Every run is replayable: reports carry the seeds,
-and fixed seeds reproduce identical stage outputs.
+search that exhausted its budget), 1 input or internal error, usage errors
+included.  The code is decided from the exception caught: a library error
+that is not an input error is certified, unless it reports a failed
+independent recheck, which exits 1 like a failed final embedding check.  The
+stage subcommands run the pipeline's own stage code and judge rechecks the
+same way.  Fixed seeds reproduce identical stage outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .embedder import (
     embedding_respects_partition,
     verify_embedding,
 )
-from . import errors
 from .errors import BandembedError, InvalidInputError, ParameterError
 from .graph import (
     BandwidthOrdering,
@@ -99,6 +101,8 @@ class PipelineReport:
     seed: int
     config: dict
     embedding: list[int] | None = None
+    # Whether the failed stage ended in an honest "no"; not part of the JSON.
+    certified_negative: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -139,6 +143,10 @@ def run_full_pipeline(
             yield result
         except Exception as exc:
             result.ok, result.detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+            report.certified_negative = (
+                isinstance(exc, BandembedError) and not isinstance(exc, InvalidInputError)
+                and not str(exc).startswith(RECHECK_FAILED)
+            )
         result.seconds = time.perf_counter() - t0
         report.stages.append(result)
         if not result.ok:
@@ -174,16 +182,7 @@ def run_full_pipeline(
         with stage("homomorphism") as st:
             i2, j2 = prep.partition.b_chord
             chord = (2 * i2 + 1, 2 * j2 + 1)
-            params = choose_h_parameters(
-                h.n, max(1, h.max_degree()), target.ordering.claimed_bound, cfg.xi, prep.k
-            )
-            hom = build_homomorphism(
-                h, target.ordering, target.bipartition, prep.baseline_sizes,
-                chord, params, seed=seed,
-            )
-            recheck = verify_homomorphism_certificate(
-                h, hom.f, hom.boundary, prep.baseline_sizes, cfg.xi, chord
-            )
+            params, hom, recheck = _homomorphism(target, prep.baseline_sizes, chord, cfg, seed)
             if not recheck["all_ok"]:
                 raise BandembedError(f"{RECHECK_FAILED}: {recheck}")
             demanded = hom.loads()
@@ -244,6 +243,21 @@ def run_full_pipeline(
     report.ok = True
     report.embedding = list(emb.phi)
     return report
+
+
+def _homomorphism(target: TargetBundle, sizes: list[int], chord: tuple[int, int],
+                  cfg: Config, seed: int):
+    """Stage 2: (params, hom, recheck) for H onto the cycle of len(sizes) clusters;
+    the caller decides what a failed independent recheck ends."""
+    h = target.graph
+    params = choose_h_parameters(
+        h.n, max(1, h.max_degree()), target.ordering.claimed_bound, cfg.xi, len(sizes) // 2
+    )
+    hom = build_homomorphism(
+        h, target.ordering, target.bipartition, sizes, chord, params, seed=seed
+    )
+    recheck = verify_homomorphism_certificate(h, hom.f, hom.boundary, sizes, cfg.xi, chord)
+    return params, hom, recheck
 
 
 def _pull_back(f: list[int], k: int) -> tuple[list[list[int]], set[tuple[int, int]]]:
@@ -376,17 +390,16 @@ def _cmd_gen_host(args) -> int:
         if args.chords:
             vals = _int_list(args.chords, 4, "--chords")
             chords = ((vals[0], vals[1]), (vals[2], vals[3]))
-        bundle = gen_super_regular_host(args.k, args.size, args.density, chords, args.seed)
-        _emit(bundle.to_json(), args)
-    elif args.kind == "cycle-blowup":
-        graph = gen_cycle_blowup(args.classes, args.size)
-        _emit({"graph": graph_to_json(graph)}, args)
-    elif args.kind == "extremal":
-        graph = gen_extremal_counterexample(args.n, args.m)
-        _emit({"graph": graph_to_json(graph)}, args)
+        out = gen_super_regular_host(args.k, args.size, args.density, chords, args.seed).to_json()
     else:
-        graph = gen_random_graph(args.n, args.p, args.seed)
-        _emit({"graph": graph_to_json(graph)}, args)
+        if args.kind == "cycle-blowup":
+            graph = gen_cycle_blowup(args.classes, args.size)
+        elif args.kind == "extremal":
+            graph = gen_extremal_counterexample(args.n, args.m)
+        else:
+            graph = gen_random_graph(args.n, args.p, args.seed)
+        out = {"graph": graph_to_json(graph)}
+    _emit(out, args)
     return 0
 
 
@@ -405,27 +418,23 @@ def _cmd_check_expander(args) -> int:
     return 0 if verdict.holds else 2
 
 
-def _cmd_check_degseq(args) -> int:
-    g = _load_graph(args.graph)
-    verdict = check_degree_sequence_condition(degree_sequence(g), args.gamma)
+def _cmd_check_degrees(args) -> int:
+    """check-degseq and check-ore: `args.check` is the condition the command names."""
+    verdict = args.check(_load_graph(args.graph), args.gamma)
     out = verdict.to_json()
     out["params"] = {"gamma": args.gamma}
     _emit(out, args)
     return 0 if verdict.holds else 2
 
 
-def _cmd_check_ore(args) -> int:
+def _load_graph_classes(args) -> tuple[Graph, list[set[int]]]:
+    """The --graph file and the classes of the --partition file, checked against it."""
     g = _load_graph(args.graph)
-    verdict = check_ore_condition(g, args.gamma)
-    out = verdict.to_json()
-    out["params"] = {"gamma": args.gamma}
-    _emit(out, args)
-    return 0 if verdict.holds else 2
+    return g, _load_partition(_load_json(args.partition), args.partition, g.n).classes
 
 
 def _cmd_check_pair(args) -> int:
-    g = _load_graph(args.graph)
-    classes = _load_partition(_load_json(args.partition), args.partition, g.n).classes
+    g, classes = _load_graph_classes(args)
     for option, index in (("--a", args.a), ("--b", args.b)):
         if not 0 <= index < len(classes):
             raise InvalidInputError(f"{option} {index} is not a class index of {args.partition}")
@@ -440,10 +449,8 @@ def _cmd_check_pair(args) -> int:
 
 
 def _cmd_build_reduced(args) -> int:
-    g = _load_graph(args.graph)
     reduced = build_reduced_graph(
-        g, _load_partition(_load_json(args.partition), args.partition, g.n).classes,
-        args.eps, args.density,
+        *_load_graph_classes(args), args.eps, args.density,
         mode=args.mode, budget=args.budget, seed=args.seed,
     )
     _emit({
@@ -470,16 +477,15 @@ def _cmd_lemma_g(args) -> int:
     rep = prepare_host_partition(g, bundle.partition, cfg, seed=args.seed)
     final = rep.partition
     if demanded is not None:
-        baseline, n = rep.baseline_sizes, g.n
-        if len(demanded) != 2 * rep.k or sum(demanded) != n:
+        if len(demanded) != 2 * rep.k or sum(demanded) != g.n:
             raise ParameterError("demanded sizes must partition n over 2k classes")
-        xi_n = as_fraction(cfg.xi) * n
-        for idx, (want, have) in enumerate(zip(demanded, baseline)):
+        xi_n = as_fraction(cfg.xi) * g.n
+        for idx, (want, have) in enumerate(zip(demanded, rep.baseline_sizes)):
+            if want < 0:
+                raise ParameterError(f"demanded size {want} is negative at class {idx}")
             if want > have + xi_n:
-                raise ParameterError(
-                    f"demanded size {want} exceeds {have} + xi*n at class {idx}"
-                )
-        a_t, b_t = _pair_targets(demanded, baseline)
+                raise ParameterError(f"demanded size {want} exceeds {have} + xi*n at class {idx}")
+        a_t, b_t = _pair_targets(demanded, rep.baseline_sizes)
         final, _ = redistribute_to_sizes(g, final, rep.reduced, a_t, b_t, cfg)
     structure = verify_partition_structure(g, final, demanded, cfg, seed=args.seed)
     _emit({
@@ -498,24 +504,13 @@ def _cmd_build_hom(args) -> int:
     target = _load_target_bundle(args.h)
     sizes = _load_ints(args.sizes, "sizes")
     chord = tuple(_int_list(args.chord, 2, "--chord"))
-    cfg = _load_cfg(args)
-    k = len(sizes) // 2
-    params = choose_h_parameters(
-        target.graph.n, max(1, target.graph.max_degree()),
-        target.ordering.claimed_bound, cfg.xi, k,
-    )
-    hom = build_homomorphism(
-        target.graph, target.ordering, target.bipartition, sizes, chord, params,
-        seed=args.seed,
-    )
+    _, hom, recheck = _homomorphism(target, sizes, chord, _load_cfg(args), args.seed)
     out = hom.to_json()
-    out["certificate_recheck"] = verify_homomorphism_certificate(
-        target.graph, hom.f, hom.boundary, sizes, cfg.xi, chord
-    )
+    out["certificate_recheck"] = recheck
     if args.coins:
         out["coin_logs"] = [d.coin_logs for d in hom.diagnostics]
     _emit(out, args)
-    return 0
+    return 0 if recheck["all_ok"] else 1
 
 
 def _cmd_embed(args) -> int:
@@ -533,7 +528,7 @@ def _cmd_embed(args) -> int:
     )
     valid = verify_embedding(target.graph, host.graph, emb.phi)
     _emit({"phi": emb.phi, "verified": valid}, args)
-    return 0 if valid else 2
+    return 0 if valid else 1
 
 
 def _cmd_pipeline(args) -> int:
@@ -544,16 +539,7 @@ def _cmd_pipeline(args) -> int:
     _emit(report.to_json(), args)
     if report.ok:
         return 0
-    return 2 if _certified_negative(report.stages[-1]) else 1
-
-
-def _certified_negative(failed: StageResult) -> bool:
-    """Whether a failed stage is an honest "no": a library error that is neither an
-    input error nor the recheck's fault (a failed final re-verification has no error)."""
-    name, _, message = failed.detail.get("error", "").partition(": ")
-    kind = getattr(errors, name, None)
-    return (isinstance(kind, type) and issubclass(kind, BandembedError)
-            and not issubclass(kind, InvalidInputError) and not message.startswith(RECHECK_FAILED))
+    return 2 if report.certified_negative else 1
 
 
 def _cmd_montecarlo_balance(args) -> int:
@@ -629,17 +615,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_check_expander)
 
-    p = sub.add_parser("check-degseq", help="degree-sequence condition")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_check_degseq)
-
-    p = sub.add_parser("check-ore", help="degree-sum condition on non-adjacent pairs")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(func=_cmd_check_ore)
+    for name, help_text, check in (
+        ("check-degseq", "degree-sequence condition",
+         lambda g, gamma: check_degree_sequence_condition(degree_sequence(g), gamma)),
+        ("check-ore", "degree-sum condition on non-adjacent pairs", check_ore_condition),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--gamma", type=float, required=True)
+        _add_common(p, seed=False)
+        p.set_defaults(func=_cmd_check_degrees, check=check)
 
     p = sub.add_parser("check-pair", help="regularity / super-regularity of one class pair")
     p.add_argument("--graph", required=True)

@@ -167,14 +167,7 @@ def chop_into_segments(
             v = movable[0]
             partner[i].remove(v)
             into[i].append(v)
-            # Reassigned vertices change color class; isolation keeps the
-            # bipartition valid.
-            if v in class_b:
-                class_b.discard(v)
-                class_a.add(v)
-            else:
-                class_a.discard(v)
-                class_b.add(v)
+            # v changes color class; being isolated, it keeps the bipartition valid.
 
     for i in range(m1):
         repair(a_segments, b_segments, i)

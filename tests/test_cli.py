@@ -23,6 +23,10 @@ from bandembed.partition import ClusterPartition, Config
 from conftest import strip_seconds, two_cliques
 
 
+SMALL_CONFIG = ("n0 = 32\nlam = 0.05\nxi = 0.30\neps_prime = 0.45\neps = 0.5\n"
+                "d = 0.30\nd_prime = 0.40\nnu = 0.45\ntau = 0.45\neta = 0.55\n")
+
+
 @pytest.fixture
 def small_world(tmp_path):
     """Files for a k=2 host on 64 vertices and a matching-size target."""
@@ -33,10 +37,7 @@ def small_world(tmp_path):
     host_path.write_text(json.dumps(host.to_json()))
     h_path.write_text(json.dumps(target.to_json()))
     cfg_path = tmp_path / "cfg.txt"
-    cfg_path.write_text(
-        "n0 = 32\nlam = 0.05\nxi = 0.30\neps_prime = 0.45\neps = 0.5\n"
-        "d = 0.30\nd_prime = 0.40\nnu = 0.45\ntau = 0.45\neta = 0.55\n"
-    )
+    cfg_path.write_text(SMALL_CONFIG)
     return host_path, h_path, cfg_path
 
 
@@ -439,6 +440,90 @@ def test_loader_fuzz_exits_0_1_or_2(argv, data):
     assert code in (0, 1, 2)
 
 
+# Each command runs in a temporary directory; "> name" saves its stdout there as
+# the input file `name` of later commands.
+_PIN_RUNS = [
+    "gen-host --kind super-regular --k 2 --size 16 --density 0.7 --chords 0,1,0,1 --seed 3 > host.json",
+    "gen-host --kind super-regular --k 2 --size 8 --density 0.5 --seed 2 > small.json",
+    "gen-host --kind super-regular --k 3 --size 40 --density 0.5 --seed 0 > host3.json",
+    "gen-host --kind cycle-blowup --classes 5 --size 3 > blowup.json",
+    "gen-host --kind extremal --n 10 --m 4 > extremal.json",
+    "gen-host --kind random --n 12 --p 0.5 --seed 1 > random.json",
+    "gen-host --kind random --n 12 --p 0.9 --seed 2 > dense.json",
+    "gen-h --n 64 --delta 2 --bandwidth 1 --seed 3 > h.json",
+    "gen-h --n 63 --delta 2 --bandwidth 1 --seed 3 > h63.json",
+    "gen-h --n 240 --delta 3 --bandwidth 5 --seed 0 > h3.json",
+    "check-expander --graph blowup.json --nu 0.05 --tau 0.21",
+    "check-expander --graph random.json --nu 0.1 --tau 0.3",
+    "check-expander --graph extremal.json --nu 0.1 --tau 0.3",
+    "check-expander --graph dense.json --nu 0.1 --tau 0.3 --mode sampled --trials 20 --seed 1",
+    "check-degseq --graph dense.json --gamma 0.1",
+    "check-degseq --graph extremal.json --gamma 0.1",
+    "check-ore --graph dense.json --gamma 0.1",
+    "check-ore --graph extremal.json --gamma 0.1",
+    "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.4 --density 0.2",
+    "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.1 --density 0.2",
+    "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.4 --density 0.2 --super",
+    "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.1 --density 0.2 --super",
+    "check-pair --graph host.json --partition host.json --a 0 --b 1 --eps 0.3 --density 0.2 "
+    "--mode heuristic --seed 1",
+    "build-reduced --graph host.json --partition host.json --eps 0.4 --density 0.2 --seed 1",
+    "find-walk --graph k4.json --matching matching.json --start 0 --nu 0.5",
+    "find-walk --graph two_edges.json --matching matching.json --start 0 --nu 0.5",
+    "lemma-g --host host.json --config cfg.txt --seed 1",
+    "lemma-g --host host.json --seed 1",
+    "lemma-g --host host.json --config cfg.txt --seed 1 --demand equal.json",
+    "lemma-g --host host.json --config cfg.txt --seed 1 --demand shifted.json",
+    "lemma-g --host host.json --config cfg.txt --seed 1 --demand empty_class.json",
+    "build-hom --h h.json --sizes equal.json --chord 1,3 --config cfg.txt --seed 2 --coins > hom.json",
+    "build-hom --h h.json --sizes shifted.json --chord 1,3 --config cfg.txt --seed 2",
+    "build-hom --h h3.json --sizes equal3.json --chord 1,5 --seed 0 > hom3.json",
+    "embed --host host.json --h h.json --hom hom.json --seed 0",
+    "embed --host host3.json --h h3.json --hom hom3.json --seed 0",
+    "montecarlo-balance --n 256 --runs 3 --seed 3",
+    "pipeline --host host.json --h h.json --config cfg.txt --seed 4",
+    "pipeline --host host.json --h h63.json --config cfg.txt --seed 4",
+    "pipeline --host host3.json --h h3.json --seed 0",
+]
+
+
+class TestSubcommandPin:
+    def test_every_subcommand_output_pinned(self, tmp_path, monkeypatch, capsys):
+        # sha256 over (argv, exit code, stdout without "seconds") of every run.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(SMALL_CONFIG)
+        inputs = {
+            "k4.json": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+            "two_edges.json": {"n": 4, "edges": [[0, 1], [2, 3]]},
+            "matching.json": {"pairs": [[0, 1], [2, 3]]},
+            "equal.json": {"sizes": [16, 16, 16, 16]},
+            "shifted.json": {"sizes": [18, 14, 16, 16]},
+            "empty_class.json": {"sizes": [0, 32, 16, 16]},
+            "equal3.json": {"sizes": [40] * 6},
+        }
+        for name, data in inputs.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        records = []
+        for run in _PIN_RUNS:
+            command, _, save = run.partition(" > ")
+            code = main(command.split())
+            out = capsys.readouterr().out
+            if save:
+                (tmp_path / save).write_text(out)
+            stdout = json.dumps(strip_seconds(json.loads(out)), sort_keys=True) if out else ""
+            records.append([command, code, stdout])
+        assert [code for _, code, _ in records] == [
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  # generators
+            0, 0, 2, 0, 0, 2, 0, 2,  # check-expander, check-degseq, check-ore
+            0, 2, 0, 2, 2, 0,  # check-pair, build-reduced
+            0, 2, 0, 0, 0, 0, 2,  # find-walk, lemma-g
+            0, 0, 0, 0, 1, 0,  # build-hom, embed, montecarlo-balance
+            0, 1, 2,  # pipeline
+        ]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "46fbc3583f4fd7a9e56732d4db814b85aa94d37e991ce3d9a0c672ec66a78a75"
+
+
 class TestPipelineCommand:
     def test_success_run_replays(self, small_world, tmp_path, capsys):
         host_path, h_path, cfg_path = small_world
@@ -538,6 +623,59 @@ class TestPipelineCommand:
                      "--chord", "1,3", "--config", str(cfg_path), "--seed", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["certificate_recheck"]["all_ok"]
+
+    # A failed independent recheck is the program's fault: every command that
+    # runs one writes its JSON and exits 1.
+    @pytest.mark.parametrize("command", ["build-hom", "pipeline"])
+    def test_failed_homomorphism_recheck_exits_1(self, small_world, tmp_path, capsys,
+                                                 monkeypatch, command):
+        import bandembed.cli
+
+        monkeypatch.setattr(bandembed.cli, "verify_homomorphism_certificate",
+                            lambda *args: {"all_ok": False})
+        host_path, h_path, cfg_path = small_world
+        sizes_path = tmp_path / "sizes.json"
+        sizes_path.write_text(json.dumps({"sizes": [16, 16, 16, 16]}))
+        argv = {"build-hom": ["--sizes", str(sizes_path), "--chord", "1,3"],
+                "pipeline": ["--host", str(host_path)]}[command]
+        assert main([command, "--h", str(h_path), *argv, "--config", str(cfg_path),
+                     "--seed", "4"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        if command == "build-hom":
+            assert out["certificate_recheck"] == {"all_ok": False}
+        else:
+            assert out["failed_stage"] == "homomorphism"
+            assert out["stages"][-1]["detail"]["error"] == (
+                "BandembedError: independent certificate recheck failed: {'all_ok': False}")
+
+    @pytest.mark.parametrize("command", ["embed", "pipeline"])
+    def test_embedding_rejected_by_its_check_exits_1(self, small_world, tmp_path, capsys,
+                                                     monkeypatch, command):
+        import bandembed.cli
+        from bandembed.embedder import Embedding
+
+        monkeypatch.setattr(bandembed.cli, "embed_blowup", lambda h, *args, **kwargs:
+                            Embedding([0] * h.n))
+        host_path, h_path, cfg_path = small_world
+        hom_path = tmp_path / "hom.json"
+        hom_path.write_text(json.dumps({"f": [v % 4 for v in range(64)]}))
+        argv = {"embed": ["--hom", str(hom_path)], "pipeline": ["--config", str(cfg_path)]}
+        assert main([command, "--host", str(host_path), "--h", str(h_path),
+                     *argv[command], "--seed", "4"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        if command == "embed":
+            assert out == {"phi": [0] * 64, "verified": False}
+        else:
+            assert out["failed_stage"] == "verify-embedding"
+
+    def test_lemma_g_negative_demand_is_input_error(self, tmp_path, capsys):
+        host_path, demand = tmp_path / "host.json", tmp_path / "demand.json"
+        host_path.write_text(json.dumps(gen_super_regular_host(4, 50, d=0.5, seed=1).to_json()))
+        demand.write_text(json.dumps({"sizes": [-1, 101, 50, 50, 50, 50, 50, 50]}))
+        assert main(["lemma-g", "--host", str(host_path), "--demand", str(demand)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: demanded size -1 is negative at class 0\n"
 
     def test_build_hom_coin_logs(self, tmp_path, capsys):
         # n = 1024 is the smallest power of two whose schedule has drift blocks,
