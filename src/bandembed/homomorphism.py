@@ -18,8 +18,10 @@ cycle gives the final homomorphism together with its certificate:
 The segmentation is computed once per input, and its certificate settles
 what no schedule can change: every edge except the crossing edges from
 B_i to A_{i+1} lies inside one segment pair, which any schedule puts on one
-cycle pair, so each such edge is on the cycle and edges_on_pairs holds.  Only
-the randomized schedule is re-drawn, with fresh randomness, until the
+cycle pair, so each such edge is on the cycle and edges_on_pairs holds.  No
+schedule changes S either, so boundary_small is judged once per plan, before
+any draw, and a plan that breaks it is a DecompositionError.  Only the
+randomized schedule is re-drawn, with fresh randomness, until the
 certificate holds; each draw checks that both phases home onto their chord
 ends (seeking), that loads are bounded, and that the crossing edges land on
 the cycle or the chord.  The two internal spread inequalities that imply
@@ -70,18 +72,13 @@ MAX_RETRIES = 50
 
 @dataclass
 class SegmentDecomposition:
-    """Small segment pairs (A_i, B_i), the boundary set, and the block split."""
+    """Small segment pairs (A_i, B_i), the boundary set and the crossing edges."""
 
     a_segments: list[list[int]]
     b_segments: list[list[int]]
     boundary: set[int]
     beta: Fraction
     m1: int
-    delta: int
-    m2: int | None = None
-    m3: int | None = None
-    k2: int | None = None
-    imbalances: list[int] | None = None
     # The edges from B_i to A_{i+1}, both ends in the boundary; every other
     # edge lies inside one segment pair.
     crossing: list[tuple[int, int]] = field(default_factory=list)
@@ -179,7 +176,6 @@ def chop_into_segments(
         boundary,
         beta,
         m1,
-        delta,
     )
     decomp.crossing = _certify_chop(h, decomp)
     return decomp
@@ -226,13 +222,14 @@ def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> list[tuple[int, int
     return crossing
 
 
-def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> SegmentDecomposition:
-    """Group segment pairs into m2 blocks, pick the split index, fix drift length k2.
+def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> int:
+    """Group segment pairs into m2 blocks and return the split index m3.
 
-    The split index m3 is the smallest index in the admissible window whose
-    prefix of block imbalances lands within xi*n/20 of half the total color
-    imbalance.  Callers put the larger color class in the A role; the window
-    arithmetic itself is sign-agnostic.
+    m3 is the smallest index in the admissible window whose prefix of block
+    imbalances lands within xi*n/20 of half the total color imbalance; k2,
+    the drift length, must leave each block a sober pair.  Callers put the
+    larger color class in the A role; the window arithmetic itself is
+    sign-agnostic.
     """
     xi = as_fraction(xi)
     m1, n = decomp.m1, decomp.total_a + decomp.total_b
@@ -240,8 +237,6 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> Segme
         raise ParameterError(f"m2 must divide m1 (got m1={m1}, m2={m2})")
     if not 1 <= k2 < m1 // m2:
         raise ParameterError(f"need 1 <= k2 < m1/m2 (got k2={k2}, m1/m2={m1 // m2})")
-    decomp.m2 = m2
-    decomp.k2 = k2
     w = m1 // m2
     sizes = []
     imbalances = []
@@ -255,7 +250,6 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> Segme
     for j, size in enumerate(sizes):
         if not n / m2 - slack <= size <= n / m2 + slack:
             raise DecompositionError(f"block size property fails at block {j}: {size}")
-    decomp.imbalances = imbalances
 
     diff = decomp.total_a - decomp.total_b
     target = Fraction(diff, 2)
@@ -263,18 +257,13 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> Segme
     lo = max(1, ceil_frac(xi * m2 / 20))
     hi = min(m2 - 1, floor_frac((1 - xi / 20) * m2))
     prefix = 0
-    chosen = None
     for m3 in range(1, m2 + 1):
         prefix += imbalances[m3 - 1]
         if lo <= m3 <= hi and abs(prefix - target) <= window:
-            chosen = m3
-            break
-    if chosen is None:
-        raise ParameterError(
-            f"no split index in [{lo},{hi}] puts the prefix within {window} of {target}"
-        )
-    decomp.m3 = chosen
-    return decomp
+            return m3
+    raise ParameterError(
+        f"no split index in [{lo},{hi}] puts the prefix within {window} of {target}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +536,13 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
 
     delta = h.max_degree()
     decomp = chop_into_segments(h, ordering, (class_a, class_b), beta, params.m1, max(1, delta))
-    group_and_split(decomp, params.m2, params.xi, params.k2)
+    m2, k2 = params.m2, params.k2
+    m3 = group_and_split(decomp, m2, params.xi, k2)
+    # No schedule changes S, so its bound is judged here, before any draw.
+    if len(decomp.boundary) > xi_f * n:
+        raise DecompositionError(
+            f"boundary |S| = {len(decomp.boundary)} exceeds xi*n = {xi_f * n}"
+        )
 
     # Intermediate cycle on 2k' vertices and the block map onto the host cycle.
     block_sizes = [
@@ -558,7 +553,6 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
     g_of_pair = [i for i, width in enumerate(block_sizes) for _ in range(width)]
     f1 = tuple(2 * g + side for g in g_of_pair for side in (0, 1))
 
-    m2, m3, k2 = decomp.m2, decomp.m3, decomp.k2
     w = decomp.m1 // m2
     blocks = [tuple(range(j * w, (j + 1) * w)) for j in range(m2)]
     # Phase 0 drifts on each block's last k2 pairs, phase 1 on its first k2.
@@ -628,7 +622,6 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
     xi = as_fraction(plan.params.xi)
     draws = max(MAX_RETRIES, 8 * kprime)
     intermediate_chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
-    boundary_small = Fraction(len(plan.boundary)) <= xi * n
     diagnostics: list[AttemptDiagnostics] = []
 
     for attempt in range(1, MAX_RETRIES + 1):
@@ -682,9 +675,10 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 spread[phase] = (all(x <= a_bound for x in a_counts)
                                  and all(x <= b_bound for x in b_counts))
 
+        # _plan has already bounded the boundary, which no draw changes.
         diag = AttemptDiagnostics(
             walks[0][0], walks[1][0], coin_logs, False, valid,
-            boundary_small, loads_bounded, True, spread[0], spread[1],
+            True, loads_bounded, True, spread[0], spread[1],
         )
         diagnostics.append(diag)
         if diag.accepted:

@@ -35,7 +35,7 @@ from .regularity import (
     check_super_regular_pair,
 )
 from .rng import as_fraction, ceil_frac, floor_frac
-from .walks import Matching, find_closed_shifted_walk, purify_walk, simplify_walk
+from .walks import Matching, find_closed_shifted_walk, purify_walk
 
 __all__ = [
     "ClusterPartition",
@@ -453,15 +453,6 @@ class BalanceLedger:
         return len(self.steps)
 
 
-def _sigma_star(classes: list[set[int]], k: int, lam_n: Fraction) -> int:
-    total = 0
-    for i in range(k):
-        d = abs(len(classes[2 * i]) - len(classes[2 * i + 1]))
-        if d > lam_n:
-            total += d
-    return total
-
-
 def balance_partition(
     g: Graph,
     partition: ClusterPartition,
@@ -471,10 +462,11 @@ def balance_partition(
     """Drive every pair to ||A_i| - |B_i|| <= lam*n using closed shifted walks.
 
     Each step finds a closed walk at an oversized class in the live part of
-    the reduced graph, simplifies and purifies it against the oversized set,
-    and slides well-connected vertices one hop along both alternating chains,
-    which shrinks the imbalance at the walk's endpoints and leaves interior
-    pairs untouched.  Pairs that drift too far from their original classes
+    the reduced graph, purifies it against the oversized set, and slides
+    well-connected vertices one hop along both alternating chains, which
+    shrinks the imbalance at the walk's endpoints and leaves interior pairs
+    untouched.  The search's walks are already simple, so balancing purifies
+    them directly.  Pairs that drift too far from their original classes
     retire from the live reduced graph; if the live part falls below the
     (1 - nu/12) fraction floor the run aborts.
     """
@@ -495,18 +487,15 @@ def balance_partition(
     live = set(range(k))
     ledger = BalanceLedger()
 
-    def oversized() -> list[int]:
-        out = []
-        for i in sorted(live):
-            da = len(cur[2 * i]) - len(cur[2 * i + 1])
-            if da > lam_n:
-                out.append(2 * i)
-            elif -da > lam_n:
-                out.append(2 * i + 1)
-        return out
+    def gaps() -> dict[int, int]:
+        """|A_i| - |B_i| for each pair i, live or retired, imbalanced past lam*n."""
+        diffs = ((i, len(cur[2 * i]) - len(cur[2 * i + 1])) for i in range(k))
+        return {i: gap for i, gap in diffs if abs(gap) > lam_n}
 
+    over = gaps()
     for _ in range(max_steps):
-        heavy = oversized()
+        # The larger class of each oversized live pair, in pair order.
+        heavy = [2 * i + (gap < 0) for i, gap in over.items() if i in live]
         if not heavy:
             break
         start = heavy[0]
@@ -519,25 +508,19 @@ def balance_partition(
             walk = find_closed_shifted_walk(sub, m_star, to_sub[start], nu / 4)
         except WalkNotFoundError as exc:
             raise BalancingError(f"no guiding walk at class {start}: {exc}") from exc
-        walk = simplify_walk(sub, m_star, walk)
-        heavy_sub = {to_sub[c] for c in heavy}
-        walk = purify_walk(m_star, heavy_sub, walk)
+        walk = purify_walk(m_star, {to_sub[c] for c in heavy}, walk)
         seq = [old_ids[s] for s in walk.vertices]
-        length = len(seq) // 2
 
         # c ^ 1 is the partner of class c within its pair.
-        u_chain = [seq[2 * i] for i in range(length)] + [seq[-1] ^ 1]
-        w_chain = [seq[0] ^ 1] + [seq[2 * i + 1] for i in range(length)]
+        u_chain = seq[0::2] + [seq[-1] ^ 1]
+        w_chain = [seq[0] ^ 1] + seq[1::2]
 
-        ep1, ep2 = seq[0], seq[-1]
-        shrink = 4 if ep1 == ep2 else 2
-
-        def exit_amount(c: int) -> int:
-            d = abs(len(cur[c]) - len(cur[c ^ 1]))
-            return max(1, ceil_frac((Fraction(d) - lam_n) / shrink))
-
-        step_moves = min(per_hop, exit_amount(ep1), exit_amount(ep2))
-        sigma_before = _sigma_star(cur, k, lam_n)
+        # Both endpoints are heavy, so their pairs are in `over`.
+        shrink = 4 if seq[0] == seq[-1] else 2
+        step_moves = min(per_hop, *(
+            max(1, ceil_frac((abs(over[c // 2]) - lam_n) / shrink)) for c in (seq[0], seq[-1])
+        ))
+        sigma_before = sum(map(abs, over.values()))
         records: list[MoveRecord] = []
         # The u-chain slides forward and the w-chain backward; no vertex
         # moves twice in one step.
@@ -549,29 +532,27 @@ def balance_partition(
                 skip={m.vertex for m in records},
             )
 
-        retired = []
-        for i in sorted(live):
-            if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1)):
-                live.discard(i)
-                retired.append(i)
+        retired = [i for i in sorted(live)
+                   if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1))]
+        live.difference_update(retired)
         if 2 * len(live) < floor_live:
             raise BalancingError(
                 f"live reduced graph fell to {2 * len(live)} clusters "
                 f"(floor {float(floor_live):.2f})"
             )
-        sigma_after = _sigma_star(cur, k, lam_n)
-        ledger.steps.append(
-            BalanceStep(tuple(seq), step_moves, sigma_before, sigma_after, retired, records)
-        )
+        over = gaps()
+        ledger.steps.append(BalanceStep(
+            tuple(seq), step_moves, sigma_before, sum(map(abs, over.values())), retired, records
+        ))
     else:
         raise BalancingError(f"balancing did not converge within {max_steps} steps")
 
-    for i in range(k):
-        if abs(len(cur[2 * i]) - len(cur[2 * i + 1])) > lam_n:
-            raise BalancingError(
-                f"pair {i} still imbalanced after balancing "
-                f"({len(cur[2*i])} vs {len(cur[2*i+1])})"
-            )
+    if over:
+        i = next(iter(over))  # the lowest-numbered imbalanced pair
+        raise BalancingError(
+            f"pair {i} still imbalanced after balancing "
+            f"({len(cur[2*i])} vs {len(cur[2*i+1])})"
+        )
     return part.result(), ledger
 
 

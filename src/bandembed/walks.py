@@ -224,6 +224,10 @@ def find_closed_shifted_walk(g: Graph, m: Matching, a: int, nu) -> ShiftedWalk:
     back to `a`.  Ties break toward the lowest-index vertex so results are
     reproducible.  Raises WalkNotFoundError past the layer budget, which is a
     legitimate outcome on non-expanders.
+
+    The walk is already simple: each matching step enters a distinct search
+    tree vertex, so a matching edge {p, q} is used at most twice (entering p,
+    entering q) and `simplify_walk` returns the walk unchanged.
     """
     _require_perfect(g, m)
     if not 0 <= a < g.n:

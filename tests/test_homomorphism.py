@@ -182,17 +182,13 @@ def synthetic_decomposition(a_sizes, b_sizes, beta=Fraction(0)):
         nxt += sa
         b_segments.append(list(range(nxt, nxt + sb)))
         nxt += sb
-    return SegmentDecomposition(
-        a_segments, b_segments, set(), beta, len(a_sizes), 1
-    )
+    return SegmentDecomposition(a_segments, b_segments, set(), beta, len(a_sizes))
 
 
 class TestGroupAndSplit:
     def test_balanced_takes_smallest_index(self):
         decomp = synthetic_decomposition([5] * 8, [5] * 8)
-        group_and_split(decomp, 4, 0.1, 1)
-        assert decomp.m3 == 1
-        assert decomp.imbalances == [0, 0, 0, 0]
+        assert group_and_split(decomp, 4, 0.1, 1) == 1
 
     def test_prefix_scan_matches_hand_computation(self):
         # Block imbalances (+4, -4, +4, -4); half the total is 0, and the
@@ -200,9 +196,7 @@ class TestGroupAndSplit:
         decomp = synthetic_decomposition(
             [5, 5, 3, 3, 5, 5, 3, 3], [3, 3, 5, 5, 3, 3, 5, 5]
         )
-        group_and_split(decomp, 4, 0.1, 1)
-        assert decomp.imbalances == [4, -4, 4, -4]
-        assert decomp.m3 == 2
+        assert group_and_split(decomp, 4, 0.1, 1) == 2
 
     def test_unreachable_target_errors(self):
         decomp = synthetic_decomposition(
@@ -493,6 +487,19 @@ class TestTrialPlanReuse:
         drawn = [d for d in seen if not d.seek_miss]
         assert len(seen) == bandembed.homomorphism.MAX_RETRIES and drawn
         assert not any(d.valid for d in drawn)
+
+    def test_oversized_boundary_fails_before_any_draw(self, monkeypatch):
+        # Hand-picked parameters, outside choose_h_parameters' m1 cap, leave a
+        # boundary no schedule can shrink: 92 vertices against xi*n = 48.
+        target = gen_bandwidth_bipartite_h(480, 2, 4, seed=1)
+        params = HomomorphismParams(m1=8, m2=2, k1=2, k2=1, xi=0.1)
+        draws = []
+        monkeypatch.setattr(bandembed.homomorphism, "_walk_phase",
+                            lambda *args: draws.append(args))
+        with pytest.raises(DecompositionError, match=r"boundary \|S\| = 92 exceeds xi\*n = 48"):
+            build_homomorphism(target.graph, target.ordering, target.bipartition,
+                               [120] * 4, (1, 3), params)
+        assert draws == []
 
 
 class TestChooseParameters:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -491,27 +492,51 @@ class TestMoverPins:
     BALANCE_PIN = "beecfc15b88d1b09b5ae3e9065f0ed7422abfcae81e4e1afa965c39c08a9056a"
     REDISTRIBUTE_PIN = "e8dd89f562eea21d6906a7a4c2fe46d8d8964171e4cd66fb83eadd50d8b2e53a"
     ASSIGN_PIN = "bafb25c954d62f7ad8fdd88e2cbb23d381af14ea8f4706715afcc20387c132ea"
+    RETIRE_PIN = "d503327d341f3df244eec7fff9cdbfcfb21e7c2d643ca6e533f7f99c901134a9"
+
+    @staticmethod
+    def _balance_records(hosts, skews, cfgs):
+        """Balance every host under every skew and config; one record per case."""
+        records = []
+        for bundle in hosts:
+            for src, dst, count in skews:
+                g, part = bundle.graph, bundle.partition.copy()
+                for v in sorted(part.classes[src])[:count]:
+                    part.classes[src].discard(v)
+                    part.classes[dst].add(v)
+                reduced = build_reduced_graph(g, part.classes, 0.5, 0.3, mode="heuristic")
+                for cfg in cfgs:
+                    def run():
+                        out, ledger = balance_partition(g, part, reduced, cfg)
+                        steps = [[list(s.walk_classes), s.moved_per_hop, s.sigma_before,
+                                  s.sigma_after, s.retired_pairs,
+                                  [m.to_json() for m in s.moves]] for s in ledger.steps]
+                        return [_classes(out), steps]
+                    records.append(_outcome(run))
+        return records
 
     def test_balance_classes_and_ledgers(self):
-        records = []
-        for seed in range(4):
-            for dens in (0.9, 0.6):
-                for src, dst, count in ((3, 1, 12), (0, 5, 10), (6, 2, 16), (1, 6, 14)):
-                    bundle = gen_super_regular_host(k=4, size=20, d=dens, seed=seed)
-                    g, part = bundle.graph, bundle.partition.copy()
-                    for v in sorted(part.classes[src])[:count]:
-                        part.classes[src].discard(v)
-                        part.classes[dst].add(v)
-                    reduced = build_reduced_graph(g, part.classes, 0.5, 0.3, mode="heuristic")
-                    for cfg in (LOOSE, STRICT):
-                        def run():
-                            out, ledger = balance_partition(g, part, reduced, cfg)
-                            steps = [[list(s.walk_classes), s.moved_per_hop, s.sigma_before,
-                                      s.sigma_after, s.retired_pairs,
-                                      [m.to_json() for m in s.moves]] for s in ledger.steps]
-                            return [_classes(out), steps]
-                        records.append(_outcome(run))
+        hosts = [gen_super_regular_host(k=4, size=20, d=dens, seed=seed)
+                 for seed in range(4) for dens in (0.9, 0.6)]
+        skews = ((3, 1, 12), (0, 5, 10), (6, 2, 16), (1, 6, 14))
+        records = self._balance_records(hosts, skews, (LOOSE, STRICT))
         assert _digest(records) == self.BALANCE_PIN
+
+    def test_balance_with_retired_pairs(self):
+        # Many small pairs and nu near 1: the live floor lets one pair retire.
+        # A skew inside pair 0 retires that pair.  Retired after balancing,
+        # the run succeeds (30 cases); retired before, at eps_prime 0.3 and
+        # lam 0.01, it ends "still imbalanced" (6 cases).
+        hosts = [gen_super_regular_host(k=k, size=10, d=0.9, seed=seed)
+                 for k in (13, 14) for seed in range(3)]
+        skews = ((3, 1, 4), (0, 5, 5), (6, 2, 5), (0, 1, 6))
+        cfgs = [replace(LOOSE, eps_prime=eps_p, lam=lam, nu=nu, tau=nu, eta=0.97)
+                for eps_p in (0.45, 0.3) for lam in (0.01, 0.02) for nu in (0.93, 0.95)]
+        records = self._balance_records(hosts, skews, cfgs)
+        retired = [r for r in records if not isinstance(r, str) and any(s[4] for s in r[1])]
+        stuck = [r for r in records if isinstance(r, str) and "still imbalanced" in r]
+        assert (len(records), len(retired), len(stuck)) == (192, 30, 6)
+        assert _digest(records) == self.RETIRE_PIN
 
     def test_redistribution_over_random_targets(self):
         cfg = Config()

@@ -218,7 +218,10 @@ class TestWalkContractOnExpanders:
                 w = find_closed_shifted_walk(g, m, a, nu)
                 assert w.length <= bound
                 validate_shifted_walk(g, m, w.vertices)
+                # The search's walks are already simple, so simplifying is a no-op.
+                assert all(c <= 2 for c in matching_edge_multiplicities(m, w).values())
                 simple = simplify_walk(g, m, w)
+                assert simple.vertices == w.vertices
                 validate_shifted_walk(g, m, simple.vertices)
                 assert all(
                     c <= 2 for c in matching_edge_multiplicities(m, simple).values()
