@@ -108,6 +108,34 @@ def test_criterion_1_end_to_end_embedding():
     assert digest.hexdigest() == PIPELINE_DIGEST
 
 
+# sha256 over the seed-0 envelope reports below, "seconds" keys stripped, and
+# how the 32 runs end.  Unlike criterion 1, most of these shapes fail, so this
+# pins the failing stages' seeded output as well.
+ENVELOPE_DIGEST = "2ebc8b539c8f067c2c0cd05f9114a872d21a769acfff6ec0d5dd2e8c09025b7a"
+ENVELOPE_TALLY = {
+    "ok": 5, "verify-partition": 12, "redistribute": 7, "homomorphism": 4, "embed": 4,
+}
+
+
+def test_envelope_reports_pinned():
+    """Seed 0 over k in {3..6}, size in {40, 50, 64, 100}, b in {5, 10}, Delta 3, d 0.5."""
+    cfg = Config()
+    digest = hashlib.sha256()
+    tally = {}
+    for k in (3, 4, 5, 6):
+        for size in (40, 50, 64, 100):
+            for b in (5, 10):
+                host = gen_super_regular_host(k=k, size=size, d=0.5, seed=0)
+                target = gen_bandwidth_bipartite_h(2 * k * size, 3, b, seed=0)
+                rep = run_full_pipeline(host, target, cfg, seed=0)
+                output = json.dumps(strip_seconds(rep.to_json()), sort_keys=True, default=str)
+                digest.update(output.encode())
+                end = "ok" if rep.ok else rep.failed_stage
+                tally[end] = tally.get(end, 0) + 1
+    assert tally == ENVELOPE_TALLY
+    assert digest.hexdigest() == ENVELOPE_DIGEST
+
+
 def test_criterion_2_expander_exactness():
     t0 = time.perf_counter()
     blowup = gen_cycle_blowup(5, 3)
