@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmbeddingNotFoundError, InvalidInputError
-from .graph import Graph
+from .graph import Graph, vertex_mask
 from .matching import hopcroft_karp
 from .rng import as_fraction, derive_seed, make_rng, shuffled
 
@@ -246,6 +246,7 @@ def embed_blowup(
     order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets), set(rp))
 
     gmasks = g.masks
+    class_masks = [vertex_mask(vs) for vs in v_sets]
     budget = BUDGET_FACTOR * h.n
     spent = 0
     attempt = 0
@@ -261,9 +262,14 @@ def embed_blowup(
         return mask
 
     def candidates(v: int) -> list[int]:
-        """The free hosts in v's class that `admissible` allows."""
-        mask = admissible(v)
-        return [x for x in v_sets[cluster_of[v]] if x not in used and mask >> x & 1]
+        """The free hosts in v's class that `admissible` allows, in ascending order."""
+        mask, out = admissible(v) & class_masks[cluster_of[v]], []
+        while mask:
+            x = (mask & -mask).bit_length() - 1
+            if x not in used:
+                out.append(x)
+            mask &= mask - 1
+        return out
 
     def place_boundary(rng) -> bool:
         """Phase 1: boundary vertices, most-constrained-by-structure first."""
@@ -273,8 +279,7 @@ def embed_blowup(
                 return False
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
-            allowed = [admissible(u) for u in later[v]]
-            best = min(shuffled(rng, cands), key=lambda c: sum(m >> c & 1 for m in allowed))
+            best = _least_blocked(shuffled(rng, cands), [admissible(u) for u in later[v]])
             phi[v] = best
             used.add(best)
         # An enclosed vertex has a candidate list no pair-level retry can
@@ -307,6 +312,25 @@ def embed_blowup(
     raise EmbeddingNotFoundError(
         f"no embedding within the reassignment budget ({budget} placements)"
     )
+
+
+def _least_blocked(cands: list[int], allowed: list[int]) -> int:
+    """`min(cands, key=lambda c: sum(m >> c & 1 for m in allowed))`, all counted at once.
+
+    Plane i holds bit i of every candidate's count; the minimum is narrowed from the top plane.
+    """
+    fewest = vertex_mask(cands)
+    planes: list[int] = []
+    for m in allowed:
+        carry = m & fewest
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    for plane in reversed(planes):
+        if fewest & ~plane:
+            fewest &= ~plane
+    return next(c for c in cands if fewest >> c & 1)
 
 
 def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:

@@ -34,7 +34,12 @@ class AssignmentError(BandembedError):
 
 
 class BalancingError(BandembedError):
-    """The class-balancing loop cannot make progress or broke an invariant."""
+    """The class-balancing loop cannot make progress or broke an invariant.
+
+    From `balance_partition`, `ledger` is the BalanceLedger of the steps done before it.
+    """
+
+    ledger = None
 
 
 class RedistributionError(BandembedError):

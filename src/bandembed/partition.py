@@ -358,10 +358,12 @@ class _LivePartition:
         Only vertices outside `skip` with at least `threshold` such neighbours
         qualify; too few raise `error`, naming how many of the `wanted` kind exist.
         """
+        # Witness counts are integers, so comparing with the ceiling is exact.
+        need, gmasks, witness_mask = ceil_frac(threshold), self.gmasks, self.orig_masks[dst ^ 1]
         ranked = []
         for v in self.cur[src]:
-            wc = self.witnesses(v, dst ^ 1)
-            if wc >= threshold and v not in skip:
+            wc = (gmasks[v] & witness_mask).bit_count()
+            if wc >= need and v not in skip:
                 ranked.append((-wc, v))
         if len(ranked) < count:
             raise error(f"class {src} holds only {len(ranked)} {wanted}")
@@ -468,7 +470,7 @@ def balance_partition(
     untouched.  The search's walks are already simple, so balancing purifies
     them directly.  Pairs that drift too far from their original classes
     retire from the live reduced graph; if the live part falls below the
-    (1 - nu/12) fraction floor the run aborts.
+    (1 - nu/12) fraction floor the run aborts.  A BalancingError carries the ledger so far.
     """
     k = partition.k
     lam_n = as_fraction(cfg.lam) * g.n
@@ -492,67 +494,71 @@ def balance_partition(
         diffs = ((i, len(cur[2 * i]) - len(cur[2 * i + 1])) for i in range(k))
         return {i: gap for i, gap in diffs if abs(gap) > lam_n}
 
-    over = gaps()
-    for _ in range(max_steps):
-        # The larger class of each oversized live pair, in pair order.
-        heavy = [2 * i + (gap < 0) for i, gap in over.items() if i in live]
-        if not heavy:
-            break
-        start = heavy[0]
-
-        live_classes = sorted(c for i in live for c in (2 * i, 2 * i + 1))
-        sub, old_ids = induced_subgraph(reduced.as_graph(), live_classes)
-        to_sub = {c: s for s, c in enumerate(old_ids)}
-        m_star = Matching([(to_sub[2 * i], to_sub[2 * i + 1]) for i in sorted(live)])
-        try:
-            walk = find_closed_shifted_walk(sub, m_star, to_sub[start], nu / 4)
-        except WalkNotFoundError as exc:
-            raise BalancingError(f"no guiding walk at class {start}: {exc}") from exc
-        walk = purify_walk(m_star, {to_sub[c] for c in heavy}, walk)
-        seq = [old_ids[s] for s in walk.vertices]
-
-        # c ^ 1 is the partner of class c within its pair.
-        u_chain = seq[0::2] + [seq[-1] ^ 1]
-        w_chain = [seq[0] ^ 1] + seq[1::2]
-
-        # Both endpoints are heavy, so their pairs are in `over`.
-        shrink = 4 if seq[0] == seq[-1] else 2
-        step_moves = min(per_hop, *(
-            max(1, ceil_frac((abs(over[c // 2]) - lam_n) / shrink)) for c in (seq[0], seq[-1])
-        ))
-        sigma_before = sum(map(abs, over.values()))
-        records: list[MoveRecord] = []
-        # The u-chain slides forward and the w-chain backward; no vertex
-        # moves twice in one step.
-        w_back = w_chain[::-1]
-        for src, dst in [*zip(u_chain, u_chain[1:]), *zip(w_back, w_back[1:])]:
-            part.move_best(
-                src, dst, step_moves, wc_threshold, records, BalancingError,
-                f"well-connected unmoved vertices (< {step_moves})",
-                skip={m.vertex for m in records},
-            )
-
-        retired = [i for i in sorted(live)
-                   if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1))]
-        live.difference_update(retired)
-        if 2 * len(live) < floor_live:
-            raise BalancingError(
-                f"live reduced graph fell to {2 * len(live)} clusters "
-                f"(floor {float(floor_live):.2f})"
-            )
+    try:
         over = gaps()
-        ledger.steps.append(BalanceStep(
-            tuple(seq), step_moves, sigma_before, sum(map(abs, over.values())), retired, records
-        ))
-    else:
-        raise BalancingError(f"balancing did not converge within {max_steps} steps")
+        for _ in range(max_steps):
+            # The larger class of each oversized live pair, in pair order.
+            heavy = [2 * i + (gap < 0) for i, gap in over.items() if i in live]
+            if not heavy:
+                break
+            start = heavy[0]
 
-    if over:
-        i = next(iter(over))  # the lowest-numbered imbalanced pair
-        raise BalancingError(
-            f"pair {i} still imbalanced after balancing "
-            f"({len(cur[2*i])} vs {len(cur[2*i+1])})"
-        )
+            live_classes = sorted(c for i in live for c in (2 * i, 2 * i + 1))
+            sub, old_ids = induced_subgraph(reduced.as_graph(), live_classes)
+            to_sub = {c: s for s, c in enumerate(old_ids)}
+            m_star = Matching([(to_sub[2 * i], to_sub[2 * i + 1]) for i in sorted(live)])
+            try:
+                walk = find_closed_shifted_walk(sub, m_star, to_sub[start], nu / 4)
+            except WalkNotFoundError as exc:
+                raise BalancingError(f"no guiding walk at class {start}: {exc}") from exc
+            walk = purify_walk(m_star, {to_sub[c] for c in heavy}, walk)
+            seq = [old_ids[s] for s in walk.vertices]
+
+            # c ^ 1 is the partner of class c within its pair.
+            u_chain = seq[0::2] + [seq[-1] ^ 1]
+            w_chain = [seq[0] ^ 1] + seq[1::2]
+
+            # Both endpoints are heavy, so their pairs are in `over`.
+            shrink = 4 if seq[0] == seq[-1] else 2
+            step_moves = min(per_hop, *(
+                max(1, ceil_frac((abs(over[c // 2]) - lam_n) / shrink)) for c in (seq[0], seq[-1])
+            ))
+            sigma_before = sum(map(abs, over.values()))
+            records: list[MoveRecord] = []
+            # The u-chain slides forward and the w-chain backward; no vertex
+            # moves twice in one step.
+            w_back = w_chain[::-1]
+            for src, dst in [*zip(u_chain, u_chain[1:]), *zip(w_back, w_back[1:])]:
+                part.move_best(
+                    src, dst, step_moves, wc_threshold, records, BalancingError,
+                    f"well-connected unmoved vertices (< {step_moves})",
+                    skip={m.vertex for m in records},
+                )
+
+            retired = [i for i in sorted(live)
+                       if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1))]
+            live.difference_update(retired)
+            if 2 * len(live) < floor_live:
+                raise BalancingError(
+                    f"live reduced graph fell to {2 * len(live)} clusters "
+                    f"(floor {float(floor_live):.2f})"
+                )
+            over = gaps()
+            ledger.steps.append(BalanceStep(
+                tuple(seq), step_moves, sigma_before, sum(map(abs, over.values())), retired, records
+            ))
+        else:
+            raise BalancingError(f"balancing did not converge within {max_steps} steps")
+
+        if over:
+            i = next(iter(over))  # the lowest-numbered imbalanced pair
+            raise BalancingError(
+                f"pair {i} still imbalanced after balancing "
+                f"({len(cur[2*i])} vs {len(cur[2*i+1])})"
+            )
+    except BalancingError as exc:
+        exc.ledger = ledger
+        raise
     return part.result(), ledger
 
 

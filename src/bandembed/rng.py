@@ -2,8 +2,10 @@
 
 All randomness in the library flows through ``random.Random`` (MT19937) driven
 only by ``getrandbits``, so fixed seeds give bit-identical output across
-platforms and Python versions.  Child streams are derived from a root seed by
-counter via SHA-256, so independent trials never share state.
+platforms and Python versions.  `sample_indices` and `shuffled` inline
+`rand_below`: the same ``getrandbits`` widths and rejection, so the same stream.
+Child streams are derived from a root seed by counter via SHA-256, so
+independent trials never share state.
 """
 
 from __future__ import annotations
@@ -57,17 +59,25 @@ def sample_indices(rng: random.Random, n: int, k: int) -> list[int]:
     """Uniform k-subset of range(n) by partial Fisher-Yates, sorted."""
     if not 0 <= k <= n:
         raise ValueError(f"cannot sample {k} from {n}")
+    getrandbits = rng.getrandbits
     pool = list(range(n))
     for i in range(k):
-        j = i + rand_below(rng, n - i)
+        m = n - i
+        bits = (m - 1).bit_length() or 1
+        while (j := getrandbits(bits)) >= m:
+            pass
+        j += i
         pool[i], pool[j] = pool[j], pool[i]
     return sorted(pool[:k])
 
 
 def shuffled(rng: random.Random, items: list) -> list:
+    getrandbits = rng.getrandbits
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
-        j = rand_below(rng, i + 1)
+        bits = i.bit_length()
+        while (j := getrandbits(bits)) > i:
+            pass
         out[i], out[j] = out[j], out[i]
     return out
 

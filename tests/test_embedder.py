@@ -3,10 +3,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bandembed.embedder
 from bandembed.cli import _pair_targets, _pull_back
 from bandembed.embedder import (
+    _least_blocked,
     check_compatibility,
     embed_blowup,
     embedding_respects_partition,
@@ -408,6 +411,44 @@ class TestSearchPaths:
         assert all(n > 1 for _, n, _ in runs["stuck-exhausted"])
         assert all(n == 1 for _, n, _ in runs["retry-exhausted"])
         assert digest.hexdigest() == self.PIN
+
+
+@st.composite
+def blocking_inputs(draw):
+    """Candidates in a random order and peer masks over up to 130 hosts.
+
+    Masks come from a small pool, plus -1 (no placed neighbour) and 0, so
+    counts tie often; `allowed` may be empty.
+    """
+    n = draw(st.integers(1, 130))
+    cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    pool = draw(st.lists(st.integers(-(1 << n), (1 << n) - 1), min_size=1, max_size=4))
+    allowed = draw(st.lists(st.sampled_from([-1, 0, *pool]), max_size=40))
+    return cands, allowed
+
+
+class TestLeastBlocked:
+    """Phase 1's score: the first candidate, in the given order, set in the fewest masks."""
+
+    @staticmethod
+    def reference(cands, allowed):
+        return min(cands, key=lambda c: sum(m >> c & 1 for m in allowed))
+
+    @settings(max_examples=400)
+    @given(blocking_inputs())
+    def test_matches_min_over_counts(self, inputs):
+        cands, allowed = inputs
+        assert _least_blocked(cands, allowed) == self.reference(cands, allowed)
+
+    def test_ties_go_to_the_first_candidate(self):
+        cands = [9, 3, 70, 0]
+        assert _least_blocked(cands, []) == 9
+        assert _least_blocked(cands, [-1, 0, -1]) == 9
+        assert _least_blocked(cands, [1 << 9, 1 << 3]) == 70
+        # Counts 2, 3, 2, 2 (a carry into the second plane), then 3, 5, 3, 4.
+        many = [-1, 1 << 3, (1 << 9) | (1 << 3) | (1 << 70) | 1]
+        assert _least_blocked(cands, many) == 9
+        assert _least_blocked(cands, many + [-1, (1 << 3) | 1]) == 9
 
 
 class TestVerifyEmbedding:

@@ -205,6 +205,35 @@ class TestMoveThresholdIsInclusive:
         with pytest.raises(RedistributionError, match="holds only 0 movers"):
             part.move_best(0, 2, 1, Fraction(top + 1), [], RedistributionError, "movers")
 
+    def test_move_best_fractional_thresholds(self):
+        bundle = gen_super_regular_host(k=2, size=8, d=0.5, seed=3)
+        part = _LivePartition(bundle.graph, bundle.partition)
+        top = max(part.witnesses(v, 3) for v in part.cur[0])
+        below, sink = top - Fraction(1, 2), []
+        part.move_best(0, 2, 1, below, sink, RedistributionError, "movers")
+        assert [(r.witness_count, r.threshold) for r in sink] == [(top, below)]
+        assert type(sink[0].threshold) is Fraction
+        with pytest.raises(RedistributionError, match="holds only 0 movers"):
+            part.move_best(0, 2, 1, top + Fraction(1, 2), [], RedistributionError, "movers")
+
+    def test_move_best_negative_threshold_qualifies_every_vertex(self):
+        # At the default Config, d' - eps' < 0, so redistribution's threshold
+        # (d' - eps')|class| is negative.
+        cfg = Config()
+        assert as_fraction(cfg.d_prime) < as_fraction(cfg.eps_prime)
+        bundle = gen_super_regular_host(k=2, size=8, d=0.5, seed=3)
+        part = _LivePartition(bundle.graph, bundle.partition)
+        # Moving from class 0 to its partner 1 counts neighbours in class 0
+        # itself, which has no inner edges: every witness count is 0.
+        movers, threshold, sink = sorted(part.cur[0]), Fraction(-7, 3), []
+        assert {part.witnesses(v, 0) for v in movers} == {0}
+        with pytest.raises(RedistributionError, match="holds only 0 movers"):
+            part.move_best(0, 1, 1, Fraction(1, 3), [], RedistributionError, "movers")
+        part.move_best(0, 1, len(movers), threshold, sink, RedistributionError, "movers")
+        assert [r.vertex for r in sink] == movers
+        assert all(r.threshold == threshold for r in sink)
+        assert part.cur[0] == set()
+
     def test_assignment_takes_a_cluster_exactly_at_the_threshold(self):
         # eta * m' / 4 = (4/5) * 10 / 4 = 2: a leftover vertex with exactly two
         # neighbours in class 1, and none elsewhere, joins its partner class 0.
@@ -495,8 +524,11 @@ class TestMoverPins:
     RETIRE_PIN = "d503327d341f3df244eec7fff9cdbfcfb21e7c2d643ca6e533f7f99c901134a9"
 
     @staticmethod
-    def _balance_records(hosts, skews, cfgs):
-        """Balance every host under every skew and config; one record per case."""
+    def _balance_records(hosts, skews, cfgs, failures=None):
+        """Balance every host under every skew and config; one record per case.
+
+        Each BalancingError raised is also appended to `failures`, if given.
+        """
         records = []
         for bundle in hosts:
             for src, dst, count in skews:
@@ -507,7 +539,12 @@ class TestMoverPins:
                 reduced = build_reduced_graph(g, part.classes, 0.5, 0.3, mode="heuristic")
                 for cfg in cfgs:
                     def run():
-                        out, ledger = balance_partition(g, part, reduced, cfg)
+                        try:
+                            out, ledger = balance_partition(g, part, reduced, cfg)
+                        except BalancingError as exc:
+                            if failures is not None:
+                                failures.append(exc)
+                            raise
                         steps = [[list(s.walk_classes), s.moved_per_hop, s.sigma_before,
                                   s.sigma_after, s.retired_pairs,
                                   [m.to_json() for m in s.moves]] for s in ledger.steps]
@@ -532,11 +569,21 @@ class TestMoverPins:
         skews = ((3, 1, 4), (0, 5, 5), (6, 2, 5), (0, 1, 6))
         cfgs = [replace(LOOSE, eps_prime=eps_p, lam=lam, nu=nu, tau=nu, eta=0.97)
                 for eps_p in (0.45, 0.3) for lam in (0.01, 0.02) for nu in (0.93, 0.95)]
-        records = self._balance_records(hosts, skews, cfgs)
+        failures = []
+        records = self._balance_records(hosts, skews, cfgs, failures)
         retired = [r for r in records if not isinstance(r, str) and any(s[4] for s in r[1])]
         stuck = [r for r in records if isinstance(r, str) and "still imbalanced" in r]
         assert (len(records), len(retired), len(stuck)) == (192, 30, 6)
         assert _digest(records) == self.RETIRE_PIN
+        # A failed balance keeps the steps it took: each stuck case retired
+        # pair 0 on some step and is left with pair 0 imbalanced.
+        stuck_errors = [e for e in failures if "still imbalanced" in str(e)]
+        assert len(stuck_errors) == 6
+        for exc in stuck_errors:
+            assert str(exc).startswith("pair 0 still imbalanced")
+            assert exc.ledger.steps
+            assert any(0 in step.retired_pairs for step in exc.ledger.steps)
+        assert all(e.ledger is not None for e in failures)
 
     def test_redistribution_over_random_targets(self):
         cfg = Config()
