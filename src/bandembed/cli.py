@@ -30,7 +30,7 @@ from .embedder import (
     embedding_respects_partition,
     verify_embedding,
 )
-from .errors import BandembedError, InvalidInputError, ParameterError
+from .errors import BalancingError, BandembedError, InvalidInputError, ParameterError
 from .graph import (
     BandwidthOrdering,
     Graph,
@@ -161,7 +161,7 @@ def run_full_pipeline(
 
         # Stage 1: host-side partition baseline.
         with stage("host-partition") as st:
-            prep = prepare_host_partition(g, host.partition, cfg, seed=seed)
+            prep = prepare_host_partition(g, host.partition, cfg)
             # The walk search runs at nu/4 in the reduced graph; certify that
             # level exactly while the reduced graph is small.
             sub = prep.reduced.as_graph()
@@ -212,7 +212,7 @@ def run_full_pipeline(
 
         # Stage 4: final structural certification.
         with stage("verify-partition") as st:
-            structure = verify_partition_structure(g, final, demanded, cfg, seed=seed)
+            structure = verify_partition_structure(g, final, demanded, cfg)
             if not structure.all_ok():
                 raise BandembedError("final partition failed structural certification")
             st.detail = structure.to_json()
@@ -440,19 +440,14 @@ def _cmd_check_pair(args) -> int:
             raise InvalidInputError(f"{option} {index} is not a class index of {args.partition}")
     a_cls, b_cls = classes[args.a], classes[args.b]
     checker = check_super_regular_pair if args.super else check_regular_pair
-    verdict = checker(
-        g, a_cls, b_cls, args.eps, args.density,
-        mode=args.mode, budget=args.budget, seed=args.seed,
-    )
+    verdict = checker(g, a_cls, b_cls, args.eps, args.density, mode=args.mode, budget=args.budget)
     _emit(verdict.to_json(), args)
     return 0 if verdict.regular else 2
 
 
 def _cmd_build_reduced(args) -> int:
-    reduced = build_reduced_graph(
-        *_load_graph_classes(args), args.eps, args.density,
-        mode=args.mode, budget=args.budget, seed=args.seed,
-    )
+    reduced = build_reduced_graph(*_load_graph_classes(args), args.eps, args.density,
+                                  mode=args.mode, budget=args.budget)
     _emit({
         "clusters": [sorted(c) for c in reduced.clusters],
         "edges": sorted(list(e) for e in reduced.edges),
@@ -474,7 +469,14 @@ def _cmd_lemma_g(args) -> int:
     cfg = _load_cfg(args)
     demanded = _load_ints(args.demand, "sizes") if args.demand else None
     g = bundle.graph
-    rep = prepare_host_partition(g, bundle.partition, cfg, seed=args.seed)
+    try:
+        rep = prepare_host_partition(g, bundle.partition, cfg)
+    except BalancingError as exc:
+        # A failed balance still reports its steps, without their moves.
+        steps = [{k: v for k, v in vars(st).items() if k != "moves"} for st in exc.ledger.steps]
+        _emit({"error": f"{type(exc).__name__}: {exc}", "balance_steps": len(steps),
+               "steps": steps}, args)
+        raise
     final = rep.partition
     if demanded is not None:
         if len(demanded) != 2 * rep.k or sum(demanded) != g.n:
@@ -487,7 +489,7 @@ def _cmd_lemma_g(args) -> int:
                 raise ParameterError(f"demanded size {want} exceeds {have} + xi*n at class {idx}")
         a_t, b_t = _pair_targets(demanded, rep.baseline_sizes)
         final, _ = redistribute_to_sizes(g, final, rep.reduced, a_t, b_t, cfg)
-    structure = verify_partition_structure(g, final, demanded, cfg, seed=args.seed)
+    structure = verify_partition_structure(g, final, demanded, cfg)
     _emit({
         "k": rep.k,
         "baseline_sizes": rep.baseline_sizes,
@@ -636,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--super", action="store_true")
     p.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     p.add_argument("--budget", type=int, default=120)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_check_pair)
 
     p = sub.add_parser("build-reduced", help="maximal verified reduced graph")
@@ -646,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--mode", choices=["exact", "heuristic"], default="heuristic")
     p.add_argument("--budget", type=int, default=120)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_build_reduced)
 
     p = sub.add_parser("find-walk", help="closed shifted walk at a start vertex")
@@ -661,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", required=True)
     p.add_argument("--partition", help="separate partition JSON (else taken from --host)")
     p.add_argument("--demand", help="JSON file with {\"sizes\": [...]}")
-    _add_common(p, config=True)
+    _add_common(p, seed=False, config=True)
     p.set_defaults(func=_cmd_lemma_g)
 
     p = sub.add_parser("build-hom", help="bandwidth-respecting homomorphism onto the cycle")

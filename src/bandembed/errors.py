@@ -36,7 +36,7 @@ class AssignmentError(BandembedError):
 class BalancingError(BandembedError):
     """The class-balancing loop cannot make progress or broke an invariant.
 
-    From `balance_partition`, `ledger` is the BalanceLedger of the steps done before it.
+    `ledger` is the BalanceLedger of the balancing steps done before it.
     """
 
     ledger = None

@@ -774,8 +774,6 @@ def verify_partition_structure(
     partition: ClusterPartition,
     demanded: list[int] | None,
     cfg: Config,
-    *,
-    seed: int = 0,
 ) -> StructureReport:
     """Certify the five structural conditions of a finished partition at (eps, d)."""
     k = partition.k
@@ -786,7 +784,7 @@ def verify_partition_structure(
 
     def check(checker, x: int, y: int) -> RegularityVerdict:
         cx, cy = partition.classes[x], partition.classes[y]
-        return checker(g, cx, cy, eps, d, mode=_auto_mode(len(cx), len(cy)), seed=seed)
+        return checker(g, cx, cy, eps, d, mode=_auto_mode(len(cx), len(cy)))
 
     skeleton = partition.skeleton()
     cycle, chords = skeleton[:2 * k], skeleton[2 * k:]
@@ -801,8 +799,6 @@ def prepare_host_partition(
     g: Graph,
     partition: ClusterPartition,
     cfg: Config,
-    *,
-    seed: int = 0,
 ) -> HostPartitionReport:
     """Host-side baseline: an injected clustering turned into a balanced partition.
 
@@ -819,17 +815,17 @@ def prepare_host_partition(
         raise ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
     leftover = set(range(g.n)) - partition.covered()
     part1 = assign_exceptional_vertices(g, partition, leftover, cfg)
-    reduced1 = build_reduced_graph(
-        g, part1.classes, cfg.eps_prime, cfg.d_prime,
-        mode=_auto_mode(*(len(c) for c in part1.classes)), seed=seed,
-    )
+    reduced1 = build_reduced_graph(g, part1.classes, cfg.eps_prime, cfg.d_prime,
+                                   mode=_auto_mode(*(len(c) for c in part1.classes)))
     structure = find_hamilton_cycle_and_chords(reduced1)
     part2 = relabel_partition(part1, structure)
     reduced2 = relabel_reduced(reduced1, structure)
     part3, balance_ledger = balance_partition(g, part2, reduced2, cfg)
     baseline = part3.sizes()
     if any(Fraction(s) <= Fraction(g.n, 3 * part3.k) for s in baseline):
-        raise BalancingError("a class fell to n/(3k) or below")
+        exc = BalancingError("a class fell to n/(3k) or below")
+        exc.ledger = balance_ledger
+        raise exc
     return HostPartitionReport(
         k=part3.k,
         baseline_sizes=baseline,

@@ -22,11 +22,13 @@ sum to sum_t min(q, cnt_t) and the q smallest to
 sum_t max(0, cnt_t - (|B| - q)).  Only the least violating X is rescanned,
 for its witness Y, so an exact verdict costs about the same either way.
 
-Heuristic mode takes candidate X's a block at a time (degree outliers, then
-cached seeded random X's).  Summing lane i (a 1 in the byte slot of every X
-holding A-vertex i) over B-vertex j's neighbours gives j's degree into every
-X; top-q sums are at most q*max and bottom-q sums at least q*min, so only
-X's with max >= ceil(p*hi) or min <= floor(p*lo) get the one-X scan.
+Heuristic mode takes candidate X's a block at a time: degree outliers, then
+one fixed family of random X's per (|A|, p_min, count), drawn from a private
+stream and cached, so a heuristic verdict depends on no seed.  Summing lane i
+(a 1 in the byte slot of every X holding A-vertex i) over B-vertex j's
+neighbours gives j's degree into every X; top-q sums are at most q*max and
+bottom-q sums at least q*min, so only X's with max >= ceil(p*hi) or
+min <= floor(p*lo) get the one-X scan.
 """
 
 from __future__ import annotations
@@ -217,10 +219,13 @@ def _first_refuted(nbrs: list[frozenset], a_list: list[int], xs, lanes, q: int, 
     return None
 
 
+_CANDIDATE_SEED = 0  # the one stream every random candidate family is drawn from
+
+
 @lru_cache(maxsize=16)
-def _random_candidates(seed: int, na: int, p_min: int, count: int):
+def _random_candidates(na: int, p_min: int, count: int):
     """The heuristic's `count` random X's as A-index tuples, with their lanes; no graph needed."""
-    rng = make_rng(seed)
+    rng = make_rng(_CANDIDATE_SEED)
     xs = tuple(tuple(sample_indices(rng, na, p_min + rand_below(rng, na - p_min + 1)))
                for _ in range(count))
     return xs, _lanes(na, xs)
@@ -234,14 +239,15 @@ def check_regular_pair(
     d,
     mode: str = "exact",
     budget: int = 120,
-    seed: int = 0,
 ) -> RegularityVerdict:
     """Ground-truth (exact) or budgeted (heuristic) regularity verdict.
 
     Exact mode is capped at EXACT_REGULARITY_CAP vertices per side.  Density
-    below d refutes immediately with no witness.  A heuristic 'regular'
-    result is a non-refutation; a heuristic witness is exact by construction
-    since densities are recomputed exactly.
+    below d refutes immediately with no witness.  Heuristic mode tries up to
+    `budget` X's, the degree outliers and then the fixed random family, so its
+    verdict depends on no seed.  A heuristic 'regular' result is a
+    non-refutation; a heuristic witness is exact by construction since
+    densities are recomputed exactly.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -285,7 +291,7 @@ def check_regular_pair(
         outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
         hit = _first_refuted(nbrs, a_list, outliers, _lanes(na, outliers), q_min, bounds)
         if hit is None and budget > len(outliers):
-            xs, lanes = _random_candidates(seed, na, p_min, budget - len(outliers))
+            xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
             hit = _first_refuted(nbrs, a_list, xs, lanes, q_min, bounds)
     if hit is None:
         return RegularityVerdict(True, dens, mode, eps, d)
@@ -302,13 +308,12 @@ def check_super_regular_pair(
     d,
     mode: str = "exact",
     budget: int = 120,
-    seed: int = 0,
 ) -> RegularityVerdict:
     """Regularity plus both one-sided minimum cross-degree floors (always exact)."""
     d_f = as_fraction(d)
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
-    verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget, seed=seed)
+    verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget)
     masks = g.masks
     amask, bmask = vertex_mask(a_list), vertex_mask(b_list)
     deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
@@ -336,7 +341,6 @@ def build_reduced_graph(
     d,
     mode: str = "exact",
     budget: int = 120,
-    seed: int = 0,
 ) -> ReducedGraph:
     """Reduced graph with the maximal edge set among pairs passing the check.
 
@@ -355,10 +359,7 @@ def build_reduced_graph(
         for j in range(i + 1, len(clusters)):
             if not clusters[i] or not clusters[j]:
                 continue
-            verdict = check_regular_pair(
-                g, clusters[i], clusters[j], eps, d, mode=mode, budget=budget, seed=seed
-            )
-            if verdict.regular:
+            if check_regular_pair(g, clusters[i], clusters[j], eps, d, mode, budget).regular:
                 edges.add((i, j))
     return ReducedGraph(tuple(clusters), frozenset(edges), eps, d)
 

@@ -7,7 +7,7 @@ import pytest
 
 from bandembed import conditions, embedder, homomorphism, partition, regularity
 
-PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget", "seed"]
+PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget"]
 REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
 
 
@@ -15,8 +15,8 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (regularity.check_regular_pair, PAIR_CHECK),
     (regularity.check_super_regular_pair, PAIR_CHECK),
     (conditions.check_robust_expander, ["g", "nu", "tau", "mode", "seed", "trials"]),
-    (partition.prepare_host_partition, ["g", "partition", "cfg", "seed"]),
-    (partition.verify_partition_structure, ["g", "partition", "demanded", "cfg", "seed"]),
+    (partition.prepare_host_partition, ["g", "partition", "cfg"]),
+    (partition.verify_partition_structure, ["g", "partition", "demanded", "cfg"]),
     (partition.check_mobility_hypotheses, REDISTRIBUTION),
     (partition.redistribute_to_sizes, REDISTRIBUTION),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "rprime_edges", "seed"]),

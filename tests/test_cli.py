@@ -239,6 +239,12 @@ class TestUsage:
         pytest.param(["check-pair", "--graph", "g.json", "--partition", "g.json", "--a", "0",
                       "--b", "1", "--eps", "0.3", "--density", "0.3", "--config", "c.txt"],
                      id="check-pair-config"),
+        pytest.param(["check-pair", "--graph", "g.json", "--partition", "g.json", "--a", "0",
+                      "--b", "1", "--eps", "0.3", "--density", "0.3", "--seed", "1"],
+                     id="check-pair-seed"),
+        pytest.param(["build-reduced", "--graph", "g.json", "--partition", "g.json",
+                      "--eps", "0.3", "--density", "0.3", "--seed", "1"], id="build-reduced-seed"),
+        pytest.param(["lemma-g", "--host", "g.json", "--seed", "1"], id="lemma-g-seed"),
         pytest.param(["embed", "--host", "g.json", "--h", "h.json", "--hom", "f.json",
                       "--config", "c.txt"], id="embed-config"),
     ])
@@ -466,15 +472,15 @@ _PIN_RUNS = [
     "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.4 --density 0.2 --super",
     "check-pair --graph small.json --partition small.json --a 0 --b 1 --eps 0.1 --density 0.2 --super",
     "check-pair --graph host.json --partition host.json --a 0 --b 1 --eps 0.3 --density 0.2 "
-    "--mode heuristic --seed 1",
-    "build-reduced --graph host.json --partition host.json --eps 0.4 --density 0.2 --seed 1",
+    "--mode heuristic",
+    "build-reduced --graph host.json --partition host.json --eps 0.4 --density 0.2",
     "find-walk --graph k4.json --matching matching.json --start 0 --nu 0.5",
     "find-walk --graph two_edges.json --matching matching.json --start 0 --nu 0.5",
-    "lemma-g --host host.json --config cfg.txt --seed 1",
-    "lemma-g --host host.json --seed 1",
-    "lemma-g --host host.json --config cfg.txt --seed 1 --demand equal.json",
-    "lemma-g --host host.json --config cfg.txt --seed 1 --demand shifted.json",
-    "lemma-g --host host.json --config cfg.txt --seed 1 --demand empty_class.json",
+    "lemma-g --host host.json --config cfg.txt",
+    "lemma-g --host host.json",
+    "lemma-g --host host.json --config cfg.txt --demand equal.json",
+    "lemma-g --host host.json --config cfg.txt --demand shifted.json",
+    "lemma-g --host host.json --config cfg.txt --demand empty_class.json",
     "build-hom --h h.json --sizes equal.json --chord 1,3 --config cfg.txt --seed 2 --coins > hom.json",
     "build-hom --h h.json --sizes shifted.json --chord 1,3 --config cfg.txt --seed 2",
     "build-hom --h h3.json --sizes equal3.json --chord 1,5 --seed 0 > hom3.json",
@@ -521,7 +527,7 @@ class TestSubcommandPin:
             0, 1, 2,  # pipeline
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "46fbc3583f4fd7a9e56732d4db814b85aa94d37e991ce3d9a0c672ec66a78a75"
+        assert digest == "b11ce604f103157fd0d6fb8baea74da878f0ac905ffd89bd8ff346077834856b"
 
 
 class TestPipelineCommand:
@@ -581,10 +587,45 @@ class TestPipelineCommand:
 
     def test_lemma_g_subcommand(self, small_world, capsys):
         host_path, _, cfg_path = small_world
-        assert main(["lemma-g", "--host", str(host_path),
-                     "--config", str(cfg_path), "--seed", "1"]) == 0
+        assert main(["lemma-g", "--host", str(host_path), "--config", str(cfg_path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["k"] == 2 and out["structure"]["all_ok"]
+
+    def test_lemma_g_reports_a_failed_balance(self, tmp_path, monkeypatch, capsys):
+        # A skew that balancing mends in one walk step, after which class 0 is
+        # cut below n/(3k): lemma-g still writes the steps of the balance.
+        import bandembed.partition
+
+        host = gen_super_regular_host(k=4, size=50, d=0.5, seed=42)
+        skew = host.partition.copy()
+        moved = set(sorted(skew.classes[0])[:10])
+        skew.classes[0] -= moved
+        skew.classes[5] |= moved
+        host_path, skew_path = tmp_path / "host.json", tmp_path / "skew.json"
+        host_path.write_text(json.dumps(host.to_json()))
+        skew_path.write_text(json.dumps(skew.to_json()))
+        real, ledgers = bandembed.partition.balance_partition, []
+
+        def cut_class_0(*args):
+            out, ledger = real(*args)
+            ledgers.append(ledger)
+            out.classes[1] |= set(sorted(out.classes[0])[:40])
+            out.classes[0] -= out.classes[1]
+            return out, ledger
+
+        monkeypatch.setattr(bandembed.partition, "balance_partition", cut_class_0)
+        assert main(["lemma-g", "--host", str(host_path), "--partition", str(skew_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "certified failure: a class fell to n/(3k) or below\n"
+        (step,) = ledgers[0].steps
+        assert step.moves
+        assert json.loads(captured.out) == {
+            "error": "BalancingError: a class fell to n/(3k) or below",
+            "balance_steps": 1,
+            "steps": [{"walk_classes": list(step.walk_classes),
+                       "moved_per_hop": step.moved_per_hop, "sigma_before": step.sigma_before,
+                       "sigma_after": step.sigma_after, "retired_pairs": step.retired_pairs}],
+        }
 
     def test_sizes_file_without_sizes_key(self, small_world, tmp_path, capsys):
         host_path, h_path, cfg_path = small_world

@@ -40,7 +40,7 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
     host = gen_super_regular_host(k, size, d=0.5, seed=seed)
     target = gen_bandwidth_bipartite_h(2 * k * size, 3, bandwidth, seed=seed)
     g, h = host.graph, target.graph
-    prep = prepare_host_partition(g, host.partition, cfg, seed=seed)
+    prep = prepare_host_partition(g, host.partition, cfg)
     i2, j2 = prep.partition.b_chord
     chord = (2 * i2 + 1, 2 * j2 + 1)
     params = choose_h_parameters(h.n, h.max_degree(), bandwidth, cfg.xi, k)

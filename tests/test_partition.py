@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import bandembed.partition
 from bandembed.cli import build_parser, main
 from bandembed.errors import (
     AssignmentError,
@@ -18,6 +19,8 @@ from bandembed.errors import (
 from bandembed.graph import Graph
 from bandembed.hostgen import gen_super_regular_host
 from bandembed.partition import (
+    BalanceLedger,
+    BalanceStep,
     ClusterPartition,
     Config,
     assign_exceptional_vertices,
@@ -435,10 +438,8 @@ class TestHostPipeline:
             n0=16, lam=0.05, xi=0.10, eps_prime=0.45, eps=0.5,
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
-        report = prepare_host_partition(bundle.graph, bundle.partition, cfg, seed=0)
-        structure = verify_partition_structure(
-            bundle.graph, report.partition, None, cfg, seed=0
-        )
+        report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
+        structure = verify_partition_structure(bundle.graph, report.partition, None, cfg)
         assert structure.all_ok()
         assert all(s == 10 for s in report.baseline_sizes)
 
@@ -449,13 +450,13 @@ class TestHostPipeline:
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
         demanded = [11, 10, 9, 10, 10, 10]
-        report = prepare_host_partition(bundle.graph, bundle.partition, cfg, seed=0)
+        report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
         diff = [want - have for want, have in zip(demanded, report.baseline_sizes)]
         final, _ = redistribute_to_sizes(
             bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg
         )
         assert final.sizes() == demanded
-        structure = verify_partition_structure(bundle.graph, final, demanded, cfg, seed=0)
+        structure = verify_partition_structure(bundle.graph, final, demanded, cfg)
         assert structure.sizes_exact
 
     def test_excessive_demand_rejected(self, tmp_path, capsys):
@@ -472,7 +473,7 @@ class TestHostPipeline:
         demand_path = tmp_path / "demand.json"
         demand_path.write_text(json.dumps({"sizes": [25, 10, 5, 0, 10, 10]}))
         argv = ["lemma-g", "--host", str(host_path), "--config", str(cfg_path),
-                "--demand", str(demand_path), "--seed", "0"]
+                "--demand", str(demand_path)]
         args = build_parser().parse_args(argv)
         with pytest.raises(ParameterError, match="exceeds"):
             args.func(args)
@@ -491,8 +492,26 @@ class TestHostPipeline:
             n0=16, lam=0.05, xi=0.10, eps_prime=0.45, eps=0.5,
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
-        report = prepare_host_partition(bundle.graph, part, cfg, seed=0)
+        report = prepare_host_partition(bundle.graph, part, cfg)
         assert report.partition.covered() == set(range(bundle.graph.n))
+
+    def test_class_floor_error_carries_the_balance_ledger(self, monkeypatch):
+        # A balance that leaves a class at n/(3k) or below: the error that
+        # refuses it keeps the ledger balancing returned.
+        bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
+        ledger = BalanceLedger([BalanceStep((0, 3), 1, 4, 0, [], [])])
+
+        def tiny_class(g, partition, reduced, cfg):
+            out = partition.copy()
+            moved = set(sorted(out.classes[0])[:7])
+            out.classes[0] -= moved
+            out.classes[1] |= moved
+            return out, ledger
+
+        monkeypatch.setattr(bandembed.partition, "balance_partition", tiny_class)
+        with pytest.raises(BalancingError, match=r"n/\(3k\) or below") as exc:
+            prepare_host_partition(bundle.graph, bundle.partition, LOOSE)
+        assert exc.value.ledger is ledger
 
 
 def _outcome(run):
@@ -590,7 +609,7 @@ class TestMoverPins:
         records = []
         for seed in range(3):
             host = gen_super_regular_host(4, 50, d=0.5, seed=seed)
-            prep = prepare_host_partition(host.graph, host.partition, cfg, seed=seed)
+            prep = prepare_host_partition(host.graph, host.partition, cfg)
             rng = random.Random(seed)
             for spread in (3, 10, 30):
                 for _ in range(4):
