@@ -95,7 +95,6 @@ class StageResult:
 
 @dataclass
 class PipelineReport:
-    ok: bool
     failed_stage: str | None
     stages: list[StageResult]
     seed: int
@@ -103,6 +102,10 @@ class PipelineReport:
     embedding: list[int] | None = None
     # Whether the failed stage ended in an honest "no"; not part of the JSON.
     certified_negative: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_stage is None
 
     def to_json(self) -> dict:
         return {
@@ -132,7 +135,7 @@ def run_full_pipeline(
     re-verification of the embedding.  The first failing stage aborts the
     run with its identity; certified failure is a legitimate outcome.
     """
-    report = PipelineReport(False, None, [], seed, cfg.to_json())
+    report = PipelineReport(None, [], seed, cfg.to_json())
 
     @contextmanager
     def stage(name: str):
@@ -142,7 +145,7 @@ def run_full_pipeline(
         try:
             yield result
         except Exception as exc:
-            result.ok, result.detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+            result.ok, result.detail = False, _error_detail(exc)
             report.certified_negative = (
                 isinstance(exc, BandembedError) and not isinstance(exc, InvalidInputError)
                 and not str(exc).startswith(RECHECK_FAILED)
@@ -162,6 +165,7 @@ def run_full_pipeline(
         # Stage 1: host-side partition baseline.
         with stage("host-partition") as st:
             prep = prepare_host_partition(g, host.partition, cfg)
+            baseline = prep.partition.sizes()
             # The walk search runs at nu/4 in the reduced graph; certify that
             # level exactly while the reduced graph is small.
             sub = prep.reduced.as_graph()
@@ -170,8 +174,8 @@ def run_full_pipeline(
                 if sub.n <= EXACT_EXPANDER_CAP else None
             )
             st.detail = {
-                "k": prep.k,
-                "baseline_sizes": prep.baseline_sizes,
+                "k": prep.partition.k,
+                "baseline_sizes": baseline,
                 "a_chord": list(prep.partition.a_chord),
                 "b_chord": list(prep.partition.b_chord),
                 "balance_steps": prep.balance_ledger.step_count,
@@ -182,7 +186,7 @@ def run_full_pipeline(
         with stage("homomorphism") as st:
             i2, j2 = prep.partition.b_chord
             chord = (2 * i2 + 1, 2 * j2 + 1)
-            params, hom, recheck = _homomorphism(target, prep.baseline_sizes, chord, cfg, seed)
+            params, hom, recheck = _homomorphism(target, baseline, chord, cfg, seed)
             if not recheck["all_ok"]:
                 raise BandembedError(f"{RECHECK_FAILED}: {recheck}")
             demanded = hom.loads()
@@ -200,7 +204,7 @@ def run_full_pipeline(
 
         # Stage 3: redistribute to the demanded sizes.
         with stage("redistribute") as st:
-            a_t, b_t = _pair_targets(demanded, prep.baseline_sizes)
+            a_t, b_t = _pair_targets(demanded, baseline)
             final, ledger = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
             st.detail = {
                 "a_targets": a_t,
@@ -219,7 +223,7 @@ def run_full_pipeline(
 
         # Stage 5: compatibility of the preimage partition with the host partition.
         with stage("compatibility") as st:
-            w_classes, rprime = _pull_back(hom.f, prep.k)
+            w_classes, rprime = _pull_back(hom.f, prep.partition.k)
             compat = check_compatibility(
                 h, w_classes, g, final.classes, final.skeleton(), rprime, cfg.eps
             )
@@ -240,7 +244,6 @@ def run_full_pipeline(
     except _StageFailed:
         return report
 
-    report.ok = True
     report.embedding = list(emb.phi)
     return report
 
@@ -266,6 +269,15 @@ def _pull_back(f: list[int], k: int) -> tuple[list[list[int]], set[tuple[int, in
     for v, c in enumerate(f):
         w_classes[c].append(v)
     return w_classes, {(2 * i, 2 * i + 1) for i in range(k)}
+
+
+def _error_detail(exc: Exception) -> dict:
+    """The error; a failed balance adds the steps it took, without their moves."""
+    out = {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, BalancingError):
+        steps = [{k: v for k, v in vars(st).items() if k != "moves"} for st in exc.ledger.steps]
+        out.update(balance_steps=len(steps), steps=steps)
+    return out
 
 
 def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], list[int]]:
@@ -472,27 +484,25 @@ def _cmd_lemma_g(args) -> int:
     try:
         rep = prepare_host_partition(g, bundle.partition, cfg)
     except BalancingError as exc:
-        # A failed balance still reports its steps, without their moves.
-        steps = [{k: v for k, v in vars(st).items() if k != "moves"} for st in exc.ledger.steps]
-        _emit({"error": f"{type(exc).__name__}: {exc}", "balance_steps": len(steps),
-               "steps": steps}, args)
+        _emit(_error_detail(exc), args)
         raise
     final = rep.partition
+    baseline = rep.partition.sizes()
     if demanded is not None:
-        if len(demanded) != 2 * rep.k or sum(demanded) != g.n:
+        if len(demanded) != 2 * rep.partition.k or sum(demanded) != g.n:
             raise ParameterError("demanded sizes must partition n over 2k classes")
         xi_n = as_fraction(cfg.xi) * g.n
-        for idx, (want, have) in enumerate(zip(demanded, rep.baseline_sizes)):
+        for idx, (want, have) in enumerate(zip(demanded, baseline)):
             if want < 0:
                 raise ParameterError(f"demanded size {want} is negative at class {idx}")
             if want > have + xi_n:
                 raise ParameterError(f"demanded size {want} exceeds {have} + xi*n at class {idx}")
-        a_t, b_t = _pair_targets(demanded, rep.baseline_sizes)
+        a_t, b_t = _pair_targets(demanded, baseline)
         final, _ = redistribute_to_sizes(g, final, rep.reduced, a_t, b_t, cfg)
     structure = verify_partition_structure(g, final, demanded, cfg)
     _emit({
-        "k": rep.k,
-        "baseline_sizes": rep.baseline_sizes,
+        "k": rep.partition.k,
+        "baseline_sizes": baseline,
         "a_chord": list(final.a_chord),
         "b_chord": list(final.b_chord),
         "partition": final.to_json(),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import FeasibilityError, InvalidInputError
 from .graph import Graph, at_least, subset_lanes, vertex_mask
@@ -67,7 +68,7 @@ class ExpanderVerdict:
 class DegreeSequenceVerdict:
     holds: bool
     first_violation: int | None = None  # least violating i (1-based), if any
-    index_rounding: str = "floor"
+    index_rounding: ClassVar[str] = "floor"
 
     def to_json(self) -> dict:
         return {

@@ -43,9 +43,6 @@ BUDGET_FACTOR = 10
 
 @dataclass
 class CompatibilityReport:
-    sizes_match: bool
-    edges_respect_reduced: bool
-    boundary_bounded: bool
     s_sets: list[set[int]] = field(repr=False, default_factory=list)
     t_sets: list[set[int]] = field(repr=False, default_factory=list)
     offending_sizes: list[int] = field(default_factory=list)
@@ -53,13 +50,13 @@ class CompatibilityReport:
     offending_bounds: list[int] = field(default_factory=list)
 
     def all_ok(self) -> bool:
-        return self.sizes_match and self.edges_respect_reduced and self.boundary_bounded
+        return not (self.offending_sizes or self.offending_edges or self.offending_bounds)
 
     def to_json(self) -> dict:
         return {
-            "sizes_match": self.sizes_match,
-            "edges_respect_reduced": self.edges_respect_reduced,
-            "boundary_bounded": self.boundary_bounded,
+            "sizes_match": not self.offending_sizes,
+            "edges_respect_reduced": not self.offending_edges,
+            "boundary_bounded": not self.offending_bounds,
             "offending_sizes": self.offending_sizes,
             "offending_edges": [list(e) for e in self.offending_edges],
             "offending_bounds": self.offending_bounds,
@@ -207,10 +204,7 @@ def check_compatibility(
         or Fraction(len(t_sets[i])) > eps * comp_min[comp[i]]
     ]
 
-    return CompatibilityReport(
-        not offending_sizes, not offending_edges, not offending_bounds,
-        s_sets, t_sets, offending_sizes, offending_edges, offending_bounds,
-    )
+    return CompatibilityReport(s_sets, t_sets, offending_sizes, offending_edges, offending_bounds)
 
 
 def embed_blowup(

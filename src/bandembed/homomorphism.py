@@ -400,14 +400,14 @@ def choose_h_parameters(n: int, delta: int, bandwidth: int, xi, k: int) -> Homom
 
 @dataclass
 class AttemptDiagnostics:
-    start_pair_phase1: int
+    """What one attempt's draw decided; a seek-miss records None for what it never reached."""
+
+    start_pair_phase1: int | None
     start_pair_phase2: int | None
     coin_logs: list[list[int]]
     seek_miss: bool
-    valid: bool
-    boundary_small: bool
-    loads_bounded: bool
-    edges_on_pairs: bool
+    valid: bool | None
+    loads_bounded: bool | None
     spread_phase1_ok: bool | None
     spread_phase2_ok: bool | None
 
@@ -417,12 +417,7 @@ class AttemptDiagnostics:
 
     @property
     def accepted(self) -> bool:
-        return (
-            self.valid
-            and self.boundary_small
-            and self.loads_bounded
-            and self.edges_on_pairs
-        )
+        return bool(self.valid and self.loads_bounded)
 
 
 @dataclass
@@ -431,8 +426,6 @@ class Homomorphism:
 
     f: list[int]
     boundary: set[int]
-    k: int
-    kprime: int
     f1: list[int]
     f2: list[int]
     chord: tuple[int, int]
@@ -441,6 +434,14 @@ class Homomorphism:
     roles_swapped: bool
     attempts: int
     diagnostics: list[AttemptDiagnostics] = field(repr=False, default_factory=list)
+
+    @property
+    def k(self) -> int:
+        return len(self.sizes) // 2
+
+    @property
+    def kprime(self) -> int:
+        return len(self.f1) // 2
 
     @property
     def first_attempt_balance_pass(self) -> bool:
@@ -634,9 +635,8 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 coin_logs.extend(logs)
                 walks.append((start, slots))
         except SeekMissError:
-            diagnostics.append(
-                AttemptDiagnostics(-1, None, coin_logs, True, False, False, False, False, None, None)
-            )
+            diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
+                                                  None, None, None, None))
             continue
 
         # Phase 0 puts A segments on even cycle vertices, phase 1 on odd ones.
@@ -675,18 +675,13 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 spread[phase] = (all(x <= a_bound for x in a_counts)
                                  and all(x <= b_bound for x in b_counts))
 
-        # _plan has already bounded the boundary, which no draw changes.
-        diag = AttemptDiagnostics(
-            walks[0][0], walks[1][0], coin_logs, False, valid,
-            True, loads_bounded, True, spread[0], spread[1],
-        )
+        diag = AttemptDiagnostics(walks[0][0], walks[1][0], coin_logs, False,
+                                  valid, loads_bounded, spread[0], spread[1])
         diagnostics.append(diag)
         if diag.accepted:
             return Homomorphism(
                 f=f,
                 boundary=set(plan.boundary),
-                k=len(plan.sizes) // 2,
-                kprime=kprime,
                 f1=list(plan.f1),
                 f2=f2,
                 chord=plan.chord,

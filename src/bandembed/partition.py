@@ -758,8 +758,6 @@ class StructureReport:
 
 @dataclass
 class HostPartitionReport:
-    k: int
-    baseline_sizes: list[int]
     partition: ClusterPartition
     reduced: ReducedGraph
     balance_ledger: BalanceLedger
@@ -821,14 +819,11 @@ def prepare_host_partition(
     part2 = relabel_partition(part1, structure)
     reduced2 = relabel_reduced(reduced1, structure)
     part3, balance_ledger = balance_partition(g, part2, reduced2, cfg)
-    baseline = part3.sizes()
-    if any(Fraction(s) <= Fraction(g.n, 3 * part3.k) for s in baseline):
+    if any(Fraction(s) <= Fraction(g.n, 3 * part3.k) for s in part3.sizes()):
         exc = BalancingError("a class fell to n/(3k) or below")
         exc.ledger = balance_ledger
         raise exc
     return HostPartitionReport(
-        k=part3.k,
-        baseline_sizes=baseline,
         partition=part3,
         reduced=reduced2,
         balance_ledger=balance_ledger,

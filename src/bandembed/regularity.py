@@ -66,9 +66,12 @@ class RegularityVerdict:
     eps: Fraction
     d: Fraction
     witness: tuple[frozenset[int], frozenset[int]] | None = None
-    degree_ok: bool | None = None  # super-regularity only
     degree_failure: tuple[str, int] | None = None  # ("A"|"B", vertex)
-    min_cross_degree: tuple[int, int] | None = None  # (min over A, min over B)
+    min_cross_degree: tuple[int, int] | None = None  # super-regularity only: (A min, B min)
+
+    @property
+    def degree_ok(self) -> bool | None:
+        return None if self.min_cross_degree is None else self.degree_failure is None
 
     def to_json(self) -> dict:
         out = {
@@ -322,15 +325,12 @@ def check_super_regular_pair(
     # An integer degree is below d*|B| iff it is below ceil(d*|B|).
     floors = (("A", a_list, deg_a, ceil_frac(d_f * len(b_list))),
               ("B", b_list, deg_b, ceil_frac(d_f * len(a_list))))
-    verdict.degree_ok = True
     for side, own, degs, need in floors:
         failing = next((v for v, deg in zip(own, degs) if deg < need), None)
         if failing is not None:
-            verdict.degree_ok = False
+            verdict.regular = False
             verdict.degree_failure = (side, failing)
             break
-    if not verdict.degree_ok:
-        verdict.regular = False
     return verdict
 
 

@@ -627,6 +627,27 @@ class TestPipelineCommand:
                        "sigma_after": step.sigma_after, "retired_pairs": step.retired_pairs}],
         }
 
+    def test_failed_host_partition_keeps_the_balance_steps(self, tmp_path, capsys):
+        # Moving class 0's 30 lowest vertices into class 5 leaves a skew whose
+        # balance ends with class 0 at n/(3k) or below: pipeline and lemma-g
+        # both fail there and write the same balance steps.
+        host = gen_super_regular_host(k=4, size=50, d=0.5, seed=42)
+        skew = host.partition.copy()
+        moved = set(sorted(skew.classes[0])[:30])
+        skew.classes[0] -= moved
+        skew.classes[5] |= moved
+        host_path, h_path = tmp_path / "host.json", tmp_path / "h.json"
+        host_path.write_text(json.dumps(HostBundle(host.graph, skew).to_json()))
+        h_path.write_text(json.dumps(gen_bandwidth_bipartite_h(400, 3, 10, seed=42).to_json()))
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_stage"] == "host-partition"
+        assert main(["lemma-g", "--host", str(host_path)]) == 2
+        lemma = json.loads(capsys.readouterr().out)
+        assert lemma["error"] == "BalancingError: a class fell to n/(3k) or below"
+        assert lemma["balance_steps"] == 3
+        assert report["stages"][-1]["detail"] == lemma
+
     def test_sizes_file_without_sizes_key(self, small_world, tmp_path, capsys):
         host_path, h_path, cfg_path = small_world
         bad = tmp_path / "bad.json"

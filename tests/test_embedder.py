@@ -44,9 +44,10 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
     i2, j2 = prep.partition.b_chord
     chord = (2 * i2 + 1, 2 * j2 + 1)
     params = choose_h_parameters(h.n, h.max_degree(), bandwidth, cfg.xi, k)
-    hom = build_homomorphism(h, target.ordering, target.bipartition, prep.baseline_sizes,
+    baseline = prep.partition.sizes()
+    hom = build_homomorphism(h, target.ordering, target.bipartition, baseline,
                              chord, params, seed=seed)
-    a_t, b_t = _pair_targets(hom.loads(), prep.baseline_sizes)
+    a_t, b_t = _pair_targets(hom.loads(), baseline)
     final, _ = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
     w_classes, rprime = _pull_back(hom.f, k)
     return h, w_classes, g, final.classes, rprime
@@ -128,8 +129,7 @@ class TestCompatibility:
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
         rp = {(0, 1), (2, 3)}
         report = check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
-        assert not report.edges_respect_reduced
-        assert (0, 2) in report.offending_edges
+        assert report.offending_edges == [(0, 2)]
 
     def test_size_mismatch_flagged(self):
         h = Graph(8, [])
@@ -137,7 +137,6 @@ class TestCompatibility:
         w = [[0, 1, 2], [3], [4, 5], [6, 7]]
         rp = {(0, 1), (2, 3)}
         report = check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
-        assert not report.sizes_match
         assert report.offending_sizes == [0, 1]
 
     def test_boundary_sets_exact(self):
@@ -159,7 +158,7 @@ class TestCompatibility:
         rp = {(0, 1), (2, 3)}
         report = check_compatibility(h, w_classes := [[0, 1], [2, 3], [4, 5], [6, 7]],
                                      g, v_classes, rp, rp, 0.5)
-        assert not report.edges_respect_reduced
+        assert report.offending_edges == [(0, 0)]
 
     def test_boundary_over_eps_of_own_class(self):
         # The cross edge 1-2 puts one vertex in S_1 and one in S_2: within
@@ -168,8 +167,12 @@ class TestCompatibility:
         h = Graph(12, [(w[1][0], w[2][0])])
         rp = {(0, 1), (2, 3)}
         report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.4)
-        assert report.sizes_match and report.edges_respect_reduced
-        assert not report.boundary_bounded and not report.all_ok()
+        assert not report.offending_sizes and not report.offending_edges
+        assert not report.all_ok()
+        flags = {key: report.to_json()[key]
+                 for key in ("sizes_match", "edges_respect_reduced", "boundary_bounded")}
+        assert flags == {"sizes_match": True, "edges_respect_reduced": True,
+                         "boundary_bounded": False}
         assert report.s_sets[1] == {w[1][0]} and report.s_sets[2] == {w[2][0]}
         assert report.offending_bounds == [2]
 
@@ -181,9 +184,8 @@ class TestCompatibility:
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
         rp = {(0, 1), (2, 3)}
         report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.5)
-        assert report.sizes_match and report.edges_respect_reduced
+        assert not report.offending_sizes and not report.offending_edges
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
-        assert not report.boundary_bounded
         assert report.offending_bounds == [0]
 
 

@@ -18,6 +18,7 @@ from bandembed.errors import (
 )
 from bandembed.graph import BandwidthOrdering, Graph
 from bandembed.homomorphism import (
+    AttemptDiagnostics,
     HomomorphismParams,
     SegmentDecomposition,
     balance_trial_stats,
@@ -439,8 +440,8 @@ class TestTrialPlanReuse:
         }
 
     @pytest.mark.parametrize("shape, pin", [
-        (SHAPE_A, "cd94d6392d711da79ebd7885c170464948da43ffe6d589f272597f750ea99cce"),
-        (SHAPE_B, "87177a6f36239e6f49b04c5a946e40e308d17347978120614d72f20deec1e0d1"),
+        (SHAPE_A, "f747d70d01c9c975de603df294b797d807415f68356ebded60617dfe02ecabe4"),
+        (SHAPE_B, "88b7e95a3f23b281fb7146706d0f5909724a513ea511c874eebae7f9c214d803"),
     ], ids=["A", "B"])
     def test_seeded_outputs_pinned(self, shape, pin):
         # Maps, intermediate maps and every attempt's diagnostics (coin logs
@@ -488,6 +489,26 @@ class TestTrialPlanReuse:
         assert len(seen) == bandembed.homomorphism.MAX_RETRIES and drawn
         assert not any(d.valid for d in drawn)
 
+    def test_seek_miss_attempt_records_only_what_it_reached(self, monkeypatch):
+        # Homing misses on every draw of attempt 1, so phase 1 gives up before
+        # any start, validity or load is decided; attempt 2 homes normally.
+        plan = bandembed.homomorphism._plan(*mc_shape(*SHAPE_A))
+        misses = max(bandembed.homomorphism.MAX_RETRIES, 8 * plan.kprime)
+        original, calls = bandembed.homomorphism.seeking_assign, []
+
+        def missing(*args):
+            calls.append(args)
+            if len(calls) <= misses:
+                raise SeekMissError("forced miss")
+            return original(*args)
+
+        monkeypatch.setattr(bandembed.homomorphism, "seeking_assign", missing)
+        hom = bandembed.homomorphism._sample(plan, 1)
+        assert hom.attempts == 2
+        first, second = hom.diagnostics
+        assert first == AttemptDiagnostics(None, None, [], True, None, None, None, None)
+        assert not first.accepted and second.accepted and not second.seek_miss
+
     def test_oversized_boundary_fails_before_any_draw(self, monkeypatch):
         # Hand-picked parameters, outside choose_h_parameters' m1 cap, leave a
         # boundary no schedule can shrink: 92 vertices against xi*n = 48.
@@ -517,6 +538,18 @@ class TestChooseParameters:
     def test_infeasible_rejected(self):
         with pytest.raises(ParameterError):
             choose_h_parameters(40, 3, 10, 0.1, 2)
+
+    def test_two_block_drift_regime(self):
+        # The boundary cap leaves m1 = 24: room to drift (24 >= 2*(k+9)) but
+        # not for four blocks (24 < 4*(k+10)), so two blocks of 12 pairs.
+        params = choose_h_parameters(240, 2, 1, 0.3, 2)
+        assert (params.m1, params.m2, params.k1, params.k2) == (24, 2, 8, 11)
+        target = gen_bandwidth_bipartite_h(240, 2, 1, seed=0)
+        sizes, chord = [60] * 4, (1, 3)
+        hom = build_homomorphism(target.graph, target.ordering, target.bipartition,
+                                 sizes, chord, params, seed=0)
+        assert verify_homomorphism_certificate(
+            target.graph, hom.f, hom.boundary, sizes, params.xi, chord)["all_ok"]
 
     @pytest.mark.parametrize("n, delta, b, xi, cap", [
         (240, 3, 10, 0.3, "boundary xi*n/(3b) cap allows at most 2 segments"),

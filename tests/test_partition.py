@@ -441,7 +441,7 @@ class TestHostPipeline:
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
         structure = verify_partition_structure(bundle.graph, report.partition, None, cfg)
         assert structure.all_ok()
-        assert all(s == 10 for s in report.baseline_sizes)
+        assert report.partition.sizes() == [10] * 6
 
     def test_demanded_sizes_hit_exactly(self):
         bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
@@ -451,7 +451,7 @@ class TestHostPipeline:
         )
         demanded = [11, 10, 9, 10, 10, 10]
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
-        diff = [want - have for want, have in zip(demanded, report.baseline_sizes)]
+        diff = [want - have for want, have in zip(demanded, report.partition.sizes())]
         final, _ = redistribute_to_sizes(
             bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg
         )
