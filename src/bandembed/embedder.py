@@ -162,7 +162,6 @@ def _boundary_plan(
 def check_compatibility(
     h: Graph,
     w_classes: list,
-    g: Graph,
     v_classes: list,
     r_edges,
     rprime_edges,
@@ -385,8 +384,8 @@ def verify_embedding(h: Graph, g: Graph, phi) -> bool:
 
 
 def embedding_respects_partition(phi, w_classes, v_classes) -> bool:
-    for ws, vs in zip(w_classes, v_classes):
-        vset = set(vs)
-        if any(phi[v] not in vset for v in ws):
-            return False
-    return True
+    """Whether phi sends every vertex of each H class into the host class of its index."""
+    return len(w_classes) == len(v_classes) and all(
+        all(0 <= v < len(phi) for v in ws) and {phi[v] for v in ws} <= set(vs)
+        for ws, vs in zip(w_classes, v_classes)
+    )

@@ -735,12 +735,16 @@ def verify_homomorphism_certificate(
     """Recompute the three certificate conditions and homomorphism validity.
 
     Everything is rederived from (h, f, boundary, sizes, chord) by direct
-    counting so a builder bug cannot vouch for itself.
+    counting so a builder bug cannot vouch for itself.  A map whose length is
+    not h.n is invalid, and is read cut or padded with the class len(sizes).
     """
     n = h.n
     two_k = len(sizes)
     xi_n = as_fraction(xi) * n
     chord_set = {min(chord), max(chord)}
+    hom_valid = len(f) == n
+    if not hom_valid:
+        f = (list(f) + [two_k] * n)[:n]
 
     def on_cycle(x: int, y: int) -> bool:
         if x == y:
@@ -752,7 +756,6 @@ def verify_homomorphism_certificate(
             return True
         return {a, b} == chord_set
 
-    hom_valid = True
     edges_on_pairs = True
     for u, v in h.edges():
         if not on_cycle(f[u], f[v]):

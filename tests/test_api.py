@@ -21,6 +21,8 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (partition.check_mobility_hypotheses, REDISTRIBUTION),
     (partition.redistribute_to_sizes, REDISTRIBUTION),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "rprime_edges", "seed"]),
+    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "r_edges", "rprime_edges",
+                                    "eps"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_parameter_list(fn, params):
     assert list(inspect.signature(fn).parameters) == params

@@ -706,9 +706,28 @@ class TestPipelineCommand:
         if command == "build-hom":
             assert out["certificate_recheck"] == {"all_ok": False}
         else:
+            # The stage records its detail and clears ok; it raises nothing.
             assert out["failed_stage"] == "homomorphism"
-            assert out["stages"][-1]["detail"]["error"] == (
-                "BandembedError: independent certificate recheck failed: {'all_ok': False}")
+            stage = out["stages"][-1]
+            assert not stage["ok"] and "error" not in stage["detail"]
+            assert stage["detail"]["certificate_recheck"] == {"all_ok": False}
+
+    def test_failed_compatibility_keeps_its_report(self, small_world, capsys, monkeypatch):
+        import bandembed.cli
+        from bandembed.embedder import CompatibilityReport
+
+        monkeypatch.setattr(bandembed.cli, "check_compatibility",
+                            lambda *args: CompatibilityReport(offending_sizes=[0]))
+        host_path, h_path, cfg_path = small_world
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
+                     "--config", str(cfg_path), "--seed", "4"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["failed_stage"] == "compatibility"
+        detail = out["stages"][-1]["detail"]
+        assert (detail["offending_sizes"], detail["offending_edges"],
+                detail["offending_bounds"]) == ([0], [], [])
+        assert not detail["sizes_match"] and not detail["all_ok"]
+        assert detail["error"] == "BandembedError: compatibility failed"
 
     @pytest.mark.parametrize("command", ["embed", "pipeline"])
     def test_embedding_rejected_by_its_check_exits_1(self, small_world, tmp_path, capsys,
@@ -794,7 +813,7 @@ class TestPipelineFailurePaths:
         ((5, 40, 10, 0, 0), "redistribute", "RedistributionError",
          "4dfb2cfd69a5dc385009573f3d85ac5f29b115f14f0796913b3025106363e7eb"),
         ((3, 40, 5, 1, 0), "verify-partition", "BandembedError",
-         "4abff89794cfa1317fc5c8a102b5de5ac1df8758c6a7f9682644325d1660c7c6"),
+         "96e2a5250025a1010d13393be55e7cba39c8583b49ef9a305a94ec4c780c52eb"),
         ((3, 40, 5, 0, 0), "embed", "EmbeddingNotFoundError",
          "3c3a6069c1dd30a704885db18f09da020662e20b193c83ee7c29c4df92488b0c"),
     ]
@@ -813,11 +832,29 @@ class TestPipelineFailurePaths:
         output = json.dumps(strip_seconds(report.to_json()), sort_keys=True, default=str)
         assert hashlib.sha256(output.encode()).hexdigest() == digest
 
+    def test_failed_verify_partition_names_its_verdict(self):
+        # The structure report stays in the failed stage's detail: here the
+        # A-side chord is the pair that fails, refuted by a heuristic witness.
+        host = gen_super_regular_host(3, 40, d=0.5, seed=1)
+        target = gen_bandwidth_bipartite_h(240, 3, 5, seed=1)
+        detail = run_full_pipeline(host, target, Config(), seed=1).stages[-1].detail
+        assert list(detail) == ["sizes_exact", "super_pairs", "cycle_pairs", "chord_a",
+                                "chord_b", "all_ok", "error"]
+        assert detail["all_ok"] is False
+        assert detail["error"] == ("BandembedError: final partition failed structural "
+                                   "certification")
+        verdicts = detail["super_pairs"] + detail["cycle_pairs"] + [detail["chord_b"]]
+        assert detail["sizes_exact"] and all(v["regular"] for v in verdicts)
+        chord_a = detail["chord_a"]
+        assert not chord_a["regular"] and chord_a["mode"] == "heuristic"
+        assert chord_a["witness"] is not None
+
     # (k, size, bandwidth, seed, target vertices missing) -> exit code: an input
     # error exits 1 even though the report is written; a certified negative exits 2.
     EXITS = [
         ((4, 50, 10, 0, 1), "validate", 1),
         ((3, 40, 10, 0, 0), "homomorphism", 1),
+        ((3, 40, 5, 1, 0), "verify-partition", 2),
         ((3, 40, 5, 0, 0), "embed", 2),
     ]
 

@@ -116,48 +116,47 @@ def retry_instance(spare_edge=True):
 class TestCompatibility:
     def test_edgeless_passes(self):
         h = Graph(8, [])
-        g, v_classes = complete_pair_host(2, 2)
+        _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
         assert report.all_ok()
         assert all(not s for s in report.s_sets)
 
     def test_missing_reduced_edge_flagged(self):
         h = Graph(8, [(0, 4)])  # joins clusters 0 and 2; no reduced edge there
-        g, v_classes = complete_pair_host(2, 2)
+        _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
         assert report.offending_edges == [(0, 2)]
 
     def test_size_mismatch_flagged(self):
         h = Graph(8, [])
-        g, v_classes = complete_pair_host(2, 2)
+        _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1, 2], [3], [4, 5], [6, 7]]
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
         assert report.offending_sizes == [0, 1]
 
     def test_boundary_sets_exact(self):
         # One cross-pair edge from cluster 1 to cluster 2: its endpoints form
         # S, and their untouched neighbors form T.
         h = Graph(8, [(2, 4), (4, 5)])
-        g, v_classes = complete_pair_host(2, 2)
+        _, v_classes = complete_pair_host(2, 2)
         r = {(0, 1), (2, 3), (1, 2)}
         rp = {(0, 1), (2, 3)}
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, g, v_classes, r, rp, 0.9)
+        report = check_compatibility(h, w, v_classes, r, rp, 0.9)
         assert report.s_sets[1] == {2}
         assert report.s_sets[2] == {4}
         assert report.t_sets[2] == {5}
 
     def test_same_cluster_edge_fails(self):
         h = Graph(8, [(0, 1)])
-        g, v_classes = complete_pair_host(2, 2)
+        _, v_classes = complete_pair_host(2, 2)
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w_classes := [[0, 1], [2, 3], [4, 5], [6, 7]],
-                                     g, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, [[0, 1], [2, 3], [4, 5], [6, 7]], v_classes, rp, rp, 0.5)
         assert report.offending_edges == [(0, 0)]
 
     def test_boundary_over_eps_of_own_class(self):
@@ -166,7 +165,7 @@ class TestCompatibility:
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.4)
+        report = check_compatibility(h, w, w, rp | {(1, 2)}, rp, 0.4)
         assert not report.offending_sizes and not report.offending_edges
         assert not report.all_ok()
         flags = {key: report.to_json()[key]
@@ -183,7 +182,7 @@ class TestCompatibility:
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
         rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, Graph(12, []), w, rp | {(1, 2)}, rp, 0.5)
+        report = check_compatibility(h, w, w, rp | {(1, 2)}, rp, 0.5)
         assert not report.offending_sizes and not report.offending_edges
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
         assert report.offending_bounds == [0]
@@ -197,7 +196,7 @@ class TestMalformedClasses:
         g = complete_graph(h.n)
         rp = {(0, 1)}
         with pytest.raises(InvalidInputError, match=match):
-            check_compatibility(h, w, g, v_classes, rp, rp, 0.5)
+            check_compatibility(h, w, v_classes, rp, rp, 0.5)
         with pytest.raises(InvalidInputError, match=match):
             embed_blowup(h, w, g, v_classes, rp, seed=0)
 
@@ -216,11 +215,11 @@ class TestMalformedClasses:
 
     @pytest.mark.parametrize("entry", ["check_compatibility", "embed_blowup"])
     def test_edge_class_index_out_of_range(self, entry):
-        w = [[0], [1], [2], [3]]
-        r = {(0, 7)}
-        args = {"check_compatibility": (r, r, 0.5), "embed_blowup": (r, 0)}[entry]
+        h, w, r = Graph(4, [(0, 1)]), [[0], [1], [2], [3]], {(0, 7)}
+        call = {"check_compatibility": lambda: check_compatibility(h, w, w, r, r, 0.5),
+                "embed_blowup": lambda: embed_blowup(h, w, complete_graph(4), w, r, seed=0)}
         with pytest.raises(InvalidInputError, match=r"edge \(0,7\) names a class outside \[0,4\)"):
-            getattr(bandembed.embedder, entry)(Graph(4, [(0, 1)]), w, complete_graph(4), w, *args)
+            call[entry]()
 
     def test_class_in_no_restricted_edge_is_named(self):
         # Classes 2 and 3 hold a vertex each but lie in no pair, so nothing
@@ -471,3 +470,16 @@ class TestVerifyEmbedding:
         h = Graph(3, [])
         g = complete_graph(3)
         assert not verify_embedding(h, g, [0, 1])
+
+
+class TestRespectsPartition:
+    """A bad layout is a False verdict, never an error or a pass."""
+
+    def test_unmatched_class_counts_rejected(self):
+        # zip would drop the third H class unread.
+        assert not embedding_respects_partition([0, 1], [[0], [1], [2]], [[0], [1]])
+        assert not embedding_respects_partition([0, 1], [[0], [1]], [[0]])
+
+    @pytest.mark.parametrize("vertex", [2, -1])
+    def test_vertex_outside_the_map_rejected(self, vertex):
+        assert not embedding_respects_partition([0, 1], [[0], [1, vertex]], [[0], [1]])

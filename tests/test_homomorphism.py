@@ -365,6 +365,17 @@ class TestBuildHomomorphism:
         )
         assert not recheck["homomorphism_valid"] or not recheck["edges_on_pairs"]
 
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+    def test_independent_checker_rejects_a_map_of_the_wrong_length(self, cut):
+        g, ordering, bip = perfect_matching_graph(240)
+        sizes = [60, 60, 60, 60]
+        params = choose_h_parameters(240, 1, 1, 0.25, 2)
+        hom = build_homomorphism(g, ordering, bip, sizes, (1, 3), params, seed=3)
+        assert verify_homomorphism_certificate(g, hom.f, hom.boundary, sizes, 0.25, (1, 3))["all_ok"]
+        f = hom.f[:cut] if cut < 0 else hom.f + [0] * cut
+        recheck = verify_homomorphism_certificate(g, f, hom.boundary, sizes, 0.25, (1, 3))
+        assert not recheck["homomorphism_valid"] and not recheck["all_ok"]
+
     def test_drift_bound_oracle_inequality(self):
         # At the drift parameters used by the randomized schedule's analysis,
         # the exact residue distribution stays within (1 + xi/20)/k'.
