@@ -15,13 +15,14 @@ cycle gives the final homomorphism together with its certificate:
   * loads_bounded:    every cluster receives at most its size + xi * n
   * edges_on_pairs:   every edge outside H[S] lands on a cluster pair
 
-The segmentation is computed once per input, and its certificate settles
-what no schedule can change: every edge except the crossing edges from
-B_i to A_{i+1} lies inside one segment pair, which any schedule puts on one
-cycle pair, so each such edge is on the cycle and edges_on_pairs holds.  No
-schedule changes S either, so boundary_small is judged once per plan, before
-any draw, and a plan that breaks it is a DecompositionError.  Only the
-randomized schedule is re-drawn, with fresh randomness, until the
+The segmentation is computed once per input (repeated builds share it
+through a bounded per-process memo keyed by value), and its certificate
+settles what no schedule can change: every edge except the crossing edges
+from B_i to A_{i+1} lies inside one segment pair, which any schedule puts on
+one cycle pair, so each such edge is on the cycle and edges_on_pairs holds.
+No schedule changes S either, so boundary_small is judged once per plan,
+before any draw, and a plan that breaks it is a DecompositionError.  Only
+the randomized schedule is re-drawn, with fresh randomness, until the
 certificate holds; each draw checks that both phases home onto their chord
 ends (seeking), that loads are bounded, and that the crossing edges land on
 the cycle or the chord.  The two internal spread inequalities that imply
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, sqrt
 
 from .errors import (
@@ -63,6 +65,8 @@ __all__ = [
 ]
 
 MAX_RETRIES = 50
+# Plans kept per process, least recently used dropped first.
+PLAN_MEMO_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +156,13 @@ def chop_into_segments(
 
     def repair(into: list[list[int]], partner: list[list[int]], i: int) -> None:
         while len(into[i]) < min_size:
-            movable = sorted(
-                v for v in partner[i]
-                if v not in boundary and h.degree(v) == 0
-            )
-            if not movable:
+            v = min((u for u in partner[i] if u not in boundary and h.degree(u) == 0),
+                    default=None)
+            if v is None:
                 raise DecompositionError(
                     f"segment {i} cannot reach size {min_size}: "
                     "no isolated vertices left to reassign"
                 )
-            v = movable[0]
             partner[i].remove(v)
             into[i].append(v)
             # v changes color class; being isolated, it keeps the bipartition valid.
@@ -238,18 +239,15 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> int:
     if not 1 <= k2 < m1 // m2:
         raise ParameterError(f"need 1 <= k2 < m1/m2 (got k2={k2}, m1/m2={m1 // m2})")
     w = m1 // m2
-    sizes = []
+    slack = sqrt(float(decomp.beta)) * n
     imbalances = []
     for j in range(m2):
         block = range(j * w, (j + 1) * w)
         a = sum(len(decomp.a_segments[t]) for t in block)
         b = sum(len(decomp.b_segments[t]) for t in block)
-        sizes.append(a + b)
+        if not n / m2 - slack <= a + b <= n / m2 + slack:
+            raise DecompositionError(f"block size property fails at block {j}: {a + b}")
         imbalances.append(a - b)
-    slack = sqrt(float(decomp.beta)) * n
-    for j, size in enumerate(sizes):
-        if not n / m2 - slack <= size <= n / m2 + slack:
-            raise DecompositionError(f"block size property fails at block {j}: {size}")
 
     diff = decomp.total_a - decomp.total_b
     target = Fraction(diff, 2)
@@ -481,7 +479,7 @@ def _cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The deterministic part of a build; immutable, so attempts and seeds share it."""
+    """The deterministic part of a build; immutable, so attempts, seeds and builds share it."""
 
     n: int
     sizes: tuple[int, ...]
@@ -505,6 +503,14 @@ class _Plan:
 
 def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list[int],
           chord: tuple[int, int], params: HomomorphismParams) -> _Plan:
+    """The memoised plan, keyed by value on copies: a caller's later list change misses it."""
+    return _memo_plan(h, BandwidthOrdering(tuple(ordering.labels), ordering.claimed_bound),
+                      tuple(map(tuple, bipartition)), tuple(sizes), tuple(chord), params)
+
+
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: tuple,
+               chord: tuple, params: HomomorphismParams) -> _Plan:
     """Check the inputs, segment H and lay out both phases' walking order."""
     n = h.n
     if sum(sizes) != n or len(sizes) % 2 != 0 or len(sizes) < 4:
@@ -530,13 +536,11 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
         )
     beta = Fraction(ordering.claimed_bound, n)
 
-    class_a, class_b = list(bipartition[0]), list(bipartition[1])
-    roles_swapped = len(class_a) < len(class_b)
-    if roles_swapped:
-        class_a, class_b = class_b, class_a
+    # The larger color class takes the A role.
+    roles_swapped = len(bipartition[0]) < len(bipartition[1])
+    classes = (bipartition[1], bipartition[0]) if roles_swapped else bipartition
 
-    delta = h.max_degree()
-    decomp = chop_into_segments(h, ordering, (class_a, class_b), beta, params.m1, max(1, delta))
+    decomp = chop_into_segments(h, ordering, classes, beta, params.m1, max(1, h.max_degree()))
     m2, k2 = params.m2, params.k2
     m3 = group_and_split(decomp, m2, params.xi, k2)
     # No schedule changes S, so its bound is judged here, before any draw.
@@ -568,7 +572,7 @@ def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list
     shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
     return _Plan(
         n=n,
-        sizes=tuple(sizes),
+        sizes=sizes,
         chord=(c1, c2),
         params=params,
         roles_swapped=roles_swapped,
@@ -801,24 +805,20 @@ def balance_trial_stats(
 ) -> dict:
     """Run seeded builds and report first-try spread passes, retries, recheck failures.
 
-    H is segmented once; each trial draws only a fresh schedule.
+    The builds share one memoised plan, fetched first so bad inputs fail at runs = 0.
     """
     if runs < 0:
         raise InvalidInputError(f"runs must be nonnegative, got {runs}")
-    plan = _plan(h, ordering, bipartition, sizes, chord, params)
-    first_try = 0
+    _plan(h, ordering, bipartition, sizes, chord, params)
+    first_try = recheck_failures = 0
     attempts: list[int] = []
-    recheck_failures = 0
     for trial in range(runs):
-        hom = _sample(plan, derive_seed(root_seed, trial))
+        hom = build_homomorphism(h, ordering, bipartition, sizes, chord, params,
+                                 seed=derive_seed(root_seed, trial))
         attempts.append(hom.attempts)
-        if hom.first_attempt_balance_pass:
-            first_try += 1
-        recheck = verify_homomorphism_certificate(
-            h, hom.f, hom.boundary, sizes, params.xi, chord
-        )
-        if not recheck["all_ok"]:
-            recheck_failures += 1
+        first_try += hom.first_attempt_balance_pass
+        recheck_failures += not verify_homomorphism_certificate(
+            h, hom.f, hom.boundary, sizes, params.xi, chord)["all_ok"]
     return {
         "runs": runs,
         "successes": len(attempts),

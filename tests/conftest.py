@@ -1,6 +1,17 @@
 import itertools
 
+import bandembed.homomorphism
 from bandembed.graph import Graph
+
+
+def pytest_runtest_setup(item):
+    """Each test starts with no memoised homomorphism plan, so counts of
+    segmentation calls do not depend on which tests ran before.
+
+    A hook rather than an autouse fixture: the criterion-1 check imports this
+    module under `python -S`, where pytest is not importable.
+    """
+    bandembed.homomorphism._memo_plan.cache_clear()
 
 
 def complete_graph(n: int) -> Graph:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import bandembed.homomorphism
 from bandembed.errors import (
     DecompositionError,
+    InvalidInputError,
     ParameterError,
     RetryBudgetError,
     SeekMissError,
@@ -414,16 +415,21 @@ SHAPE_A = (1, 2, (1, 3))
 SHAPE_B = (2, 4, (1, 5))
 
 
+def counting_chops(monkeypatch) -> list:
+    """Patch chop_into_segments to record each call; return the record."""
+    calls, original = [], bandembed.homomorphism.chop_into_segments
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bandembed.homomorphism, "chop_into_segments", counting)
+    return calls
+
+
 class TestTrialPlanReuse:
     def test_segments_once_per_call(self, monkeypatch):
-        calls = []
-        original = bandembed.homomorphism.chop_into_segments
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(bandembed.homomorphism, "chop_into_segments", counting)
+        calls = counting_chops(monkeypatch)
         g, ordering, bip = perfect_matching_graph(240)
         params = choose_h_parameters(240, 1, 1, 0.25, 2)
         stats = balance_trial_stats(g, ordering, bip, [60] * 4, (1, 3), params,
@@ -470,7 +476,8 @@ class TestTrialPlanReuse:
         assert digest.hexdigest() == pin
 
     def test_result_shares_nothing_with_plan(self):
-        plan = bandembed.homomorphism._plan(*mc_shape(*SHAPE_A))
+        shape = mc_shape(*SHAPE_A)
+        plan = bandembed.homomorphism._plan(*shape)
         first = bandembed.homomorphism._sample(plan, 1)
         expected = (list(first.f1), set(first.boundary), list(first.sizes))
         first.f1.clear()
@@ -478,6 +485,24 @@ class TestTrialPlanReuse:
         first.sizes.clear()
         again = bandembed.homomorphism._sample(plan, 1)
         assert (again.f1, again.boundary, again.sizes) == expected
+        # Two builds through the memo share the plan, and still nothing mutable.
+        built = build_homomorphism(*shape, seed=1)
+        expected = (list(built.f), list(built.f1), list(built.f2), set(built.boundary),
+                    list(built.sizes), [dataclasses.asdict(d) for d in built.diagnostics])
+        for part in (built.f, built.f1, built.f2, built.boundary, built.sizes,
+                     built.diagnostics[0].coin_logs, built.diagnostics):
+            part.clear()
+        again = build_homomorphism(*shape, seed=1)
+        assert bandembed.homomorphism._memo_plan.cache_info().hits == 2
+        assert (again.f, again.f1, again.f2, again.boundary, again.sizes,
+                [dataclasses.asdict(d) for d in again.diagnostics]) == expected
+
+    def test_runs_zero_still_checks_the_inputs(self):
+        g, ordering, bip = perfect_matching_graph(240)
+        params = choose_h_parameters(240, 1, 1, 0.25, 2)
+        with pytest.raises(InvalidInputError, match="odd"):
+            balance_trial_stats(g, ordering, bip, [60] * 4, (0, 2), params,
+                                root_seed=5, runs=0)
 
     def test_crossing_edges_gate_acceptance(self, monkeypatch):
         # Two vertices of one A segment share an image under every schedule,
@@ -532,6 +557,87 @@ class TestTrialPlanReuse:
             build_homomorphism(target.graph, target.ordering, target.bipartition,
                                [120] * 4, (1, 3), params)
         assert draws == []
+
+
+def edgeless_shape(n=240):
+    g = Graph(n, [])
+    ordering = BandwidthOrdering(tuple(range(n)), 1)
+    bip = ([v for v in range(n) if v % 2 == 0], [v for v in range(n) if v % 2 == 1])
+    return g, ordering, bip, [n // 4] * 4, [1, 3], choose_h_parameters(n, 1, 1, 0.25, 2)
+
+
+def build_record(hom) -> dict:
+    return {"hom": hom.to_json(), "f2": hom.f2,
+            "diagnostics": [dataclasses.asdict(d) for d in hom.diagnostics]}
+
+
+class TestPlanMemo:
+    def test_repeat_build_reuses_the_plan(self, monkeypatch):
+        calls = counting_chops(monkeypatch)
+        shape = mc_shape(*SHAPE_B)
+        cold = build_homomorphism(*shape, seed=2)
+        assert len(calls) == 1 and cold.attempts > 1
+        warm = build_homomorphism(*shape, seed=2)
+        assert len(calls) == 1
+        assert build_record(warm) == build_record(cold)
+
+    def test_caller_list_changes_miss_the_memo(self, monkeypatch):
+        calls = counting_chops(monkeypatch)
+        g, ordering, bip, sizes, chord, params = edgeless_shape()
+        first = build_homomorphism(g, ordering, bip, sizes, chord, params)
+        assert (first.sizes, first.chord, first.roles_swapped) == ([60] * 4, (1, 3), False)
+        sizes[0], sizes[1] = 61, 59
+        assert build_homomorphism(g, ordering, bip, sizes, chord, params).sizes == sizes
+        chord.reverse()
+        assert build_homomorphism(g, ordering, bip, sizes, chord, params).chord == (3, 1)
+        bip[1].extend([0, 2])
+        bip[0].remove(0)
+        bip[0].remove(2)
+        assert build_homomorphism(g, ordering, bip, sizes, chord, params).roles_swapped
+        assert len(calls) == 4
+
+    def test_list_labels_build(self, monkeypatch):
+        calls = counting_chops(monkeypatch)
+        g, ordering, bip = perfect_matching_graph(240)
+        listed = BandwidthOrdering(list(ordering.labels), ordering.claimed_bound)
+        params = choose_h_parameters(240, 1, 1, 0.25, 2)
+        homs = [build_homomorphism(g, o, bip, [60] * 4, (1, 3), params, seed=2)
+                for o in (listed, listed, ordering)]
+        assert len(calls) == 1
+        assert build_record(homs[0]) == build_record(homs[2])
+
+    @pytest.mark.parametrize("case", ["chord", "boundary", "stretch"])
+    def test_failed_plan_raises_again(self, monkeypatch, case):
+        calls = counting_chops(monkeypatch)
+        g, ordering, bip = perfect_matching_graph(240)
+        args = (g, ordering, bip, [60] * 4, (1, 3), choose_h_parameters(240, 1, 1, 0.25, 2))
+        if case == "chord":
+            args = args[:4] + ((0, 2),) + args[5:]
+            error, message = InvalidInputError, "odd"
+        elif case == "boundary":
+            target = gen_bandwidth_bipartite_h(480, 2, 4, seed=1)
+            args = (target.graph, target.ordering, target.bipartition, [120] * 4, (1, 3),
+                    HomomorphismParams(m1=8, m2=2, k1=2, k2=1, xi=0.1))
+            error, message = DecompositionError, "exceeds xi"
+        else:
+            labels = list(range(240))
+            labels[1], labels[5] = 5, 1
+            args = (g, BandwidthOrdering(tuple(labels), 1)) + args[2:]
+            error, message = InvalidInputError, "exceeds claimed bound"
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                build_homomorphism(*args)
+        assert len(calls) == (2 if case == "boundary" else 0)
+        assert bandembed.homomorphism._memo_plan.cache_info().currsize == 0
+
+    def test_memo_stays_at_its_bound(self):
+        bound = bandembed.homomorphism.PLAN_MEMO_SIZE
+        g, ordering, bip, sizes, chord, params = edgeless_shape()
+        for shift in range(bound + 2):
+            build_homomorphism(g, ordering, bip, [60 + shift, 60 - shift, 60, 60],
+                               chord, params)
+        info = bandembed.homomorphism._memo_plan.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (bound + 2, bound, bound)
 
 
 class TestChooseParameters:
