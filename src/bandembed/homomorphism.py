@@ -33,6 +33,7 @@ certificate itself holds, so they gate nothing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -739,8 +740,12 @@ def verify_homomorphism_certificate(
     """Recompute the three certificate conditions and homomorphism validity.
 
     Everything is rederived from (h, f, boundary, sizes, chord) by direct
-    counting so a builder bug cannot vouch for itself.  A map whose length is
-    not h.n is invalid, and is read cut or padded with the class len(sizes).
+    counting so a builder bug cannot vouch for itself.  Both edge rules read
+    only the two classes of an edge and whether both ends lie in the
+    boundary, so each distinct such triple is judged once.  A map whose
+    length is not h.n is invalid, and is read cut or padded with the class
+    len(sizes); an entry that is not an int (a bool included) reads as that
+    class too, so the map is invalid.
     """
     n = h.n
     two_k = len(sizes)
@@ -749,6 +754,8 @@ def verify_homomorphism_certificate(
     hom_valid = len(f) == n
     if not hom_valid:
         f = (list(f) + [two_k] * n)[:n]
+    if set(map(type, f)) != {int}:
+        f = [c if type(c) is int else two_k for c in f]
 
     def on_cycle(x: int, y: int) -> bool:
         if x == y:
@@ -761,20 +768,18 @@ def verify_homomorphism_certificate(
         return {a, b} == chord_set
 
     edges_on_pairs = True
-    for u, v in h.edges():
-        if not on_cycle(f[u], f[v]):
+    for x, y, inside in {(f[u], f[v], u in boundary and v in boundary) for u, v in h.edges()}:
+        if not on_cycle(x, y):
             hom_valid = False
-        if not (u in boundary and v in boundary):
-            a, b = min(f[u], f[v]), max(f[u], f[v])
+        if not inside:
+            a, b = min(x, y), max(x, y)
             if not (b - a == 1 and a % 2 == 0):
                 edges_on_pairs = False
 
-    counts = [0] * two_k
-    for v in range(n):
-        if not 0 <= f[v] < two_k:
-            hom_valid = False
-        else:
-            counts[f[v]] += 1
+    per_class = Counter(f)
+    counts = [per_class[i] for i in range(two_k)]
+    if sum(counts) != n:
+        hom_valid = False
 
     boundary_small = Fraction(len(boundary)) <= xi_n
     loads_bounded = all(Fraction(counts[i]) <= sizes[i] + xi_n for i in range(two_k))

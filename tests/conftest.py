@@ -1,7 +1,9 @@
 import itertools
 
 import bandembed.homomorphism
-from bandembed.graph import Graph
+from bandembed.graph import BandwidthOrdering, Graph
+from bandembed.homomorphism import choose_h_parameters
+from bandembed.hostgen import gen_bandwidth_bipartite_h
 
 
 def pytest_runtest_setup(item):
@@ -30,6 +32,22 @@ def two_cliques(size: int) -> Graph:
     edges = list(itertools.combinations(range(size), 2))
     edges += [(u + size, v + size) for u, v in itertools.combinations(range(size), 2)]
     return Graph(2 * size, edges)
+
+
+def perfect_matching_graph(n):
+    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+    ordering = BandwidthOrdering(tuple(range(n)), 1)
+    bip = ([v for v in range(n) if v % 2 == 0], [v for v in range(n) if v % 2 == 1])
+    return g, ordering, bip
+
+
+def mc_shape(bandwidth, k, chord):
+    """A Monte Carlo benchmark shape: n=1536, max degree 2, xi=0.1, H seed 2024."""
+    n = 1536
+    target = gen_bandwidth_bipartite_h(n, 2, bandwidth, seed=2024)
+    params = choose_h_parameters(n, 2, bandwidth, 0.1, k)
+    return (target.graph, target.ordering, target.bipartition,
+            [n // (2 * k)] * (2 * k), chord, params)
 
 
 def strip_seconds(obj):

@@ -36,12 +36,7 @@ from bandembed.homomorphism import (
 from bandembed.hostgen import gen_bandwidth_bipartite_h
 from bandembed.rng import ceil_frac, derive_seed, make_rng, shuffled
 
-
-def perfect_matching_graph(n):
-    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
-    ordering = BandwidthOrdering(tuple(range(n)), 1)
-    bip = ([v for v in range(n) if v % 2 == 0], [v for v in range(n) if v % 2 == 1])
-    return g, ordering, bip
+from conftest import mc_shape, perfect_matching_graph
 
 
 class TestChop:
@@ -401,13 +396,56 @@ class TestBuildHomomorphism:
         assert exceed / trials <= bound + 0.02
 
 
-def mc_shape(bandwidth, k, chord):
-    """A Monte Carlo benchmark shape: n=1536, max degree 2, xi=0.1, H seed 2024."""
-    n = 1536
-    target = gen_bandwidth_bipartite_h(n, 2, bandwidth, seed=2024)
-    params = choose_h_parameters(n, 2, bandwidth, 0.1, k)
-    return (target.graph, target.ordering, target.bipartition,
-            [n // (2 * k)] * (2 * k), chord, params)
+def recheck_small(edges, f, boundary=(), xi=0, chord=(1, 3)):
+    """The independent checker on a hand-built H over len(f) vertices and six
+    classes of size 1."""
+    return verify_homomorphism_certificate(Graph(len(f), edges), f, set(boundary),
+                                           [1] * 6, xi, chord)
+
+
+class TestIndependentChecker:
+    PAIRS = [(0, 1), (2, 3), (4, 5)]
+
+    @pytest.mark.parametrize("entry", [1.0, True, None, "1", [1], -1, 6],
+                             ids=["float", "bool", "none", "str", "list", "negative", "2k"])
+    def test_an_entry_that_is_not_a_class_is_invalid(self, entry):
+        f = [0, 1, 2, 3, 4, 5]
+        assert recheck_small(self.PAIRS, f)["all_ok"]
+        f[1] = entry
+        recheck = recheck_small(self.PAIRS, f)
+        assert not recheck["homomorphism_valid"] and not recheck["all_ok"]
+        assert recheck["loads"] == [1, 0, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("f", [[0, 5], [5, 0]], ids=["up", "down"])
+    def test_the_wrap_edge_is_on_the_cycle(self, f):
+        recheck = recheck_small([(0, 1)], f, boundary={0, 1}, xi=1)
+        assert recheck["homomorphism_valid"] and recheck["all_ok"]
+
+    @pytest.mark.parametrize("chord", [(1, 3), (3, 1)], ids=["ascending", "descending"])
+    @pytest.mark.parametrize("f", [[1, 3], [3, 1]], ids=["up", "down"])
+    def test_the_chord_is_on_the_cycle_in_either_order(self, f, chord):
+        recheck = recheck_small([(0, 1)], f, boundary={0, 1}, xi=1, chord=chord)
+        assert recheck["homomorphism_valid"] and recheck["all_ok"]
+
+    def test_an_odd_pair_off_the_chord_is_not_on_the_cycle(self):
+        recheck = recheck_small([(0, 1)], [3, 5], boundary={0, 1}, xi=1)
+        assert not recheck["homomorphism_valid"] and not recheck["all_ok"]
+        assert recheck["edges_on_pairs"]
+
+    def test_an_off_pair_edge_needs_both_ends_in_the_boundary(self):
+        inside = recheck_small([(0, 1)], [1, 2], boundary={0, 1}, xi=1)
+        assert inside["edges_on_pairs"] and inside["all_ok"]
+        half = recheck_small([(0, 1)], [1, 2], boundary={0}, xi=1)
+        assert half["homomorphism_valid"] and not half["edges_on_pairs"]
+
+    def test_the_load_and_boundary_bounds_are_inclusive(self):
+        # n = 10 and xi = 1/10: each class may take 1 + 1 vertices, S one.
+        f = [0, 1, 0, 1, 2, 3, 2, 3, 4, 5]
+        edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+        recheck = recheck_small(edges, f, boundary={0}, xi=0.1)
+        assert recheck["loads"] == [2, 2, 2, 2, 1, 1] and recheck["all_ok"]
+        assert not recheck_small(edges, f, boundary={0, 1}, xi=0.1)["boundary_small"]
+        assert not recheck_small(edges, f[:-1] + [0], boundary={0}, xi=0.1)["loads_bounded"]
 
 
 # Shape A walks drunken segments (coin logs); shape B goes through retries.
