@@ -12,11 +12,9 @@ from .graph import (
     BandwidthOrdering,
     Graph,
     degree_sequence,
-    neighborhood,
     verify_bandwidth_ordering,
 )
 from .homomorphism import (
-    binomial_mod_distribution,
     build_homomorphism,
     choose_h_parameters,
     verify_homomorphism_certificate,
@@ -34,14 +32,12 @@ from .regularity import (
     check_regular_pair,
     check_super_regular_pair,
     pair_density,
-    perturbation_bound,
 )
 from .walks import (
     Matching,
     ShiftedWalk,
     find_closed_shifted_walk,
     purify_walk,
-    shifted_neighborhood_iterate,
     simplify_walk,
     validate_shifted_walk,
 )

@@ -372,9 +372,12 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:
 
 
 def verify_embedding(h: Graph, g: Graph, phi) -> bool:
-    """Injectivity plus edge preservation, independent of how phi was built."""
+    """Injectivity plus edge preservation, independent of how phi was built.
+
+    An entry that is not an int (a bool included) makes phi no embedding.
+    """
     phi = list(phi)
-    if len(phi) != h.n:
+    if len(phi) != h.n or not all(type(x) is int for x in phi):
         return False
     if any(not 0 <= x < g.n for x in phi):
         return False
@@ -384,8 +387,11 @@ def verify_embedding(h: Graph, g: Graph, phi) -> bool:
 
 
 def embedding_respects_partition(phi, w_classes, v_classes) -> bool:
-    """Whether phi sends every vertex of each H class into the host class of its index."""
-    return len(w_classes) == len(v_classes) and all(
+    """Whether phi sends every vertex of each H class into the host class of its index.
+
+    An entry of phi that is not an int (a bool included) makes the answer False.
+    """
+    return len(w_classes) == len(v_classes) and all(type(x) is int for x in phi) and all(
         all(0 <= v < len(phi) for v in ws) and {phi[v] for v in ws} <= set(vs)
         for ws, vs in zip(w_classes, v_classes)
     )

@@ -19,7 +19,6 @@ __all__ = [
     "at_least",
     "verify_bandwidth_ordering",
     "degree_sequence",
-    "neighborhood",
     "induced_subgraph",
     "graph_to_json",
     "graph_from_json",
@@ -150,16 +149,6 @@ def verify_bandwidth_ordering(g: Graph, ordering: BandwidthOrdering) -> int:
 
 def degree_sequence(g: Graph) -> list[int]:
     return sorted(g.degree(v) for v in range(g.n))
-
-
-def neighborhood(g: Graph, s) -> set[int]:
-    """Union of the neighborhoods of the vertices in s; may intersect s."""
-    out: set[int] = set()
-    for v in s:
-        if not 0 <= v < g.n:
-            raise InvalidInputError(f"vertex {v} outside [0,{g.n})")
-        out |= g.adj(v)
-    return out
 
 
 def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:

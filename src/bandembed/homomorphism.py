@@ -59,7 +59,6 @@ __all__ = [
     "drunken_assign",
     "seeking_assign",
     "build_homomorphism",
-    "binomial_mod_distribution",
     "verify_homomorphism_certificate",
     "choose_h_parameters",
     "balance_trial_stats",
@@ -308,33 +307,6 @@ def seeking_assign(pairs, start_pair: int, target_pair: int, kprime: int) -> tup
     for _ in range(count - 1):
         out.append(out[-1] if out[-1] == target_pair % kprime else (out[-1] + 1) % kprime)
     return out, out[-1]
-
-
-# ---------------------------------------------------------------------------
-# Exact binomial residue distribution
-# ---------------------------------------------------------------------------
-
-
-def binomial_mod_distribution(n: int, p, k: int) -> list[Fraction]:
-    """Exact distribution of Bin(n, p) mod k by residue dynamic programming."""
-    if n < 0 or k < 1:
-        raise InvalidInputError("need n >= 0 and k >= 1")
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise InvalidInputError("p must lie in [0, 1]")
-    a, b = p.numerator, p.denominator
-    # Integer DP over numerators scaled by b^n.
-    num = [0] * k
-    num[0] = 1
-    for _ in range(n):
-        nxt = [0] * k
-        for r in range(k):
-            if num[r]:
-                nxt[r] += num[r] * (b - a)
-                nxt[(r + 1) % k] += num[r] * a
-        num = nxt
-    denom = b ** n
-    return [Fraction(x, denom) for x in num]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .graph import BandwidthOrdering, Graph
+from .graph import BandwidthOrdering, Graph, graph_to_json
 from .partition import ClusterPartition
 from .rng import make_rng, shuffled
 
@@ -32,8 +32,6 @@ class HostBundle:
     partition: ClusterPartition
 
     def to_json(self) -> dict:
-        from .graph import graph_to_json
-
         return {"graph": graph_to_json(self.graph), "partition": self.partition.to_json()}
 
 
@@ -44,8 +42,6 @@ class TargetBundle:
     bipartition: tuple[list[int], list[int]]
 
     def to_json(self) -> dict:
-        from .graph import graph_to_json
-
         return {
             "graph": graph_to_json(self.graph),
             "ordering": {

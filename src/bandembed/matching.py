@@ -1,13 +1,10 @@
-"""Bipartite maximum matching (Hopcroft-Karp) and a small-graph perfect-matching test."""
+"""Bipartite maximum matching (Hopcroft-Karp)."""
 
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 
-from .graph import Graph
-
-__all__ = ["hopcroft_karp", "has_perfect_matching_small", "max_matching_size_small"]
+__all__ = ["hopcroft_karp"]
 
 _INF = float("inf")
 
@@ -79,33 +76,3 @@ def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
                 dfs(u)
     return {u: v for u, v in enumerate(pair_l) if v != -1}
 
-
-def max_matching_size_small(g: Graph) -> int:
-    """Exact maximum matching size of a general graph, n <= 24 (bitmask DP)."""
-    if g.n > 24:
-        raise ValueError("exact general matching supported only for n <= 24")
-    masks = g.masks
-
-    @lru_cache(maxsize=None)
-    def best(remaining: int) -> int:
-        if remaining == 0:
-            return 0
-        v = (remaining & -remaining).bit_length() - 1
-        # Either v stays unmatched, or it matches a remaining neighbor.
-        score = best(remaining & ~(1 << v))
-        nbrs = masks[v] & remaining
-        while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
-            score = max(score, 1 + best(remaining & ~(1 << v) & ~(1 << u)))
-        return score
-
-    result = best((1 << g.n) - 1)
-    best.cache_clear()
-    return result
-
-
-def has_perfect_matching_small(g: Graph) -> bool:
-    if g.n % 2 == 1:
-        return False
-    return max_matching_size_small(g) == g.n // 2

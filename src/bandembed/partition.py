@@ -57,7 +57,6 @@ __all__ = [
     "verify_partition_structure",
     "check_mobility_hypotheses",
     "load_config",
-    "dump_config",
 ]
 
 
@@ -220,10 +219,6 @@ def load_config(text: str) -> Config:
                 f"config line {lineno}: {key} = {val.strip()!r} is not a number"
             ) from None
     return Config(**values)
-
-
-def dump_config(cfg: Config) -> str:
-    return "".join(f"{k} = {getattr(cfg, k)}\n" for k in _CONFIG_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Density, regular and super-regular pair checks, reduced graphs, perturbation arithmetic.
+"""Density, regular and super-regular pair checks, and reduced graphs.
 
 A bipartite pair (A, B) is (eps, d)-regular when its density is at least d
 and every sub-pair (X, Y) with |X| >= eps|A|, |Y| >= eps|B| has density
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import sqrt
 from operator import and_, or_
 
 from .errors import FeasibilityError, InvalidInputError
@@ -46,12 +45,10 @@ from .rng import as_fraction, ceil_frac, make_rng, rand_below, sample_indices
 __all__ = [
     "RegularityVerdict",
     "ReducedGraph",
-    "PerturbedParams",
     "pair_density",
     "check_regular_pair",
     "check_super_regular_pair",
     "build_reduced_graph",
-    "perturbation_bound",
     "EXACT_REGULARITY_CAP",
 ]
 
@@ -108,13 +105,6 @@ class ReducedGraph:
 
     def as_graph(self) -> Graph:
         return Graph(len(self.clusters), sorted(self.edges))
-
-
-@dataclass(frozen=True)
-class PerturbedParams:
-    eps: float
-    d: float
-    clamped: bool
 
 
 def pair_density(g: Graph, a_side, b_side) -> Fraction:
@@ -363,21 +353,3 @@ def build_reduced_graph(
                 edges.add((i, j))
     return ReducedGraph(tuple(clusters), frozenset(edges), eps, d)
 
-
-def perturbation_bound(eps, d, alpha, beta) -> PerturbedParams:
-    """Parameters surviving a symmetric-difference perturbation of a regular pair.
-
-    eps' = eps + 3(sqrt(alpha) + sqrt(beta)), d' = d - 2(alpha + beta),
-    clamped into [0, 1] with a flag.
-    """
-    for name, x in (("eps", eps), ("d", d), ("alpha", alpha), ("beta", beta)):
-        if not 0 <= float(x) <= 1:
-            raise InvalidInputError(f"{name} must lie in [0,1]")
-    eps_out = float(eps) + 3.0 * (sqrt(float(alpha)) + sqrt(float(beta)))
-    d_out = float(d) - 2.0 * (float(alpha) + float(beta))
-    clamped = False
-    if eps_out > 1.0:
-        eps_out, clamped = 1.0, True
-    if d_out < 0.0:
-        d_out, clamped = 0.0, True
-    return PerturbedParams(eps_out, d_out, clamped)

@@ -21,8 +21,6 @@ __all__ = [
     "validate_shifted_walk",
     "simplify_walk",
     "purify_walk",
-    "shifted_neighborhood",
-    "shifted_neighborhood_iterate",
     "find_closed_shifted_walk",
 ]
 
@@ -195,25 +193,6 @@ def purify_walk(m: Matching, a_set, w: ShiftedWalk) -> ShiftedWalk:
     i1 = next(i for i in range(1, ell + 1) if seq[2 * i - 1] in a)
     i2 = max(i for i in range(1, i1 + 1) if seq[2 * i - 2] in a)
     return ShiftedWalk(seq[2 * i2 - 2: 2 * i1])
-
-
-def shifted_neighborhood(g: Graph, m: Matching, a_set) -> set[int]:
-    """Partners of the neighborhood: {partner(v) : v in N(A)}."""
-    out = set()
-    for v in a_set:
-        for u in g.adj(v):
-            out.add(m.partner(u))
-    return out
-
-
-def shifted_neighborhood_iterate(g: Graph, m: Matching, a_set, r: int) -> set[int]:
-    if r < 1:
-        raise InvalidInputError("depth must be at least 1")
-    _require_perfect(g, m)
-    current = set(a_set)
-    for _ in range(r):
-        current = shifted_neighborhood(g, m, current)
-    return current
 
 
 def find_closed_shifted_walk(g: Graph, m: Matching, a: int, nu) -> ShiftedWalk:

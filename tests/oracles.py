@@ -1,15 +1,24 @@
-"""Reference implementations that the tests compare the library against.
+"""Reference implementations and helpers that only the tests use.
 
 Each oracle is a plain, slow restatement of a rule the library computes
-faster.  It lives beside the tests rather than beside the code it checks,
-so the two cannot drift together.  Standard library only: the CI runs the
-differential checks under `python -S`.
+faster, or a fact the source paper needs only in its proofs (the Bin(n, 1/2)
+residue law, the perturbation bound for regular pairs, a small-graph
+perfect-matching test).  They live beside the tests rather than beside the
+code they check, so the two cannot drift together; no library code calls
+anything here.  Standard library only: the CI imports this module under
+`python -S`.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import sqrt
 
+from bandembed.errors import InvalidInputError
 from bandembed.graph import Graph
+from bandembed.partition import _CONFIG_FIELDS, Config
 from bandembed.rng import as_fraction
+from bandembed.walks import Matching, _require_perfect
 
 
 def verify_homomorphism_certificate_reference(
@@ -69,3 +78,115 @@ def verify_homomorphism_certificate_reference(
         "all_ok": hom_valid and boundary_small and loads_bounded and edges_on_pairs,
         "loads": counts,
     }
+
+
+def binomial_mod_distribution(n: int, p, k: int) -> list[Fraction]:
+    """Exact distribution of Bin(n, p) mod k by residue dynamic programming."""
+    if n < 0 or k < 1:
+        raise InvalidInputError("need n >= 0 and k >= 1")
+    p = as_fraction(p)
+    if not 0 <= p <= 1:
+        raise InvalidInputError("p must lie in [0, 1]")
+    a, b = p.numerator, p.denominator
+    # Integer DP over numerators scaled by b^n.
+    num = [0] * k
+    num[0] = 1
+    for _ in range(n):
+        nxt = [0] * k
+        for r in range(k):
+            if num[r]:
+                nxt[r] += num[r] * (b - a)
+                nxt[(r + 1) % k] += num[r] * a
+        num = nxt
+    denom = b ** n
+    return [Fraction(x, denom) for x in num]
+
+
+@dataclass(frozen=True)
+class PerturbedParams:
+    eps: float
+    d: float
+    clamped: bool
+
+
+def perturbation_bound(eps, d, alpha, beta) -> PerturbedParams:
+    """Parameters surviving a symmetric-difference perturbation of a regular pair.
+
+    eps' = eps + 3(sqrt(alpha) + sqrt(beta)), d' = d - 2(alpha + beta),
+    clamped into [0, 1] with a flag.
+    """
+    for name, x in (("eps", eps), ("d", d), ("alpha", alpha), ("beta", beta)):
+        if not 0 <= float(x) <= 1:
+            raise InvalidInputError(f"{name} must lie in [0,1]")
+    eps_out = float(eps) + 3.0 * (sqrt(float(alpha)) + sqrt(float(beta)))
+    d_out = float(d) - 2.0 * (float(alpha) + float(beta))
+    clamped = False
+    if eps_out > 1.0:
+        eps_out, clamped = 1.0, True
+    if d_out < 0.0:
+        d_out, clamped = 0.0, True
+    return PerturbedParams(eps_out, d_out, clamped)
+
+
+def max_matching_size_small(g: Graph) -> int:
+    """Exact maximum matching size of a general graph, n <= 24 (bitmask DP)."""
+    if g.n > 24:
+        raise ValueError("exact general matching supported only for n <= 24")
+    masks = g.masks
+
+    @lru_cache(maxsize=None)
+    def best(remaining: int) -> int:
+        if remaining == 0:
+            return 0
+        v = (remaining & -remaining).bit_length() - 1
+        # Either v stays unmatched, or it matches a remaining neighbor.
+        score = best(remaining & ~(1 << v))
+        nbrs = masks[v] & remaining
+        while nbrs:
+            u = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            score = max(score, 1 + best(remaining & ~(1 << v) & ~(1 << u)))
+        return score
+
+    result = best((1 << g.n) - 1)
+    best.cache_clear()
+    return result
+
+
+def has_perfect_matching_small(g: Graph) -> bool:
+    if g.n % 2 == 1:
+        return False
+    return max_matching_size_small(g) == g.n // 2
+
+
+def neighborhood(g: Graph, s) -> set[int]:
+    """Union of the neighborhoods of the vertices in s; may intersect s."""
+    out: set[int] = set()
+    for v in s:
+        if not 0 <= v < g.n:
+            raise InvalidInputError(f"vertex {v} outside [0,{g.n})")
+        out |= g.adj(v)
+    return out
+
+
+def shifted_neighborhood(g: Graph, m: Matching, a_set) -> set[int]:
+    """Partners of the neighborhood: {partner(v) : v in N(A)}."""
+    out = set()
+    for v in a_set:
+        for u in g.adj(v):
+            out.add(m.partner(u))
+    return out
+
+
+def shifted_neighborhood_iterate(g: Graph, m: Matching, a_set, r: int) -> set[int]:
+    if r < 1:
+        raise InvalidInputError("depth must be at least 1")
+    _require_perfect(g, m)
+    current = set(a_set)
+    for _ in range(r):
+        current = shifted_neighborhood(g, m, current)
+    return current
+
+
+def dump_config(cfg: Config) -> str:
+    return "".join(f"{k} = {getattr(cfg, k)}\n" for k in _CONFIG_FIELDS)

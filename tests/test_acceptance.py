@@ -32,7 +32,6 @@ from bandembed.conditions import (
 from bandembed.graph import Graph, degree_sequence
 from bandembed.homomorphism import (
     balance_trial_stats,
-    binomial_mod_distribution,
     choose_h_parameters,
     drunken_assign,
 )
@@ -43,9 +42,8 @@ from bandembed.hostgen import (
     gen_random_graph,
     gen_super_regular_host,
 )
-from bandembed.matching import has_perfect_matching_small
 from bandembed.partition import Config
-from bandembed.regularity import check_regular_pair, perturbation_bound
+from bandembed.regularity import check_regular_pair
 from bandembed.rng import as_fraction, derive_seed, make_rng, rand_range
 from bandembed.walks import (
     Matching,
@@ -56,6 +54,7 @@ from bandembed.walks import (
 )
 
 from conftest import strip_seconds, two_cliques
+from oracles import binomial_mod_distribution, has_perfect_matching_small, perturbation_bound
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

@@ -1,11 +1,15 @@
-"""Parameter lists and fields of the public calls whose single-value options are constants."""
+"""Parameter lists and fields of the public calls whose single-value options are constants,
+and the names the library exports."""
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import bandembed
 from bandembed import cli, conditions, embedder, homomorphism, partition, regularity
 
 PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget"]
@@ -72,3 +76,68 @@ def test_degree_ok_derives_from_the_degree_fields():
 
 def test_partition_exports_its_certificates():
     assert {"verify_partition_structure", "check_mobility_hypotheses"} <= set(partition.__all__)
+
+
+# Each module's `__all__`, sorted, and the package's exports.  Test oracles and
+# helpers no library code calls live in tests/oracles.py, not here.
+MODULE_ALL = {
+    "cli": ["PipelineReport", "StageResult", "main", "run_full_pipeline"],
+    "conditions": ["DegreeSequenceVerdict", "EXACT_EXPANDER_CAP", "ExpanderVerdict", "OreVerdict",
+                   "check_degree_sequence_condition", "check_ore_condition",
+                   "check_robust_expander", "robust_neighborhood", "verify_expander_witness"],
+    "embedder": ["CompatibilityReport", "Embedding", "check_compatibility", "embed_blowup",
+                 "embedding_respects_partition", "verify_embedding"],
+    "graph": ["BandwidthOrdering", "Graph", "at_least", "degree_sequence", "graph_from_json",
+              "graph_to_json", "induced_subgraph", "subset_lanes", "verify_bandwidth_ordering",
+              "vertex_mask"],
+    "homomorphism": ["Homomorphism", "HomomorphismParams", "SegmentDecomposition",
+                     "balance_trial_stats", "build_homomorphism", "choose_h_parameters",
+                     "chop_into_segments", "drunken_assign", "group_and_split", "seeking_assign",
+                     "sober_assign", "verify_homomorphism_certificate"],
+    "hostgen": ["HostBundle", "TargetBundle", "gen_bandwidth_bipartite_h", "gen_cycle_blowup",
+                "gen_extremal_counterexample", "gen_random_graph", "gen_super_regular_host"],
+    "matching": ["hopcroft_karp"],
+    "partition": ["BalanceLedger", "BalanceStep", "ClusterPartition", "Config", "CycleStructure",
+                  "HostPartitionReport", "HypothesisReport", "MobilityLedger", "MoveRecord",
+                  "StructureReport", "assign_exceptional_vertices", "balance_partition",
+                  "check_mobility_hypotheses", "find_hamilton_cycle_and_chords", "load_config",
+                  "prepare_host_partition", "redistribute_to_sizes", "relabel_partition",
+                  "verify_partition_structure"],
+    "regularity": ["EXACT_REGULARITY_CAP", "ReducedGraph", "RegularityVerdict",
+                   "build_reduced_graph", "check_regular_pair", "check_super_regular_pair",
+                   "pair_density"],
+    "rng": ["as_fraction", "ceil_frac", "derive_seed", "floor_frac", "make_rng", "rand_below",
+            "rand_range", "sample_indices", "shuffled"],
+    "walks": ["Matching", "ShiftedWalk", "find_closed_shifted_walk", "purify_walk",
+              "simplify_walk", "validate_shifted_walk"],
+}
+PACKAGE_EXPORTS = [
+    "BandwidthOrdering", "ClusterPartition", "Config", "Graph", "Matching", "ShiftedWalk",
+    "balance_partition", "build_homomorphism", "build_reduced_graph", "check_compatibility",
+    "check_degree_sequence_condition", "check_ore_condition", "check_regular_pair",
+    "check_robust_expander", "check_super_regular_pair", "choose_h_parameters", "degree_sequence",
+    "embed_blowup", "find_closed_shifted_walk", "find_hamilton_cycle_and_chords", "pair_density",
+    "prepare_host_partition", "purify_walk", "redistribute_to_sizes", "robust_neighborhood",
+    "simplify_walk", "validate_shifted_walk", "verify_bandwidth_ordering", "verify_embedding",
+    "verify_homomorphism_certificate",
+]
+MOVED_TO_ORACLES = [
+    "max_matching_size_small", "has_perfect_matching_small", "binomial_mod_distribution",
+    "perturbation_bound", "PerturbedParams", "shifted_neighborhood_iterate",
+    "shifted_neighborhood", "neighborhood", "dump_config",
+]
+
+
+def test_library_surface_is_pinned():
+    modules = {info.name: importlib.import_module(f"bandembed.{info.name}")
+               for info in pkgutil.iter_modules(bandembed.__path__)}
+    listed = {name: sorted(mod.__all__) for name, mod in modules.items()
+              if hasattr(mod, "__all__")}
+    exports = sorted(name for name, value in vars(bandembed).items()
+                     if not name.startswith("_") and not inspect.ismodule(value))
+    assert listed == MODULE_ALL
+    assert exports == PACKAGE_EXPORTS
+    for name, names in MODULE_ALL.items():
+        assert all(hasattr(modules[name], attr) for attr in names), name
+    for mod in [bandembed, *modules.values()]:
+        assert not [attr for attr in MOVED_TO_ORACLES if hasattr(mod, attr)], mod.__name__

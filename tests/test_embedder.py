@@ -21,7 +21,7 @@ from bandembed.homomorphism import build_homomorphism, choose_h_parameters
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
 from bandembed.partition import Config, prepare_host_partition, redistribute_to_sizes
 
-from conftest import complete_graph
+from conftest import complete_graph, path_graph
 
 
 def complete_pair_host(k, size):
@@ -470,6 +470,14 @@ class TestVerifyEmbedding:
         h = Graph(3, [])
         g = complete_graph(3)
         assert not verify_embedding(h, g, [0, 1])
+
+
+@pytest.mark.parametrize("entry", [1.0, True, None, "1", [1]], ids=repr)
+def test_non_int_map_entry_is_rejected(entry):
+    # Each entry equals or stands for vertex 1, so only its type can refuse it.
+    h = Graph(2, [(0, 1)])
+    assert not verify_embedding(h, path_graph(3), [0, entry])
+    assert not embedding_respects_partition([0, entry], [[0], [1]], [{0}, {1}])
 
 
 class TestRespectsPartition:

@@ -13,12 +13,12 @@ from bandembed.graph import (
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    neighborhood,
     subset_lanes,
     verify_bandwidth_ordering,
 )
 
 from conftest import complete_graph, cycle_graph, path_graph
+from oracles import neighborhood
 
 
 def small_graphs():

@@ -23,7 +23,6 @@ from bandembed.homomorphism import (
     HomomorphismParams,
     SegmentDecomposition,
     balance_trial_stats,
-    binomial_mod_distribution,
     build_homomorphism,
     choose_h_parameters,
     chop_into_segments,
@@ -37,6 +36,7 @@ from bandembed.hostgen import gen_bandwidth_bipartite_h
 from bandembed.rng import ceil_frac, derive_seed, make_rng, shuffled
 
 from conftest import mc_shape, perfect_matching_graph
+from oracles import binomial_mod_distribution
 
 
 class TestChop:

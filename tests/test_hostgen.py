@@ -14,8 +14,9 @@ from bandembed.hostgen import (
     gen_random_graph,
     gen_super_regular_host,
 )
-from bandembed.matching import has_perfect_matching_small
 from bandembed.regularity import check_regular_pair, check_super_regular_pair
+
+from oracles import has_perfect_matching_small
 
 
 class TestCycleBlowup:

@@ -26,7 +26,6 @@ from bandembed.partition import (
     assign_exceptional_vertices,
     balance_partition,
     check_mobility_hypotheses,
-    dump_config,
     find_hamilton_cycle_and_chords,
     load_config,
     prepare_host_partition,
@@ -38,6 +37,8 @@ from bandembed.partition import (
 from bandembed.partition import _LivePartition
 from bandembed.regularity import ReducedGraph, build_reduced_graph
 from bandembed.rng import as_fraction
+
+from oracles import dump_config
 
 # A config whose working density exceeds its working regularity slack, so
 # the move thresholds (d - eps)|class| are positive and meaningful.

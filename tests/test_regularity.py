@@ -16,12 +16,12 @@ from bandembed.regularity import (
     check_regular_pair,
     check_super_regular_pair,
     pair_density,
-    perturbation_bound,
 )
 from bandembed.regularity import _first_refuted, _flagged, _lanes, _random_candidates, _slot_width
 from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
 from conftest import complete_graph
+from oracles import perturbation_bound
 
 
 def complete_pair(a_size, b_size):

@@ -10,12 +10,12 @@ from bandembed.walks import (
     ShiftedWalk,
     find_closed_shifted_walk,
     purify_walk,
-    shifted_neighborhood_iterate,
     simplify_walk,
     validate_shifted_walk,
 )
 
 from conftest import complete_graph, cycle_graph
+from oracles import shifted_neighborhood_iterate
 
 
 K4 = complete_graph(4)
