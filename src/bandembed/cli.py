@@ -221,28 +221,26 @@ def run_full_pipeline(
 
         # Stage 5: compatibility of the preimage partition with the host partition.
         with stage("compatibility") as st:
-            w_classes, rprime = _pull_back(hom.f, prep.partition.k)
-            compat = check_compatibility(
-                h, w_classes, final.classes, final.skeleton(), rprime, cfg.eps
-            )
+            w_classes = _pull_back(hom.f, prep.partition.k)
+            compat = check_compatibility(h, w_classes, final.classes, final.skeleton(), cfg.eps)
             st.detail = compat.to_json()
             if not compat.all_ok():
                 raise BandembedError("compatibility failed")
 
         # Stage 6: the embedding itself.
         with stage("embed"):
-            emb = embed_blowup(h, w_classes, g, final.classes, rprime, seed=seed)
+            phi = embed_blowup(h, w_classes, g, final.classes, seed=seed)
 
         # Stage 7: unconditional final gate.
         with stage("verify-embedding") as st:
-            valid = verify_embedding(h, g, emb.phi)
-            respects = embedding_respects_partition(emb.phi, w_classes, final.classes)
+            valid = verify_embedding(h, g, phi)
+            respects = embedding_respects_partition(phi, w_classes, final.classes)
             st.ok = valid and respects
             st.detail = {"edge_preserving_injection": valid, "respects_partition": respects}
     except _StageFailed:
         return report
 
-    report.embedding = list(emb.phi)
+    report.embedding = phi
     return report
 
 
@@ -261,12 +259,12 @@ def _homomorphism(target: TargetBundle, sizes: list[int], chord: tuple[int, int]
     return params, hom, recheck
 
 
-def _pull_back(f: list[int], k: int) -> tuple[list[list[int]], set[tuple[int, int]]]:
-    """The target classes W_i = f^-1(i), and the cluster pairs (2i, 2i+1) they embed along."""
+def _pull_back(f: list[int], k: int) -> list[list[int]]:
+    """The target classes W_i = f^-1(i) of the 2k clusters."""
     w_classes: list[list[int]] = [[] for _ in range(2 * k)]
     for v, c in enumerate(f):
         w_classes[c].append(v)
-    return w_classes, {(2 * i, 2 * i + 1) for i in range(k)}
+    return w_classes
 
 
 def _error_detail(exc: Exception) -> dict:
@@ -531,13 +529,10 @@ def _cmd_embed(args) -> int:
     if len(f) != target.graph.n or not all(0 <= c < 2 * k for c in f):
         raise InvalidInputError(f"{args.hom}: \"f\" must send all {target.graph.n} target "
                                 f"vertices to classes 0..{2 * k - 1}")
-    w_classes, rprime = _pull_back(f, k)
-    emb = embed_blowup(
-        target.graph, w_classes, host.graph, host.partition.classes, rprime,
-        seed=args.seed,
-    )
-    valid = verify_embedding(target.graph, host.graph, emb.phi)
-    _emit({"phi": emb.phi, "verified": valid}, args)
+    w_classes = _pull_back(f, k)
+    phi = embed_blowup(target.graph, w_classes, host.graph, host.partition.classes, seed=args.seed)
+    valid = verify_embedding(target.graph, host.graph, phi)
+    _emit({"phi": phi, "verified": valid}, args)
     return 0 if valid else 1
 
 

@@ -12,11 +12,11 @@ on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
 
 Both entry points read the classes through one layout, and raise
-InvalidInputError unless there is one host class per H class, the H classes
-partition V(H), the host classes are pairwise disjoint and every reduced or
-restricted edge joins two class indices in range.  With equal class sizes
-this gives the per-side invariant the pair completion relies on: each side
-has one free host for each unplaced vertex.
+InvalidInputError unless the class count is even (classes 2i and 2i+1 form
+cluster pair i, the only restricted graph), there is one host class per H
+class, the H classes partition V(H) and the host classes are pairwise
+disjoint.  With equal class sizes this gives the per-side invariant the pair
+completion relies on: each side has one free host for each unplaced vertex.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .rng import as_fraction, derive_seed, make_rng, shuffled
 
 __all__ = [
     "CompatibilityReport",
-    "Embedding",
     "check_compatibility",
     "embed_blowup",
     "verify_embedding",
@@ -64,11 +63,6 @@ class CompatibilityReport:
         }
 
 
-@dataclass
-class Embedding:
-    phi: list[int]
-
-
 def _normalize_edges(edges, num: int) -> set[tuple[int, int]]:
     """Edges between class indices as (min, max) pairs; each index must name a class."""
     out = set()
@@ -80,32 +74,18 @@ def _normalize_edges(edges, num: int) -> set[tuple[int, int]]:
     return out
 
 
-def _components(num: int, edges: set[tuple[int, int]]) -> list[int]:
-    comp = list(range(num))
-
-    def find(x: int) -> int:
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            comp[max(ru, rv)] = min(ru, rv)
-    return [find(x) for x in range(num)]
-
-
 def _class_layout(
     h: Graph, w_classes: list, v_classes: list
 ) -> tuple[list[list[int]], list[list[int]], dict[int, int]]:
     """Sorted H and host classes, and the class index of every H vertex.
 
-    The H classes must partition V(H) and the host classes must be pairwise
-    disjoint, with one host class per H class.
+    The class count must be even, the H classes must partition V(H) and the
+    host classes must be pairwise disjoint, with one host class per H class.
     """
     if len(w_classes) != len(v_classes):
         raise InvalidInputError("need equally many H and host classes")
+    if len(w_classes) % 2:
+        raise InvalidInputError(f"{len(w_classes)} classes do not form cluster pairs (2i, 2i+1)")
     w_sets = [sorted(set(c)) for c in w_classes]
     v_sets = [sorted(set(c)) for c in v_classes]
     cluster_of = {v: i for i, ws in enumerate(w_sets) for v in ws}
@@ -117,16 +97,16 @@ def _class_layout(
 
 
 def _boundary(
-    h: Graph, cluster_of: dict[int, int], num: int, rp: set[tuple[int, int]]
+    h: Graph, cluster_of: dict[int, int], num: int
 ) -> tuple[list[set[int]], list[set[int]]]:
-    """The per-class S and T sets of `check_compatibility` for the restricted edges `rp`.
+    """The per-class S and T sets of `check_compatibility`.
 
-    `rp` holds (min, max) pairs.  An H-edge inside one class adds nothing to S.
+    An H-edge inside one class or one cluster pair adds nothing to S.
     """
     s_sets: list[set[int]] = [set() for _ in range(num)]
     for u, v in h.edges():
         iu, iv = cluster_of[u], cluster_of[v]
-        if iu != iv and (min(iu, iv), max(iu, iv)) not in rp:
+        if iu != iv and iu ^ 1 != iv:
             s_sets[iu].add(u)
             s_sets[iv].add(v)
     s_all = set().union(*s_sets)
@@ -139,7 +119,7 @@ def _boundary(
 
 
 def _boundary_plan(
-    h: Graph, cluster_of: dict[int, int], num: int, rp: set[tuple[int, int]]
+    h: Graph, cluster_of: dict[int, int], num: int
 ) -> tuple[list[int], dict[int, list[int]], list[int]]:
     """Phase 1's fixed plan, computed once outside the restarts.
 
@@ -147,7 +127,7 @@ def _boundary_plan(
     order, most constrained first; each one's same-class peers placed after
     it; and the other vertices whose neighbors are all boundary vertices.
     """
-    s_sets, t_sets = _boundary(h, cluster_of, num, rp)
+    s_sets, t_sets = _boundary(h, cluster_of, num)
     constrained = set().union(*s_sets, *t_sets)
     order = sorted(constrained, key=lambda v: (-len(h.adj(v) & constrained), v))
     by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
@@ -164,13 +144,12 @@ def check_compatibility(
     w_classes: list,
     v_classes: list,
     r_edges,
-    rprime_edges,
     eps,
 ) -> CompatibilityReport:
     """Exact evaluation of the three compatibility conditions.
 
-    For each index i, S_i holds the W_i vertices with neighbors in some W_j
-    where ij is not an edge of the restricted graph; T_i holds the
+    Every cluster pair (2i, 2i+1) must be a reduced edge.  S_i holds the W_i
+    vertices with neighbors outside W_i and its partner W_{i^1}; T_i holds the
     neighbors of S inside W_i \\ S.  An H-edge inside a single class counts
     against the reduced-edge condition since the reduced graph has no loops.
     """
@@ -178,9 +157,9 @@ def check_compatibility(
     num = len(w_sets)
     eps = as_fraction(eps)
     r = _normalize_edges(r_edges, num)
-    rp = _normalize_edges(rprime_edges, num)
-    if not rp <= r:
-        raise InvalidInputError("the restricted graph must be a subgraph of the reduced graph")
+    for i in range(0, num, 2):
+        if (i, i + 1) not in r:
+            raise InvalidInputError(f"the cluster pair ({i},{i + 1}) is not a reduced edge")
 
     offending_sizes = [i for i in range(num) if len(w_sets[i]) != len(v_sets[i])]
     offending_edges: list[tuple[int, int]] = []
@@ -189,18 +168,11 @@ def check_compatibility(
         key = (min(iu, iv), max(iu, iv))
         if (iu == iv or key not in r) and key not in offending_edges:
             offending_edges.append(key)
-    s_sets, t_sets = _boundary(h, cluster_of, num, rp)
-
-    comp = _components(num, rp)
-    comp_min: dict[int, int] = {}
-    for i in range(num):
-        c = comp[i]
-        size = len(v_sets[i])
-        comp_min[c] = min(comp_min.get(c, size), size)
+    s_sets, t_sets = _boundary(h, cluster_of, num)
     offending_bounds = [
         i for i in range(num)
         if Fraction(len(s_sets[i])) > eps * len(v_sets[i])
-        or Fraction(len(t_sets[i])) > eps * comp_min[comp[i]]
+        or Fraction(len(t_sets[i])) > eps * min(len(v_sets[i]), len(v_sets[i ^ 1]))
     ]
 
     return CompatibilityReport(s_sets, t_sets, offending_sizes, offending_edges, offending_bounds)
@@ -211,32 +183,24 @@ def embed_blowup(
     w_classes: list,
     g: Graph,
     v_classes: list,
-    rprime_edges,
     seed: int = 0,
-) -> Embedding:
-    """Injective edge-preserving placement of H into G along the class partition.
+) -> list[int]:
+    """Injective edge-preserving placement phi of H into G along the class partition.
 
-    Restricted-graph components must be single edges (cluster pairs), and
-    every non-empty class must lie in one.  The reassignment budget is
-    BUDGET_FACTOR * |H|; exceeding it raises EmbeddingNotFoundError, which
-    is a legitimate certified failure.
+    The cluster pairs (2i, 2i+1) are completed in order of i.  The
+    reassignment budget is BUDGET_FACTOR * |H|; exceeding it raises
+    EmbeddingNotFoundError, which is a legitimate certified failure.
     """
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
-    rp = sorted(_normalize_edges(rprime_edges, len(w_sets)))
-    ends = [i for edge in rp for i in edge]
-    if len(set(ends)) < len(ends):
-        raise InvalidInputError("restricted-graph components must be single edges")
     for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
         if len(ws) != len(vs):
             raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
-        if ws and i not in ends:
-            raise InvalidInputError(f"class {i} is in no restricted edge, so no pair places it")
     for u, v in h.edges():
         if cluster_of[u] == cluster_of[v]:
             raise InvalidInputError(
                 f"edge ({u},{v}) stays inside class {cluster_of[u]}; the input is incompatible"
             )
-    order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets), set(rp))
+    order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets))
 
     gmasks = g.masks
     class_masks = [vertex_mask(vs) for vs in v_sets]
@@ -292,16 +256,16 @@ def embed_blowup(
         # failed completion re-rolls locally (the first side's free bijection
         # reshapes the second side's candidate lists); a "stuck" pair, or one
         # out of local tries, sends us back to phase 1.
-        for x, y in rp:
+        for x in range(0, len(w_sets), 2):
             status, tries = "retry", 0
             while status == "retry" and tries < 20 and spent <= budget:
                 tries += 1
-                spent += len(w_sets[x]) + len(w_sets[y])
-                status = _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates)
+                spent += len(w_sets[x]) + len(w_sets[x + 1])
+                status = _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates)
             if status != "ok":
                 break
         else:
-            return Embedding([phi[v] for v in range(h.n)])
+            return [phi[v] for v in range(h.n)]
     raise EmbeddingNotFoundError(
         f"no embedding within the reassignment budget ({budget} placements)"
     )
@@ -326,8 +290,8 @@ def _least_blocked(cands: list[int], allowed: list[int]) -> int:
     return next(c for c in cands if fewest >> c & 1)
 
 
-def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:
-    """Fill one cluster pair, one side at a time.
+def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
+    """Fill the cluster pair (x, x+1), one side at a time.
 
     Returns 'ok', 'retry', or 'stuck'; on 'retry' and 'stuck' the pair's own
     placements are taken back.  'stuck' means a vertex failed whose placed
@@ -343,7 +307,7 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, y, rng, candidates) -> str:
             used.discard(phi.pop(v))
         return status
 
-    for side in (x, y):
+    for side in (x, x + 1):
         unplaced = [v for v in w_sets[side] if v not in phi]
         hosts = [c for c in v_sets[side] if c not in used]
         host_index = {c: i for i, c in enumerate(hosts)}
@@ -389,9 +353,11 @@ def verify_embedding(h: Graph, g: Graph, phi) -> bool:
 def embedding_respects_partition(phi, w_classes, v_classes) -> bool:
     """Whether phi sends every vertex of each H class into the host class of its index.
 
-    An entry of phi that is not an int (a bool included) makes the answer False.
+    An entry of phi or of a class that is not an int (a bool included) makes the answer False.
     """
-    return len(w_classes) == len(v_classes) and all(type(x) is int for x in phi) and all(
+    return len(w_classes) == len(v_classes) and all(
+        type(x) is int for xs in (phi, *w_classes, *v_classes) for x in xs
+    ) and all(
         all(0 <= v < len(phi) for v in ws) and {phi[v] for v in ws} <= set(vs)
         for ws, vs in zip(w_classes, v_classes)
     )

@@ -87,12 +87,6 @@ class ClusterPartition:
     def k(self) -> int:
         return len(self.classes) // 2
 
-    def a_class(self, i: int) -> set[int]:
-        return self.classes[2 * i]
-
-    def b_class(self, i: int) -> set[int]:
-        return self.classes[2 * i + 1]
-
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
 
@@ -118,11 +112,6 @@ class ClusterPartition:
         if self.b_chord:
             out.append((2 * self.b_chord[0] + 1, 2 * self.b_chord[1] + 1))
         return out
-
-    def copy(self) -> "ClusterPartition":
-        return ClusterPartition(
-            [set(c) for c in self.classes], self.a_chord, self.b_chord
-        )
 
     def to_json(self) -> dict:
         return {

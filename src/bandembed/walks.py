@@ -84,10 +84,6 @@ class ShiftedWalk:
     def endpoints(self) -> tuple[int, int]:
         return self.vertices[0], self.vertices[-1]
 
-    @property
-    def is_closed(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
 
 def _require_perfect(g: Graph, m: Matching) -> None:
     if not m.is_perfect_on(g):

@@ -4,6 +4,7 @@ import bandembed.homomorphism
 from bandembed.graph import BandwidthOrdering, Graph
 from bandembed.homomorphism import choose_h_parameters
 from bandembed.hostgen import gen_bandwidth_bipartite_h
+from bandembed.partition import ClusterPartition
 
 
 def pytest_runtest_setup(item):
@@ -32,6 +33,11 @@ def two_cliques(size: int) -> Graph:
     edges = list(itertools.combinations(range(size), 2))
     edges += [(u + size, v + size) for u, v in itertools.combinations(range(size), 2)]
     return Graph(2 * size, edges)
+
+
+def copy_partition(p: ClusterPartition) -> ClusterPartition:
+    """The same partition with class sets of its own: the constructor copies them."""
+    return ClusterPartition(p.classes, p.a_chord, p.b_chord)
 
 
 def perfect_matching_graph(n):

@@ -242,8 +242,9 @@ def test_criterion_4_mobility_exactness():
         # Consecutive pairs re-pass regularity at the perturbed parameters.
         for i in range(k):
             pairs = [
-                (out.a_class(i), out.b_class(i), 2 * i, 2 * i + 1),
-                (out.b_class(i), out.a_class((i + 1) % k), 2 * i + 1, (2 * i + 2) % (2 * k)),
+                (out.classes[2 * i], out.classes[2 * i + 1], 2 * i, 2 * i + 1),
+                (out.classes[2 * i + 1], out.classes[(2 * i + 2) % (2 * k)],
+                 2 * i + 1, (2 * i + 2) % (2 * k)),
             ]
             for x_cls, y_cls, xi_idx, yi_idx in pairs:
                 alpha = ledger.churn[xi_idx] / base[xi_idx]

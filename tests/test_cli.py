@@ -20,7 +20,7 @@ from bandembed.hostgen import (
 from bandembed.homomorphism import build_homomorphism, choose_h_parameters
 from bandembed.partition import ClusterPartition, Config
 
-from conftest import strip_seconds, two_cliques
+from conftest import copy_partition, strip_seconds, two_cliques
 
 
 SMALL_CONFIG = ("n0 = 32\nlam = 0.05\nxi = 0.30\neps_prime = 0.45\neps = 0.5\n"
@@ -597,7 +597,7 @@ class TestPipelineCommand:
         import bandembed.partition
 
         host = gen_super_regular_host(k=4, size=50, d=0.5, seed=42)
-        skew = host.partition.copy()
+        skew = copy_partition(host.partition)
         moved = set(sorted(skew.classes[0])[:10])
         skew.classes[0] -= moved
         skew.classes[5] |= moved
@@ -632,7 +632,7 @@ class TestPipelineCommand:
         # balance ends with class 0 at n/(3k) or below: pipeline and lemma-g
         # both fail there and write the same balance steps.
         host = gen_super_regular_host(k=4, size=50, d=0.5, seed=42)
-        skew = host.partition.copy()
+        skew = copy_partition(host.partition)
         moved = set(sorted(skew.classes[0])[:30])
         skew.classes[0] -= moved
         skew.classes[5] |= moved
@@ -733,10 +733,8 @@ class TestPipelineCommand:
     def test_embedding_rejected_by_its_check_exits_1(self, small_world, tmp_path, capsys,
                                                      monkeypatch, command):
         import bandembed.cli
-        from bandembed.embedder import Embedding
 
-        monkeypatch.setattr(bandembed.cli, "embed_blowup", lambda h, *args, **kwargs:
-                            Embedding([0] * h.n))
+        monkeypatch.setattr(bandembed.cli, "embed_blowup", lambda h, *args, **kwargs: [0] * h.n)
         host_path, h_path, cfg_path = small_world
         hom_path = tmp_path / "hom.json"
         hom_path.write_text(json.dumps({"f": [v % 4 for v in range(64)]}))

@@ -49,8 +49,7 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
                              chord, params, seed=seed)
     a_t, b_t = _pair_targets(hom.loads(), baseline)
     final, _ = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
-    w_classes, rprime = _pull_back(hom.f, k)
-    return h, w_classes, g, final.classes, rprime
+    return h, _pull_back(hom.f, k), g, final.classes
 
 
 def split_classes(sizes):
@@ -80,7 +79,7 @@ def stuck_instance(spare_edge=True):
     (a0, a1), (p, q), z, t = w
     edges = [(a0, p), (a0, q)] + ([(a1, q)] if spare_edge else [])
     edges += [(x, y) for x in (a0, a1) for y in z] + [(x, y) for x in z for y in t]
-    return h, w, Graph(h.n, edges), w, {(0, 1), (2, 3)}
+    return h, w, Graph(h.n, edges), w
 
 
 def poisoned_instance():
@@ -97,7 +96,11 @@ def poisoned_instance():
     h = Graph(12, [(b, c), (a, b), (c, d), (b + 1, a)])
     edges = [(x[0], u) for u in y] + [(x[1], y[0]), (x[2], y[1]), (x[2], y[2])]
     edges += [(u, v) for u in y for v in z] + [(u, v) for u in z for v in t]
-    return h, w, Graph(12, edges), w, {(0, 1), (2, 3)}
+    return h, w, Graph(12, edges), w
+
+
+# The cluster pairs of four classes: the least reduced graph `check_compatibility` accepts.
+PAIRS = {(0, 1), (2, 3)}
 
 
 def retry_instance(spare_edge=True):
@@ -110,7 +113,7 @@ def retry_instance(spare_edge=True):
     w = [[0, 1], [2, 3]]
     h = Graph(4, [(0, 2), (0, 3)])
     g = Graph(4, [(0, 2), (1, 2)] + ([(0, 3)] if spare_edge else []))
-    return h, w, g, w, {(0, 1)}
+    return h, w, g, w
 
 
 class TestCompatibility:
@@ -118,8 +121,7 @@ class TestCompatibility:
         h = Graph(8, [])
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
         assert report.all_ok()
         assert all(not s for s in report.s_sets)
 
@@ -127,16 +129,14 @@ class TestCompatibility:
         h = Graph(8, [(0, 4)])  # joins clusters 0 and 2; no reduced edge there
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
         assert report.offending_edges == [(0, 2)]
 
     def test_size_mismatch_flagged(self):
         h = Graph(8, [])
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1, 2], [3], [4, 5], [6, 7]]
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
         assert report.offending_sizes == [0, 1]
 
     def test_boundary_sets_exact(self):
@@ -144,10 +144,8 @@ class TestCompatibility:
         # S, and their untouched neighbors form T.
         h = Graph(8, [(2, 4), (4, 5)])
         _, v_classes = complete_pair_host(2, 2)
-        r = {(0, 1), (2, 3), (1, 2)}
-        rp = {(0, 1), (2, 3)}
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, r, rp, 0.9)
+        report = check_compatibility(h, w, v_classes, PAIRS | {(1, 2)}, 0.9)
         assert report.s_sets[1] == {2}
         assert report.s_sets[2] == {4}
         assert report.t_sets[2] == {5}
@@ -155,8 +153,7 @@ class TestCompatibility:
     def test_same_cluster_edge_fails(self):
         h = Graph(8, [(0, 1)])
         _, v_classes = complete_pair_host(2, 2)
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, [[0, 1], [2, 3], [4, 5], [6, 7]], v_classes, rp, rp, 0.5)
+        report = check_compatibility(h, [[0, 1], [2, 3], [4, 5], [6, 7]], v_classes, PAIRS, 0.5)
         assert report.offending_edges == [(0, 0)]
 
     def test_boundary_over_eps_of_own_class(self):
@@ -164,8 +161,7 @@ class TestCompatibility:
         # eps * 4 for class 1, above eps * 2 for class 2.
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, w, rp | {(1, 2)}, rp, 0.4)
+        report = check_compatibility(h, w, w, PAIRS | {(1, 2)}, 0.4)
         assert not report.offending_sizes and not report.offending_edges
         assert not report.all_ok()
         flags = {key: report.to_json()[key]
@@ -181,8 +177,7 @@ class TestCompatibility:
         w = split_classes([4, 2, 4, 2])
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
-        rp = {(0, 1), (2, 3)}
-        report = check_compatibility(h, w, w, rp | {(1, 2)}, rp, 0.5)
+        report = check_compatibility(h, w, w, PAIRS | {(1, 2)}, 0.5)
         assert not report.offending_sizes and not report.offending_edges
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
         assert report.offending_bounds == [0]
@@ -193,12 +188,10 @@ class TestMalformedClasses:
 
     @staticmethod
     def assert_rejected(h, w, v_classes, match):
-        g = complete_graph(h.n)
-        rp = {(0, 1)}
         with pytest.raises(InvalidInputError, match=match):
-            check_compatibility(h, w, v_classes, rp, rp, 0.5)
+            check_compatibility(h, w, v_classes, {(0, 1)}, 0.5)
         with pytest.raises(InvalidInputError, match=match):
-            embed_blowup(h, w, g, v_classes, rp, seed=0)
+            embed_blowup(h, w, complete_graph(h.n), v_classes, seed=0)
 
     def test_unequal_class_counts(self):
         h = Graph(4, [(0, 1)])
@@ -213,20 +206,20 @@ class TestMalformedClasses:
         h = Graph(4, [(0, 2), (1, 3)])
         self.assert_rejected(h, [[0, 1], [2, 3]], [[0, 1], [1, 2]], "disjoint")
 
-    @pytest.mark.parametrize("entry", ["check_compatibility", "embed_blowup"])
-    def test_edge_class_index_out_of_range(self, entry):
-        h, w, r = Graph(4, [(0, 1)]), [[0], [1], [2], [3]], {(0, 7)}
-        call = {"check_compatibility": lambda: check_compatibility(h, w, w, r, r, 0.5),
-                "embed_blowup": lambda: embed_blowup(h, w, complete_graph(4), w, r, seed=0)}
-        with pytest.raises(InvalidInputError, match=r"edge \(0,7\) names a class outside \[0,4\)"):
-            call[entry]()
+    def test_odd_class_count(self):
+        # Classes 2i and 2i+1 form cluster pair i, so a third class has no partner.
+        w = [[0], [1], [2]]
+        self.assert_rejected(Graph(3, [(0, 1)]), w, w, "3 classes do not form cluster pairs")
 
-    def test_class_in_no_restricted_edge_is_named(self):
-        # Classes 2 and 3 hold a vertex each but lie in no pair, so nothing
-        # would ever place them.
+    def test_edge_class_index_out_of_range(self):
         w = [[0], [1], [2], [3]]
-        with pytest.raises(InvalidInputError, match="class 2 is in no restricted edge"):
-            embed_blowup(Graph(4, [(0, 1)]), w, complete_graph(4), w, {(0, 1)}, seed=0)
+        with pytest.raises(InvalidInputError, match=r"edge \(0,7\) names a class outside \[0,4\)"):
+            check_compatibility(Graph(4, [(0, 1)]), w, w, PAIRS | {(0, 7)}, 0.5)
+
+    def test_cluster_pair_missing_from_the_reduced_graph(self):
+        w = [[0], [1], [2], [3]]
+        with pytest.raises(InvalidInputError, match=r"cluster pair \(2,3\) is not a reduced edge"):
+            check_compatibility(Graph(4, [(0, 1)]), w, w, {(0, 1), (1, 2)}, 0.5)
 
 
 class TestEmbedBlowup:
@@ -240,10 +233,9 @@ class TestEmbedBlowup:
             [4 * i + 2 for i in range(size)],
             [4 * i + 3 for i in range(size)],
         ]
-        rp = {(0, 1), (2, 3)}
-        emb = embed_blowup(h, w, g, v_classes, rp, seed=0)
-        assert verify_embedding(h, g, emb.phi)
-        assert embedding_respects_partition(emb.phi, w, v_classes)
+        phi = embed_blowup(h, w, g, v_classes, seed=0)
+        assert verify_embedding(h, g, phi)
+        assert embedding_respects_partition(phi, w, v_classes)
 
     def test_paths_into_random_pairs(self):
         # Disjoint three-edge paths into a density-0.5 pair of 50 + 50.
@@ -258,9 +250,9 @@ class TestEmbedBlowup:
             [v for v in range(2 * size) if v % 2 == 0],
             [v for v in range(2 * size) if v % 2 == 1],
         ]
-        emb = embed_blowup(h, w, g, v_classes, {(0, 1)}, seed=3)
-        assert verify_embedding(h, g, emb.phi)
-        assert embedding_respects_partition(emb.phi, w, v_classes)
+        phi = embed_blowup(h, w, g, v_classes, seed=3)
+        assert verify_embedding(h, g, phi)
+        assert embedding_respects_partition(phi, w, v_classes)
 
     def test_zero_density_pair_fails_honestly(self):
         g = Graph(4, [])
@@ -268,19 +260,13 @@ class TestEmbedBlowup:
         w = [[0, 1], [2, 3]]
         v_classes = [[0, 1], [2, 3]]
         with pytest.raises(EmbeddingNotFoundError):
-            embed_blowup(h, w, g, v_classes, {(0, 1)}, seed=0)
+            embed_blowup(h, w, g, v_classes, seed=0)
 
     def test_same_cluster_edge_rejected(self):
         g = Graph(4, [])
         h = Graph(4, [(0, 1)])
         with pytest.raises(InvalidInputError, match="incompatible"):
-            embed_blowup(h, [[0, 1], [2, 3]], g, [[0, 1], [2, 3]], {(0, 1)}, seed=0)
-
-    def test_component_shape_validated(self):
-        h = Graph(4, [])
-        g, v_classes = complete_pair_host(2, 1)
-        with pytest.raises(InvalidInputError, match="single edges"):
-            embed_blowup(h, [[0], [1], [2], [3]], g, v_classes, {(0, 1), (1, 2)}, seed=0)
+            embed_blowup(h, [[0, 1], [2, 3]], g, [[0, 1], [2, 3]], seed=0)
 
     def test_poisoned_boundary_placement_skips_the_pairs(self, monkeypatch):
         # H: the cross edge b0-c0 makes S = {b0, c0} and T = {a0, d0}; b1's
@@ -297,7 +283,7 @@ class TestEmbedBlowup:
         monkeypatch.setattr(bandembed.embedder, "_complete_pair",
                             lambda *args: tries.append(args) or "stuck")
         with pytest.raises(EmbeddingNotFoundError):
-            embed_blowup(h, w, g, w, {(0, 1), (2, 3)}, seed=0)
+            embed_blowup(h, w, g, w, seed=0)
         assert not tries
 
     def test_complete_pairs_always_succeed(self):
@@ -321,8 +307,8 @@ class TestEmbedBlowup:
             h = Graph(4 * size, h_edges)
             w = [list(range(size)), list(range(size, 2 * size)),
                  list(range(2 * size, 3 * size)), list(range(3 * size, 4 * size))]
-            emb = embed_blowup(h, w, g, classes, {(0, 1), (2, 3)}, seed=seed)
-            assert verify_embedding(h, g, emb.phi)
+            phi = embed_blowup(h, w, g, classes, seed=seed)
+            assert verify_embedding(h, g, phi)
 
 
 class TestGoldenPlacements:
@@ -348,7 +334,7 @@ class TestGoldenPlacements:
             inputs = pipeline_embed_inputs(k, size, bandwidth, seed)
             attempts.clear()
             try:
-                out = embed_blowup(*inputs, seed=seed).phi
+                out = embed_blowup(*inputs, seed=seed)
             except EmbeddingNotFoundError as exc:
                 out = f"EmbeddingNotFoundError: {exc}"
             assert len(attempts) >= 2
@@ -387,12 +373,12 @@ class TestSearchPaths:
         monkeypatch.setattr(bandembed.embedder, "_complete_pair", recording)
         digest = hashlib.sha256()
         runs = collections.defaultdict(list)
-        for name, (h, w, g, v_classes, rp) in self.INSTANCES.items():
+        for name, (h, w, g, v_classes) in self.INSTANCES.items():
             for seed in self.SEEDS:
                 attempts.clear()
                 statuses.clear()
                 try:
-                    out = embed_blowup(h, w, g, v_classes, rp, seed=seed).phi
+                    out = embed_blowup(h, w, g, v_classes, seed=seed)
                     assert verify_embedding(h, g, out)
                     assert embedding_respects_partition(out, w, v_classes)
                 except EmbeddingNotFoundError as exc:
@@ -478,6 +464,13 @@ def test_non_int_map_entry_is_rejected(entry):
     h = Graph(2, [(0, 1)])
     assert not verify_embedding(h, path_graph(3), [0, entry])
     assert not embedding_respects_partition([0, entry], [[0], [1]], [{0}, {1}])
+
+
+@pytest.mark.parametrize("entry", [1.0, True, None, "1", [1]], ids=repr)
+def test_non_int_class_entry_is_rejected(entry):
+    # The same stand-ins for vertex 1, in an H class and in a host class.
+    assert not embedding_respects_partition([0, 1], [[0], [entry]], [{0}, {1}])
+    assert not embedding_respects_partition([0, 1], [[0], [1]], [[0], [entry]])
 
 
 class TestRespectsPartition:

@@ -38,6 +38,7 @@ from bandembed.partition import _LivePartition
 from bandembed.regularity import ReducedGraph, build_reduced_graph
 from bandembed.rng import as_fraction
 
+from conftest import copy_partition
 from oracles import dump_config
 
 # A config whose working density exceeds its working regularity slack, so
@@ -255,7 +256,7 @@ class TestMoveThresholdIsInclusive:
 def imbalanced_host(seed=7):
     """Dense host with two pairs starting 1.5*lam*n out of balance."""
     bundle = gen_super_regular_host(k=4, size=20, d=0.9, seed=seed)
-    part = bundle.partition.copy()
+    part = copy_partition(bundle.partition)
     movers = sorted(part.classes[3])[:12]  # lam*n = 8 under LOOSE
     for v in movers:
         part.classes[3].discard(v)
@@ -483,7 +484,7 @@ class TestHostPipeline:
 
     def test_leftover_vertices_absorbed(self):
         bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
-        part = bundle.partition.copy()
+        part = copy_partition(bundle.partition)
         dropped = []
         for c in (0, 3):
             v = sorted(part.classes[c])[0]
@@ -503,7 +504,7 @@ class TestHostPipeline:
         ledger = BalanceLedger([BalanceStep((0, 3), 1, 4, 0, [], [])])
 
         def tiny_class(g, partition, reduced, cfg):
-            out = partition.copy()
+            out = copy_partition(partition)
             moved = set(sorted(out.classes[0])[:7])
             out.classes[0] -= moved
             out.classes[1] |= moved
@@ -552,7 +553,7 @@ class TestMoverPins:
         records = []
         for bundle in hosts:
             for src, dst, count in skews:
-                g, part = bundle.graph, bundle.partition.copy()
+                g, part = bundle.graph, copy_partition(bundle.partition)
                 for v in sorted(part.classes[src])[:count]:
                     part.classes[src].discard(v)
                     part.classes[dst].add(v)
@@ -634,7 +635,7 @@ class TestMoverPins:
                 for drop in (2, 8, 24):
                     bundle = gen_super_regular_host(k=3, size=10, d=dens, seed=seed)
                     dropped = random.Random(seed).sample(range(bundle.graph.n), drop)
-                    part = bundle.partition.copy()
+                    part = copy_partition(bundle.partition)
                     for c in part.classes:
                         c.difference_update(dropped)
                     for cfg in (LOOSE, STRICT):
