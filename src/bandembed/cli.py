@@ -166,10 +166,9 @@ def run_full_pipeline(
             baseline = prep.partition.sizes()
             # The walk search runs at nu/4 in the reduced graph; certify that
             # level exactly while the reduced graph is small.
-            sub = prep.reduced.as_graph()
             expander_verdict = (
-                check_robust_expander(sub, cfg.nu / 4, cfg.tau, mode="exact")
-                if sub.n <= EXACT_EXPANDER_CAP else None
+                check_robust_expander(prep.reduced, cfg.nu / 4, cfg.tau, mode="exact")
+                if prep.reduced.n <= EXACT_EXPANDER_CAP else None
             )
             st.detail = {
                 "k": prep.partition.k,
@@ -222,7 +221,8 @@ def run_full_pipeline(
         # Stage 5: compatibility of the preimage partition with the host partition.
         with stage("compatibility") as st:
             w_classes = _pull_back(hom.f, prep.partition.k)
-            compat = check_compatibility(h, w_classes, final.classes, final.skeleton(), cfg.eps)
+            compat = check_compatibility(h, w_classes, final.classes,
+                                         Graph(2 * final.k, final.skeleton()), cfg.eps)
             st.detail = compat.to_json()
             if not compat.all_ok():
                 raise BandembedError("compatibility failed")
@@ -454,12 +454,13 @@ def _cmd_check_pair(args) -> int:
 
 
 def _cmd_build_reduced(args) -> int:
-    reduced = build_reduced_graph(*_load_graph_classes(args), args.eps, args.density,
+    g, classes = _load_graph_classes(args)
+    reduced = build_reduced_graph(g, classes, args.eps, args.density,
                                   mode=args.mode, budget=args.budget)
     _emit({
-        "clusters": [sorted(c) for c in reduced.clusters],
-        "edges": sorted(list(e) for e in reduced.edges),
-        "params": {"eps": str(reduced.eps), "d": str(reduced.d)},
+        "clusters": [sorted(c) for c in classes],
+        "edges": [list(e) for e in sorted(reduced.edges())],
+        "params": {"eps": str(as_fraction(args.eps)), "d": str(as_fraction(args.density))},
     }, args)
     return 0
 

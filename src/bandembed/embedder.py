@@ -17,6 +17,8 @@ cluster pair i, the only restricted graph), there is one host class per H
 class, the H classes partition V(H) and the host classes are pairwise
 disjoint.  With equal class sizes this gives the per-side invariant the pair
 completion relies on: each side has one free host for each unplaced vertex.
+`check_compatibility` takes the reduced graph as a `Graph` with one vertex
+per class.
 """
 
 from __future__ import annotations
@@ -61,17 +63,6 @@ class CompatibilityReport:
             "offending_bounds": self.offending_bounds,
             "all_ok": self.all_ok(),
         }
-
-
-def _normalize_edges(edges, num: int) -> set[tuple[int, int]]:
-    """Edges between class indices as (min, max) pairs; each index must name a class."""
-    out = set()
-    for e in edges:
-        u, v = e
-        if not (0 <= u < num and 0 <= v < num):
-            raise InvalidInputError(f"edge ({u},{v}) names a class outside [0,{num})")
-        out.add((min(u, v), max(u, v)))
-    return out
 
 
 def _class_layout(
@@ -143,12 +134,13 @@ def check_compatibility(
     h: Graph,
     w_classes: list,
     v_classes: list,
-    r_edges,
+    reduced: Graph,
     eps,
 ) -> CompatibilityReport:
     """Exact evaluation of the three compatibility conditions.
 
-    Every cluster pair (2i, 2i+1) must be a reduced edge.  S_i holds the W_i
+    `reduced` is the reduced graph, with one vertex per class, and every
+    cluster pair (2i, 2i+1) must be one of its edges.  S_i holds the W_i
     vertices with neighbors outside W_i and its partner W_{i^1}; T_i holds the
     neighbors of S inside W_i \\ S.  An H-edge inside a single class counts
     against the reduced-edge condition since the reduced graph has no loops.
@@ -156,9 +148,10 @@ def check_compatibility(
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
     num = len(w_sets)
     eps = as_fraction(eps)
-    r = _normalize_edges(r_edges, num)
+    if reduced.n != num:
+        raise InvalidInputError(f"the reduced graph has {reduced.n} vertices for {num} classes")
     for i in range(0, num, 2):
-        if (i, i + 1) not in r:
+        if not reduced.has_edge(i, i + 1):
             raise InvalidInputError(f"the cluster pair ({i},{i + 1}) is not a reduced edge")
 
     offending_sizes = [i for i in range(num) if len(w_sets[i]) != len(v_sets[i])]
@@ -166,7 +159,7 @@ def check_compatibility(
     for u, v in h.edges():
         iu, iv = cluster_of[u], cluster_of[v]
         key = (min(iu, iv), max(iu, iv))
-        if (iu == iv or key not in r) and key not in offending_edges:
+        if not reduced.has_edge(iu, iv) and key not in offending_edges:
             offending_edges.append(key)
     s_sets, t_sets = _boundary(h, cluster_of, num)
     offending_bounds = [
@@ -338,10 +331,10 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
 def verify_embedding(h: Graph, g: Graph, phi) -> bool:
     """Injectivity plus edge preservation, independent of how phi was built.
 
-    An entry that is not an int (a bool included) makes phi no embedding.
+    A phi that is not a list, or an entry that is not an int (a bool included),
+    makes phi no embedding.
     """
-    phi = list(phi)
-    if len(phi) != h.n or not all(type(x) is int for x in phi):
+    if not isinstance(phi, list) or len(phi) != h.n or not all(type(x) is int for x in phi):
         return False
     if any(not 0 <= x < g.n for x in phi):
         return False
@@ -353,8 +346,12 @@ def verify_embedding(h: Graph, g: Graph, phi) -> bool:
 def embedding_respects_partition(phi, w_classes, v_classes) -> bool:
     """Whether phi sends every vertex of each H class into the host class of its index.
 
-    An entry of phi or of a class that is not an int (a bool included) makes the answer False.
+    phi and both class lists must be lists, each class a list, tuple or set, and each
+    entry of phi or of a class an int (a bool is not); anything else makes the answer False.
     """
+    if not (isinstance(phi, list) and isinstance(w_classes, list) and isinstance(v_classes, list)
+            and all(isinstance(c, (list, tuple, set, frozenset)) for c in w_classes + v_classes)):
+        return False
     return len(w_classes) == len(v_classes) and all(
         type(x) is int for xs in (phi, *w_classes, *v_classes) for x in xs
     ) and all(

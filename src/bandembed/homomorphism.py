@@ -401,7 +401,6 @@ class Homomorphism:
     f2: list[int]
     chord: tuple[int, int]
     sizes: list[int]
-    xi: float
     roles_swapped: bool
     attempts: int
     diagnostics: list[AttemptDiagnostics] = field(repr=False, default_factory=list)
@@ -437,19 +436,6 @@ class Homomorphism:
         }
 
 
-def _cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:
-    if x == y:
-        return False
-    lo, hi = min(x, y), max(x, y)
-    if hi - lo == 1 and lo % 2 == 0:
-        return True  # cluster pair edge (2i, 2i+1)
-    if hi - lo == 1 and lo % 2 == 1:
-        return True  # consecutive cross edge (2i+1, 2i+2)
-    if lo == 0 and hi == two_k - 1:
-        return True  # wrap edge (2k-1, 0)
-    return (lo, hi) == (min(chord), max(chord))
-
-
 @dataclass(frozen=True)
 class _Plan:
     """The deterministic part of a build; immutable, so attempts, seeds and builds share it."""
@@ -467,6 +453,8 @@ class _Plan:
     kprime: int
     f1: tuple[int, ...]
     targets: tuple[int, int]  # chord ends on the intermediate cycle, per phase
+    # The intermediate cycle on 2k' vertices plus the chord between the targets' B sides.
+    cycle: Graph
     # Per phase, each block's (sober, drifting) small pairs in walking order:
     # phase 0 walks blocks 1..m3 forwards, phase 1 blocks m2..m3+1 backwards.
     phases: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
@@ -543,6 +531,9 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
     slack = xi_f * n / (6 * kprime)
     tilt = Fraction(decomp.total_a - decomp.total_b, 4 * kprime)
     shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
+    targets = (g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2))
+    cycle = Graph(2 * kprime, [(x, (x + 1) % (2 * kprime)) for x in range(2 * kprime)]
+                  + [(2 * targets[0] + 1, 2 * targets[1] + 1)])
     return _Plan(
         n=n,
         sizes=sizes,
@@ -555,7 +546,8 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
         crossing=tuple(decomp.crossing),
         kprime=kprime,
         f1=f1,
-        targets=(g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2)),
+        targets=targets,
+        cycle=cycle,
         phases=phases,
         spread_bounds=tuple((share + tilt + slack, share - tilt + slack) for share in shares),
     )
@@ -599,7 +591,6 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
     n, kprime = plan.n, plan.kprime
     xi = as_fraction(plan.params.xi)
     draws = max(MAX_RETRIES, 8 * kprime)
-    intermediate_chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
     diagnostics: list[AttemptDiagnostics] = []
 
     for attempt in range(1, MAX_RETRIES + 1):
@@ -630,10 +621,7 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
         # which f1 maps onto a host pair: on the cycle and on a pair under
         # every schedule.  So edges_on_pairs holds and only crossing edges
         # can break validity.
-        valid = all(
-            _cycle_edge_ok(f2[u], f2[v], 2 * kprime, intermediate_chord)
-            for u, v in plan.crossing
-        )
+        valid = all(plan.cycle.has_edge(f2[u], f2[v]) for u, v in plan.crossing)
         loads = [0] * len(plan.sizes)
         for c in f:
             loads[c] += 1
@@ -663,7 +651,6 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 f2=f2,
                 chord=plan.chord,
                 sizes=list(plan.sizes),
-                xi=float(xi),
                 roles_swapped=plan.roles_swapped,
                 attempts=attempt,
                 diagnostics=diagnostics,

@@ -7,7 +7,8 @@ A_1 B_1 A_2 ... B_k A_1 plus one A-side and one B-side chord, with
 sizes are balanced along closed shifted walks in the reduced graph, and
 exact demanded sizes are then hit by cycling single vertices around the
 cluster cycle.  Every vertex move is logged with the neighbor count that
-justified it.
+justified it.  A reduced graph is a `Graph` with one vertex per class, and a
+size mismatch is an InvalidInputError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .graph import Graph, _is_int_list, induced_subgraph, vertex_mask
 from .regularity import (
     EXACT_REGULARITY_CAP,
     RegularityVerdict,
-    ReducedGraph,
     build_reduced_graph,
     check_regular_pair,
     check_super_regular_pair,
@@ -231,18 +231,19 @@ class CycleStructure:
 HAMILTON_CAP = 32
 
 
-def _hamilton_cycles(adj: list[set[int]], n: int):
+def _hamilton_cycles(reduced: Graph):
     """Backtracking enumeration of Hamilton cycles anchored at vertex 0."""
+    n, adj = reduced.n, reduced.adj
     path = [0]
     used = [False] * n
     used[0] = True
 
     def extend():
         if len(path) == n:
-            if 0 in adj[path[-1]]:
+            if 0 in adj(path[-1]):
                 yield tuple(path)
             return
-        for v in sorted(adj[path[-1]]):
+        for v in sorted(adj(path[-1])):
             if not used[v]:
                 used[v] = True
                 path.append(v)
@@ -253,29 +254,25 @@ def _hamilton_cycles(adj: list[set[int]], n: int):
     yield from extend()
 
 
-def find_hamilton_cycle_and_chords(reduced: ReducedGraph) -> CycleStructure:
+def find_hamilton_cycle_and_chords(reduced: Graph) -> CycleStructure:
     """First Hamilton cycle (deterministic order) carrying both same-side chords.
 
     A chord is any reduced-graph edge joining two clusters of equal cycle
     parity; one is needed among the A-positions and one among the
     B-positions.  Backtracking is capped at 32 clusters.
     """
-    n = reduced.size
+    n = reduced.n
     if n % 2 != 0 or n < 4:
         raise StructuralError(f"need an even number >= 4 of clusters, got {n}")
     if n > HAMILTON_CAP:
         raise StructuralError(f"Hamilton search capped at {HAMILTON_CAP} clusters")
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in reduced.edges:
-        adj[u].add(v)
-        adj[v].add(u)
     saw_cycle = False
-    for order in _hamilton_cycles(adj, n):
+    for order in _hamilton_cycles(reduced):
         saw_cycle = True
         pos = {c: p for p, c in enumerate(order)}
         # The first chord among A-positions (even) and among B-positions (odd).
         chords: dict[int, tuple[int, int]] = {}
-        for u, v in sorted(reduced.edges):
+        for u, v in sorted(reduced.edges()):
             pu, pv = sorted((pos[u], pos[v]))
             if pu % 2 == pv % 2:
                 chords.setdefault(pu % 2, (pu // 2, pv // 2))
@@ -293,13 +290,9 @@ def relabel_partition(
     return ClusterPartition(classes, structure.a_chord, structure.b_chord)
 
 
-def relabel_reduced(reduced: ReducedGraph, structure: CycleStructure) -> ReducedGraph:
+def relabel_reduced(reduced: Graph, structure: CycleStructure) -> Graph:
     pos = {c: p for p, c in enumerate(structure.order)}
-    clusters = tuple(reduced.clusters[c] for c in structure.order)
-    edges = frozenset(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in reduced.edges
-    )
-    return ReducedGraph(clusters, edges, reduced.eps, reduced.d)
+    return Graph(reduced.n, [(pos[u], pos[v]) for u, v in reduced.edges()])
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +403,6 @@ class MoveRecord:
     witness_count: int
     threshold: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "src": self.src,
-            "dst": self.dst,
-            "witness_count": self.witness_count,
-            "threshold": str(self.threshold),
-        }
-
 
 @dataclass
 class BalanceStep:
@@ -442,7 +426,7 @@ class BalanceLedger:
 def balance_partition(
     g: Graph,
     partition: ClusterPartition,
-    reduced: ReducedGraph,
+    reduced: Graph,
     cfg: Config,
 ) -> tuple[ClusterPartition, BalanceLedger]:
     """Drive every pair to ||A_i| - |B_i|| <= lam*n using closed shifted walks.
@@ -457,6 +441,8 @@ def balance_partition(
     (1 - nu/12) fraction floor the run aborts.  A BalancingError carries the ledger so far.
     """
     k = partition.k
+    if reduced.n != 2 * k:
+        raise InvalidInputError(f"the reduced graph has {reduced.n} vertices for {2 * k} classes")
     lam_n = as_fraction(cfg.lam) * g.n
     nu = as_fraction(cfg.nu)
     eta = as_fraction(cfg.eta)
@@ -488,7 +474,7 @@ def balance_partition(
             start = heavy[0]
 
             live_classes = sorted(c for i in live for c in (2 * i, 2 * i + 1))
-            sub, old_ids = induced_subgraph(reduced.as_graph(), live_classes)
+            sub, old_ids = induced_subgraph(reduced, live_classes)
             to_sub = {c: s for s, c in enumerate(old_ids)}
             m_star = Matching([(to_sub[2 * i], to_sub[2 * i + 1]) for i in sorted(live)])
             try:
@@ -593,13 +579,15 @@ class MobilityLedger:
 def check_mobility_hypotheses(
     g: Graph,
     partition: ClusterPartition,
-    reduced: ReducedGraph,
+    reduced: Graph,
     a_targets: list[int],
     b_targets: list[int],
     cfg: Config,
 ) -> HypothesisReport:
     """Reduced-graph and target hypotheses; callers certify the pairs themselves."""
     k = partition.k
+    if reduced.n != 2 * k:
+        raise InvalidInputError(f"the reduced graph has {reduced.n} vertices for {2 * k} classes")
     xi_n = as_fraction(cfg.xi) * g.n
 
     skeleton = partition.skeleton()
@@ -621,7 +609,7 @@ def check_mobility_hypotheses(
 def redistribute_to_sizes(
     g: Graph,
     partition: ClusterPartition,
-    reduced: ReducedGraph,
+    reduced: Graph,
     a_targets: list[int],
     b_targets: list[int],
     cfg: Config,
@@ -743,7 +731,7 @@ class StructureReport:
 @dataclass
 class HostPartitionReport:
     partition: ClusterPartition
-    reduced: ReducedGraph
+    reduced: Graph
     balance_ledger: BalanceLedger
 
 

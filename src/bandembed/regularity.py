@@ -1,4 +1,4 @@
-"""Density, regular and super-regular pair checks, and reduced graphs.
+"""Density, regular and super-regular pair checks, and reduced graphs on the class indices.
 
 A bipartite pair (A, B) is (eps, d)-regular when its density is at least d
 and every sub-pair (X, Y) with |X| >= eps|A|, |Y| >= eps|B| has density
@@ -44,7 +44,6 @@ from .rng import as_fraction, ceil_frac, make_rng, rand_below, sample_indices
 
 __all__ = [
     "RegularityVerdict",
-    "ReducedGraph",
     "pair_density",
     "check_regular_pair",
     "check_super_regular_pair",
@@ -85,26 +84,6 @@ class RegularityVerdict:
             if self.degree_failure is not None:
                 out["degree_failure"] = list(self.degree_failure)
         return out
-
-
-@dataclass
-class ReducedGraph:
-    """Cluster-level graph whose edges certify regular pairs at (eps, d)."""
-
-    clusters: tuple[frozenset[int], ...]
-    edges: frozenset[tuple[int, int]]
-    eps: Fraction
-    d: Fraction
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
-    @property
-    def size(self) -> int:
-        return len(self.clusters)
-
-    def as_graph(self) -> Graph:
-        return Graph(len(self.clusters), sorted(self.edges))
 
 
 def pair_density(g: Graph, a_side, b_side) -> Fraction:
@@ -331,8 +310,8 @@ def build_reduced_graph(
     d,
     mode: str = "exact",
     budget: int = 120,
-) -> ReducedGraph:
-    """Reduced graph with the maximal edge set among pairs passing the check.
+) -> Graph:
+    """Reduced graph on the class indices, with an edge for every pair regular at (eps, d).
 
     Classes must be pairwise disjoint; covering V(G) is not required.
     """
@@ -344,12 +323,11 @@ def build_reduced_graph(
         seen |= c
     eps = as_fraction(eps)
     d = as_fraction(d)
-    edges = set()
+    edges = []
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
             if not clusters[i] or not clusters[j]:
                 continue
             if check_regular_pair(g, clusters[i], clusters[j], eps, d, mode, budget).regular:
-                edges.add((i, j))
-    return ReducedGraph(tuple(clusters), frozenset(edges), eps, d)
-
+                edges.append((i, j))
+    return Graph(len(clusters), edges)

@@ -80,6 +80,20 @@ def verify_homomorphism_certificate_reference(
     }
 
 
+def cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:
+    """Whether x and y are consecutive, the wrap (2k-1, 0) or the chord on a 2k-cycle."""
+    if x == y:
+        return False
+    lo, hi = min(x, y), max(x, y)
+    if hi - lo == 1 and lo % 2 == 0:
+        return True  # cluster pair edge (2i, 2i+1)
+    if hi - lo == 1 and lo % 2 == 1:
+        return True  # consecutive cross edge (2i+1, 2i+2)
+    if lo == 0 and hi == two_k - 1:
+        return True  # wrap edge (2k-1, 0)
+    return (lo, hi) == (min(chord), max(chord))
+
+
 def binomial_mod_distribution(n: int, p, k: int) -> list[Fraction]:
     """Exact distribution of Bin(n, p) mod k by residue dynamic programming."""
     if n < 0 or k < 1:

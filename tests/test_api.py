@@ -25,7 +25,7 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (partition.check_mobility_hypotheses, REDISTRIBUTION),
     (partition.redistribute_to_sizes, REDISTRIBUTION),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "seed"]),
-    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "r_edges", "eps"]),
+    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "reduced", "eps"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_parameter_list(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -39,7 +39,7 @@ def test_parameter_list(fn, params):
     (homomorphism.AttemptDiagnostics, ["start_pair_phase1", "start_pair_phase2", "coin_logs",
                                        "seek_miss", "valid", "loads_bounded",
                                        "spread_phase1_ok", "spread_phase2_ok"]),
-    (homomorphism.Homomorphism, ["f", "boundary", "f1", "f2", "chord", "sizes", "xi",
+    (homomorphism.Homomorphism, ["f", "boundary", "f1", "f2", "chord", "sizes",
                                  "roles_swapped", "attempts", "diagnostics"]),
     (embedder.CompatibilityReport, ["s_sets", "t_sets", "offending_sizes", "offending_edges",
                                     "offending_bounds"]),
@@ -102,7 +102,7 @@ MODULE_ALL = {
                   "check_mobility_hypotheses", "find_hamilton_cycle_and_chords", "load_config",
                   "prepare_host_partition", "redistribute_to_sizes", "relabel_partition",
                   "verify_partition_structure"],
-    "regularity": ["EXACT_REGULARITY_CAP", "ReducedGraph", "RegularityVerdict",
+    "regularity": ["EXACT_REGULARITY_CAP", "RegularityVerdict",
                    "build_reduced_graph", "check_regular_pair", "check_super_regular_pair",
                    "pair_density"],
     "rng": ["as_fraction", "ceil_frac", "derive_seed", "floor_frac", "make_rng", "rand_below",
@@ -126,8 +126,9 @@ MOVED_TO_ORACLES = [
     "shifted_neighborhood", "neighborhood", "dump_config",
 ]
 # The cluster pairs (2i, 2i+1) are the embedder's only restricted graph, so
-# nothing names it, and `embed_blowup` returns the map itself.
-REMOVED = ["Embedding", "_components"]
+# nothing names it, and `embed_blowup` returns the map itself.  Cluster-level
+# graphs (the reduced graph, the intermediate cycle) are `Graph`s.
+REMOVED = ["Embedding", "_components", "ReducedGraph", "_normalize_edges", "_cycle_edge_ok"]
 
 
 def test_library_surface_is_pinned():

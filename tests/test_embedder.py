@@ -100,7 +100,9 @@ def poisoned_instance():
 
 
 # The cluster pairs of four classes: the least reduced graph `check_compatibility` accepts.
-PAIRS = {(0, 1), (2, 3)}
+PAIRS = Graph(4, [(0, 1), (2, 3)])
+# The pairs plus the edge (1,2) between them.
+PAIRS_12 = Graph(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def retry_instance(spare_edge=True):
@@ -145,7 +147,7 @@ class TestCompatibility:
         h = Graph(8, [(2, 4), (4, 5)])
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, PAIRS | {(1, 2)}, 0.9)
+        report = check_compatibility(h, w, v_classes, PAIRS_12, 0.9)
         assert report.s_sets[1] == {2}
         assert report.s_sets[2] == {4}
         assert report.t_sets[2] == {5}
@@ -161,7 +163,7 @@ class TestCompatibility:
         # eps * 4 for class 1, above eps * 2 for class 2.
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
-        report = check_compatibility(h, w, w, PAIRS | {(1, 2)}, 0.4)
+        report = check_compatibility(h, w, w, PAIRS_12, 0.4)
         assert not report.offending_sizes and not report.offending_edges
         assert not report.all_ok()
         flags = {key: report.to_json()[key]
@@ -177,7 +179,7 @@ class TestCompatibility:
         w = split_classes([4, 2, 4, 2])
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
-        report = check_compatibility(h, w, w, PAIRS | {(1, 2)}, 0.5)
+        report = check_compatibility(h, w, w, PAIRS_12, 0.5)
         assert not report.offending_sizes and not report.offending_edges
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
         assert report.offending_bounds == [0]
@@ -189,7 +191,7 @@ class TestMalformedClasses:
     @staticmethod
     def assert_rejected(h, w, v_classes, match):
         with pytest.raises(InvalidInputError, match=match):
-            check_compatibility(h, w, v_classes, {(0, 1)}, 0.5)
+            check_compatibility(h, w, v_classes, Graph(len(w), [(0, 1)]), 0.5)
         with pytest.raises(InvalidInputError, match=match):
             embed_blowup(h, w, complete_graph(h.n), v_classes, seed=0)
 
@@ -212,14 +214,17 @@ class TestMalformedClasses:
         self.assert_rejected(Graph(3, [(0, 1)]), w, w, "3 classes do not form cluster pairs")
 
     def test_edge_class_index_out_of_range(self):
+        # The reduced graph has one vertex per class: an edge to class 7 of 4,
+        # or a graph too small to hold the pair (2,3), is a size mismatch.
         w = [[0], [1], [2], [3]]
-        with pytest.raises(InvalidInputError, match=r"edge \(0,7\) names a class outside \[0,4\)"):
-            check_compatibility(Graph(4, [(0, 1)]), w, w, PAIRS | {(0, 7)}, 0.5)
+        for reduced in (Graph(8, [(0, 1), (2, 3), (0, 7)]), Graph(2, [(0, 1)])):
+            with pytest.raises(InvalidInputError, match=rf"has {reduced.n} vertices for 4 classes"):
+                check_compatibility(Graph(4, [(0, 1)]), w, w, reduced, 0.5)
 
     def test_cluster_pair_missing_from_the_reduced_graph(self):
         w = [[0], [1], [2], [3]]
         with pytest.raises(InvalidInputError, match=r"cluster pair \(2,3\) is not a reduced edge"):
-            check_compatibility(Graph(4, [(0, 1)]), w, w, {(0, 1), (1, 2)}, 0.5)
+            check_compatibility(Graph(4, [(0, 1)]), w, w, Graph(4, [(0, 1), (1, 2)]), 0.5)
 
 
 class TestEmbedBlowup:
@@ -464,6 +469,20 @@ def test_non_int_map_entry_is_rejected(entry):
     h = Graph(2, [(0, 1)])
     assert not verify_embedding(h, path_graph(3), [0, entry])
     assert not embedding_respects_partition([0, entry], [[0], [1]], [{0}, {1}])
+
+
+@pytest.mark.parametrize("phi", [5, None], ids=repr)
+def test_non_list_map_is_rejected(phi):
+    h = Graph(2, [(0, 1)])
+    assert not verify_embedding(h, path_graph(3), phi)
+    assert not embedding_respects_partition(phi, [[0], [1]], [{0}, {1}])
+
+
+@pytest.mark.parametrize("classes", [[0, 1], 3], ids=repr)
+def test_non_list_classes_are_rejected(classes):
+    # Bare ints, or one int, where a list of classes belongs.
+    assert not embedding_respects_partition([0, 1], classes, [{0}, {1}])
+    assert not embedding_respects_partition([0, 1], [[0], [1]], classes)
 
 
 @pytest.mark.parametrize("entry", [1.0, True, None, "1", [1]], ids=repr)

@@ -36,7 +36,7 @@ from bandembed.hostgen import gen_bandwidth_bipartite_h
 from bandembed.rng import ceil_frac, derive_seed, make_rng, shuffled
 
 from conftest import mc_shape, perfect_matching_graph
-from oracles import binomial_mod_distribution
+from oracles import binomial_mod_distribution, cycle_edge_ok
 
 
 class TestChop:
@@ -562,6 +562,22 @@ class TestTrialPlanReuse:
         drawn = [d for d in seen if not d.seek_miss]
         assert len(seen) == bandembed.homomorphism.MAX_RETRIES and drawn
         assert not any(d.valid for d in drawn)
+
+    @pytest.mark.parametrize("shape", ["A", "B", "matching"])
+    def test_cycle_graph_matches_the_rule_it_replaced(self, shape):
+        # The plan's cycle is the intermediate cycle plus the chord between
+        # the targets, edge for edge the rule the builder used to apply.
+        if shape == "matching":
+            g, ordering, bip = perfect_matching_graph(240)
+            args = (g, ordering, bip, [60] * 4, (1, 3), choose_h_parameters(240, 1, 1, 0.25, 2))
+        else:
+            args = mc_shape(*{"A": SHAPE_A, "B": SHAPE_B}[shape])
+        plan = bandembed.homomorphism._plan(*args)
+        two_k = 2 * plan.kprime
+        chord = (2 * plan.targets[0] + 1, 2 * plan.targets[1] + 1)
+        assert plan.cycle.n == two_k
+        assert [plan.cycle.has_edge(x, y) for x in range(two_k) for y in range(two_k)] == [
+            cycle_edge_ok(x, y, two_k, chord) for x in range(two_k) for y in range(two_k)]
 
     def test_seek_miss_attempt_records_only_what_it_reached(self, monkeypatch):
         # Homing misses on every draw of attempt 1, so phase 1 gives up before

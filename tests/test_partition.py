@@ -12,6 +12,7 @@ from bandembed.errors import (
     AssignmentError,
     BalancingError,
     BandembedError,
+    InvalidInputError,
     ParameterError,
     RedistributionError,
     StructuralError,
@@ -35,7 +36,7 @@ from bandembed.partition import (
     verify_partition_structure,
 )
 from bandembed.partition import _LivePartition
-from bandembed.regularity import ReducedGraph, build_reduced_graph
+from bandembed.regularity import build_reduced_graph
 from bandembed.rng import as_fraction
 
 from conftest import copy_partition
@@ -58,14 +59,13 @@ LOOSE = Config(
 
 def toy_reduced(k, extra=()):
     """Reduced graph over 2k clusters with the standard cycle plus extras."""
-    clusters = tuple(frozenset({i}) for i in range(2 * k))
     edges = set()
     for i in range(k):
         edges.add((2 * i, 2 * i + 1))
         edges.add(tuple(sorted((2 * i + 1, (2 * i + 2) % (2 * k)))))
     for e in extra:
         edges.add(tuple(sorted(e)))
-    return ReducedGraph(clusters, frozenset(edges), Fraction(1, 4), Fraction(1, 4))
+    return Graph(2 * k, edges)
 
 
 class TestConfig:
@@ -112,11 +112,10 @@ class TestHamiltonStructure:
         assert (structure.a_chord, structure.b_chord) == ((0, 2), (0, 2))
 
     def test_complete_reduced_graph(self):
-        clusters = tuple(frozenset({i}) for i in range(6))
         edges = frozenset(
             (i, j) for i in range(6) for j in range(i + 1, 6)
         )
-        reduced = ReducedGraph(clusters, edges, Fraction(1, 4), Fraction(1, 4))
+        reduced = Graph(6, edges)
         structure = find_hamilton_cycle_and_chords(reduced)
         assert len(structure.order) == 6
 
@@ -125,9 +124,7 @@ class TestHamiltonStructure:
             find_hamilton_cycle_and_chords(toy_reduced(3))
 
     def test_disconnected_has_no_cycle(self):
-        clusters = tuple(frozenset({i}) for i in range(4))
-        reduced = ReducedGraph(clusters, frozenset({(0, 1), (2, 3)}),
-                               Fraction(1, 4), Fraction(1, 4))
+        reduced = Graph(4, frozenset({(0, 1), (2, 3)}))
         with pytest.raises(StructuralError, match="no Hamilton cycle"):
             find_hamilton_cycle_and_chords(reduced)
 
@@ -297,11 +294,7 @@ class TestBalance:
     def test_no_walk_available_errors(self):
         g, part = imbalanced_host()
         # A reduced graph with only the pair edges has no non-matching step.
-        clusters = tuple(frozenset(c) for c in part.classes)
-        reduced = ReducedGraph(
-            clusters, frozenset((2 * i, 2 * i + 1) for i in range(4)),
-            Fraction(1, 4), Fraction(1, 4),
-        )
+        reduced = Graph(len(part.classes), frozenset((2 * i, 2 * i + 1) for i in range(4)))
         with pytest.raises(BalancingError):
             balance_partition(g, part, reduced, LOOSE)
 
@@ -423,6 +416,16 @@ class TestRedistribute:
                 bundle.graph, bundle.partition, reduced, [-12, 12, 0], [0, 0, 0], Config(),
             )
 
+    def test_reduced_graph_size_must_match_the_classes(self):
+        # Six classes need a reduced graph on six vertices, not four or eight.
+        bundle, reduced = self.build()
+        for wrong in (Graph(4, []), Graph(8, reduced.edges())):
+            match = f"has {wrong.n} vertices for 6 classes"
+            with pytest.raises(InvalidInputError, match=match):
+                self.run(bundle, wrong, [0, 0, 0], [0, 0, 0])
+            with pytest.raises(InvalidInputError, match=match):
+                balance_partition(bundle.graph, bundle.partition, wrong, self.MOVE)
+
     def test_moves_are_well_connected(self):
         bundle, reduced = self.build(seed=9)
         a_t, b_t = [2, -1, -1], [-1, 1, 0]
@@ -532,6 +535,12 @@ def _classes(part):
     return [sorted(c) for c in part.classes]
 
 
+def _move(m):
+    """A MoveRecord as the pinned JSON records it."""
+    return {"vertex": m.vertex, "src": m.src, "dst": m.dst,
+            "witness_count": m.witness_count, "threshold": str(m.threshold)}
+
+
 class TestMoverPins:
     """Seeded results of the three host-vertex movers, pinned bit for bit.
 
@@ -568,7 +577,7 @@ class TestMoverPins:
                             raise
                         steps = [[list(s.walk_classes), s.moved_per_hop, s.sigma_before,
                                   s.sigma_after, s.retired_pairs,
-                                  [m.to_json() for m in s.moves]] for s in ledger.steps]
+                                  [_move(m) for m in s.moves]] for s in ledger.steps]
                         return [_classes(out), steps]
                     records.append(_outcome(run))
         return records
@@ -623,7 +632,7 @@ class TestMoverPins:
                         out, ledger = redistribute_to_sizes(
                             host.graph, prep.partition, prep.reduced, a_t, b_t, cfg
                         )
-                        return [_classes(out), [m.to_json() for m in ledger.all_moves()],
+                        return [_classes(out), [_move(m) for m in ledger.all_moves()],
                                 ledger.churn, ledger.mirrored]
                     records.append(_outcome(run))
         assert _digest(records) == self.REDISTRIBUTE_PIN
