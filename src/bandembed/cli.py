@@ -218,11 +218,10 @@ def run_full_pipeline(
             if not structure.all_ok():
                 raise BandembedError("final partition failed structural certification")
 
-        # Stage 5: compatibility of the preimage partition with the host partition.
+        # Stage 5: the boundary bound; the sizes and the H-edges were certified above.
         with stage("compatibility") as st:
             w_classes = _pull_back(hom.f, prep.partition.k)
-            compat = check_compatibility(h, w_classes, final.classes,
-                                         Graph(2 * final.k, final.skeleton()), cfg.eps)
+            compat = check_compatibility(h, w_classes, final.classes, cfg.eps)
             st.detail = compat.to_json()
             if not compat.all_ok():
                 raise BandembedError("compatibility failed")

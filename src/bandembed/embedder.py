@@ -14,11 +14,17 @@ budget is a first-class outcome, never a silent success.
 Both entry points read the classes through one layout, and raise
 InvalidInputError unless the class count is even (classes 2i and 2i+1 form
 cluster pair i, the only restricted graph), there is one host class per H
-class, the H classes partition V(H) and the host classes are pairwise
-disjoint.  With equal class sizes this gives the per-side invariant the pair
-completion relies on: each side has one free host for each unplaced vertex.
-`check_compatibility` takes the reduced graph as a `Graph` with one vertex
-per class.
+class of the same size, the H classes partition V(H) with no H-edge inside
+one class, and the host classes are pairwise disjoint.  This gives the
+per-side invariant the pair completion relies on: each side has one free
+host for each unplaced vertex.
+
+Of the blow-up lemma's three compatibility conditions, `check_compatibility`
+certifies only the boundary bound.  In the pipeline the other two are
+certified before it: equal class sizes by verify-partition's `sizes_exact`
+(the final sizes are the homomorphism's loads), and H-edges on reduced edges
+by the homomorphism recheck's `homomorphism_valid` (every H-edge lands on a
+cycle edge or the B-chord).
 """
 
 from __future__ import annotations
@@ -46,20 +52,14 @@ BUDGET_FACTOR = 10
 class CompatibilityReport:
     s_sets: list[set[int]] = field(repr=False, default_factory=list)
     t_sets: list[set[int]] = field(repr=False, default_factory=list)
-    offending_sizes: list[int] = field(default_factory=list)
-    offending_edges: list[tuple[int, int]] = field(default_factory=list)
     offending_bounds: list[int] = field(default_factory=list)
 
     def all_ok(self) -> bool:
-        return not (self.offending_sizes or self.offending_edges or self.offending_bounds)
+        return not self.offending_bounds
 
     def to_json(self) -> dict:
         return {
-            "sizes_match": not self.offending_sizes,
-            "edges_respect_reduced": not self.offending_edges,
             "boundary_bounded": not self.offending_bounds,
-            "offending_sizes": self.offending_sizes,
-            "offending_edges": [list(e) for e in self.offending_edges],
             "offending_bounds": self.offending_bounds,
             "all_ok": self.all_ok(),
         }
@@ -70,8 +70,9 @@ def _class_layout(
 ) -> tuple[list[list[int]], list[list[int]], dict[int, int]]:
     """Sorted H and host classes, and the class index of every H vertex.
 
-    The class count must be even, the H classes must partition V(H) and the
-    host classes must be pairwise disjoint, with one host class per H class.
+    The class count must be even, the H classes must partition V(H) with no
+    H-edge inside one class, and the host classes must be pairwise disjoint,
+    with one host class of the same size per H class.
     """
     if len(w_classes) != len(v_classes):
         raise InvalidInputError("need equally many H and host classes")
@@ -84,6 +85,14 @@ def _class_layout(
         raise InvalidInputError("the H classes must partition the vertices of H")
     if len(set().union(*v_sets)) != sum(map(len, v_sets)):
         raise InvalidInputError("the host classes must be pairwise disjoint")
+    for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
+        if len(ws) != len(vs):
+            raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
+    for u, v in h.edges():
+        if cluster_of[u] == cluster_of[v]:
+            raise InvalidInputError(
+                f"edge ({u},{v}) stays inside class {cluster_of[u]}; the input is incompatible"
+            )
     return w_sets, v_sets, cluster_of
 
 
@@ -130,45 +139,27 @@ def _boundary_plan(
     return order, later, enclosed
 
 
-def check_compatibility(
-    h: Graph,
-    w_classes: list,
-    v_classes: list,
-    reduced: Graph,
-    eps,
-) -> CompatibilityReport:
-    """Exact evaluation of the three compatibility conditions.
+def check_compatibility(h: Graph, w_classes: list, v_classes: list, eps) -> CompatibilityReport:
+    """Exact evaluation of the boundary bound, the one condition no earlier stage certifies.
 
-    `reduced` is the reduced graph, with one vertex per class, and every
-    cluster pair (2i, 2i+1) must be one of its edges.  S_i holds the W_i
-    vertices with neighbors outside W_i and its partner W_{i^1}; T_i holds the
-    neighbors of S inside W_i \\ S.  An H-edge inside a single class counts
-    against the reduced-edge condition since the reduced graph has no loops.
+    S_i holds the W_i vertices with neighbors outside W_i and its partner
+    W_{i^1}; T_i holds the neighbors of S inside W_i \\ S.  Class i offends
+    when |S_i| > eps |V_i| or |T_i| > eps min(|V_i|, |V_{i^1}|).  The two
+    other conditions hold before the pipeline calls this: equal class sizes
+    by verify-partition's `sizes_exact`, and every H-edge on a reduced edge
+    by the homomorphism recheck's `homomorphism_valid`.  The layout still
+    rejects unequal sizes and an H-edge inside one class.
     """
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
     num = len(w_sets)
     eps = as_fraction(eps)
-    if reduced.n != num:
-        raise InvalidInputError(f"the reduced graph has {reduced.n} vertices for {num} classes")
-    for i in range(0, num, 2):
-        if not reduced.has_edge(i, i + 1):
-            raise InvalidInputError(f"the cluster pair ({i},{i + 1}) is not a reduced edge")
-
-    offending_sizes = [i for i in range(num) if len(w_sets[i]) != len(v_sets[i])]
-    offending_edges: list[tuple[int, int]] = []
-    for u, v in h.edges():
-        iu, iv = cluster_of[u], cluster_of[v]
-        key = (min(iu, iv), max(iu, iv))
-        if not reduced.has_edge(iu, iv) and key not in offending_edges:
-            offending_edges.append(key)
     s_sets, t_sets = _boundary(h, cluster_of, num)
     offending_bounds = [
         i for i in range(num)
         if Fraction(len(s_sets[i])) > eps * len(v_sets[i])
         or Fraction(len(t_sets[i])) > eps * min(len(v_sets[i]), len(v_sets[i ^ 1]))
     ]
-
-    return CompatibilityReport(s_sets, t_sets, offending_sizes, offending_edges, offending_bounds)
+    return CompatibilityReport(s_sets, t_sets, offending_bounds)
 
 
 def embed_blowup(
@@ -185,14 +176,6 @@ def embed_blowup(
     EmbeddingNotFoundError, which is a legitimate certified failure.
     """
     w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
-    for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
-        if len(ws) != len(vs):
-            raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
-    for u, v in h.edges():
-        if cluster_of[u] == cluster_of[v]:
-            raise InvalidInputError(
-                f"edge ({u},{v}) stays inside class {cluster_of[u]}; the input is incompatible"
-            )
     order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets))
 
     gmasks = g.masks

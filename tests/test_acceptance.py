@@ -67,7 +67,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 # sha256 over the seed 0-19 reports of criterion 1, "seconds" keys stripped:
 # seeded pipeline output is pinned bit for bit.
-PIPELINE_DIGEST = "268994899f6d628893fdc57911b1ec973f42e023e348d19cbefa3e858d54059c"
+PIPELINE_DIGEST = "d67c6c74428da2c2a716bfeb16fccbddd32776193ab5ea9fe1c96cd08f165b87"
 
 
 def test_criterion_1_end_to_end_embedding():
@@ -110,7 +110,7 @@ def test_criterion_1_end_to_end_embedding():
 # sha256 over the seed-0 envelope reports below, "seconds" keys stripped, and
 # how the 32 runs end.  Unlike criterion 1, most of these shapes fail, so this
 # pins the failing stages' seeded output as well.
-ENVELOPE_DIGEST = "3cc624191ad847702c65b6b6f1020a30c6768530bd5ac338acf62642e0fa4aec"
+ENVELOPE_DIGEST = "6a672ef7631d44aecc0bbd67be4246bf0105ab02c436e649c5840a7f9aab8978"
 ENVELOPE_TALLY = {
     "ok": 5, "verify-partition": 12, "redistribute": 7, "homomorphism": 4, "embed": 4,
 }

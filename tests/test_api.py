@@ -25,7 +25,7 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (partition.check_mobility_hypotheses, REDISTRIBUTION),
     (partition.redistribute_to_sizes, REDISTRIBUTION),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "seed"]),
-    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "reduced", "eps"]),
+    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "eps"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_parameter_list(fn, params):
     assert list(inspect.signature(fn).parameters) == params
@@ -41,8 +41,7 @@ def test_parameter_list(fn, params):
                                        "spread_phase1_ok", "spread_phase2_ok"]),
     (homomorphism.Homomorphism, ["f", "boundary", "f1", "f2", "chord", "sizes",
                                  "roles_swapped", "attempts", "diagnostics"]),
-    (embedder.CompatibilityReport, ["s_sets", "t_sets", "offending_sizes", "offending_edges",
-                                    "offending_bounds"]),
+    (embedder.CompatibilityReport, ["s_sets", "t_sets", "offending_bounds"]),
     (partition.HostPartitionReport, ["partition", "reduced", "balance_ledger"]),
     (regularity.RegularityVerdict, ["regular", "density", "mode", "eps", "d", "witness",
                                     "degree_failure", "min_cross_degree"]),
@@ -57,7 +56,8 @@ def test_dataclass_fields(cls, fields):
 def test_removed_report_fields_have_no_alias():
     for cls, names in (
         (homomorphism.AttemptDiagnostics, ["boundary_small", "edges_on_pairs"]),
-        (embedder.CompatibilityReport, ["sizes_match", "edges_respect_reduced", "boundary_bounded"]),
+        (embedder.CompatibilityReport, ["sizes_match", "edges_respect_reduced", "boundary_bounded",
+                                        "offending_sizes", "offending_edges"]),
         (partition.HostPartitionReport, ["k", "baseline_sizes"]),
     ):
         assert not [name for name in names if hasattr(cls, name)]

@@ -527,7 +527,7 @@ class TestSubcommandPin:
             0, 1, 2,  # pipeline
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "b11ce604f103157fd0d6fb8baea74da878f0ac905ffd89bd8ff346077834856b"
+        assert digest == "501b2e8e451f0bf943171ae92459cf7a08b38b1da43b8fc205f6db5c222ceb2b"
 
 
 class TestPipelineCommand:
@@ -717,16 +717,15 @@ class TestPipelineCommand:
         from bandembed.embedder import CompatibilityReport
 
         monkeypatch.setattr(bandembed.cli, "check_compatibility",
-                            lambda *args: CompatibilityReport(offending_sizes=[0]))
+                            lambda *args: CompatibilityReport(offending_bounds=[0]))
         host_path, h_path, cfg_path = small_world
         assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
                      "--config", str(cfg_path), "--seed", "4"]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["failed_stage"] == "compatibility"
         detail = out["stages"][-1]["detail"]
-        assert (detail["offending_sizes"], detail["offending_edges"],
-                detail["offending_bounds"]) == ([0], [], [])
-        assert not detail["sizes_match"] and not detail["all_ok"]
+        assert detail["offending_bounds"] == [0]
+        assert not detail["boundary_bounded"] and not detail["all_ok"]
         assert detail["error"] == "BandembedError: compatibility failed"
 
     @pytest.mark.parametrize("command", ["embed", "pipeline"])
@@ -813,7 +812,7 @@ class TestPipelineFailurePaths:
         ((3, 40, 5, 1, 0), "verify-partition", "BandembedError",
          "96e2a5250025a1010d13393be55e7cba39c8583b49ef9a305a94ec4c780c52eb"),
         ((3, 40, 5, 0, 0), "embed", "EmbeddingNotFoundError",
-         "3c3a6069c1dd30a704885db18f09da020662e20b193c83ee7c29c4df92488b0c"),
+         "10cc4fc790d2bac7f5fd0c7498f8a46b0ed933e6f6fadc11cc91ebd0f5480a8e"),
     ]
 
     @pytest.mark.parametrize("shape, stage, error_type, digest", CELLS,

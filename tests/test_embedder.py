@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandembed.cli
 import bandembed.embedder
-from bandembed.cli import _pair_targets, _pull_back
+from bandembed.cli import _pair_targets, _pull_back, run_full_pipeline
 from bandembed.embedder import (
     _least_blocked,
     check_compatibility,
@@ -17,9 +18,19 @@ from bandembed.embedder import (
 )
 from bandembed.errors import EmbeddingNotFoundError, InvalidInputError
 from bandembed.graph import Graph
-from bandembed.homomorphism import build_homomorphism, choose_h_parameters
+from bandembed.homomorphism import (
+    build_homomorphism,
+    choose_h_parameters,
+    verify_homomorphism_certificate,
+)
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
-from bandembed.partition import Config, prepare_host_partition, redistribute_to_sizes
+from bandembed.partition import (
+    ClusterPartition,
+    Config,
+    prepare_host_partition,
+    redistribute_to_sizes,
+    verify_partition_structure,
+)
 
 from conftest import complete_graph, path_graph
 
@@ -99,12 +110,6 @@ def poisoned_instance():
     return h, w, Graph(12, edges), w
 
 
-# The cluster pairs of four classes: the least reduced graph `check_compatibility` accepts.
-PAIRS = Graph(4, [(0, 1), (2, 3)])
-# The pairs plus the edge (1,2) between them.
-PAIRS_12 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-
-
 def retry_instance(spare_edge=True):
     """One pair, no boundary: vertex 0 sees both of 2 and 3 and is free on the first side.
 
@@ -123,53 +128,29 @@ class TestCompatibility:
         h = Graph(8, [])
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
+        report = check_compatibility(h, w, v_classes, 0.5)
         assert report.all_ok()
         assert all(not s for s in report.s_sets)
 
-    def test_missing_reduced_edge_flagged(self):
-        h = Graph(8, [(0, 4)])  # joins clusters 0 and 2; no reduced edge there
-        _, v_classes = complete_pair_host(2, 2)
-        w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
-        assert report.offending_edges == [(0, 2)]
-
-    def test_size_mismatch_flagged(self):
-        h = Graph(8, [])
-        _, v_classes = complete_pair_host(2, 2)
-        w = [[0, 1, 2], [3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, PAIRS, 0.5)
-        assert report.offending_sizes == [0, 1]
-
     def test_boundary_sets_exact(self):
         # One cross-pair edge from cluster 1 to cluster 2: its endpoints form
-        # S, and their untouched neighbors form T.
-        h = Graph(8, [(2, 4), (4, 5)])
+        # S, and their untouched neighbors (here 6, in the partner class 3) form T.
+        h = Graph(8, [(2, 4), (4, 6)])
         _, v_classes = complete_pair_host(2, 2)
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, PAIRS_12, 0.9)
+        report = check_compatibility(h, w, v_classes, 0.9)
         assert report.s_sets[1] == {2}
         assert report.s_sets[2] == {4}
-        assert report.t_sets[2] == {5}
-
-    def test_same_cluster_edge_fails(self):
-        h = Graph(8, [(0, 1)])
-        _, v_classes = complete_pair_host(2, 2)
-        report = check_compatibility(h, [[0, 1], [2, 3], [4, 5], [6, 7]], v_classes, PAIRS, 0.5)
-        assert report.offending_edges == [(0, 0)]
+        assert report.t_sets[3] == {6}
 
     def test_boundary_over_eps_of_own_class(self):
         # The cross edge 1-2 puts one vertex in S_1 and one in S_2: within
         # eps * 4 for class 1, above eps * 2 for class 2.
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
-        report = check_compatibility(h, w, w, PAIRS_12, 0.4)
-        assert not report.offending_sizes and not report.offending_edges
-        assert not report.all_ok()
-        flags = {key: report.to_json()[key]
-                 for key in ("sizes_match", "edges_respect_reduced", "boundary_bounded")}
-        assert flags == {"sizes_match": True, "edges_respect_reduced": True,
-                         "boundary_bounded": False}
+        report = check_compatibility(h, w, w, 0.4)
+        assert report.to_json() == {"boundary_bounded": False, "offending_bounds": [2],
+                                    "all_ok": False}
         assert report.s_sets[1] == {w[1][0]} and report.s_sets[2] == {w[2][0]}
         assert report.offending_bounds == [2]
 
@@ -179,10 +160,75 @@ class TestCompatibility:
         w = split_classes([4, 2, 4, 2])
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
-        report = check_compatibility(h, w, w, PAIRS_12, 0.5)
-        assert not report.offending_sizes and not report.offending_edges
+        report = check_compatibility(h, w, w, 0.5)
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
         assert report.offending_bounds == [0]
+
+
+class TestDroppedConditionsAreImplied:
+    """The two compatibility conditions `check_compatibility` leaves out are earlier certificates.
+
+    Each is computed here from scratch: every H-edge on a reduced edge is covered by the
+    homomorphism recheck's `homomorphism_valid`, and equal class sizes by verify-partition's
+    `sizes_exact`.  Each must fail with its certificate, and hold where both certify.
+    """
+
+    @staticmethod
+    def dropped(h, f, final):
+        """(every H-edge on a reduced edge, every H class the size of its host class)."""
+        reduced = Graph(2 * final.k, final.skeleton())
+        on_reduced = all(reduced.has_edge(f[u], f[v]) for u, v in h.edges())
+        return on_reduced, [len(c) for c in _pull_back(f, final.k)] == final.sizes()
+
+    def test_each_dropped_condition_fails_with_its_certificate(self):
+        # Six classes of two, vertex v in class v // 2: the cycle 0..5, the A chord
+        # (0,2) and the B chord (1,3).  H runs around the cycle once and uses the B chord.
+        cfg = Config()
+        final = ClusterPartition(split_classes([2] * 6), a_chord=(0, 1), b_chord=(0, 1))
+        cycle = [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 0), (3, 7)]
+        f = [v // 2 for v in range(12)]
+
+        def verdicts(edges, f):
+            h = Graph(12, edges)
+            recheck = verify_homomorphism_certificate(h, f, set(), final.sizes(), cfg.xi, (1, 3))
+            structure = verify_partition_structure(complete_graph(12), final, recheck["loads"], cfg)
+            return (recheck["homomorphism_valid"], structure.sizes_exact), self.dropped(h, f, final)
+
+        assert verdicts(cycle, f) == ((True, True), (True, True))
+        # The edge 0-6 joins classes 0 and 3, which the skeleton does not.
+        off = [e if e != (6, 8) else (0, 6) for e in cycle]
+        assert verdicts(off, f) == ((False, True), (False, True))
+        # The isolated vertex 1 moves to class 1: loads 1 and 3 against final sizes 2.
+        shifted = [1 if v == 1 else c for v, c in enumerate(f)]
+        assert verdicts(cycle, shifted) == ((True, False), (True, False))
+
+    def test_certified_pipeline_runs_meet_them(self, monkeypatch):
+        # The 20 runs of acceptance criterion 1; each records its map and final partition.
+        runs = []
+        real_recheck = bandembed.cli.verify_homomorphism_certificate
+        real_structure = bandembed.cli.verify_partition_structure
+
+        def recheck(h, f, *args):
+            out = real_recheck(h, f, *args)
+            runs[-1].update(h=h, f=f, all_ok=out["all_ok"])
+            return out
+
+        def structure(g, final, *args):
+            out = real_structure(g, final, *args)
+            runs[-1].update(final=final, sizes_exact=out.sizes_exact)
+            return out
+
+        monkeypatch.setattr(bandembed.cli, "verify_homomorphism_certificate", recheck)
+        monkeypatch.setattr(bandembed.cli, "verify_partition_structure", structure)
+        for seed in range(20):
+            runs.append({})
+            host = gen_super_regular_host(k=4, size=50, d=0.5, seed=seed)
+            run_full_pipeline(host, gen_bandwidth_bipartite_h(400, 3, 10, seed=seed), Config(),
+                              seed=seed)
+        certified = [r for r in runs if r.get("all_ok") and r.get("sizes_exact")]
+        assert len(certified) == 20
+        for r in certified:
+            assert self.dropped(r["h"], r["f"], r["final"]) == (True, True)
 
 
 class TestMalformedClasses:
@@ -191,7 +237,7 @@ class TestMalformedClasses:
     @staticmethod
     def assert_rejected(h, w, v_classes, match):
         with pytest.raises(InvalidInputError, match=match):
-            check_compatibility(h, w, v_classes, Graph(len(w), [(0, 1)]), 0.5)
+            check_compatibility(h, w, v_classes, 0.5)
         with pytest.raises(InvalidInputError, match=match):
             embed_blowup(h, w, complete_graph(h.n), v_classes, seed=0)
 
@@ -213,18 +259,13 @@ class TestMalformedClasses:
         w = [[0], [1], [2]]
         self.assert_rejected(Graph(3, [(0, 1)]), w, w, "3 classes do not form cluster pairs")
 
-    def test_edge_class_index_out_of_range(self):
-        # The reduced graph has one vertex per class: an edge to class 7 of 4,
-        # or a graph too small to hold the pair (2,3), is a size mismatch.
-        w = [[0], [1], [2], [3]]
-        for reduced in (Graph(8, [(0, 1), (2, 3), (0, 7)]), Graph(2, [(0, 1)])):
-            with pytest.raises(InvalidInputError, match=rf"has {reduced.n} vertices for 4 classes"):
-                check_compatibility(Graph(4, [(0, 1)]), w, w, reduced, 0.5)
+    def test_unequal_class_sizes(self):
+        w = [[0, 1, 2], [3], [4, 5], [6, 7]]
+        self.assert_rejected(Graph(8, []), w, split_classes([2, 2, 2, 2]), r"class 0: \|W\| = 3")
 
-    def test_cluster_pair_missing_from_the_reduced_graph(self):
-        w = [[0], [1], [2], [3]]
-        with pytest.raises(InvalidInputError, match=r"cluster pair \(2,3\) is not a reduced edge"):
-            check_compatibility(Graph(4, [(0, 1)]), w, w, Graph(4, [(0, 1), (1, 2)]), 0.5)
+    def test_same_class_edge(self):
+        w = [[0, 1], [2, 3], [4, 5], [6, 7]]
+        self.assert_rejected(Graph(8, [(0, 1)]), w, w, r"edge \(0,1\) stays inside class 0")
 
 
 class TestEmbedBlowup:
