@@ -440,13 +440,9 @@ class Homomorphism:
 class _Plan:
     """The deterministic part of a build; immutable, so attempts, seeds and builds share it."""
 
-    n: int
     sizes: tuple[int, ...]
     chord: tuple[int, int]
-    params: HomomorphismParams
     roles_swapped: bool
-    a_segments: tuple[tuple[int, ...], ...]
-    b_segments: tuple[tuple[int, ...], ...]
     boundary: frozenset[int]
     # The chop's crossing edges: the only ones a schedule can put off the cycle.
     crossing: tuple[tuple[int, int], ...]
@@ -458,8 +454,13 @@ class _Plan:
     # Per phase, each block's (sober, drifting) small pairs in walking order:
     # phase 0 walks blocks 1..m3 forwards, phase 1 blocks m2..m3+1 backwards.
     phases: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
-    # Per phase, the spread bounds on one cycle pair's sober A and B vertices.
-    spread_bounds: tuple[tuple[Fraction, Fraction], ...]
+    # Vertex v lies on segment side segment_of[v]: 2t for A_t, 2t + 1 for B_t.
+    segment_of: tuple[int, ...]
+    segment_sizes: tuple[int, ...]
+    # Counts are integers, so their bounds are exact at the floor: size + xi*n
+    # per cluster load, per phase the spread bounds on a cycle pair's sober A and B.
+    load_caps: tuple[int, ...]
+    spread_caps: tuple[tuple[int, int], ...]
 
 
 def _plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes: list[int],
@@ -534,14 +535,12 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
     targets = (g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2))
     cycle = Graph(2 * kprime, [(x, (x + 1) % (2 * kprime)) for x in range(2 * kprime)]
                   + [(2 * targets[0] + 1, 2 * targets[1] + 1)])
+    sides = [side for pair in zip(decomp.a_segments, decomp.b_segments) for side in pair]
+    side_of = {v: code for code, side in enumerate(sides) for v in side}
     return _Plan(
-        n=n,
         sizes=sizes,
         chord=(c1, c2),
-        params=params,
         roles_swapped=roles_swapped,
-        a_segments=tuple(tuple(s) for s in decomp.a_segments),
-        b_segments=tuple(tuple(s) for s in decomp.b_segments),
         boundary=frozenset(decomp.boundary),
         crossing=tuple(decomp.crossing),
         kprime=kprime,
@@ -549,7 +548,11 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
         targets=targets,
         cycle=cycle,
         phases=phases,
-        spread_bounds=tuple((share + tilt + slack, share - tilt + slack) for share in shares),
+        segment_of=tuple(map(side_of.__getitem__, range(n))),
+        segment_sizes=tuple(map(len, sides)),
+        load_caps=tuple(size + floor_frac(xi_f * n) for size in sizes),
+        spread_caps=tuple((floor_frac(share + tilt + slack), floor_frac(share - tilt + slack))
+                          for share in shares),
     )
 
 
@@ -587,9 +590,14 @@ def _walk_phase(plan: _Plan, phase: int, rng, draws: int):
 
 
 def _sample(plan: _Plan, seed: int) -> Homomorphism:
-    """Draw schedules from child seeds of `seed` until one passes the certificate."""
-    n, kprime = plan.n, plan.kprime
-    xi = as_fraction(plan.params.xi)
+    """Draw schedules from child seeds of `seed` until one passes the certificate.
+
+    A draw is judged from per-segment counts alone: each segment side gets
+    one cycle vertex, validity reads it at the crossing edges only, and loads
+    and spreads sum segment sizes.  The maps f2 and f are built once, for the
+    accepted draw.
+    """
+    kprime, side_sizes, side_of = plan.kprime, plan.segment_sizes, plan.segment_of
     draws = max(MAX_RETRIES, 8 * kprime)
     diagnostics: list[AttemptDiagnostics] = []
 
@@ -608,24 +616,22 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
             continue
 
         # Phase 0 puts A segments on even cycle vertices, phase 1 on odd ones.
-        f2 = [0] * n
+        code = [0] * len(side_sizes)
         for phase, (_, slots) in enumerate(walks):
             for t, p in slots.items():
-                for v in plan.a_segments[t]:
-                    f2[v] = 2 * p + phase
-                for v in plan.b_segments[t]:
-                    f2[v] = 2 * p + 1 - phase
-        f = [plan.f1[x] for x in f2]
+                code[2 * t] = 2 * p + phase
+                code[2 * t + 1] = 2 * p + 1 - phase
 
         # An edge inside segment pair t lands on 2p and 2p+1, p = slots[t],
         # which f1 maps onto a host pair: on the cycle and on a pair under
         # every schedule.  So edges_on_pairs holds and only crossing edges
         # can break validity.
-        valid = all(plan.cycle.has_edge(f2[u], f2[v]) for u, v in plan.crossing)
+        valid = all(plan.cycle.has_edge(code[side_of[u]], code[side_of[v]])
+                    for u, v in plan.crossing)
         loads = [0] * len(plan.sizes)
-        for c in f:
-            loads[c] += 1
-        loads_bounded = all(load <= size + xi * n for load, size in zip(loads, plan.sizes))
+        for x, size in zip(code, side_sizes):
+            loads[plan.f1[x]] += size
+        loads_bounded = all(load <= cap for load, cap in zip(loads, plan.load_caps))
 
         spread: list[bool | None] = [None, None]
         if valid:
@@ -634,18 +640,19 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                 b_counts = [0] * kprime
                 for sober, _ in plan.phases[phase]:
                     for t in sober:
-                        a_counts[slots[t]] += len(plan.a_segments[t])
-                        b_counts[slots[t]] += len(plan.b_segments[t])
-                a_bound, b_bound = plan.spread_bounds[phase]
-                spread[phase] = (all(x <= a_bound for x in a_counts)
-                                 and all(x <= b_bound for x in b_counts))
+                        a_counts[slots[t]] += side_sizes[2 * t]
+                        b_counts[slots[t]] += side_sizes[2 * t + 1]
+                a_cap, b_cap = plan.spread_caps[phase]
+                spread[phase] = (all(x <= a_cap for x in a_counts)
+                                 and all(x <= b_cap for x in b_counts))
 
         diag = AttemptDiagnostics(walks[0][0], walks[1][0], coin_logs, False,
                                   valid, loads_bounded, spread[0], spread[1])
         diagnostics.append(diag)
         if diag.accepted:
+            f2 = list(map(code.__getitem__, side_of))
             return Homomorphism(
-                f=f,
+                f=list(map(plan.f1.__getitem__, f2)),
                 boundary=set(plan.boundary),
                 f1=list(plan.f1),
                 f2=f2,

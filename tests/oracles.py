@@ -10,14 +10,21 @@ anything here.  Standard library only: the CI imports this module under
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from bandembed.errors import InvalidInputError
+from bandembed.errors import InvalidInputError, RetryBudgetError, SeekMissError
 from bandembed.graph import Graph
+from bandembed.homomorphism import (
+    MAX_RETRIES,
+    AttemptDiagnostics,
+    Homomorphism,
+    _walk_phase,
+)
 from bandembed.partition import _CONFIG_FIELDS, Config
-from bandembed.rng import as_fraction
+from bandembed.rng import as_fraction, derive_seed, make_rng
 from bandembed.walks import Matching, _require_perfect
 
 
@@ -78,6 +85,124 @@ def verify_homomorphism_certificate_reference(
         "all_ok": hom_valid and boundary_small and loads_bounded and edges_on_pairs,
         "loads": counts,
     }
+
+
+def edges_reference(g: Graph):
+    """`Graph.edges()` as a generator that rescans the adjacency sets on every call."""
+    for u in range(g.n):
+        for v in g._adj[u]:
+            if u < v:
+                yield (u, v)
+
+
+def eager_plan(plan, params) -> SimpleNamespace:
+    """A library plan built with `params`, plus what `sample_reference` reads
+    and the plan no longer keeps.
+
+    The segment lists are read back from the plan's segment sides; the spread
+    bounds are recomputed as Fractions from their formula in
+    `homomorphism._memo_plan`: each phase's even share of its blocks, tilted
+    by (|A| - |B|)/(4k') up for A and down for B, plus xi*n/(6k') of slack.
+    """
+    n, kprime = len(plan.segment_of), plan.kprime
+    sides = [[v for v in range(n) if plan.segment_of[v] == code]
+             for code in range(len(plan.segment_sizes))]
+    a_segments, b_segments = sides[0::2], sides[1::2]
+    xi_n = as_fraction(params.xi) * n
+    slack = xi_n / (6 * kprime)
+    tilt = Fraction(sum(map(len, a_segments)) - sum(map(len, b_segments)), 4 * kprime)
+    m3, m2 = len(plan.phases[0]), params.m2
+    shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
+    return SimpleNamespace(
+        **vars(plan),
+        n=n,
+        params=params,
+        a_segments=a_segments,
+        b_segments=b_segments,
+        spread_bounds=[(share + tilt + slack, share - tilt + slack) for share in shares],
+    )
+
+
+def sample_reference(plan, seed: int) -> Homomorphism:
+    """The sampler that judges each draw from its full map, vertex by vertex.
+
+    Every draw builds f2 and f, counts loads one vertex at a time and compares
+    them and the spreads with Fraction bounds.  `plan` is `eager_plan(p, params)`
+    for a library plan p; the result equals `homomorphism._sample(p, seed)`,
+    every attempt's diagnostics and coin logs included.
+    """
+    n, kprime = plan.n, plan.kprime
+    xi = as_fraction(plan.params.xi)
+    draws = max(MAX_RETRIES, 8 * kprime)
+    diagnostics: list[AttemptDiagnostics] = []
+
+    for attempt in range(1, MAX_RETRIES + 1):
+        rng = make_rng(derive_seed(seed, attempt))
+        coin_logs: list[list[int]] = []
+        walks = []
+        try:
+            for phase in (0, 1):
+                start, slots, logs = _walk_phase(plan, phase, rng, draws)
+                coin_logs.extend(logs)
+                walks.append((start, slots))
+        except SeekMissError:
+            diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
+                                                  None, None, None, None))
+            continue
+
+        # Phase 0 puts A segments on even cycle vertices, phase 1 on odd ones.
+        f2 = [0] * n
+        for phase, (_, slots) in enumerate(walks):
+            for t, p in slots.items():
+                for v in plan.a_segments[t]:
+                    f2[v] = 2 * p + phase
+                for v in plan.b_segments[t]:
+                    f2[v] = 2 * p + 1 - phase
+        f = [plan.f1[x] for x in f2]
+
+        # An edge inside segment pair t lands on 2p and 2p+1, p = slots[t],
+        # which f1 maps onto a host pair: on the cycle and on a pair under
+        # every schedule.  So edges_on_pairs holds and only crossing edges
+        # can break validity.
+        valid = all(plan.cycle.has_edge(f2[u], f2[v]) for u, v in plan.crossing)
+        loads = [0] * len(plan.sizes)
+        for c in f:
+            loads[c] += 1
+        loads_bounded = all(load <= size + xi * n for load, size in zip(loads, plan.sizes))
+
+        spread: list[bool | None] = [None, None]
+        if valid:
+            for phase, (_, slots) in enumerate(walks):
+                a_counts = [0] * kprime
+                b_counts = [0] * kprime
+                for sober, _ in plan.phases[phase]:
+                    for t in sober:
+                        a_counts[slots[t]] += len(plan.a_segments[t])
+                        b_counts[slots[t]] += len(plan.b_segments[t])
+                a_bound, b_bound = plan.spread_bounds[phase]
+                spread[phase] = (all(x <= a_bound for x in a_counts)
+                                 and all(x <= b_bound for x in b_counts))
+
+        diag = AttemptDiagnostics(walks[0][0], walks[1][0], coin_logs, False,
+                                  valid, loads_bounded, spread[0], spread[1])
+        diagnostics.append(diag)
+        if diag.accepted:
+            return Homomorphism(
+                f=f,
+                boundary=set(plan.boundary),
+                f1=list(plan.f1),
+                f2=f2,
+                chord=plan.chord,
+                sizes=list(plan.sizes),
+                roles_swapped=plan.roles_swapped,
+                attempts=attempt,
+                diagnostics=diagnostics,
+            )
+
+    raise RetryBudgetError(
+        f"no accepted assignment in {MAX_RETRIES} attempts "
+        f"(last diagnostics: {diagnostics[-1] if diagnostics else None})"
+    )
 
 
 def cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:

@@ -1,4 +1,4 @@
-"""Differential checks of the independent checkers against their reference oracles.
+"""Differential checks of the library against its reference oracles.
 
 Standard library only, so the CI can run each check under `python -S`
 before pytest is installed:
@@ -6,15 +6,28 @@ before pytest is installed:
     PYTHONPATH=src:tests python -S -c "import test_checker_oracles as t; t.test_homomorphism_checker_matches_oracle()"
 """
 
+import dataclasses
+
+import bandembed.homomorphism
+import oracles
+from bandembed.errors import RetryBudgetError
+from bandembed.graph import Graph
 from bandembed.homomorphism import (
     build_homomorphism,
     choose_h_parameters,
     verify_homomorphism_certificate,
 )
-from bandembed.rng import make_rng, rand_below
+from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_super_regular_host
+from bandembed.regularity import build_reduced_graph
+from bandembed.rng import as_fraction, make_rng, rand_below, shuffled
 
 from conftest import mc_shape, perfect_matching_graph
-from oracles import verify_homomorphism_certificate_reference
+from oracles import (
+    eager_plan,
+    edges_reference,
+    sample_reference,
+    verify_homomorphism_certificate_reference,
+)
 
 
 def matching_shape(n=240, k=3):
@@ -79,3 +92,124 @@ def test_homomorphism_checker_matches_oracle():
                             assert verify_homomorphism_certificate(*args) == expected, args[1:]
                             checks += 1
     assert checks >= 20000, checks
+
+
+def test_graph_edges_match_oracle():
+    """The kept edge tuple lists the generator's edges in its order, built on first use."""
+    host = gen_super_regular_host(4, 50, 0.5, seed=3).graph
+    target = gen_bandwidth_bipartite_h(400, 3, 10, seed=3).graph
+    small = gen_super_regular_host(3, 8, 1.0, seed=0)
+    reduced = build_reduced_graph(small.graph, small.partition.classes, 0.4, 0.3, mode="heuristic")
+    listed = list(edges_reference(host))
+    backwards = Graph(host.n, [(v, u) for u, v in reversed(listed)])
+    unsorted = Graph(host.n, shuffled(make_rng(5), listed))
+    graphs = [Graph(0, []), Graph(5, []), host, target, reduced, backwards, unsorted]
+    assert host._edges is None and backwards._edges is None
+    for g in graphs:
+        edges = g.edges()
+        assert type(edges) is tuple and edges == tuple(edges_reference(g))
+        assert g.edges() is edges and g._edges is edges
+    assert len(host.edges()) == host.num_edges > 10000 and len(reduced.edges()) > 0
+    # The order follows each graph's adjacency sets; the edges are the same.
+    assert sorted(backwards.edges()) == sorted(unsorted.edges()) == sorted(host.edges())
+
+
+def assert_caps_exact(plan, eager):
+    """Each integer cap judges every count near it as its Fraction bound does."""
+    xi_n = as_fraction(eager.params.xi) * eager.n
+    caps = list(plan.load_caps) + [cap for pair in plan.spread_caps for cap in pair]
+    bounds = ([size + xi_n for size in plan.sizes]
+              + [bound for pair in eager.spread_bounds for bound in pair])
+    for cap, bound in zip(caps, bounds, strict=True):
+        counts = range(cap - 2, cap + 3)
+        assert [x <= cap for x in counts] == [x <= bound for x in counts], (cap, bound)
+
+
+def sample_both(plan, eager, seed):
+    """Both samplers' builds, or the error each raised."""
+    out = []
+    for sample, arg in [(bandembed.homomorphism._sample, plan), (sample_reference, eager)]:
+        try:
+            out.append(sample(arg, seed))
+        except RetryBudgetError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_sampler_matches_eager_oracle():
+    """Per-segment judging returns the eager sampler's build, every attempt included."""
+    k2_matching = perfect_matching_graph(240) + (
+        [60] * 4, (1, 3), choose_h_parameters(240, 1, 1, 0.25, 2))
+    shapes = [mc_shape(1, 2, (1, 3)), mc_shape(2, 4, (1, 5)), matching_shape(), k2_matching]
+    retried = 0
+    for shape in shapes:
+        plan = bandembed.homomorphism._plan(*shape)
+        eager = eager_plan(plan, shape[-1])
+        assert_caps_exact(plan, eager)
+        for seed in range(50):
+            fast = bandembed.homomorphism._sample(plan, seed)
+            slow = sample_reference(eager, seed)
+            assert (fast.f, fast.f2, fast.attempts) == (slow.f, slow.f2, slow.attempts), seed
+            assert fast.diagnostics == slow.diagnostics, seed
+            assert fast == slow
+            retried += fast.attempts > 1
+    assert retried > 0
+
+    # A crossing edge inside one A segment is never on the cycle, so both
+    # samplers must reject every draw and give up after the same attempts.
+    shape = mc_shape(1, 2, (1, 3))
+    plan = bandembed.homomorphism._plan(*shape)
+    u, v = [v for v, side in enumerate(plan.segment_of) if side == 0][:2]
+    broken = dataclasses.replace(plan, crossing=plan.crossing + ((u, v),))
+    original = bandembed.homomorphism.AttemptDiagnostics
+    runs = []
+    for module, sample, arg in [(bandembed.homomorphism, bandembed.homomorphism._sample, broken),
+                                (oracles, sample_reference, eager_plan(broken, shape[-1]))]:
+        seen = []
+
+        def recording(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        module.AttemptDiagnostics = recording
+        try:
+            sample(arg, 1)
+        except RetryBudgetError as exc:
+            runs.append((str(exc), seen))
+        finally:
+            module.AttemptDiagnostics = original
+    assert len(runs) == 2 and runs[0] == runs[1]
+    seen = runs[0][1]
+    assert len(seen) == bandembed.homomorphism.MAX_RETRIES
+    assert not any(d.valid for d in seen) and not all(d.seek_miss for d in seen)
+
+
+def test_sampler_caps_match_eager_oracle_across_xi():
+    """Loads and spreads judged at integer caps flip where the Fraction bounds do."""
+    # At their own xi, the shapes above never draw a load at its cap and
+    # always pass both spreads.  Sweeping xi keeps each shape's draws and
+    # moves its caps through the counts they reach, so a cap one off from its
+    # bound changes some verdict: shape B's load cap from xi = 0.0925, the
+    # smallest whose xi*n holds its boundary of 142, and a coarse n = 240
+    # shape's spread caps from xi = 0.1, where both spreads fail.
+    coarse = gen_bandwidth_bipartite_h(240, 2, 2, seed=1)
+    sweeps = [
+        (mc_shape(2, 4, (1, 5)), [0.0925 + step / 1000 for step in range(40)]),
+        ((coarse.graph, coarse.ordering, coarse.bipartition, [40] * 6, (1, 3),
+          choose_h_parameters(240, 2, 2, 0.1, 3)), [0.1 + step / 100 for step in range(80)]),
+    ]
+    verdicts = set()
+    for (h, ordering, bip, sizes, chord, params), xis in sweeps:
+        for xi in xis:
+            swept = dataclasses.replace(params, xi=xi)
+            plan = bandembed.homomorphism._plan(h, ordering, bip, sizes, chord, swept)
+            eager = eager_plan(plan, swept)
+            assert_caps_exact(plan, eager)
+            for seed in range(5):
+                fast, slow = sample_both(plan, eager, seed)
+                assert fast == slow, (xi, seed)
+                if not isinstance(fast, str):
+                    verdicts.update((d.loads_bounded, d.spread_phase1_ok, d.spread_phase2_ok)
+                                    for d in fast.diagnostics)
+    assert {(False, True, True), (True, False, False), (True, True, False),
+            (True, True, True)} <= verdicts, verdicts

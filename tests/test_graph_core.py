@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,13 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError, match="outside"):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0, 1.0), (0, "1"), 5, None, (1,), (True, 2),
+                                      (7, False), (True, False), (1.0, 2), (5, 6.5)], ids=repr)
+    def test_rejects_an_edge_that_is_not_an_integer_pair(self, edge):
+        # The rule graph_from_json applies: a bool is not a vertex either.
+        with pytest.raises(InvalidInputError, match=re.escape(f"edge {edge!r} is not a pair")):
+            Graph(9, [(0, 2), edge])
 
     def test_adjacency_symmetric(self):
         g = path_graph(4)

@@ -548,7 +548,7 @@ class TestTrialPlanReuse:
         # it must fail every drawn schedule.
         plan = bandembed.homomorphism._plan(*mc_shape(*SHAPE_A))
         assert bandembed.homomorphism._sample(plan, 1).attempts == 1
-        u, v = plan.a_segments[0][:2]
+        u, v = [v for v, side in enumerate(plan.segment_of) if side == 0][:2]
         broken = dataclasses.replace(plan, crossing=plan.crossing + ((u, v),))
         original, seen = bandembed.homomorphism.AttemptDiagnostics, []
 
