@@ -202,7 +202,7 @@ def run_full_pipeline(
         # Stage 3: redistribute to the demanded sizes.
         with stage("redistribute") as st:
             a_t, b_t = _pair_targets(demanded, baseline)
-            final, ledger = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
+            final, ledger = redistribute_to_sizes(g, prep.partition, a_t, b_t, cfg)
             st.detail = {
                 "a_targets": a_t,
                 "b_targets": b_t,
@@ -494,7 +494,7 @@ def _cmd_lemma_g(args) -> int:
             if want > have + xi_n:
                 raise ParameterError(f"demanded size {want} exceeds {have} + xi*n at class {idx}")
         a_t, b_t = _pair_targets(demanded, baseline)
-        final, _ = redistribute_to_sizes(g, final, rep.reduced, a_t, b_t, cfg)
+        final, _ = redistribute_to_sizes(g, final, a_t, b_t, cfg)
     structure = verify_partition_structure(g, final, demanded, cfg)
     _emit({
         "k": rep.partition.k,

@@ -43,7 +43,7 @@ class BalancingError(BandembedError):
 
 
 class RedistributionError(BandembedError):
-    """Exact-size redistribution failed (hypothesis violation or no eligible vertex)."""
+    """Exact-size redistribution failed (a target rule broken or no eligible vertex)."""
 
 
 class ParameterError(InvalidInputError):

@@ -69,6 +69,10 @@ class Graph:
         if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InvalidInputError(f"edge list {edges!r} is not iterable") from None
         for e in edges:
             try:
                 u, v = e

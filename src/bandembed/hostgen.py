@@ -97,9 +97,6 @@ def gen_super_regular_host(
         raise InvalidInputError("density must lie in (0, 1]")
     if chords is None:
         chords = ((0, 2), (0, 2)) if k >= 3 else ((0, 1), (0, 1))
-    (i1, j1), (i2, j2) = chords
-    if i1 == j1 or i2 == j2 or not all(0 <= x < k for x in (i1, j1, i2, j2)):
-        raise InvalidInputError("chord pair indices must be distinct and within range")
 
     n = 2 * k * size
     classes = [list(range(c * size, (c + 1) * size)) for c in range(2 * k)]
@@ -121,9 +118,7 @@ def gen_super_regular_host(
         missing = max(0, floor - deg(u, other))
         link(u, [v for v in shuffled(rng, other) if v not in adj[u]][:missing])
 
-    partition = ClusterPartition(
-        [set(c) for c in classes], a_chord=(i1, j1), b_chord=(i2, j2)
-    )
+    partition = ClusterPartition([set(c) for c in classes], *map(tuple, chords))
     for x, y in partition.skeleton():
         for u in classes[x]:
             link(u, _bernoulli_row(rng, classes[y], threshold))

@@ -8,7 +8,9 @@ sizes are balanced along closed shifted walks in the reduced graph, and
 exact demanded sizes are then hit by cycling single vertices around the
 cluster cycle.  Every vertex move is logged with the neighbor count that
 justified it.  A reduced graph is a `Graph` with one vertex per class, and a
-size mismatch is an InvalidInputError.
+size mismatch is an InvalidInputError.  Only balancing takes the reduced
+graph: the cycle and chords that redistribution walks are the ones found in
+it, so redistribution checks only its targets.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "MoveRecord",
     "BalanceStep",
     "BalanceLedger",
-    "HypothesisReport",
     "MobilityLedger",
     "StructureReport",
     "HostPartitionReport",
@@ -55,7 +56,6 @@ __all__ = [
     "redistribute_to_sizes",
     "prepare_host_partition",
     "verify_partition_structure",
-    "check_mobility_hypotheses",
     "load_config",
 ]
 
@@ -75,6 +75,9 @@ class ClusterPartition:
     def __post_init__(self):
         if len(self.classes) % 2 != 0 or not self.classes:
             raise InvalidInputError("partition needs an even, positive number of classes")
+        for i, j in filter(None, (self.a_chord, self.b_chord)):
+            if i == j or not (0 <= i < self.k and 0 <= j < self.k):
+                raise InvalidInputError("chord pair indices must be distinct and within range")
         seen: set[int] = set()
         for c in self.classes:
             cs = set(c)
@@ -538,33 +541,6 @@ def balance_partition(
 
 
 @dataclass
-class HypothesisReport:
-    cycle_in_reduced: bool
-    a_chord_in_reduced: bool
-    b_chord_in_reduced: bool
-    targets_small: bool
-    totals_cancel: bool
-    net_flow_small: bool
-    details: dict = field(default_factory=dict)
-
-    def all_ok(self) -> bool:
-        return (
-            self.cycle_in_reduced
-            and self.a_chord_in_reduced
-            and self.b_chord_in_reduced
-            and self.targets_small
-            and self.totals_cancel
-            and self.net_flow_small
-        )
-
-    def to_json(self) -> dict:
-        out = dict(self.__dict__)
-        out.pop("details")
-        out["details"] = {k: str(v) for k, v in self.details.items()}
-        return out
-
-
-@dataclass
 class MobilityLedger:
     chord_moves: list[MoveRecord] = field(default_factory=list)
     a_moves: list[MoveRecord] = field(default_factory=list)
@@ -576,45 +552,21 @@ class MobilityLedger:
         return self.chord_moves + self.a_moves + self.b_moves
 
 
-def check_mobility_hypotheses(
-    g: Graph,
-    partition: ClusterPartition,
-    reduced: Graph,
-    a_targets: list[int],
-    b_targets: list[int],
-    cfg: Config,
-) -> HypothesisReport:
-    """Reduced-graph and target hypotheses; callers certify the pairs themselves."""
-    k = partition.k
-    if reduced.n != 2 * k:
-        raise InvalidInputError(f"the reduced graph has {reduced.n} vertices for {2 * k} classes")
-    xi_n = as_fraction(cfg.xi) * g.n
-
-    skeleton = partition.skeleton()
-    cycle_ok = all(reduced.has_edge(x, y) for x, y in skeleton[:2 * k])
-    # A chord joins two A-classes (even indices) or two B-classes (odd).
-    chord_ok = {x % 2: reduced.has_edge(x, y) for x, y in skeleton[2 * k:]}
-    small_ok = all(abs(x) < xi_n for x in a_targets) and all(
-        abs(x) < xi_n for x in b_targets
-    )
-    total_a, total_b = sum(a_targets), sum(b_targets)
-    cancel_ok = total_a + total_b == 0
-    flow_ok = abs(total_a) <= xi_n and abs(total_b) <= xi_n
-    return HypothesisReport(
-        cycle_ok, chord_ok.get(0, False), chord_ok.get(1, False), small_ok, cancel_ok, flow_ok,
-        details={"total_a": total_a, "total_b": total_b, "xi_n": xi_n},
-    )
-
-
 def redistribute_to_sizes(
     g: Graph,
     partition: ClusterPartition,
-    reduced: Graph,
     a_targets: list[int],
     b_targets: list[int],
     cfg: Config,
 ) -> tuple[ClusterPartition, MobilityLedger]:
     """Hit |A'_i| = |A_i| + a_i and |B'_i| = |B_i| + b_i exactly.
+
+    The partition's cluster cycle and chords are the ones
+    `prepare_host_partition` found in the reduced graph, so they are not
+    checked again here.  The targets must keep three rules, each a
+    RedistributionError naming its numbers: every |a_i|, |b_i| is below
+    xi*n, the targets sum to 0, and the net A-side flow |sum a_i| is at
+    most xi*n.  A partition without both chords is an InvalidInputError.
 
     When the A-side must grow on net, the surplus crosses over the B-side
     chord first (vertices of B_{i2} with enough neighbors across the chord
@@ -626,9 +578,17 @@ def redistribute_to_sizes(
     k = partition.k
     if len(a_targets) != k or len(b_targets) != k:
         raise InvalidInputError("need one target per pair on each side")
-    report = check_mobility_hypotheses(g, partition, reduced, a_targets, b_targets, cfg)
-    if not report.all_ok():
-        raise RedistributionError(f"hypotheses violated: {report.to_json()}")
+    if partition.a_chord is None or partition.b_chord is None:
+        raise InvalidInputError("redistribution needs both an A-side and a B-side chord")
+    xi_n = as_fraction(cfg.xi) * g.n
+    largest = max(map(abs, a_targets + b_targets))
+    if largest >= xi_n:
+        raise RedistributionError(f"a target of size {largest} is not below xi*n = {xi_n}")
+    total_a, total_b = sum(a_targets), sum(b_targets)
+    if total_a + total_b != 0:
+        raise RedistributionError(f"the targets sum to {total_a + total_b}, not 0")
+    if abs(total_a) > xi_n:
+        raise RedistributionError(f"the net A-side flow {total_a} exceeds xi*n = {xi_n}")
 
     slack = as_fraction(cfg.d_prime) - as_fraction(cfg.eps_prime)
     part = _LivePartition(g, partition)
@@ -640,7 +600,6 @@ def redistribute_to_sizes(
         part.move_best(src, dst, count, threshold, sink, RedistributionError,
                        f"vertices with >= {threshold} neighbors in class {dst ^ 1}")
 
-    total_a = sum(a_targets)
     if total_a > 0:
         i2, j2 = partition.b_chord
         take_best(2 * i2 + 1, 2 * j2, total_a, ledger.chord_moves)

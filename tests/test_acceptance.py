@@ -213,7 +213,6 @@ def test_criterion_4_mobility_exactness():
 
     prep = prepare_host_partition(host.graph, host.partition, cfg)
     part = prep.partition
-    reduced = prep.reduced
     g = host.graph
     k = part.k
     xi_n = as_fraction(cfg.xi) * g.n
@@ -226,7 +225,7 @@ def test_criterion_4_mobility_exactness():
         b_t.append(-(sum(a_t) + sum(b_t)))
         if abs(b_t[-1]) >= xi_n or abs(sum(a_t)) > xi_n:
             continue
-        out, ledger = redistribute_to_sizes(g, part, reduced, a_t, b_t, cfg)
+        out, ledger = redistribute_to_sizes(g, part, a_t, b_t, cfg)
         sizes = out.sizes()
         base = part.sizes()
         for i in range(k):

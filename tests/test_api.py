@@ -13,7 +13,6 @@ import bandembed
 from bandembed import cli, conditions, embedder, homomorphism, partition, regularity
 
 PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget"]
-REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
 
 
 @pytest.mark.parametrize("fn, params", [
@@ -22,8 +21,9 @@ REDISTRIBUTION = ["g", "partition", "reduced", "a_targets", "b_targets", "cfg"]
     (conditions.check_robust_expander, ["g", "nu", "tau", "mode", "seed", "trials"]),
     (partition.prepare_host_partition, ["g", "partition", "cfg"]),
     (partition.verify_partition_structure, ["g", "partition", "demanded", "cfg"]),
-    (partition.check_mobility_hypotheses, REDISTRIBUTION),
-    (partition.redistribute_to_sizes, REDISTRIBUTION),
+    # Only balancing takes the reduced graph: redistribution walks the cycle found in it.
+    (partition.balance_partition, ["g", "partition", "reduced", "cfg"]),
+    (partition.redistribute_to_sizes, ["g", "partition", "a_targets", "b_targets", "cfg"]),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "seed"]),
     (embedder.check_compatibility, ["h", "w_classes", "v_classes", "eps"]),
 ], ids=lambda x: getattr(x, "__name__", None))
@@ -33,8 +33,7 @@ def test_parameter_list(fn, params):
 
 @pytest.mark.parametrize("cls, fields", [
     (homomorphism.HomomorphismParams, ["m1", "m2", "k1", "k2", "xi"]),
-    (partition.HypothesisReport, ["cycle_in_reduced", "a_chord_in_reduced", "b_chord_in_reduced",
-                                  "targets_small", "totals_cancel", "net_flow_small", "details"]),
+    (partition.MobilityLedger, ["chord_moves", "a_moves", "b_moves", "churn", "mirrored"]),
     # Each report stores a fact once: no field is constant or derived from the others.
     (homomorphism.AttemptDiagnostics, ["start_pair_phase1", "start_pair_phase2", "coin_logs",
                                        "seek_miss", "valid", "loads_bounded",
@@ -74,7 +73,7 @@ def test_degree_ok_derives_from_the_degree_fields():
 
 
 def test_partition_exports_its_certificates():
-    assert {"verify_partition_structure", "check_mobility_hypotheses"} <= set(partition.__all__)
+    assert "verify_partition_structure" in partition.__all__
 
 
 # Each module's `__all__`, sorted, and the package's exports.  Test oracles and
@@ -97,9 +96,9 @@ MODULE_ALL = {
                 "gen_extremal_counterexample", "gen_random_graph", "gen_super_regular_host"],
     "matching": ["hopcroft_karp"],
     "partition": ["BalanceLedger", "BalanceStep", "ClusterPartition", "Config", "CycleStructure",
-                  "HostPartitionReport", "HypothesisReport", "MobilityLedger", "MoveRecord",
+                  "HostPartitionReport", "MobilityLedger", "MoveRecord",
                   "StructureReport", "assign_exceptional_vertices", "balance_partition",
-                  "check_mobility_hypotheses", "find_hamilton_cycle_and_chords", "load_config",
+                  "find_hamilton_cycle_and_chords", "load_config",
                   "prepare_host_partition", "redistribute_to_sizes", "relabel_partition",
                   "verify_partition_structure"],
     "regularity": ["EXACT_REGULARITY_CAP", "RegularityVerdict",
@@ -127,8 +126,10 @@ MOVED_TO_ORACLES = [
 ]
 # The cluster pairs (2i, 2i+1) are the embedder's only restricted graph, so
 # nothing names it, and `embed_blowup` returns the map itself.  Cluster-level
-# graphs (the reduced graph, the intermediate cycle) are `Graph`s.
-REMOVED = ["Embedding", "_components", "ReducedGraph", "_normalize_edges", "_cycle_edge_ok"]
+# graphs (the reduced graph, the intermediate cycle) are `Graph`s.  Redistribution
+# checks its targets itself and does not re-check the cycle host-partition found.
+REMOVED = ["Embedding", "_components", "ReducedGraph", "_normalize_edges", "_cycle_edge_ok",
+           "check_mobility_hypotheses", "HypothesisReport"]
 
 
 def test_library_surface_is_pinned():

@@ -306,6 +306,12 @@ class TestMalformedFiles:
         pytest.param(["lemma-g", "--host", "{bad}"],
                      lambda host, target: dict(host, partition={"classes": [[0], [1], [2], [64]]}),
                      "{bad}", id="partition-vertex-outside-graph"),
+        pytest.param(["lemma-g", "--host", "{host}", "--partition", "{bad}"],
+                     lambda host, target: dict(host["partition"], a_chord=[0, 9]), "{bad}",
+                     id="partition-chord-out-of-range"),
+        pytest.param(["lemma-g", "--host", "{host}", "--partition", "{bad}"],
+                     lambda host, target: dict(host["partition"], b_chord=[1, 1]), "{bad}",
+                     id="partition-chord-not-distinct"),
         pytest.param(["check-pair", "--graph", "{graph}", "--partition", "{bad}", "--a", "0",
                       "--b", "1", *_PAIR], lambda host, target: {"class": []}, "{bad}",
                      id="check-pair-without-classes"),

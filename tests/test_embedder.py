@@ -59,7 +59,7 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
     hom = build_homomorphism(h, target.ordering, target.bipartition, baseline,
                              chord, params, seed=seed)
     a_t, b_t = _pair_targets(hom.loads(), baseline)
-    final, _ = redistribute_to_sizes(g, prep.partition, prep.reduced, a_t, b_t, cfg)
+    final, _ = redistribute_to_sizes(g, prep.partition, a_t, b_t, cfg)
     return h, _pull_back(hom.f, k), g, final.classes
 
 

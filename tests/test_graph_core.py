@@ -57,6 +57,11 @@ class TestGraph:
         with pytest.raises(InvalidInputError, match=re.escape(f"edge {edge!r} is not a pair")):
             Graph(9, [(0, 2), edge])
 
+    @pytest.mark.parametrize("edges", [5, None, 2.5], ids=repr)
+    def test_rejects_an_edge_list_that_is_not_iterable(self, edges):
+        with pytest.raises(InvalidInputError, match=re.escape(f"edge list {edges!r} is not iterable")):
+            Graph(3, edges)
+
     def test_adjacency_symmetric(self):
         g = path_graph(4)
         for u, v in g.edges():

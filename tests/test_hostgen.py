@@ -72,6 +72,12 @@ class TestSuperRegularHost:
             g, cls[2 * i2 + 1], cls[2 * j2 + 1], 0.35, 0.3, mode="heuristic", budget=80
         ).regular
 
+    @pytest.mark.parametrize("chords", [((0, 0), (0, 2)), ((0, 2), (1, 3)), ((0, -1), (0, 2))],
+                             ids=repr)
+    def test_chords_must_be_distinct_and_within_range(self, chords):
+        with pytest.raises(InvalidInputError, match="distinct and within range"):
+            gen_super_regular_host(k=3, size=4, d=0.5, chords=chords)
+
     def test_degree_floor_enforced(self):
         bundle = gen_super_regular_host(k=3, size=20, d=0.5, seed=2)
         g = bundle.graph

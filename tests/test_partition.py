@@ -26,7 +26,6 @@ from bandembed.partition import (
     Config,
     assign_exceptional_vertices,
     balance_partition,
-    check_mobility_hypotheses,
     find_hamilton_cycle_and_chords,
     load_config,
     prepare_host_partition,
@@ -66,6 +65,20 @@ def toy_reduced(k, extra=()):
     for e in extra:
         edges.add(tuple(sorted(e)))
     return Graph(2 * k, edges)
+
+
+class TestClusterPartition:
+    @pytest.mark.parametrize("a_chord, b_chord", [((0, 9), (0, 1)), ((0, 1), (2, 2)),
+                                                  ((-1, 1), None), (None, (1, 4))], ids=repr)
+    def test_chords_must_be_distinct_and_within_range(self, a_chord, b_chord):
+        # Four pairs: a chord joins two different pair indices in 0..3.
+        classes = [{2 * c, 2 * c + 1} for c in range(8)]
+        with pytest.raises(InvalidInputError, match="distinct and within range"):
+            ClusterPartition(classes, a_chord, b_chord)
+        data = {"classes": [sorted(c) for c in classes],
+                "a_chord": a_chord and list(a_chord), "b_chord": b_chord and list(b_chord)}
+        with pytest.raises(InvalidInputError, match="distinct and within range"):
+            ClusterPartition.from_json(data)
 
 
 class TestConfig:
@@ -323,27 +336,21 @@ class TestRedistribute:
     )
 
     def build(self, k=3, size=12, d=0.9, seed=2):
-        bundle = gen_super_regular_host(k=k, size=size, d=d, seed=seed)
-        reduced = build_reduced_graph(
-            bundle.graph, bundle.partition.classes, 0.5, 0.3, mode="heuristic"
-        )
-        return bundle, reduced
+        return gen_super_regular_host(k=k, size=size, d=d, seed=seed)
 
-    def run(self, bundle, reduced, a_t, b_t):
-        return redistribute_to_sizes(
-            bundle.graph, bundle.partition, reduced, a_t, b_t, self.MOVE
-        )
+    def run(self, bundle, a_t, b_t, cfg=MOVE):
+        return redistribute_to_sizes(bundle.graph, bundle.partition, a_t, b_t, cfg)
 
     def test_zero_targets_identity(self):
-        bundle, reduced = self.build()
-        out, ledger = self.run(bundle, reduced, [0, 0, 0], [0, 0, 0])
+        bundle = self.build()
+        out, ledger = self.run(bundle, [0, 0, 0], [0, 0, 0])
         assert out.sizes() == bundle.partition.sizes()
         assert ledger.churn == [0] * 6
 
     def test_exact_sizes_and_churn(self):
-        bundle, reduced = self.build()
+        bundle = self.build()
         a_t, b_t = [1, -1, 0], [0, 0, 0]
-        out, ledger = self.run(bundle, reduced, a_t, b_t)
+        out, ledger = self.run(bundle, a_t, b_t)
         sizes = out.sizes()
         for i in range(3):
             assert sizes[2 * i] == 12 + a_t[i]
@@ -352,23 +359,16 @@ class TestRedistribute:
         assert all(Fraction(c) <= bound for c in ledger.churn)
 
     def test_hypotheses_verified_on_complete_host(self):
-        # With complete pairs every sub-density equals 1, so the exact reduced
-        # graph at the tight working parameters carries the cycle and both
-        # chords, and redistribution runs at its default move thresholds.
+        # With complete pairs every vertex sees all of each partner class, so
+        # redistribution runs at STRICT's own move thresholds.
         bundle = gen_super_regular_host(k=3, size=10, d=1.0, seed=0)
-        reduced = build_reduced_graph(
-            bundle.graph, bundle.partition.classes, STRICT.eps_prime, STRICT.d_prime,
-            mode="exact",
-        )
-        out, _ = redistribute_to_sizes(
-            bundle.graph, bundle.partition, reduced, [1, -1, 0], [0, 1, -1], STRICT
-        )
+        out, _ = self.run(bundle, [1, -1, 0], [0, 1, -1], STRICT)
         assert out.sizes() == [11, 10, 9, 11, 10, 9]
 
     def test_chord_transfer_with_witnesses(self):
-        bundle, reduced = self.build(seed=5)
+        bundle = self.build(seed=5)
         a_t, b_t = [2, 0, 0], [-2, 0, 0]
-        out, ledger = self.run(bundle, reduced, a_t, b_t)
+        out, ledger = self.run(bundle, a_t, b_t)
         assert not ledger.mirrored
         assert len(ledger.chord_moves) == 2
         i2, j2 = bundle.partition.b_chord
@@ -384,56 +384,101 @@ class TestRedistribute:
         assert sizes[0] == 14 and sizes[1] == 10
 
     def test_mirrored_uses_a_chord(self):
-        bundle, reduced = self.build(seed=6)
+        bundle = self.build(seed=6)
         a_t, b_t = [-2, 0, 0], [2, 0, 0]
-        _, ledger = self.run(bundle, reduced, a_t, b_t)
+        _, ledger = self.run(bundle, a_t, b_t)
         assert ledger.mirrored
         i1, j1 = bundle.partition.a_chord
         for move in ledger.chord_moves:
             assert move.src == 2 * i1 and move.dst == 2 * j1 + 1
 
-    def test_hypothesis_violations_reported(self):
-        bundle, reduced = self.build()
-        big = int(as_fraction(STRICT.xi) * bundle.graph.n) + 1
-        report = check_mobility_hypotheses(
-            bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0], STRICT
-        )
-        assert not report.targets_small
-        with pytest.raises(RedistributionError):
-            redistribute_to_sizes(
-                bundle.graph, bundle.partition, reduced, [big, 0, 0], [-big, 0, 0], STRICT
-            )
-        with pytest.raises(RedistributionError):
-            redistribute_to_sizes(
-                bundle.graph, bundle.partition, reduced, [1, 0, 0], [0, 0, 0], STRICT
-            )
+    # Each target rule is its own RedistributionError with its numbers.  At
+    # n = 72 STRICT's xi*n is 36/5, so a target of 8 is too large.
+    def test_targets_must_stay_below_xi_n(self):
+        with pytest.raises(RedistributionError, match=r"a target of size 8 is not below xi\*n = 36/5"):
+            self.run(self.build(), [8, 0, 0], [-8, 0, 0], STRICT)
+
+    def test_targets_must_sum_to_zero(self):
+        with pytest.raises(RedistributionError, match="the targets sum to 1, not 0"):
+            self.run(self.build(), [1, 0, 0], [0, 0, 0], STRICT)
+
+    def test_net_flow_must_stay_within_xi_n(self):
+        # Each target is 4 < 36/5, but the A-side grows by 8 on net.
+        with pytest.raises(RedistributionError,
+                           match=r"the net A-side flow 8 exceeds xi\*n = 36/5"):
+            self.run(self.build(), [4, 4, 0], [-4, -4, 0], STRICT)
+
+    def test_partition_without_both_chords_is_an_input_error(self):
+        # The chord stage unpacks a chord, so a missing one is refused up front.
+        bundle = self.build()
+        classes = bundle.partition.classes
+        for chords in ((bundle.partition.a_chord, None), (None, bundle.partition.b_chord)):
+            part = ClusterPartition(classes, *chords)
+            with pytest.raises(InvalidInputError, match="both an A-side and a B-side chord"):
+                redistribute_to_sizes(bundle.graph, part, [0, 0, 0], [0, 0, 0], self.MOVE)
 
     def test_emptied_class_is_a_redistribution_error(self):
         # |A_0| = 12 lies inside the default xi*n = 21.6, so only the size floor refuses it.
-        bundle, reduced = self.build()
+        bundle = self.build()
         with pytest.raises(RedistributionError, match="leave a class empty"):
-            redistribute_to_sizes(
-                bundle.graph, bundle.partition, reduced, [-12, 12, 0], [0, 0, 0], Config(),
-            )
+            self.run(bundle, [-12, 12, 0], [0, 0, 0], Config())
 
     def test_reduced_graph_size_must_match_the_classes(self):
         # Six classes need a reduced graph on six vertices, not four or eight.
-        bundle, reduced = self.build()
+        bundle = self.build()
+        reduced = build_reduced_graph(
+            bundle.graph, bundle.partition.classes, 0.5, 0.3, mode="heuristic"
+        )
         for wrong in (Graph(4, []), Graph(8, reduced.edges())):
-            match = f"has {wrong.n} vertices for 6 classes"
-            with pytest.raises(InvalidInputError, match=match):
-                self.run(bundle, wrong, [0, 0, 0], [0, 0, 0])
-            with pytest.raises(InvalidInputError, match=match):
+            with pytest.raises(InvalidInputError, match=f"has {wrong.n} vertices for 6 classes"):
                 balance_partition(bundle.graph, bundle.partition, wrong, self.MOVE)
 
     def test_moves_are_well_connected(self):
-        bundle, reduced = self.build(seed=9)
+        bundle = self.build(seed=9)
         a_t, b_t = [2, -1, -1], [-1, 1, 0]
-        _, ledger = self.run(bundle, reduced, a_t, b_t)
+        _, ledger = self.run(bundle, a_t, b_t)
         assert ledger.all_moves()
         for move in ledger.all_moves():
             assert move.threshold > 0
             assert move.witness_count >= move.threshold
+
+
+class TestDroppedChecksAreImplied:
+    """The cycle and chord checks `redistribute_to_sizes` leaves out are host-partition's certificate.
+
+    `prepare_host_partition` finds the cluster cycle and both chords in the reduced
+    graph, then relabels both, so every edge of its partition's skeleton is a reduced
+    edge.  The dropped check is computed here from scratch: it must fail where the
+    cycle search fails, and hold on every prepared host.
+    """
+
+    @staticmethod
+    def dropped(partition, reduced):
+        """Every edge of the cluster cycle and its two chords is a reduced-graph edge."""
+        return all(reduced.has_edge(x, y) for x, y in partition.skeleton())
+
+    def test_fails_where_the_cycle_search_fails(self):
+        # Eight singleton clusters; the reduced graph is the cycle plus the given chords.
+        classes = [{c} for c in range(8)]
+        reduced = toy_reduced(4, extra=[(0, 4), (1, 5)])
+        structure = find_hamilton_cycle_and_chords(reduced)
+        part = relabel_partition(ClusterPartition(classes), structure)
+        assert self.dropped(part, relabel_reduced(reduced, structure))
+        # Without the B-side chord the search finds none, and a partition that
+        # claims one has a skeleton edge outside the reduced graph.
+        no_b_chord = toy_reduced(4, extra=[(0, 4)])
+        with pytest.raises(StructuralError, match="chords"):
+            find_hamilton_cycle_and_chords(no_b_chord)
+        assert not self.dropped(ClusterPartition(classes, (0, 2), (0, 2)), no_b_chord)
+
+    def test_prepared_hosts_meet_it(self):
+        # The 20 hosts of acceptance criterion 1 and the 16 of the envelope pin.
+        shapes = [(4, 50, seed) for seed in range(20)]
+        shapes += [(k, size, 0) for k in (3, 4, 5, 6) for size in (40, 50, 64, 100)]
+        for k, size, seed in shapes:
+            host = gen_super_regular_host(k=k, size=size, d=0.5, seed=seed)
+            prep = prepare_host_partition(host.graph, host.partition, Config())
+            assert self.dropped(prep.partition, prep.reduced), (k, size, seed)
 
 
 class TestHostPipeline:
@@ -458,7 +503,7 @@ class TestHostPipeline:
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
         diff = [want - have for want, have in zip(demanded, report.partition.sizes())]
         final, _ = redistribute_to_sizes(
-            bundle.graph, report.partition, report.reduced, diff[0::2], diff[1::2], cfg
+            bundle.graph, report.partition, diff[0::2], diff[1::2], cfg
         )
         assert final.sizes() == demanded
         structure = verify_partition_structure(bundle.graph, final, demanded, cfg)
@@ -630,7 +675,7 @@ class TestMoverPins:
 
                     def run():
                         out, ledger = redistribute_to_sizes(
-                            host.graph, prep.partition, prep.reduced, a_t, b_t, cfg
+                            host.graph, prep.partition, a_t, b_t, cfg
                         )
                         return [_classes(out), [_move(m) for m in ledger.all_moves()],
                                 ledger.churn, ledger.mirrored]
