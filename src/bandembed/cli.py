@@ -59,6 +59,7 @@ from .hostgen import (
 from .partition import (
     ClusterPartition,
     Config,
+    _check_targets,
     load_config,
     prepare_host_partition,
     redistribute_to_sizes,
@@ -485,15 +486,13 @@ def _cmd_lemma_g(args) -> int:
     final = rep.partition
     baseline = rep.partition.sizes()
     if demanded is not None:
-        if len(demanded) != 2 * rep.partition.k or sum(demanded) != g.n:
-            raise ParameterError("demanded sizes must partition n over 2k classes")
-        xi_n = as_fraction(cfg.xi) * g.n
-        for idx, (want, have) in enumerate(zip(demanded, baseline)):
-            if want < 0:
-                raise ParameterError(f"demanded size {want} is negative at class {idx}")
-            if want > have + xi_n:
-                raise ParameterError(f"demanded size {want} exceeds {have} + xi*n at class {idx}")
+        if len(demanded) != 2 * rep.partition.k:
+            raise ParameterError(f"{args.demand}: demanded sizes must partition n over 2k classes")
         a_t, b_t = _pair_targets(demanded, baseline)
+        try:  # the baseline covers all n vertices, so a demand keeping these rules partitions n
+            _check_targets(baseline, a_t, b_t, as_fraction(cfg.xi) * g.n, ParameterError)
+        except ParameterError as exc:
+            raise ParameterError(f"{args.demand}: {exc}") from None
         final, _ = redistribute_to_sizes(g, final, a_t, b_t, cfg)
     structure = verify_partition_structure(g, final, demanded, cfg)
     _emit({

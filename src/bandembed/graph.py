@@ -66,8 +66,8 @@ class Graph:
     __slots__ = ("n", "_adj", "_masks", "_edges")
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise InvalidInputError("vertex count must be nonnegative")
+        if not _is_int(n) or n < 0:
+            raise InvalidInputError(f"vertex count {n!r} is not a nonnegative integer")
         adj: list[set[int]] = [set() for _ in range(n)]
         try:
             edges = iter(edges)

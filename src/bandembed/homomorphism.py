@@ -86,6 +86,8 @@ class SegmentDecomposition:
     # The edges from B_i to A_{i+1}, both ends in the boundary; every other
     # edge lies inside one segment pair.
     crossing: list[tuple[int, int]] = field(default_factory=list)
+    # Vertex v lies on segment side segment_of[v]: 2i for A_i, 2i + 1 for B_i.
+    segment_of: list[int] = field(default_factory=list)
 
     @property
     def total_a(self) -> int:
@@ -171,12 +173,11 @@ def chop_into_segments(
         repair(a_segments, b_segments, i)
         repair(b_segments, a_segments, i)
 
+    sides = [side for pair in zip(a_segments, b_segments) for side in pair]
+    side_of = {v: code for code, side in enumerate(sides) for v in side}
     decomp = SegmentDecomposition(
-        [sorted(s) for s in a_segments],
-        [sorted(s) for s in b_segments],
-        boundary,
-        beta,
-        m1,
+        [sorted(s) for s in a_segments], [sorted(s) for s in b_segments], boundary, beta, m1,
+        segment_of=[side_of[v] for v in range(n)],
     )
     decomp.crossing = _certify_chop(h, decomp)
     return decomp
@@ -198,12 +199,7 @@ def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> list[tuple[int, int
         raise DecompositionError(
             f"boundary property fails: |S| = {len(decomp.boundary)} > 3*m1*beta*n"
         )
-    role: dict[int, tuple[str, int]] = {}
-    for i in range(m1):
-        for v in decomp.a_segments[i]:
-            role[v] = ("A", i)
-        for v in decomp.b_segments[i]:
-            role[v] = ("B", i)
+    role = [("AB"[side % 2], side // 2) for side in decomp.segment_of]
     s = decomp.boundary
     crossing = []
     for u, v in h.edges():
@@ -536,7 +532,6 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
     cycle = Graph(2 * kprime, [(x, (x + 1) % (2 * kprime)) for x in range(2 * kprime)]
                   + [(2 * targets[0] + 1, 2 * targets[1] + 1)])
     sides = [side for pair in zip(decomp.a_segments, decomp.b_segments) for side in pair]
-    side_of = {v: code for code, side in enumerate(sides) for v in side}
     return _Plan(
         sizes=sizes,
         chord=(c1, c2),
@@ -548,7 +543,7 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
         targets=targets,
         cycle=cycle,
         phases=phases,
-        segment_of=tuple(map(side_of.__getitem__, range(n))),
+        segment_of=tuple(decomp.segment_of),
         segment_sizes=tuple(map(len, sides)),
         load_caps=tuple(size + floor_frac(xi_f * n) for size in sizes),
         spread_caps=tuple((floor_frac(share + tilt + slack), floor_frac(share - tilt + slack))

@@ -3,14 +3,14 @@
 The host pipeline turns an injected clustering into a partition
 A_1, B_1, ..., A_k, B_k whose reduced graph carries the Hamilton cycle
 A_1 B_1 A_2 ... B_k A_1 plus one A-side and one B-side chord, with
-(A_i, B_i) super-regular.  Leftover vertices are absorbed greedily, pair
-sizes are balanced along closed shifted walks in the reduced graph, and
+(A_i, B_i) super-regular.  The vertices no class holds are absorbed greedily,
+pair sizes are balanced along closed shifted walks in the reduced graph, and
 exact demanded sizes are then hit by cycling single vertices around the
 cluster cycle.  Every vertex move is logged with the neighbor count that
 justified it.  A reduced graph is a `Graph` with one vertex per class, and a
 size mismatch is an InvalidInputError.  Only balancing takes the reduced
-graph: the cycle and chords that redistribution walks are the ones found in
-it, so redistribution checks only its targets.
+graph; redistribution walks the cycle and chords found in it and checks only
+its targets, by the four rules of `_check_targets`, before any vertex moves.
 """
 
 from __future__ import annotations
@@ -358,25 +358,20 @@ class _LivePartition:
 
 
 def assign_exceptional_vertices(
-    g: Graph, partition: ClusterPartition, v0, cfg: Config
+    g: Graph, partition: ClusterPartition, cfg: Config
 ) -> ClusterPartition:
-    """Greedily absorb leftover vertices into partner classes.
+    """Greedily absorb the leftover vertices, those no class holds, into partner classes.
 
-    A vertex joins the partner of a cluster where it has at least
-    eta*m'/4 neighbors; a class stops receiving once 8*eps_prime*m'/eta
-    vertices have been added to it.  The admissible cluster with the most
-    neighbors wins, ties to the lowest index.
+    In ascending order, a leftover vertex joins the partner of a cluster
+    where it has at least eta*m'/4 neighbors; a class stops receiving once
+    8*eps_prime*m'/eta vertices have been added to it.  The admissible
+    cluster with the most neighbors wins, ties to the lowest index.
     """
-    leftovers = sorted(set(v0))
-    covered = partition.covered()
-    for v in leftovers:
-        if v in covered:
-            raise InvalidInputError(f"vertex {v} is already in a class")
     part = _LivePartition(g, partition)
     eta = as_fraction(cfg.eta)
     threshold = eta * part.m_prime / 4
     cap = floor_frac(8 * as_fraction(cfg.eps_prime) * part.m_prime / eta)
-    for v in leftovers:
+    for v in sorted(set(range(g.n)) - partition.covered()):
         best = None
         for c in range(len(part.cur)):
             # The partner class within the pair receives v.
@@ -552,6 +547,26 @@ class MobilityLedger:
         return self.chord_moves + self.a_moves + self.b_moves
 
 
+def _check_targets(sizes: list[int], a_targets: list[int], b_targets: list[int],
+                   xi_n: Fraction, error: type[Exception]) -> None:
+    """Raise `error`, naming the numbers, unless the targets keep redistribution's four rules.
+
+    Every |a_i|, |b_i| is below xi*n; the targets sum to 0; the net A-side
+    flow |sum a_i| is at most xi*n; and no class of the sizes
+    |A_1|, |B_1|, ..., |A_k|, |B_k| is left empty.
+    """
+    largest = max(map(abs, a_targets + b_targets))
+    if largest >= xi_n:
+        raise error(f"a target of size {largest} is not below xi*n = {xi_n}")
+    total_a, total_b = sum(a_targets), sum(b_targets)
+    if total_a + total_b != 0:
+        raise error(f"the targets sum to {total_a + total_b}, not 0")
+    if abs(total_a) > xi_n:
+        raise error(f"the net A-side flow {total_a} exceeds xi*n = {xi_n}")
+    if any(size + t < 1 for size, t in zip(sizes[0::2] + sizes[1::2], a_targets + b_targets)):
+        raise error("targets leave a class empty")
+
+
 def redistribute_to_sizes(
     g: Graph,
     partition: ClusterPartition,
@@ -563,10 +578,10 @@ def redistribute_to_sizes(
 
     The partition's cluster cycle and chords are the ones
     `prepare_host_partition` found in the reduced graph, so they are not
-    checked again here.  The targets must keep three rules, each a
-    RedistributionError naming its numbers: every |a_i|, |b_i| is below
-    xi*n, the targets sum to 0, and the net A-side flow |sum a_i| is at
-    most xi*n.  A partition without both chords is an InvalidInputError.
+    checked again here.  Before any vertex moves, the targets must keep the
+    four rules of `_check_targets` (no class left empty among them), each a
+    RedistributionError.  A wrong target count or a partition without both
+    chords is an InvalidInputError.
 
     When the A-side must grow on net, the surplus crosses over the B-side
     chord first (vertices of B_{i2} with enough neighbors across the chord
@@ -580,15 +595,9 @@ def redistribute_to_sizes(
         raise InvalidInputError("need one target per pair on each side")
     if partition.a_chord is None or partition.b_chord is None:
         raise InvalidInputError("redistribution needs both an A-side and a B-side chord")
-    xi_n = as_fraction(cfg.xi) * g.n
-    largest = max(map(abs, a_targets + b_targets))
-    if largest >= xi_n:
-        raise RedistributionError(f"a target of size {largest} is not below xi*n = {xi_n}")
-    total_a, total_b = sum(a_targets), sum(b_targets)
-    if total_a + total_b != 0:
-        raise RedistributionError(f"the targets sum to {total_a + total_b}, not 0")
-    if abs(total_a) > xi_n:
-        raise RedistributionError(f"the net A-side flow {total_a} exceeds xi*n = {xi_n}")
+    _check_targets(partition.sizes(), a_targets, b_targets, as_fraction(cfg.xi) * g.n,
+                   RedistributionError)
+    total_a = sum(a_targets)
 
     slack = as_fraction(cfg.d_prime) - as_fraction(cfg.eps_prime)
     part = _LivePartition(g, partition)
@@ -610,40 +619,25 @@ def redistribute_to_sizes(
 
     goal_a = [len(orig[2 * i]) + a_targets[i] for i in range(k)]
     goal_b = [len(orig[2 * i + 1]) + b_targets[i] for i in range(k)]
-    if any(x < 1 for x in goal_a + goal_b):
-        raise RedistributionError("targets leave a class empty")
-
-    max_rounds = sum(abs(x) for x in a_targets + b_targets) + abs(total_a) + 2 * k + 4
 
     def run_side(goals: list[int], side: int, step: int, sink: list[MoveRecord]):
         # side 0 = A-classes, 1 = B. step -1 cycles A_t -> A_{t-1},
-        # step +1 cycles B_t -> B_{t+1}.
+        # step +1 cycles B_t -> B_{t+1}.  The chord step moved |sum a_i|
+        # vertices and the targets sum to 0, so this side's sizes sum to its
+        # goals: a deficit has a surplus among the other k - 1 classes.  Each
+        # round moves one vertex per hop from the first surplus upstream to the
+        # first deficit: the total deficit falls by one, no class drops below its goal.
         def size(i: int) -> int:
             return len(cur[2 * i + side])
 
-        for _ in range(max_rounds):
-            deficits = [i for i in range(k) if size(i) < goals[i]]
-            if not deficits:
-                break
-            i = deficits[0]
-            j = None
-            t = i
-            for _ in range(k - 1):
-                t = (t - step) % k
-                if size(t) > goals[t]:
-                    j = t
-                    break
-            if j is None:
-                raise RedistributionError("no surplus class available for a deficit")
-            t = j
-            while t != i:
-                nxt = (t + step) % k
-                take_best(2 * t + side, 2 * nxt + side, 1, sink)
-                t = nxt
-        else:
-            raise RedistributionError("redistribution did not converge")
-        if any(size(i) != goals[i] for i in range(k)):
-            raise RedistributionError("sizes missed their targets")
+        for i in range(k):
+            while size(i) < goals[i]:
+                upstream = ((i - step * d) % k for d in range(1, k))
+                t = next(t for t in upstream if size(t) > goals[t])
+                while t != i:
+                    nxt = (t + step) % k
+                    take_best(2 * t + side, 2 * nxt + side, 1, sink)
+                    t = nxt
 
     run_side(goal_a, side=0, step=-1, sink=ledger.a_moves)
     run_side(goal_b, side=1, step=+1, sink=ledger.b_moves)
@@ -742,8 +736,7 @@ def prepare_host_partition(
     """
     if g.n < cfg.n0:
         raise ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
-    leftover = set(range(g.n)) - partition.covered()
-    part1 = assign_exceptional_vertices(g, partition, leftover, cfg)
+    part1 = assign_exceptional_vertices(g, partition, cfg)
     reduced1 = build_reduced_graph(g, part1.classes, cfg.eps_prime, cfg.d_prime,
                                    mode=_auto_mode(*(len(c) for c in part1.classes)))
     structure = find_hamilton_cycle_and_chords(reduced1)

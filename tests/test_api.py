@@ -26,6 +26,8 @@ PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget"]
     (partition.redistribute_to_sizes, ["g", "partition", "a_targets", "b_targets", "cfg"]),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "seed"]),
     (embedder.check_compatibility, ["h", "w_classes", "v_classes", "eps"]),
+    # Assignment absorbs the vertices no class holds; no caller names them.
+    (partition.assign_exceptional_vertices, ["g", "partition", "cfg"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_parameter_list(fn, params):
     assert list(inspect.signature(fn).parameters) == params

@@ -528,12 +528,13 @@ class TestSubcommandPin:
             0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  # generators
             0, 0, 2, 0, 0, 2, 0, 2,  # check-expander, check-degseq, check-ore
             0, 2, 0, 2, 2, 0,  # check-pair, build-reduced
-            0, 2, 0, 0, 0, 0, 2,  # find-walk, lemma-g
+            # An emptied class breaks a target rule of the demand: an input error.
+            0, 2, 0, 0, 0, 0, 1,  # find-walk, lemma-g
             0, 0, 0, 0, 1, 0,  # build-hom, embed, montecarlo-balance
             0, 1, 2,  # pipeline
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "501b2e8e451f0bf943171ae92459cf7a08b38b1da43b8fc205f6db5c222ceb2b"
+        assert digest == "2582481d25fc61a7c3494e55a2d3e10aa63094400651753964cc4f7c52763e8c"
 
 
 class TestPipelineCommand:
@@ -752,6 +753,14 @@ class TestPipelineCommand:
         else:
             assert out["failed_stage"] == "verify-embedding"
 
+    def test_lemma_g_host_without_a_partition_is_input_error(self, tmp_path, capsys):
+        host_path = tmp_path / "host.json"
+        host_path.write_text(json.dumps({"graph": graph_to_json(Graph(4, [(0, 1)]))}))
+        assert main(["lemma-g", "--host", str(host_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {host_path} has no partition; pass one with --partition\n"
+
     def test_lemma_g_negative_demand_is_input_error(self, tmp_path, capsys):
         host_path, demand = tmp_path / "host.json", tmp_path / "demand.json"
         host_path.write_text(json.dumps(gen_super_regular_host(4, 50, d=0.5, seed=1).to_json()))
@@ -759,7 +768,29 @@ class TestPipelineCommand:
         assert main(["lemma-g", "--host", str(host_path), "--demand", str(demand)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "input error: demanded size -1 is negative at class 0\n"
+        # A negative size leaves its class empty.
+        assert captured.err == f"input error: {demand}: targets leave a class empty\n"
+
+    @pytest.mark.parametrize("change, message", [
+        ({0: 120, 1: -120}, "a target of size 120 is not below xi*n = 120"),
+        ({0: 1}, "the targets sum to 1, not 0"),
+        ({0: 40, 1: -40, 2: 40, 3: -40, 4: 40, 5: -40, 6: 40, 7: -40},
+         "the net A-side flow 160 exceeds xi*n = 120"),
+        ({0: -50, 1: 50}, "targets leave a class empty"),
+    ], ids=["below-xi-n", "sum-zero", "net-flow", "empty-class"])
+    def test_lemma_g_demand_breaking_a_target_rule_is_input_error(self, tmp_path, capsys,
+                                                                   change, message):
+        # One demand per target rule of redistribution, each off the baseline sizes.
+        host_path, demand = tmp_path / "host.json", tmp_path / "demand.json"
+        host_path.write_text(json.dumps(gen_super_regular_host(4, 50, d=0.5, seed=1).to_json()))
+        assert main(["lemma-g", "--host", str(host_path)]) == 0
+        sizes = json.loads(capsys.readouterr().out)["baseline_sizes"]
+        assert min(sizes) == 50
+        demand.write_text(json.dumps({"sizes": [s + change.get(c, 0) for c, s in enumerate(sizes)]}))
+        assert main(["lemma-g", "--host", str(host_path), "--demand", str(demand)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {demand}: {message}\n"
 
     def test_build_hom_coin_logs(self, tmp_path, capsys):
         # n = 1024 is the smallest power of two whose schedule has drift blocks,

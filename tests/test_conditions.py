@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandembed.conditions import (
+    ExpanderVerdict,
     check_degree_sequence_condition,
     check_ore_condition,
     check_robust_expander,
@@ -119,6 +120,16 @@ class TestRobustNeighborhood:
     def test_empty_set(self):
         assert robust_neighborhood(complete_graph(6), set(), 0.3) == set()
 
+    @pytest.mark.parametrize("nu", [0, 1], ids=repr)
+    def test_nu_must_lie_strictly_between_0_and_1(self, nu):
+        with pytest.raises(InvalidInputError, match=r"^nu must satisfy 0 < nu < 1$"):
+            robust_neighborhood(complete_graph(4), {0}, nu)
+
+    @pytest.mark.parametrize("v", [4, -1])
+    def test_set_vertex_outside_the_graph(self, v):
+        with pytest.raises(InvalidInputError, match=rf"^vertex {v} outside \[0,4\)$"):
+            robust_neighborhood(complete_graph(4), {0, v}, 0.25)
+
     @settings(max_examples=30)
     @given(st.integers(2, 7), st.data())
     def test_matches_brute_force(self, n, draw):
@@ -179,6 +190,32 @@ class TestRobustExpander:
             complete_graph(30), 0.1, 0.3, mode="sampled", seed=1, trials=50
         )
         assert verdict.holds and verdict.trials == 50
+
+    @pytest.mark.parametrize("nu, tau", [(0, 0.3), (0.4, 0.3), (0.1, 1)], ids=repr)
+    def test_nu_and_tau_must_be_ordered(self, nu, tau):
+        with pytest.raises(InvalidInputError, match=r"^need 0 < nu <= tau < 1$"):
+            check_robust_expander(complete_graph(4), nu, tau)
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^unknown mode 'bogus'$"):
+            check_robust_expander(complete_graph(4), 0.1, 0.3, mode="bogus")
+
+    def test_sampled_mode_with_an_empty_size_window_draws_nothing(self):
+        # tau = 0.6 on 4 vertices: |S| from ceil(2.4) = 3 up to floor(1.6) = 1.
+        verdict = check_robust_expander(path_graph(4), 0.1, 0.6, mode="sampled", trials=50)
+        assert (verdict.holds, verdict.mode, verdict.trials) == (True, "sampled", 0)
+
+    @pytest.mark.parametrize("verdict", [
+        ExpanderVerdict(True, "exact", Fraction(1, 10), Fraction(3, 10), witness=frozenset({0})),
+        ExpanderVerdict(False, "exact", Fraction(1, 10), Fraction(3, 10)),
+        # The window for tau = 3/10 on 12 vertices is 4..8 vertices.
+        ExpanderVerdict(False, "exact", Fraction(1, 10), Fraction(3, 10),
+                        witness=frozenset(range(3))),
+        ExpanderVerdict(False, "exact", Fraction(1, 10), Fraction(3, 10),
+                        witness=frozenset(range(9))),
+    ], ids=["holds", "no-witness", "below-window", "above-window"])
+    def test_a_witness_that_refutes_nothing_is_not_verified(self, verdict):
+        assert verify_expander_witness(two_cliques(6), verdict) is False
 
     def test_negative_trials_are_rejected(self):
         g = two_cliques(6)
@@ -241,6 +278,11 @@ class TestDegreeSequenceCondition:
         verdict = check_degree_sequence_condition([0] * 10, 0.1)
         assert not verdict.holds and verdict.first_violation == 1
 
+    @pytest.mark.parametrize("gamma", [0, 0.5], ids=repr)
+    def test_gamma_must_lie_below_one_half(self, gamma):
+        with pytest.raises(InvalidInputError, match=r"^gamma must satisfy 0 < gamma < 1/2$"):
+            check_degree_sequence_condition([1, 1, 1, 1], gamma)
+
     def test_unsorted_rejected(self):
         with pytest.raises(InvalidInputError):
             check_degree_sequence_condition([3, 1, 2], 0.1)
@@ -261,6 +303,11 @@ class TestOreCondition:
 
     def test_five_cycle_fails(self):
         assert not check_ore_condition(cycle_graph(5), 0.1).holds
+
+    @pytest.mark.parametrize("gamma", [0, 1], ids=repr)
+    def test_gamma_must_lie_strictly_between_0_and_1(self, gamma):
+        with pytest.raises(InvalidInputError, match=r"^gamma must satisfy 0 < gamma < 1$"):
+            check_ore_condition(complete_graph(4), gamma)
 
     def test_witness_is_nonadjacent_low_sum(self):
         g = cycle_graph(6)

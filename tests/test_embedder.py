@@ -503,6 +503,10 @@ class TestVerifyEmbedding:
         g = complete_graph(3)
         assert not verify_embedding(h, g, [0, 1])
 
+    @pytest.mark.parametrize("entry", [3, -1])
+    def test_entry_outside_the_host_rejected(self, entry):
+        assert not verify_embedding(Graph(2, []), path_graph(3), [0, entry])
+
 
 @pytest.mark.parametrize("entry", [1.0, True, None, "1", [1]], ids=repr)
 def test_non_int_map_entry_is_rejected(entry):

@@ -62,6 +62,13 @@ class TestGraph:
         with pytest.raises(InvalidInputError, match=re.escape(f"edge list {edges!r} is not iterable")):
             Graph(3, edges)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, "3", None, True], ids=repr)
+    def test_rejects_a_vertex_count_that_is_not_a_nonnegative_integer(self, n):
+        # graph_from_json's rule: a bool would be written back as "n": true.
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"vertex count {n!r} is not a nonnegative integer")):
+            Graph(n, [])
+
     def test_adjacency_symmetric(self):
         g = path_graph(4)
         for u, v in g.edges():

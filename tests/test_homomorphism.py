@@ -100,6 +100,25 @@ class TestChop:
                     expected.add(v)
         assert decomp.boundary == expected
 
+    @pytest.mark.parametrize("m1, beta", [(0, Fraction(1, 80)), (4, Fraction(-1, 80)), (4, 1)],
+                             ids=repr)
+    def test_segment_count_and_beta_ranges(self, m1, beta):
+        g, ordering, bip = perfect_matching_graph(80)
+        with pytest.raises(ParameterError, match=r"^need m1 >= 1 and 0 <= beta < 1$"):
+            chop_into_segments(g, ordering, bip, beta, m1, 1)
+
+    @pytest.mark.parametrize("bip", [([0], [1, 3]), ([0, 1, 2], [2, 3]), ([0, 2, 4], [1, 3])],
+                             ids=["short", "overlap", "outside"])
+    def test_bipartition_must_split_the_vertex_set(self, bip):
+        g, ordering, _ = perfect_matching_graph(4)
+        with pytest.raises(InvalidInputError, match="^bipartition must split the vertex set$"):
+            chop_into_segments(g, ordering, bip, Fraction(1, 4), 1, 1)
+
+    def test_an_edge_inside_one_class_is_rejected(self):
+        g, ordering, _ = perfect_matching_graph(4)
+        with pytest.raises(InvalidInputError, match=r"^edge \(0,1\) stays inside one class$"):
+            chop_into_segments(g, ordering, ([0, 1], [2, 3]), Fraction(1, 4), 1, 1)
+
     def test_repair_failure_reported(self):
         # No isolated vertices and an empty segment class: unrepairable.
         g = Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -265,6 +284,10 @@ class TestAssignments:
         with pytest.raises(SeekMissError):
             seeking_assign(list(range(3)), 0, 5, 8)
 
+    def test_seeking_needs_a_segment_pair(self):
+        with pytest.raises(ParameterError, match="^target-homing needs at least one segment pair$"):
+            seeking_assign([], 0, 0, 8)
+
 
 class TestBinomialModDistribution:
     def test_four_flips_mod_two(self):
@@ -335,6 +358,24 @@ class TestBuildHomomorphism:
         params = choose_h_parameters(240, 1, 1, 0.25, 2)
         with pytest.raises(Exception, match="odd"):
             build_homomorphism(g, ordering, bip, [60] * 4, (0, 2), params, seed=0)
+
+    @pytest.mark.parametrize("sizes, chord, error, message", [
+        ([60, 60, 60, 59], (1, 3), InvalidInputError,
+         "sizes must partition n over 2k >= 4 clusters"),
+        ([120, 120], (1, 3), InvalidInputError, "sizes must partition n over 2k >= 4 clusters"),
+        # n/(3k) = 40 and xi*n = 60 here.
+        ([40, 80, 60, 60], (1, 3), ParameterError, "cluster 0 has size 40 <= n/(3k)"),
+        ([60, 60, 80, 40], (1, 3), ParameterError, "cluster 3 has size 40 <= n/(3k)"),
+        ([41, 102, 48, 49], (1, 3), ParameterError, "pair 0 sizes differ by more than xi*n"),
+        ([60] * 4, (1, 5), InvalidInputError, "chord indices out of range"),
+        ([60] * 4, (-1, 1), InvalidInputError, "chord indices out of range"),
+    ], ids=["sum", "two-clusters", "small", "small-later", "pair-gap", "chord-high",
+            "chord-low"])
+    def test_plan_size_and_chord_rules(self, sizes, chord, error, message):
+        g, ordering, bip = perfect_matching_graph(240)
+        params = choose_h_parameters(240, 1, 1, 0.25, 2)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_homomorphism(g, ordering, bip, sizes, chord, params, seed=0)
 
     def test_role_swap_recorded(self):
         # Slightly more vertices in the second class: it takes the A role

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,26 @@ from bandembed.hostgen import (
 from bandembed.regularity import check_regular_pair, check_super_regular_pair
 
 from oracles import has_perfect_matching_small
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_super_regular_host(k=1, size=4, d=0.5), "need k >= 2 pairs of size >= 1"),
+    (lambda: gen_super_regular_host(k=2, size=0, d=0.5), "need k >= 2 pairs of size >= 1"),
+    (lambda: gen_super_regular_host(k=2, size=4, d=0), "density must lie in (0, 1]"),
+    (lambda: gen_super_regular_host(k=2, size=4, d=1.5), "density must lie in (0, 1]"),
+    (lambda: gen_extremal_counterexample(7, 2), "n must be even"),
+    (lambda: gen_extremal_counterexample(8, 0), "need 0 < m < n/2"),
+    (lambda: gen_extremal_counterexample(8, 4), "need 0 < m < n/2"),
+    (lambda: gen_random_graph(-1, 0.5), "need n >= 0 and p in [0, 1]"),
+    (lambda: gen_random_graph(4, 1.5), "need n >= 0 and p in [0, 1]"),
+    (lambda: gen_bandwidth_bipartite_h(0, 2, 1), "need n >= 1, delta >= 1, b >= 1"),
+    (lambda: gen_bandwidth_bipartite_h(8, 0, 1), "need n >= 1, delta >= 1, b >= 1"),
+    (lambda: gen_bandwidth_bipartite_h(8, 2, 0), "need n >= 1, delta >= 1, b >= 1"),
+], ids=["host-k", "host-size", "host-d-zero", "host-d-high", "extremal-odd", "extremal-m-zero",
+        "extremal-m-half", "random-n", "random-p", "h-n", "h-delta", "h-b"])
+def test_generator_argument_errors(make, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestCycleBlowup:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -81,6 +82,17 @@ class TestClusterPartition:
             ClusterPartition.from_json(data)
 
 
+    def test_classes_must_be_pairwise_disjoint(self):
+        with pytest.raises(InvalidInputError, match="^partition classes must be pairwise disjoint$"):
+            ClusterPartition([{0, 1}, {1, 2}])
+
+    @pytest.mark.parametrize("chord", [[0], [0, 1, 2], [0, "1"], 3], ids=repr)
+    def test_json_chords_must_be_null_or_two_integers(self, chord):
+        with pytest.raises(InvalidInputError,
+                           match="^partition JSON chords must be null or two integers$"):
+            ClusterPartition.from_json({"classes": [[0], [1], [2], [3]], "b_chord": chord})
+
+
 class TestConfig:
     def test_defaults_valid(self):
         Config()
@@ -96,6 +108,14 @@ class TestConfig:
             Config(d=0.5, d_prime=0.4)
         with pytest.raises(ParameterError):
             Config(tau=0.4, nu=0.45)
+
+    def test_n0_must_be_positive(self):
+        with pytest.raises(ParameterError, match="^n0 must be positive$"):
+            Config(n0=0)
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ParameterError, match="^config line 2: expected 'key = value'$"):
+            load_config("lam = 0.01\nxi 0.3\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError, match="unknown key"):
@@ -136,6 +156,15 @@ class TestHamiltonStructure:
         with pytest.raises(StructuralError, match="chords"):
             find_hamilton_cycle_and_chords(toy_reduced(3))
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_needs_an_even_number_of_at_least_four_clusters(self, n):
+        with pytest.raises(StructuralError, match=f"^need an even number >= 4 of clusters, got {n}$"):
+            find_hamilton_cycle_and_chords(Graph(n, []))
+
+    def test_search_capped_at_32_clusters(self):
+        with pytest.raises(StructuralError, match="^Hamilton search capped at 32 clusters$"):
+            find_hamilton_cycle_and_chords(toy_reduced(17))
+
     def test_disconnected_has_no_cycle(self):
         reduced = Graph(4, frozenset({(0, 1), (2, 3)}))
         with pytest.raises(StructuralError, match="no Hamilton cycle"):
@@ -159,7 +188,7 @@ class TestHamiltonStructure:
 class TestExceptionalAssignment:
     def test_empty_is_identity(self):
         bundle = gen_super_regular_host(k=2, size=8, d=1.0, seed=0)
-        out = assign_exceptional_vertices(bundle.graph, bundle.partition, set(), STRICT)
+        out = assign_exceptional_vertices(bundle.graph, bundle.partition, STRICT)
         assert out.sizes() == bundle.partition.sizes()
 
     def test_vertex_joins_partner_of_its_neighborhood(self):
@@ -170,7 +199,7 @@ class TestExceptionalAssignment:
         n = g0.n
         edges = list(g0.edges()) + [(n, v) for v in sorted(bundle.partition.classes[5])]
         g = Graph(n + 1, edges)
-        out = assign_exceptional_vertices(g, bundle.partition, {n}, STRICT)
+        out = assign_exceptional_vertices(g, bundle.partition, STRICT)
         assert n in out.classes[4]
 
     def test_rules_verified_by_direct_count(self):
@@ -182,7 +211,7 @@ class TestExceptionalAssignment:
             for v in sorted(bundle.partition.classes[cls])[:8]:
                 extra_edges.append((x, v))
         g = Graph(n + 2, list(g0.edges()) + extra_edges)
-        out = assign_exceptional_vertices(g, bundle.partition, {n, n + 1}, STRICT)
+        out = assign_exceptional_vertices(g, bundle.partition, STRICT)
         m_prime = min(len(c) for c in bundle.partition.classes)
         threshold = as_fraction(STRICT.eta) * m_prime / 4
         cap = 8 * as_fraction(STRICT.eps_prime) * m_prime / as_fraction(STRICT.eta)
@@ -202,7 +231,7 @@ class TestExceptionalAssignment:
         n = g0.n
         g = Graph(n + 1, list(g0.edges()))  # isolated leftover vertex
         with pytest.raises(AssignmentError):
-            assign_exceptional_vertices(g, bundle.partition, {n}, STRICT)
+            assign_exceptional_vertices(g, bundle.partition, STRICT)
 
 
 class TestMoveThresholdIsInclusive:
@@ -256,11 +285,11 @@ class TestMoveThresholdIsInclusive:
         bundle = gen_super_regular_host(k=2, size=10, d=0.5, seed=0)
         n = bundle.graph.n
         edges = list(bundle.graph.edges()) + [(n, v) for v in sorted(bundle.partition.classes[1])[:2]]
-        out = assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, {n}, cfg)
+        out = assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, cfg)
         assert n in out.classes[0]
         edges.pop()
         with pytest.raises(AssignmentError, match="threshold 2"):
-            assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, {n}, cfg)
+            assign_exceptional_vertices(Graph(n + 1, edges), bundle.partition, cfg)
 
 
 def imbalanced_host(seed=7):
@@ -525,10 +554,12 @@ class TestHostPipeline:
         argv = ["lemma-g", "--host", str(host_path), "--config", str(cfg_path),
                 "--demand", str(demand_path)]
         args = build_parser().parse_args(argv)
-        with pytest.raises(ParameterError, match="exceeds"):
+        # Class 0 grows by 15, over xi*n = 6: the first target rule refuses it.
+        message = f"{demand_path}: a target of size 15 is not below xi*n = 6"
+        with pytest.raises(ParameterError, match=re.escape(message)):
             args.func(args)
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("input error: demanded size 25")
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_leftover_vertices_absorbed(self):
         bundle = gen_super_regular_host(k=3, size=10, d=0.8, seed=1)
@@ -594,7 +625,7 @@ class TestMoverPins:
     """
 
     BALANCE_PIN = "beecfc15b88d1b09b5ae3e9065f0ed7422abfcae81e4e1afa965c39c08a9056a"
-    REDISTRIBUTE_PIN = "e8dd89f562eea21d6906a7a4c2fe46d8d8964171e4cd66fb83eadd50d8b2e53a"
+    REDISTRIBUTE_PIN = "86ec01840ff76461512ff46378a8d0bea3ce4085c9ec9003d68e123a58aba89e"
     ASSIGN_PIN = "bafb25c954d62f7ad8fdd88e2cbb23d381af14ea8f4706715afcc20387c132ea"
     RETIRE_PIN = "d503327d341f3df244eec7fff9cdbfcfb21e7c2d643ca6e533f7f99c901134a9"
 
@@ -694,6 +725,6 @@ class TestMoverPins:
                         c.difference_update(dropped)
                     for cfg in (LOOSE, STRICT):
                         records.append(_outcome(lambda: _classes(
-                            assign_exceptional_vertices(bundle.graph, part, dropped, cfg)
+                            assign_exceptional_vertices(bundle.graph, part, cfg)
                         )))
         assert _digest(records) == self.ASSIGN_PIN

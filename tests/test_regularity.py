@@ -630,6 +630,10 @@ class TestReducedGraph:
         )
         assert gap >= as_fraction(0.35)
 
+    def test_empty_class_is_an_isolated_vertex(self):
+        reduced = build_reduced_graph(complete_graph(4), [[0, 1], [], [2, 3]], 0.3, 0.2)
+        assert reduced.n == 3 and reduced.edges() == ((0, 2),)
+
     def test_overlapping_classes_rejected(self):
         g = complete_graph(4)
         with pytest.raises(InvalidInputError):

@@ -39,6 +39,14 @@ class TestMatching:
     def test_partner(self):
         assert M4.partner(0) == 1 and M4.partner(3) == 2
 
+    def test_loop_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^matching edge \(2,2\) is a loop$"):
+            Matching([(0, 1), (2, 2)])
+
+    def test_partner_of_an_uncovered_vertex(self):
+        with pytest.raises(InvalidInputError, match="^vertex 5 is not covered by the matching$"):
+            M4.partner(5)
+
     def test_json_round_trip(self):
         assert Matching.from_json(M4.to_json()).pairs == M4.pairs
 
@@ -69,6 +77,16 @@ class TestValidate:
     def test_missing_matching_step_rejected(self):
         with pytest.raises(WalkValidationError, match="not a matching edge"):
             validate_shifted_walk(K4, M4, [0, 2, 0, 2])
+
+    def test_matching_edge_outside_the_graph_rejected(self):
+        g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 without (2,3)
+        with pytest.raises(InvalidInputError, match=r"^matching edge \(2,3\) is not an edge of G$"):
+            validate_shifted_walk(g, M4, [0, 2])
+
+    @pytest.mark.parametrize("v", [4, -1])
+    def test_vertex_outside_the_graph_rejected(self, v):
+        with pytest.raises(WalkValidationError, match=rf"^vertex {v} outside \[0,4\)$"):
+            validate_shifted_walk(K4, M4, [0, v])
 
     def test_imperfect_matching_rejected(self):
         with pytest.raises(InvalidInputError, match="perfect"):
@@ -118,6 +136,12 @@ class TestPurify:
         w = validate_shifted_walk(K4, M4, [0, 2])
         assert purify_walk(M4, {0, 2}, w).vertices == (0, 2)
 
+    def test_rejects_an_endpoint_outside_the_set(self):
+        w = validate_shifted_walk(K4, M4, [0, 2])
+        with pytest.raises(InvalidInputError,
+                           match="^both walk endpoints must lie in the given set$"):
+            purify_walk(M4, {0}, w)
+
     def test_rejects_both_ends_of_one_edge(self):
         w = validate_shifted_walk(K4, M4, [0, 2])
         with pytest.raises(InvalidInputError, match="both ends"):
@@ -157,6 +181,11 @@ class TestShiftedNeighborhood:
 
 
 class TestFindClosedWalk:
+    @pytest.mark.parametrize("nu", [0, 1], ids=repr)
+    def test_nu_must_lie_strictly_between_0_and_1(self, nu):
+        with pytest.raises(InvalidInputError, match=r"^nu must satisfy 0 < nu < 1$"):
+            find_closed_shifted_walk(K4, M4, 0, nu)
+
     def test_k4(self):
         w = find_closed_shifted_walk(K4, M4, 0, 0.5)
         assert w.endpoints == (0, 0)
