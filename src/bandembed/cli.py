@@ -59,7 +59,7 @@ from .hostgen import (
 from .partition import (
     ClusterPartition,
     Config,
-    _check_targets,
+    _check_sizes,
     load_config,
     prepare_host_partition,
     redistribute_to_sizes,
@@ -202,11 +202,11 @@ def run_full_pipeline(
 
         # Stage 3: redistribute to the demanded sizes.
         with stage("redistribute") as st:
-            a_t, b_t = _pair_targets(demanded, baseline)
-            final, ledger = redistribute_to_sizes(g, prep.partition, a_t, b_t, cfg)
+            final, ledger = redistribute_to_sizes(g, prep.partition, demanded, cfg)
+            diff = [want - have for want, have in zip(demanded, baseline)]
             st.detail = {
-                "a_targets": a_t,
-                "b_targets": b_t,
+                "a_targets": diff[0::2],
+                "b_targets": diff[1::2],
                 "mirrored": ledger.mirrored,
                 "churn": ledger.churn,
                 "moves": len(ledger.all_moves()),
@@ -221,14 +221,14 @@ def run_full_pipeline(
 
         # Stage 5: the boundary bound; the sizes and the H-edges were certified above.
         with stage("compatibility") as st:
-            w_classes = _pull_back(hom.f, prep.partition.k)
-            compat = check_compatibility(h, w_classes, final.classes, cfg.eps)
+            compat = check_compatibility(h, hom.f, final.sizes(), cfg.eps)
             st.detail = compat.to_json()
             if not compat.all_ok():
                 raise BandembedError("compatibility failed")
 
         # Stage 6: the embedding itself.
         with stage("embed"):
+            w_classes = _pull_back(hom.f, prep.partition.k)
             phi = embed_blowup(h, w_classes, g, final.classes, seed=seed)
 
         # Stage 7: unconditional final gate.
@@ -274,12 +274,6 @@ def _error_detail(exc: Exception) -> dict:
         steps = [{k: v for k, v in vars(st).items() if k != "moves"} for st in exc.ledger.steps]
         out.update(balance_steps=len(steps), steps=steps)
     return out
-
-
-def _pair_targets(demanded: list[int], baseline: list[int]) -> tuple[list[int], list[int]]:
-    """Per-pair size changes, A sides then B sides, that turn `baseline` into `demanded`."""
-    diff = [want - have for want, have in zip(demanded, baseline)]
-    return diff[0::2], diff[1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +482,12 @@ def _cmd_lemma_g(args) -> int:
     if demanded is not None:
         if len(demanded) != 2 * rep.partition.k:
             raise ParameterError(f"{args.demand}: demanded sizes must partition n over 2k classes")
-        a_t, b_t = _pair_targets(demanded, baseline)
         try:  # the baseline covers all n vertices, so a demand keeping these rules partitions n
-            _check_targets(baseline, a_t, b_t, as_fraction(cfg.xi) * g.n, ParameterError)
+            _check_sizes(baseline, demanded, as_fraction(cfg.xi) * g.n, ParameterError)
         except ParameterError as exc:
             raise ParameterError(f"{args.demand}: {exc}") from None
-        final, _ = redistribute_to_sizes(g, final, a_t, b_t, cfg)
-    structure = verify_partition_structure(g, final, demanded, cfg)
+        final, _ = redistribute_to_sizes(g, final, demanded, cfg)
+    structure = verify_partition_structure(g, final, demanded or baseline, cfg)
     _emit({
         "k": rep.partition.k,
         "baseline_sizes": baseline,

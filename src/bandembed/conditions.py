@@ -102,8 +102,6 @@ def robust_neighborhood(g: Graph, s, nu) -> set[int]:
     if not s:
         return set()
     threshold = ceil_frac(nu * g.n)
-    if threshold < 1:
-        threshold = 1
     smask = vertex_mask(s)
     masks = g.masks
     return {v for v in range(g.n) if (masks[v] & smask).bit_count() >= threshold}

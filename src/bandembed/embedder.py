@@ -11,29 +11,29 @@ pair is constrained when the second side is matched, so a perfect matching
 on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
 
-Both entry points read the classes through one layout, and raise
+Of the blow-up lemma's three compatibility conditions, `check_compatibility`
+certifies only the boundary bound, from the homomorphism's map f and the
+class sizes.  In the pipeline the other two are certified before it: equal
+class sizes by verify-partition's `sizes_exact` (the final sizes are the
+homomorphism's loads), and H-edges on reduced edges by the homomorphism
+recheck's `homomorphism_valid` (every H-edge lands on a cycle edge or the
+B-chord).
+
+Only `embed_blowup` reads the classes, through one layout, and raises
 InvalidInputError unless the class count is even (classes 2i and 2i+1 form
 cluster pair i, the only restricted graph), there is one host class per H
 class of the same size, the H classes partition V(H) with no H-edge inside
-one class, and the host classes are pairwise disjoint.  This gives the
-per-side invariant the pair completion relies on: each side has one free
-host for each unplaced vertex.
-
-Of the blow-up lemma's three compatibility conditions, `check_compatibility`
-certifies only the boundary bound.  In the pipeline the other two are
-certified before it: equal class sizes by verify-partition's `sizes_exact`
-(the final sizes are the homomorphism's loads), and H-edges on reduced edges
-by the homomorphism recheck's `homomorphism_valid` (every H-edge lands on a
-cycle edge or the B-chord).
+one class, and the host classes are pairwise disjoint and inside V(G).  This
+gives the per-side invariant the pair completion relies on: each side has
+one free host for each unplaced vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import EmbeddingNotFoundError, InvalidInputError
-from .graph import Graph, vertex_mask
+from .graph import Graph, _is_int_list, vertex_mask
 from .matching import hopcroft_karp
 from .rng import as_fraction, derive_seed, make_rng, shuffled
 
@@ -66,13 +66,13 @@ class CompatibilityReport:
 
 
 def _class_layout(
-    h: Graph, w_classes: list, v_classes: list
+    h: Graph, w_classes: list, g: Graph, v_classes: list
 ) -> tuple[list[list[int]], list[list[int]], dict[int, int]]:
     """Sorted H and host classes, and the class index of every H vertex.
 
     The class count must be even, the H classes must partition V(H) with no
-    H-edge inside one class, and the host classes must be pairwise disjoint,
-    with one host class of the same size per H class.
+    H-edge inside one class, and the host classes must be pairwise disjoint
+    inside V(G), with one host class of the same size per H class.
     """
     if len(w_classes) != len(v_classes):
         raise InvalidInputError("need equally many H and host classes")
@@ -85,6 +85,9 @@ def _class_layout(
         raise InvalidInputError("the H classes must partition the vertices of H")
     if len(set().union(*v_sets)) != sum(map(len, v_sets)):
         raise InvalidInputError("the host classes must be pairwise disjoint")
+    outside = [v for vs in v_sets for v in vs[:1] + vs[-1:] if not 0 <= v < g.n]
+    if outside:
+        raise InvalidInputError(f"host vertex {outside[0]} lies outside [0,{g.n})")
     for i, (ws, vs) in enumerate(zip(w_sets, v_sets)):
         if len(ws) != len(vs):
             raise InvalidInputError(f"class {i}: |W| = {len(ws)} != |V| = {len(vs)}")
@@ -97,9 +100,9 @@ def _class_layout(
 
 
 def _boundary(
-    h: Graph, cluster_of: dict[int, int], num: int
+    h: Graph, cluster_of: list[int] | dict[int, int], num: int
 ) -> tuple[list[set[int]], list[set[int]]]:
-    """The per-class S and T sets of `check_compatibility`.
+    """The per-class S and T sets of `check_compatibility`; cluster_of[v] is v's class.
 
     An H-edge inside one class or one cluster pair adds nothing to S.
     """
@@ -139,26 +142,25 @@ def _boundary_plan(
     return order, later, enclosed
 
 
-def check_compatibility(h: Graph, w_classes: list, v_classes: list, eps) -> CompatibilityReport:
+def check_compatibility(h: Graph, f: list, sizes: list, eps) -> CompatibilityReport:
     """Exact evaluation of the boundary bound, the one condition no earlier stage certifies.
 
-    S_i holds the W_i vertices with neighbors outside W_i and its partner
-    W_{i^1}; T_i holds the neighbors of S inside W_i \\ S.  Class i offends
-    when |S_i| > eps |V_i| or |T_i| > eps min(|V_i|, |V_{i^1}|).  The two
-    other conditions hold before the pipeline calls this: equal class sizes
-    by verify-partition's `sizes_exact`, and every H-edge on a reduced edge
-    by the homomorphism recheck's `homomorphism_valid`.  The layout still
-    rejects unequal sizes and an H-edge inside one class.
+    W_i = f^-1(i).  S_i holds the W_i vertices with neighbors outside W_i
+    and its partner W_{i^1}; T_i holds the neighbors of S inside W_i \\ S.
+    Class i offends when |S_i| > eps sizes[i] or |T_i| > eps
+    min(sizes[i], sizes[i^1]).  The module docstring says which stages
+    certify the other two conditions.  Sizes that are not an even number of
+    integers, or an f that is not a list of h.n classes, are input errors.
     """
-    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
-    num = len(w_sets)
+    if not _is_int_list(sizes) or len(sizes) % 2:
+        raise InvalidInputError("the class sizes must be an even number of integers")
+    num = len(sizes)
+    if not (_is_int_list(f) and len(f) == h.n and all(0 <= c < num for c in f)):
+        raise InvalidInputError(f"f must send all {h.n} vertices of H to classes 0..{num - 1}")
     eps = as_fraction(eps)
-    s_sets, t_sets = _boundary(h, cluster_of, num)
-    offending_bounds = [
-        i for i in range(num)
-        if Fraction(len(s_sets[i])) > eps * len(v_sets[i])
-        or Fraction(len(t_sets[i])) > eps * min(len(v_sets[i]), len(v_sets[i ^ 1]))
-    ]
+    s_sets, t_sets = _boundary(h, f, num)
+    offending_bounds = [i for i in range(num) if len(s_sets[i]) > eps * sizes[i]
+                        or len(t_sets[i]) > eps * min(sizes[i], sizes[i ^ 1])]
     return CompatibilityReport(s_sets, t_sets, offending_bounds)
 
 
@@ -175,7 +177,7 @@ def embed_blowup(
     reassignment budget is BUDGET_FACTOR * |H|; exceeding it raises
     EmbeddingNotFoundError, which is a legitimate certified failure.
     """
-    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, v_classes)
+    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, g, v_classes)
     order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets))
 
     gmasks = g.masks

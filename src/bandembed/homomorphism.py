@@ -37,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, sqrt
 
 from .errors import (
     DecompositionError,
@@ -235,13 +234,13 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> int:
     if not 1 <= k2 < m1 // m2:
         raise ParameterError(f"need 1 <= k2 < m1/m2 (got k2={k2}, m1/m2={m1 // m2})")
     w = m1 // m2
-    slack = sqrt(float(decomp.beta)) * n
     imbalances = []
     for j in range(m2):
         block = range(j * w, (j + 1) * w)
         a = sum(len(decomp.a_segments[t]) for t in block)
         b = sum(len(decomp.b_segments[t]) for t in block)
-        if not n / m2 - slack <= a + b <= n / m2 + slack:
+        # |a + b - n/m2| <= sqrt(beta)*n, squared so that it is exact.
+        if (a + b - Fraction(n, m2)) ** 2 > decomp.beta * n * n:
             raise DecompositionError(f"block size property fails at block {j}: {a + b}")
         imbalances.append(a - b)
 
@@ -354,7 +353,7 @@ def choose_h_parameters(n: int, delta: int, bandwidth: int, xi, k: int) -> Homom
             m2, m1 = 4, by_four[-1]
         else:
             m2, m1 = 2, candidates[-1]
-        want = max(k_upper, ceil(k_upper ** 3 / 6))
+        want = max(k_upper, ceil_frac(Fraction(k_upper ** 3, 6)))
         k2 = min(m1 // m2 - 1, want)
         k1 = 8
     else:

@@ -9,8 +9,9 @@ exact demanded sizes are then hit by cycling single vertices around the
 cluster cycle.  Every vertex move is logged with the neighbor count that
 justified it.  A reduced graph is a `Graph` with one vertex per class, and a
 size mismatch is an InvalidInputError.  Only balancing takes the reduced
-graph; redistribution walks the cycle and chords found in it and checks only
-its targets, by the four rules of `_check_targets`, before any vertex moves.
+graph; redistribution takes demanded sizes, walks the cycle and chords found in
+it and checks only the sizes, by the four rules of `_check_sizes`, before any
+vertex moves.  A class vertex outside V(G) is an InvalidInputError.
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ class _LivePartition:
     """
 
     def __init__(self, g: Graph, partition: ClusterPartition):
+        outside = next((v for c in partition.classes for v in c if not 0 <= v < g.n), None)
+        if outside is not None:
+            raise InvalidInputError(f"class vertex {outside} lies outside [0,{g.n})")
         self.partition = partition
         self.gmasks = g.masks
         self.cur = [set(c) for c in partition.classes]
@@ -444,13 +448,13 @@ def balance_partition(
     lam_n = as_fraction(cfg.lam) * g.n
     nu = as_fraction(cfg.nu)
     eta = as_fraction(cfg.eta)
-    eps_p = float(cfg.eps_prime)
 
     part = _LivePartition(g, partition)
     cur = part.cur
     wc_threshold = as_fraction(cfg.d_prime) * part.m_prime / 8
     per_hop = max(1, ceil_frac(lam_n / 2))
-    drift_cap = (eps_p ** (1.0 / 3.0)) * float(part.m_prime) - float(lam_n)
+    # A pair retires at drift + lam*n >= eps_prime^(1/3) m', both sides >= 0, so compared cubed.
+    drift_cap_cubed = as_fraction(cfg.eps_prime) * part.m_prime ** 3
     floor_live = (1 - nu / 12) * (2 * k)
     max_steps = max(1, ceil_frac(4 * as_fraction(cfg.eps_prime) / (eta * as_fraction(cfg.lam)))) + 4
 
@@ -504,7 +508,8 @@ def balance_partition(
                 )
 
             retired = [i for i in sorted(live)
-                       if any(max(part.drift(c)) >= drift_cap for c in (2 * i, 2 * i + 1))]
+                       if any((max(part.drift(c)) + lam_n) ** 3 >= drift_cap_cubed
+                              for c in (2 * i, 2 * i + 1))]
             live.difference_update(retired)
             if 2 * len(live) < floor_live:
                 raise BalancingError(
@@ -547,41 +552,39 @@ class MobilityLedger:
         return self.chord_moves + self.a_moves + self.b_moves
 
 
-def _check_targets(sizes: list[int], a_targets: list[int], b_targets: list[int],
-                   xi_n: Fraction, error: type[Exception]) -> None:
-    """Raise `error`, naming the numbers, unless the targets keep redistribution's four rules.
+def _check_sizes(have: list[int], want: list[int], xi_n: Fraction, error: type[Exception]):
+    """Raise `error`, naming the numbers, unless sizes `want` keep redistribution's four rules.
 
-    Every |a_i|, |b_i| is below xi*n; the targets sum to 0; the net A-side
-    flow |sum a_i| is at most xi*n; and no class of the sizes
-    |A_1|, |B_1|, ..., |A_k|, |B_k| is left empty.
+    A class's target is want - have.  Every |target| is below xi*n; the targets sum
+    to 0; the net A-side flow |sum of A_i targets| is at most xi*n; every want is >= 1.
     """
-    largest = max(map(abs, a_targets + b_targets))
+    diff = [w - h for w, h in zip(want, have)]
+    largest = max(map(abs, diff))
     if largest >= xi_n:
         raise error(f"a target of size {largest} is not below xi*n = {xi_n}")
-    total_a, total_b = sum(a_targets), sum(b_targets)
-    if total_a + total_b != 0:
-        raise error(f"the targets sum to {total_a + total_b}, not 0")
+    if sum(diff) != 0:
+        raise error(f"the targets sum to {sum(diff)}, not 0")
+    total_a = sum(diff[0::2])
     if abs(total_a) > xi_n:
         raise error(f"the net A-side flow {total_a} exceeds xi*n = {xi_n}")
-    if any(size + t < 1 for size, t in zip(sizes[0::2] + sizes[1::2], a_targets + b_targets)):
+    if min(want) < 1:
         raise error("targets leave a class empty")
 
 
 def redistribute_to_sizes(
     g: Graph,
     partition: ClusterPartition,
-    a_targets: list[int],
-    b_targets: list[int],
+    sizes: list[int],
     cfg: Config,
 ) -> tuple[ClusterPartition, MobilityLedger]:
-    """Hit |A'_i| = |A_i| + a_i and |B'_i| = |B_i| + b_i exactly.
+    """Hit the class sizes |A'_i| = sizes[2i] and |B'_i| = sizes[2i+1] exactly.
 
     The partition's cluster cycle and chords are the ones
     `prepare_host_partition` found in the reduced graph, so they are not
-    checked again here.  Before any vertex moves, the targets must keep the
-    four rules of `_check_targets` (no class left empty among them), each a
-    RedistributionError.  A wrong target count or a partition without both
-    chords is an InvalidInputError.
+    checked again here.  Before any vertex moves, the sizes must keep the
+    four rules of `_check_sizes` against the partition's own (no class left
+    empty among them), each a RedistributionError.  A wrong size count or a
+    partition without both chords is an InvalidInputError.
 
     When the A-side must grow on net, the surplus crosses over the B-side
     chord first (vertices of B_{i2} with enough neighbors across the chord
@@ -591,13 +594,13 @@ def redistribute_to_sizes(
     (d_prime - eps_prime)|C| into the next pair's partner class C.
     """
     k = partition.k
-    if len(a_targets) != k or len(b_targets) != k:
-        raise InvalidInputError("need one target per pair on each side")
+    if len(sizes) != 2 * k:
+        raise InvalidInputError("need one size per class")
     if partition.a_chord is None or partition.b_chord is None:
         raise InvalidInputError("redistribution needs both an A-side and a B-side chord")
-    _check_targets(partition.sizes(), a_targets, b_targets, as_fraction(cfg.xi) * g.n,
-                   RedistributionError)
-    total_a = sum(a_targets)
+    have = partition.sizes()
+    _check_sizes(have, sizes, as_fraction(cfg.xi) * g.n, RedistributionError)
+    total_a = sum(sizes[0::2]) - sum(have[0::2])
 
     slack = as_fraction(cfg.d_prime) - as_fraction(cfg.eps_prime)
     part = _LivePartition(g, partition)
@@ -617,13 +620,10 @@ def redistribute_to_sizes(
         i1, j1 = partition.a_chord
         take_best(2 * i1, 2 * j1 + 1, -total_a, ledger.chord_moves)
 
-    goal_a = [len(orig[2 * i]) + a_targets[i] for i in range(k)]
-    goal_b = [len(orig[2 * i + 1]) + b_targets[i] for i in range(k)]
-
     def run_side(goals: list[int], side: int, step: int, sink: list[MoveRecord]):
         # side 0 = A-classes, 1 = B. step -1 cycles A_t -> A_{t-1},
-        # step +1 cycles B_t -> B_{t+1}.  The chord step moved |sum a_i|
-        # vertices and the targets sum to 0, so this side's sizes sum to its
+        # step +1 cycles B_t -> B_{t+1}.  The chord step moved the net A-side
+        # flow and the targets sum to 0, so this side's sizes sum to its
         # goals: a deficit has a surplus among the other k - 1 classes.  Each
         # round moves one vertex per hop from the first surplus upstream to the
         # first deficit: the total deficit falls by one, no class drops below its goal.
@@ -639,8 +639,8 @@ def redistribute_to_sizes(
                     take_best(2 * t + side, 2 * nxt + side, 1, sink)
                     t = nxt
 
-    run_side(goal_a, side=0, step=-1, sink=ledger.a_moves)
-    run_side(goal_b, side=1, step=+1, sink=ledger.b_moves)
+    run_side(sizes[0::2], side=0, step=-1, sink=ledger.a_moves)
+    run_side(sizes[1::2], side=1, step=+1, sink=ledger.b_moves)
 
     ledger.churn = [sum(part.drift(c)) for c in range(2 * k)]
     return part.result(), ledger
@@ -695,15 +695,13 @@ def _auto_mode(*class_sizes: int) -> str:
 def verify_partition_structure(
     g: Graph,
     partition: ClusterPartition,
-    demanded: list[int] | None,
+    demanded: list[int],
     cfg: Config,
 ) -> StructureReport:
-    """Certify the five structural conditions of a finished partition at (eps, d)."""
+    """Certify the sizes against `demanded` and the five structural conditions at (eps, d)."""
     k = partition.k
     eps, d = as_fraction(cfg.eps), as_fraction(cfg.d)
-    sizes_exact = True
-    if demanded is not None:
-        sizes_exact = partition.sizes() == list(demanded)
+    sizes_exact = partition.sizes() == demanded
 
     def check(checker, x: int, y: int) -> RegularityVerdict:
         cx, cy = partition.classes[x], partition.classes[y]

@@ -93,6 +93,9 @@ def pair_density(g: Graph, a_side, b_side) -> Fraction:
         raise InvalidInputError("both classes must be nonempty")
     if a & b:
         raise InvalidInputError("classes must be disjoint")
+    for v in (min(a), max(a), min(b), max(b)):
+        if not 0 <= v < g.n:
+            raise InvalidInputError(f"vertex {v} lies outside [0,{g.n})")
     bmask = vertex_mask(b)
     masks = g.masks
     e = sum((masks[v] & bmask).bit_count() for v in a)

@@ -36,6 +36,8 @@ from bandembed.homomorphism import (
     drunken_assign,
 )
 from bandembed.hostgen import (
+    HostBundle,
+    TargetBundle,
     gen_bandwidth_bipartite_h,
     gen_cycle_blowup,
     gen_extremal_counterexample,
@@ -44,7 +46,7 @@ from bandembed.hostgen import (
 )
 from bandembed.partition import Config
 from bandembed.regularity import check_regular_pair
-from bandembed.rng import as_fraction, derive_seed, make_rng, rand_range
+from bandembed.rng import as_fraction, derive_seed, make_rng, rand_range, shuffled
 from bandembed.walks import (
     Matching,
     find_closed_shifted_walk,
@@ -105,6 +107,37 @@ def test_criterion_1_end_to_end_embedding():
         f"certified failures: {certified_failures}",
     )
     assert digest.hexdigest() == PIPELINE_DIGEST
+
+
+def test_criterion_1_reports_do_not_depend_on_edge_order():
+    """The 20 criterion-1 runs give the same reports, "seconds" removed, when host and
+    target are rebuilt from their edge lists reversed and shuffled.
+
+    Equal graphs built from edge lists in another order can list their edges in
+    another order, so this holds only if no seeded output follows that order.  It
+    needs no fixtures, so it runs under `python -S`.
+    """
+    cfg = Config()
+    moved = {"host": 0, "target": 0}
+    for seed in range(20):
+        host = gen_super_regular_host(k=4, size=50, d=0.5, seed=seed)
+        target = gen_bandwidth_bipartite_h(400, 3, 10, seed=seed)
+        want = strip_seconds(run_full_pipeline(host, target, cfg, seed=seed).to_json())
+        rng = make_rng(seed)
+        for reorder in (lambda edges: edges[::-1], lambda edges: shuffled(rng, edges)):
+            graphs = {}
+            for name, graph in (("host", host.graph), ("target", target.graph)):
+                graphs[name] = Graph(graph.n, reorder(list(graph.edges())))
+                assert graphs[name] == graph
+                moved[name] += sum(x != y for x, y in zip(graphs[name].edges(), graph.edges()))
+            rep = run_full_pipeline(
+                HostBundle(graphs["host"], host.partition),
+                TargetBundle(graphs["target"], target.ordering, target.bipartition),
+                cfg, seed=seed,
+            )
+            assert strip_seconds(rep.to_json()) == want, seed
+    # The rebuilt graphs do list their edges in another order.
+    assert moved["host"] > 0 and moved["target"] > 0, moved
 
 
 # sha256 over the seed-0 envelope reports below, "seconds" keys stripped, and
@@ -225,9 +258,10 @@ def test_criterion_4_mobility_exactness():
         b_t.append(-(sum(a_t) + sum(b_t)))
         if abs(b_t[-1]) >= xi_n or abs(sum(a_t)) > xi_n:
             continue
-        out, ledger = redistribute_to_sizes(g, part, a_t, b_t, cfg)
-        sizes = out.sizes()
         base = part.sizes()
+        demanded = [size + t for size, t in zip(base, [x for ab in zip(a_t, b_t) for x in ab])]
+        out, ledger = redistribute_to_sizes(g, part, demanded, cfg)
+        sizes = out.sizes()
         for i in range(k):
             if sizes[2 * i] != base[2 * i] + a_t[i]:
                 violations += 1

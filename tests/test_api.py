@@ -23,9 +23,10 @@ PAIR_CHECK = ["g", "a_side", "b_side", "eps", "d", "mode", "budget"]
     (partition.verify_partition_structure, ["g", "partition", "demanded", "cfg"]),
     # Only balancing takes the reduced graph: redistribution walks the cycle found in it.
     (partition.balance_partition, ["g", "partition", "reduced", "cfg"]),
-    (partition.redistribute_to_sizes, ["g", "partition", "a_targets", "b_targets", "cfg"]),
+    (partition.redistribute_to_sizes, ["g", "partition", "sizes", "cfg"]),
     (embedder.embed_blowup, ["h", "w_classes", "g", "v_classes", "seed"]),
-    (embedder.check_compatibility, ["h", "w_classes", "v_classes", "eps"]),
+    # The compatibility stage reads the homomorphism's map and the class sizes.
+    (embedder.check_compatibility, ["h", "f", "sizes", "eps"]),
     # Assignment absorbs the vertices no class holds; no caller names them.
     (partition.assign_exceptional_vertices, ["g", "partition", "cfg"]),
 ], ids=lambda x: getattr(x, "__name__", None))

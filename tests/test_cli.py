@@ -366,6 +366,14 @@ class TestMalformedFiles:
         assert main(["check-degseq", "--graph", str(bad), "--gamma", "0.1"]) == 1
         assert capsys.readouterr().err == f"input error: {bad}: not UTF-8 text\n"
 
+    def test_missing_file_is_an_os_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["check-degseq", "--graph", str(missing), "--gamma", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] ") and str(missing) in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_config_file_not_utf8(self, small_world, tmp_path, capsys):
         host_path, _, _ = small_world
         bad = tmp_path / "bad.cfg"
@@ -791,6 +799,16 @@ class TestPipelineCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {demand}: {message}\n"
+
+    def test_lemma_g_demand_with_the_wrong_class_count(self, tmp_path, capsys):
+        host_path, demand = tmp_path / "host.json", tmp_path / "demand.json"
+        host_path.write_text(json.dumps(gen_super_regular_host(4, 50, d=0.5, seed=1).to_json()))
+        demand.write_text(json.dumps({"sizes": [50] * 7}))
+        assert main(["lemma-g", "--host", str(host_path), "--demand", str(demand)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"input error: {demand}: "
+                                "demanded sizes must partition n over 2k classes\n")
 
     def test_build_hom_coin_logs(self, tmp_path, capsys):
         # n = 1024 is the smallest power of two whose schedule has drift blocks,

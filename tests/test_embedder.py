@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bandembed.cli
 import bandembed.embedder
-from bandembed.cli import _pair_targets, _pull_back, run_full_pipeline
+from bandembed.cli import _pull_back, run_full_pipeline
 from bandembed.embedder import (
     _least_blocked,
     check_compatibility,
@@ -58,9 +58,13 @@ def pipeline_embed_inputs(k, size, bandwidth, seed):
     baseline = prep.partition.sizes()
     hom = build_homomorphism(h, target.ordering, target.bipartition, baseline,
                              chord, params, seed=seed)
-    a_t, b_t = _pair_targets(hom.loads(), baseline)
-    final, _ = redistribute_to_sizes(g, prep.partition, a_t, b_t, cfg)
+    final, _ = redistribute_to_sizes(g, prep.partition, hom.loads(), cfg)
     return h, _pull_back(hom.f, k), g, final.classes
+
+
+def class_map(w):
+    """The map f sending every vertex of class i of `w` to i."""
+    return [i for _, i in sorted((v, i) for i, c in enumerate(w) for v in c)]
 
 
 def split_classes(sizes):
@@ -126,9 +130,7 @@ def retry_instance(spare_edge=True):
 class TestCompatibility:
     def test_edgeless_passes(self):
         h = Graph(8, [])
-        _, v_classes = complete_pair_host(2, 2)
-        w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, 0.5)
+        report = check_compatibility(h, [0, 0, 1, 1, 2, 2, 3, 3], [2, 2, 2, 2], 0.5)
         assert report.all_ok()
         assert all(not s for s in report.s_sets)
 
@@ -136,9 +138,7 @@ class TestCompatibility:
         # One cross-pair edge from cluster 1 to cluster 2: its endpoints form
         # S, and their untouched neighbors (here 6, in the partner class 3) form T.
         h = Graph(8, [(2, 4), (4, 6)])
-        _, v_classes = complete_pair_host(2, 2)
-        w = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        report = check_compatibility(h, w, v_classes, 0.9)
+        report = check_compatibility(h, [0, 0, 1, 1, 2, 2, 3, 3], [2, 2, 2, 2], 0.9)
         assert report.s_sets[1] == {2}
         assert report.s_sets[2] == {4}
         assert report.t_sets[3] == {6}
@@ -148,7 +148,7 @@ class TestCompatibility:
         # eps * 4 for class 1, above eps * 2 for class 2.
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
-        report = check_compatibility(h, w, w, 0.4)
+        report = check_compatibility(h, class_map(w), [4, 4, 2, 2], 0.4)
         assert report.to_json() == {"boundary_bounded": False, "offending_bounds": [2],
                                     "all_ok": False}
         assert report.s_sets[1] == {w[1][0]} and report.s_sets[2] == {w[2][0]}
@@ -160,9 +160,35 @@ class TestCompatibility:
         w = split_classes([4, 2, 4, 2])
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
-        report = check_compatibility(h, w, w, 0.5)
+        report = check_compatibility(h, class_map(w), [4, 2, 4, 2], 0.5)
         assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
         assert report.offending_bounds == [0]
+
+    @pytest.mark.parametrize("sizes", [[2, 2, 2], [2, 2, 2.0, 2], (2, 2), [2, True, 2, 2]],
+                             ids=["odd-count", "float", "tuple", "bool"])
+    def test_sizes_must_be_an_even_number_of_integers(self, sizes):
+        with pytest.raises(InvalidInputError,
+                           match="the class sizes must be an even number of integers"):
+            check_compatibility(Graph(4, [(0, 1)]), [0, 1, 2, 3], sizes, 0.5)
+
+    @pytest.mark.parametrize("f", [(0, 1, 2, 3), [0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 4],
+                                   [0, -1, 2, 3], [0, 1, 2.0, 3], [0, True, 2, 3]],
+                             ids=["tuple", "short", "long", "class-too-high", "negative",
+                                  "float", "bool"])
+    def test_map_must_send_every_vertex_to_a_class(self, f):
+        with pytest.raises(InvalidInputError,
+                           match=r"f must send all 4 vertices of H to classes 0\.\.3"):
+            check_compatibility(Graph(4, [(0, 1)]), f, [1, 1, 1, 1], 0.5)
+
+    def test_class_layout_runs_once_per_pipeline_run(self, monkeypatch):
+        # The compatibility stage reads the map and the sizes; only embed lays out the classes.
+        calls = []
+        layout = bandembed.embedder._class_layout
+        monkeypatch.setattr(bandembed.embedder, "_class_layout",
+                            lambda *args: calls.append(1) or layout(*args))
+        host = gen_super_regular_host(k=4, size=50, d=0.5, seed=0)
+        report = run_full_pipeline(host, gen_bandwidth_bipartite_h(400, 3, 10, seed=0), Config())
+        assert report.ok and len(calls) == 1
 
 
 class TestDroppedConditionsAreImplied:
@@ -232,12 +258,10 @@ class TestDroppedConditionsAreImplied:
 
 
 class TestMalformedClasses:
-    """Class inputs that are not a layout are input errors for both entry points."""
+    """Class inputs that are not a layout are input errors for `embed_blowup`."""
 
     @staticmethod
     def assert_rejected(h, w, v_classes, match):
-        with pytest.raises(InvalidInputError, match=match):
-            check_compatibility(h, w, v_classes, 0.5)
         with pytest.raises(InvalidInputError, match=match):
             embed_blowup(h, w, complete_graph(h.n), v_classes, seed=0)
 
@@ -266,6 +290,13 @@ class TestMalformedClasses:
     def test_same_class_edge(self):
         w = [[0, 1], [2, 3], [4, 5], [6, 7]]
         self.assert_rejected(Graph(8, [(0, 1)]), w, w, r"edge \(0,1\) stays inside class 0")
+
+    @pytest.mark.parametrize("host", [7, -1])
+    def test_host_vertex_outside_the_host(self, host):
+        # Host vertex 7 of a 4-vertex host is no certified failure, and -1 no shift count.
+        h = Graph(4, [(0, 2), (1, 3)])
+        self.assert_rejected(h, [[0, 1], [2, 3]], [[0, host], [2, 3]],
+                             rf"host vertex {host} lies outside \[0,4\)")
 
 
 class TestEmbedBlowup:

@@ -368,7 +368,11 @@ class TestRedistribute:
         return gen_super_regular_host(k=k, size=size, d=d, seed=seed)
 
     def run(self, bundle, a_t, b_t, cfg=MOVE):
-        return redistribute_to_sizes(bundle.graph, bundle.partition, a_t, b_t, cfg)
+        """Redistribute to the sizes that change A_i by a_t[i] and B_i by b_t[i]."""
+        sizes = bundle.partition.sizes()
+        sizes[0::2] = [size + t for size, t in zip(sizes[0::2], a_t)]
+        sizes[1::2] = [size + t for size, t in zip(sizes[1::2], b_t)]
+        return redistribute_to_sizes(bundle.graph, bundle.partition, sizes, cfg)
 
     def test_zero_targets_identity(self):
         bundle = self.build()
@@ -395,9 +399,10 @@ class TestRedistribute:
         assert out.sizes() == [11, 10, 9, 11, 10, 9]
 
     def test_chord_transfer_with_witnesses(self):
+        # A_0 grows by 2 and B_0 shrinks by 2: the A side gains 2 on net.
         bundle = self.build(seed=5)
-        a_t, b_t = [2, 0, 0], [-2, 0, 0]
-        out, ledger = self.run(bundle, a_t, b_t)
+        out, ledger = redistribute_to_sizes(bundle.graph, bundle.partition,
+                                            [14, 10, 12, 12, 12, 12], self.MOVE)
         assert not ledger.mirrored
         assert len(ledger.chord_moves) == 2
         i2, j2 = bundle.partition.b_chord
@@ -444,7 +449,13 @@ class TestRedistribute:
         for chords in ((bundle.partition.a_chord, None), (None, bundle.partition.b_chord)):
             part = ClusterPartition(classes, *chords)
             with pytest.raises(InvalidInputError, match="both an A-side and a B-side chord"):
-                redistribute_to_sizes(bundle.graph, part, [0, 0, 0], [0, 0, 0], self.MOVE)
+                redistribute_to_sizes(bundle.graph, part, part.sizes(), self.MOVE)
+
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_one_size_per_class(self, count):
+        bundle = self.build()
+        with pytest.raises(InvalidInputError, match="need one size per class"):
+            redistribute_to_sizes(bundle.graph, bundle.partition, [12] * count, self.MOVE)
 
     def test_emptied_class_is_a_redistribution_error(self):
         # |A_0| = 12 lies inside the default xi*n = 21.6, so only the size floor refuses it.
@@ -518,7 +529,7 @@ class TestHostPipeline:
             d=0.30, d_prime=0.40, nu=0.45, tau=0.45, eta=0.55,
         )
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
-        structure = verify_partition_structure(bundle.graph, report.partition, None, cfg)
+        structure = verify_partition_structure(bundle.graph, report.partition, [10] * 6, cfg)
         assert structure.all_ok()
         assert report.partition.sizes() == [10] * 6
 
@@ -530,10 +541,7 @@ class TestHostPipeline:
         )
         demanded = [11, 10, 9, 10, 10, 10]
         report = prepare_host_partition(bundle.graph, bundle.partition, cfg)
-        diff = [want - have for want, have in zip(demanded, report.partition.sizes())]
-        final, _ = redistribute_to_sizes(
-            bundle.graph, report.partition, diff[0::2], diff[1::2], cfg
-        )
+        final, _ = redistribute_to_sizes(bundle.graph, report.partition, demanded, cfg)
         assert final.sizes() == demanded
         structure = verify_partition_structure(bundle.graph, final, demanded, cfg)
         assert structure.sizes_exact
@@ -593,6 +601,31 @@ class TestHostPipeline:
         with pytest.raises(BalancingError, match=r"n/\(3k\) or below") as exc:
             prepare_host_partition(bundle.graph, bundle.partition, LOOSE)
         assert exc.value.ledger is ledger
+
+
+class TestVerticesOutsideTheHost:
+    """A class holding vertex 405 of a 400-vertex host is an input error at each entry point."""
+
+    @staticmethod
+    def outside():
+        host = gen_super_regular_host(k=4, size=50, d=0.5, seed=0)
+        part = copy_partition(host.partition)
+        part.classes[0].add(405)
+        return host.graph, part
+
+    def test_prepare_host_partition(self):
+        with pytest.raises(InvalidInputError, match=r"class vertex 405 lies outside \[0,400\)"):
+            prepare_host_partition(*self.outside(), Config())
+
+    def test_verify_partition_structure(self):
+        g, part = self.outside()
+        with pytest.raises(InvalidInputError, match=r"vertex 405 lies outside \[0,400\)"):
+            verify_partition_structure(g, part, part.sizes(), Config())
+
+    def test_redistribute_to_unchanged_sizes(self):
+        g, part = self.outside()
+        with pytest.raises(InvalidInputError, match=r"class vertex 405 lies outside \[0,400\)"):
+            redistribute_to_sizes(g, part, part.sizes(), Config())
 
 
 def _outcome(run):
@@ -704,10 +737,12 @@ class TestMoverPins:
                     b_t = [rng.randint(-spread, spread) for _ in range(4)]
                     b_t[rng.randrange(4)] -= sum(a_t) + sum(b_t)
 
+                    sizes = prep.partition.sizes()
+                    sizes[0::2] = [size + t for size, t in zip(sizes[0::2], a_t)]
+                    sizes[1::2] = [size + t for size, t in zip(sizes[1::2], b_t)]
+
                     def run():
-                        out, ledger = redistribute_to_sizes(
-                            host.graph, prep.partition, a_t, b_t, cfg
-                        )
+                        out, ledger = redistribute_to_sizes(host.graph, prep.partition, sizes, cfg)
                         return [_classes(out), [_move(m) for m in ledger.all_moves()],
                                 ledger.churn, ledger.mirrored]
                     records.append(_outcome(run))

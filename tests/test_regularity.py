@@ -355,6 +355,28 @@ class TestPairDensity:
             pair_density(g, [], [1, 2])
 
 
+class TestVerticesOutsideTheGraph:
+    """A class vertex outside [0, n) is an input error, never a read of another vertex's row."""
+
+    @pytest.mark.parametrize("v", [-1, 6])
+    def test_pair_density(self, v):
+        with pytest.raises(InvalidInputError, match=rf"vertex {v} lies outside \[0,6\)"):
+            pair_density(complete_graph(6), [0, 1], [2, v])
+
+    def test_check_regular_pair(self):
+        # Vertex -1 would read the last vertex's neighbours.
+        with pytest.raises(InvalidInputError, match=r"vertex -1 lies outside \[0,6\)"):
+            check_regular_pair(complete_graph(6), {-1, 0, 1}, [3, 4, 5], 0.4, 0.2,
+                               mode="heuristic")
+
+    def test_build_reduced_graph(self):
+        host = gen_super_regular_host(k=2, size=10, d=0.5, seed=0)
+        classes = [set(c) for c in host.partition.classes]
+        classes[3].add(45)
+        with pytest.raises(InvalidInputError, match=r"vertex 45 lies outside \[0,40\)"):
+            build_reduced_graph(host.graph, classes, 0.4, 0.2, mode="heuristic")
+
+
 class TestRegularPair:
     def test_complete_pair_regular(self):
         g, a, b = complete_pair(5, 5)
