@@ -16,10 +16,6 @@ class FeasibilityError(InvalidInputError):
 class WalkValidationError(InvalidInputError):
     """A vertex sequence is not a valid shifted walk; names the first bad position."""
 
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
 
 class WalkNotFoundError(BandembedError):
     """No closed shifted walk within the length budget (legitimate on non-expanders)."""
@@ -48,10 +44,6 @@ class RedistributionError(BandembedError):
 
 class ParameterError(InvalidInputError):
     """Numeric parameters are outside the range the algorithm supports."""
-
-
-class SeekMissError(ParameterError):
-    """A target-homing segment was too short to reach its target from this start."""
 
 
 class DecompositionError(BandembedError):

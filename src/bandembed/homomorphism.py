@@ -8,8 +8,9 @@ march (one cycle pair per segment pair), a drunken walk (stay or advance on
 a fair coin), and a target-homing march that pins the block's last segment
 onto a chord endpoint.  The two phases meet across the chord with the color
 roles exchanged, which balances how much of each color class lands on odd
-and even cycle positions.  Composing with a block map f1 onto the host
-cycle gives the final homomorphism together with its certificate:
+and even cycle positions.  Composing with a block map onto the host cycle
+gives the final homomorphism f, which a build stores together with k' and
+its certificate:
 
   * boundary_small:   |S| <= xi * n
   * loads_bounded:    every cluster receives at most its size + xi * n
@@ -25,10 +26,13 @@ before any draw, and a plan that breaks it is a DecompositionError.  Only
 the randomized schedule is re-drawn, with fresh randomness, until the
 certificate holds; each draw checks that both phases home onto their chord
 ends (seeking), that loads are bounded, and that the crossing edges land on
-the cycle or the chord.  The two internal spread inequalities that imply
-loads_bounded in the asymptotic analysis are evaluated and reported per
-attempt; at coarse segmentations they can be unsatisfiable even though the
-certificate itself holds, so they gate nothing.
+the cycle or the chord.  A crossing edge's image depends only on the two
+segment sides it joins, so each distinct such pair is judged once per draw.
+A homing miss is an ordinary outcome of a draw, returned as None and
+recorded as a seek-miss attempt.  The two internal spread inequalities that
+imply loads_bounded in the asymptotic analysis are evaluated and reported
+per attempt; at coarse segmentations they can be unsatisfiable even though
+the certificate itself holds, so they gate nothing.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .errors import (
     InvalidInputError,
     ParameterError,
     RetryBudgetError,
-    SeekMissError,
 )
 from .graph import BandwidthOrdering, Graph, verify_bandwidth_ordering
 from .rng import as_fraction, ceil_frac, derive_seed, floor_frac, make_rng, rand_below
@@ -283,21 +286,19 @@ def drunken_assign(pairs, start_pair: int, kprime: int, rng) -> tuple[list[int],
     return out, out[-1], coins
 
 
-def seeking_assign(pairs, start_pair: int, target_pair: int, kprime: int) -> tuple[list[int], int]:
+def seeking_assign(pairs, start_pair: int, target_pair: int,
+                   kprime: int) -> tuple[list[int], int] | None:
     """Advance every step until the target cycle pair is reached, then hold.
 
     Guaranteed to finish on the target when the segment has at least k'
-    pairs; otherwise the run fails whenever the start is more than
-    len(pairs)-1 steps short of the target.
+    pairs; otherwise it misses, returning None, whenever the start is more
+    than len(pairs)-1 steps short of the target.
     """
     count = len(pairs)
     if count == 0:
         raise ParameterError("target-homing needs at least one segment pair")
-    distance = (target_pair - start_pair) % kprime
-    if distance > count - 1:
-        raise SeekMissError(
-            f"distance {distance} to target exceeds segment length {count} - 1"
-        )
+    if (target_pair - start_pair) % kprime > count - 1:
+        return None
     out = [start_pair % kprime]
     for _ in range(count - 1):
         out.append(out[-1] if out[-1] == target_pair % kprime else (out[-1] + 1) % kprime)
@@ -392,10 +393,9 @@ class Homomorphism:
 
     f: list[int]
     boundary: set[int]
-    f1: list[int]
-    f2: list[int]
     chord: tuple[int, int]
     sizes: list[int]
+    kprime: int
     roles_swapped: bool
     attempts: int
     diagnostics: list[AttemptDiagnostics] = field(repr=False, default_factory=list)
@@ -403,10 +403,6 @@ class Homomorphism:
     @property
     def k(self) -> int:
         return len(self.sizes) // 2
-
-    @property
-    def kprime(self) -> int:
-        return len(self.f1) // 2
 
     @property
     def first_attempt_balance_pass(self) -> bool:
@@ -439,7 +435,8 @@ class _Plan:
     chord: tuple[int, int]
     roles_swapped: bool
     boundary: frozenset[int]
-    # The chop's crossing edges: the only ones a schedule can put off the cycle.
+    # The distinct segment-side pairs (x, y), x < y, that the chop's crossing
+    # edges join: the only pairs a schedule can put off the cycle.
     crossing: tuple[tuple[int, int], ...]
     kprime: int
     f1: tuple[int, ...]
@@ -531,18 +528,20 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
     cycle = Graph(2 * kprime, [(x, (x + 1) % (2 * kprime)) for x in range(2 * kprime)]
                   + [(2 * targets[0] + 1, 2 * targets[1] + 1)])
     sides = [side for pair in zip(decomp.a_segments, decomp.b_segments) for side in pair]
+    side_of = decomp.segment_of
     return _Plan(
         sizes=sizes,
         chord=(c1, c2),
         roles_swapped=roles_swapped,
         boundary=frozenset(decomp.boundary),
-        crossing=tuple(decomp.crossing),
+        crossing=tuple(sorted({tuple(sorted((side_of[u], side_of[v])))
+                               for u, v in decomp.crossing})),
         kprime=kprime,
         f1=f1,
         targets=targets,
         cycle=cycle,
         phases=phases,
-        segment_of=tuple(decomp.segment_of),
+        segment_of=tuple(side_of),
         segment_sizes=tuple(map(len, sides)),
         load_caps=tuple(size + floor_frac(xi_f * n) for size in sizes),
         spread_caps=tuple((floor_frac(share + tilt + slack), floor_frac(share - tilt + slack))
@@ -556,7 +555,8 @@ def _walk_phase(plan: _Plan, phase: int, rng, draws: int):
     Each block marches its sober pairs and drifts the rest on fair coins; the
     last block instead homes onto the phase's chord end.  Homing can miss when
     a drift segment is shorter than k', so the phase redraws its (uniform)
-    start, independently of the other phase, up to `draws` times.
+    start, independently of the other phase, and returns None once all
+    `draws` draws have missed.
     """
     kprime = plan.kprime
     blocks = plan.phases[phase]
@@ -565,33 +565,36 @@ def _walk_phase(plan: _Plan, phase: int, rng, draws: int):
         slots: dict[int, int] = {}  # small-pair index -> intermediate cycle pair
         logs: list[list[int]] = []
         current = start
-        try:
-            for j, (sober, drifting) in enumerate(blocks, start=1):
-                out, final = sober_assign(sober, current, kprime)
-                slots.update(zip(sober, out))
-                current = (final + 1) % kprime
-                if j < len(blocks):
-                    out, final, coins = drunken_assign(drifting, current, kprime, rng)
-                    logs.append(coins)
-                else:
-                    out, final = seeking_assign(drifting, current, plan.targets[phase], kprime)
-                slots.update(zip(drifting, out))
-                current = (final + 1) % kprime
-        except SeekMissError:
-            continue
-        return start, slots, logs
-    raise SeekMissError(f"phase {phase + 1} never reached its chord target in {draws} draws")
+        for j, (sober, drifting) in enumerate(blocks, start=1):
+            out, final = sober_assign(sober, current, kprime)
+            slots.update(zip(sober, out))
+            current = (final + 1) % kprime
+            if j < len(blocks):
+                out, final, coins = drunken_assign(drifting, current, kprime, rng)
+                logs.append(coins)
+            else:
+                homed = seeking_assign(drifting, current, plan.targets[phase], kprime)
+                if homed is None:
+                    break
+                out, final = homed
+            slots.update(zip(drifting, out))
+            current = (final + 1) % kprime
+        else:
+            return start, slots, logs
+    return None
 
 
 def _sample(plan: _Plan, seed: int) -> Homomorphism:
     """Draw schedules from child seeds of `seed` until one passes the certificate.
 
     A draw is judged from per-segment counts alone: each segment side gets
-    one cycle vertex, validity reads it at the crossing edges only, and loads
-    and spreads sum segment sizes.  The maps f2 and f are built once, for the
-    accepted draw.
+    one cycle vertex and one cluster, validity reads the cycle vertices once
+    per crossing side pair, and loads and spreads sum segment sizes.  An
+    attempt whose phase misses its chord end on every draw is recorded as a
+    seek-miss, with only the coin logs it reached.  The map f is built once,
+    for the accepted draw.
     """
-    kprime, side_sizes, side_of = plan.kprime, plan.segment_sizes, plan.segment_of
+    kprime, side_sizes = plan.kprime, plan.segment_sizes
     draws = max(MAX_RETRIES, 8 * kprime)
     diagnostics: list[AttemptDiagnostics] = []
 
@@ -599,37 +602,38 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
         rng = make_rng(derive_seed(seed, attempt))
         coin_logs: list[list[int]] = []
         walks = []
-        try:
-            for phase in (0, 1):
-                start, slots, logs = _walk_phase(plan, phase, rng, draws)
-                coin_logs.extend(logs)
-                walks.append((start, slots))
-        except SeekMissError:
+        for phase in (0, 1):
+            walk = _walk_phase(plan, phase, rng, draws)
+            if walk is None:
+                break
+            coin_logs.extend(walk[2])
+            walks.append(walk)
+        if len(walks) < 2:
             diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
                                                   None, None, None, None))
             continue
 
         # Phase 0 puts A segments on even cycle vertices, phase 1 on odd ones.
         code = [0] * len(side_sizes)
-        for phase, (_, slots) in enumerate(walks):
+        for phase, (_, slots, _) in enumerate(walks):
             for t, p in slots.items():
                 code[2 * t] = 2 * p + phase
                 code[2 * t + 1] = 2 * p + 1 - phase
 
         # An edge inside segment pair t lands on 2p and 2p+1, p = slots[t],
-        # which f1 maps onto a host pair: on the cycle and on a pair under
-        # every schedule.  So edges_on_pairs holds and only crossing edges
-        # can break validity.
-        valid = all(plan.cycle.has_edge(code[side_of[u]], code[side_of[v]])
-                    for u, v in plan.crossing)
+        # which the block map sends onto a host pair: on the cycle and on a
+        # pair under every schedule.  So edges_on_pairs holds and only the
+        # side pairs of crossing edges can break validity.
+        valid = all(plan.cycle.has_edge(code[x], code[y]) for x, y in plan.crossing)
+        cluster = [plan.f1[x] for x in code]
         loads = [0] * len(plan.sizes)
-        for x, size in zip(code, side_sizes):
-            loads[plan.f1[x]] += size
+        for c, size in zip(cluster, side_sizes):
+            loads[c] += size
         loads_bounded = all(load <= cap for load, cap in zip(loads, plan.load_caps))
 
         spread: list[bool | None] = [None, None]
         if valid:
-            for phase, (_, slots) in enumerate(walks):
+            for phase, (_, slots, _) in enumerate(walks):
                 a_counts = [0] * kprime
                 b_counts = [0] * kprime
                 for sober, _ in plan.phases[phase]:
@@ -644,14 +648,12 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
                                   valid, loads_bounded, spread[0], spread[1])
         diagnostics.append(diag)
         if diag.accepted:
-            f2 = list(map(code.__getitem__, side_of))
             return Homomorphism(
-                f=list(map(plan.f1.__getitem__, f2)),
+                f=list(map(cluster.__getitem__, plan.segment_of)),
                 boundary=set(plan.boundary),
-                f1=list(plan.f1),
-                f2=f2,
                 chord=plan.chord,
                 sizes=list(plan.sizes),
+                kprime=kprime,
                 roles_swapped=plan.roles_swapped,
                 attempts=attempt,
                 diagnostics=diagnostics,
@@ -768,9 +770,11 @@ def balance_trial_stats(
     root_seed: int,
     runs: int,
 ) -> dict:
-    """Run seeded builds and report first-try spread passes, retries, recheck failures.
+    """Run seeded builds; report successes, first-try spread passes, retries, recheck failures.
 
-    The builds share one memoised plan, fetched first so bad inputs fail at runs = 0.
+    The builds share one memoised plan, fetched first so bad inputs fail at
+    runs = 0.  A build that exhausts its retries is a failed trial; the
+    other counts are taken over the accepted builds.
     """
     if runs < 0:
         raise InvalidInputError(f"runs must be nonnegative, got {runs}")
@@ -778,8 +782,11 @@ def balance_trial_stats(
     first_try = recheck_failures = 0
     attempts: list[int] = []
     for trial in range(runs):
-        hom = build_homomorphism(h, ordering, bipartition, sizes, chord, params,
-                                 seed=derive_seed(root_seed, trial))
+        try:
+            hom = build_homomorphism(h, ordering, bipartition, sizes, chord, params,
+                                     seed=derive_seed(root_seed, trial))
+        except RetryBudgetError:
+            continue
         attempts.append(hom.attempts)
         first_try += hom.first_attempt_balance_pass
         recheck_failures += not verify_homomorphism_certificate(

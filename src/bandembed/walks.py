@@ -102,9 +102,7 @@ def validate_shifted_walk(g: Graph, m: Matching, w) -> ShiftedWalk:
     _require_perfect(g, m)
     seq = tuple(w)
     if len(seq) < 2 or len(seq) % 2 != 0:
-        raise WalkValidationError(
-            f"walk must have positive even length, got {len(seq)}", position=len(seq)
-        )
+        raise WalkValidationError(f"walk must have positive even length, got {len(seq)}")
     for v in seq:
         if not 0 <= v < g.n:
             raise WalkValidationError(f"vertex {v} outside [0,{g.n})")
@@ -112,21 +110,15 @@ def validate_shifted_walk(g: Graph, m: Matching, w) -> ShiftedWalk:
     for i in range(1, ell + 1):
         a, b = seq[2 * i - 2], seq[2 * i - 1]
         if not g.has_edge(a, b):
-            raise WalkValidationError(
-                f"positions {2*i-1}-{2*i}: ({a},{b}) is not an edge", position=2 * i - 1
-            )
+            raise WalkValidationError(f"positions {2*i-1}-{2*i}: ({a},{b}) is not an edge")
         if m.contains_edge(a, b):
             raise WalkValidationError(
-                f"positions {2*i-1}-{2*i}: ({a},{b}) is a matching edge on an odd step",
-                position=2 * i - 1,
+                f"positions {2*i-1}-{2*i}: ({a},{b}) is a matching edge on an odd step"
             )
     for i in range(1, ell):
         a, b = seq[2 * i - 1], seq[2 * i]
         if not m.contains_edge(a, b):
-            raise WalkValidationError(
-                f"positions {2*i}-{2*i+1}: ({a},{b}) is not a matching edge",
-                position=2 * i,
-            )
+            raise WalkValidationError(f"positions {2*i}-{2*i+1}: ({a},{b}) is not a matching edge")
     return ShiftedWalk(seq)
 
 

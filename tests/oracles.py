@@ -15,13 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from bandembed.errors import InvalidInputError, RetryBudgetError, SeekMissError
+from bandembed.errors import InvalidInputError, RetryBudgetError
 from bandembed.graph import Graph
 from bandembed.homomorphism import (
     MAX_RETRIES,
     AttemptDiagnostics,
     Homomorphism,
     _walk_phase,
+    chop_into_segments,
 )
 from bandembed.partition import _CONFIG_FIELDS, Config
 from bandembed.rng import as_fraction, derive_seed, make_rng
@@ -95,16 +96,22 @@ def edges_reference(g: Graph):
                 yield (u, v)
 
 
-def eager_plan(plan, params) -> SimpleNamespace:
-    """A library plan built with `params`, plus what `sample_reference` reads
-    and the plan no longer keeps.
+def eager_plan(plan, shape) -> SimpleNamespace:
+    """The library plan of `shape` = (h, ordering, bipartition, sizes, chord,
+    params), plus what `sample_reference` reads and the plan no longer keeps.
 
+    The crossing edges are the chop's, in place of the plan's side pairs: the
+    chop is rerun with the plan's arguments, the larger class in the A role.
     The segment lists are read back from the plan's segment sides; the spread
     bounds are recomputed as Fractions from their formula in
     `homomorphism._memo_plan`: each phase's even share of its blocks, tilted
     by (|A| - |B|)/(4k') up for A and down for B, plus xi*n/(6k') of slack.
     """
+    h, ordering, bipartition, _, _, params = shape
     n, kprime = len(plan.segment_of), plan.kprime
+    classes = bipartition[::-1] if plan.roles_swapped else bipartition
+    chop = chop_into_segments(h, ordering, classes, Fraction(ordering.claimed_bound, n),
+                              params.m1, max(1, h.max_degree()))
     sides = [[v for v in range(n) if plan.segment_of[v] == code]
              for code in range(len(plan.segment_sizes))]
     a_segments, b_segments = sides[0::2], sides[1::2]
@@ -114,7 +121,7 @@ def eager_plan(plan, params) -> SimpleNamespace:
     m3, m2 = len(plan.phases[0]), params.m2
     shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
     return SimpleNamespace(
-        **vars(plan),
+        **dict(vars(plan), crossing=chop.crossing),
         n=n,
         params=params,
         a_segments=a_segments,
@@ -126,10 +133,11 @@ def eager_plan(plan, params) -> SimpleNamespace:
 def sample_reference(plan, seed: int) -> Homomorphism:
     """The sampler that judges each draw from its full map, vertex by vertex.
 
-    Every draw builds f2 and f, counts loads one vertex at a time and compares
-    them and the spreads with Fraction bounds.  `plan` is `eager_plan(p, params)`
-    for a library plan p; the result equals `homomorphism._sample(p, seed)`,
-    every attempt's diagnostics and coin logs included.
+    Every draw builds f2 and f, judges every crossing edge, counts loads one
+    vertex at a time and compares them and the spreads with Fraction bounds.
+    `plan` is `eager_plan(p, shape)` for the library plan p of `shape`; the
+    result equals `homomorphism._sample(p, seed)`, every attempt's diagnostics
+    and coin logs included.
     """
     n, kprime = plan.n, plan.kprime
     xi = as_fraction(plan.params.xi)
@@ -140,12 +148,14 @@ def sample_reference(plan, seed: int) -> Homomorphism:
         rng = make_rng(derive_seed(seed, attempt))
         coin_logs: list[list[int]] = []
         walks = []
-        try:
-            for phase in (0, 1):
-                start, slots, logs = _walk_phase(plan, phase, rng, draws)
-                coin_logs.extend(logs)
-                walks.append((start, slots))
-        except SeekMissError:
+        for phase in (0, 1):
+            walk = _walk_phase(plan, phase, rng, draws)
+            if walk is None:
+                break
+            start, slots, logs = walk
+            coin_logs.extend(logs)
+            walks.append((start, slots))
+        if len(walks) < 2:
             diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
                                                   None, None, None, None))
             continue
@@ -190,10 +200,9 @@ def sample_reference(plan, seed: int) -> Homomorphism:
             return Homomorphism(
                 f=f,
                 boundary=set(plan.boundary),
-                f1=list(plan.f1),
-                f2=f2,
                 chord=plan.chord,
                 sizes=list(plan.sizes),
+                kprime=kprime,
                 roles_swapped=plan.roles_swapped,
                 attempts=attempt,
                 diagnostics=diagnostics,

@@ -41,7 +41,7 @@ def test_parameter_list(fn, params):
     (homomorphism.AttemptDiagnostics, ["start_pair_phase1", "start_pair_phase2", "coin_logs",
                                        "seek_miss", "valid", "loads_bounded",
                                        "spread_phase1_ok", "spread_phase2_ok"]),
-    (homomorphism.Homomorphism, ["f", "boundary", "f1", "f2", "chord", "sizes",
+    (homomorphism.Homomorphism, ["f", "boundary", "chord", "sizes", "kprime",
                                  "roles_swapped", "attempts", "diagnostics"]),
     (embedder.CompatibilityReport, ["s_sets", "t_sets", "offending_bounds"]),
     (partition.HostPartitionReport, ["partition", "reduced", "balance_ledger"]),
@@ -131,8 +131,9 @@ MOVED_TO_ORACLES = [
 # nothing names it, and `embed_blowup` returns the map itself.  Cluster-level
 # graphs (the reduced graph, the intermediate cycle) are `Graph`s.  Redistribution
 # checks its targets itself and does not re-check the cycle host-partition found.
+# A homing miss is a value the sampler returns, not an error.
 REMOVED = ["Embedding", "_components", "ReducedGraph", "_normalize_edges", "_cycle_edge_ok",
-           "check_mobility_hypotheses", "HypothesisReport"]
+           "check_mobility_hypotheses", "HypothesisReport", "SeekMissError"]
 
 
 def test_library_surface_is_pinned():

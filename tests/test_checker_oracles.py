@@ -13,6 +13,7 @@ import oracles
 from bandembed.errors import RetryBudgetError
 from bandembed.graph import Graph
 from bandembed.homomorphism import (
+    HomomorphismParams,
     build_homomorphism,
     choose_h_parameters,
     verify_homomorphism_certificate,
@@ -144,27 +145,30 @@ def test_sampler_matches_eager_oracle():
     retried = 0
     for shape in shapes:
         plan = bandembed.homomorphism._plan(*shape)
-        eager = eager_plan(plan, shape[-1])
+        eager = eager_plan(plan, shape)
         assert_caps_exact(plan, eager)
         for seed in range(50):
             fast = bandembed.homomorphism._sample(plan, seed)
             slow = sample_reference(eager, seed)
-            assert (fast.f, fast.f2, fast.attempts) == (slow.f, slow.f2, slow.attempts), seed
+            assert (fast.f, fast.attempts) == (slow.f, slow.attempts), seed
             assert fast.diagnostics == slow.diagnostics, seed
             assert fast == slow
             retried += fast.attempts > 1
     assert retried > 0
 
     # A crossing edge inside one A segment is never on the cycle, so both
-    # samplers must reject every draw and give up after the same attempts.
+    # samplers must reject every draw and give up after the same attempts:
+    # the library plan gets its side pair (0, 0), the oracle the edge itself.
     shape = mc_shape(1, 2, (1, 3))
     plan = bandembed.homomorphism._plan(*shape)
     u, v = [v for v, side in enumerate(plan.segment_of) if side == 0][:2]
-    broken = dataclasses.replace(plan, crossing=plan.crossing + ((u, v),))
+    broken = dataclasses.replace(plan, crossing=plan.crossing + ((0, 0),))
+    eager = eager_plan(plan, shape)
+    eager.crossing = [*eager.crossing, (u, v)]
     original = bandembed.homomorphism.AttemptDiagnostics
     runs = []
     for module, sample, arg in [(bandembed.homomorphism, bandembed.homomorphism._sample, broken),
-                                (oracles, sample_reference, eager_plan(broken, shape[-1]))]:
+                                (oracles, sample_reference, eager)]:
         seen = []
 
         def recording(*args):
@@ -203,7 +207,7 @@ def test_sampler_caps_match_eager_oracle_across_xi():
         for xi in xis:
             swept = dataclasses.replace(params, xi=xi)
             plan = bandembed.homomorphism._plan(h, ordering, bip, sizes, chord, swept)
-            eager = eager_plan(plan, swept)
+            eager = eager_plan(plan, (h, ordering, bip, sizes, chord, swept))
             assert_caps_exact(plan, eager)
             for seed in range(5):
                 fast, slow = sample_both(plan, eager, seed)
@@ -213,3 +217,32 @@ def test_sampler_caps_match_eager_oracle_across_xi():
                                     for d in fast.diagnostics)
     assert {(False, True, True), (True, False, False), (True, True, False),
             (True, True, True)} <= verdicts, verdicts
+
+
+class ScriptedBits:
+    """A `getrandbits` stub: returns the scripted values in order and records each width."""
+
+    def __init__(self, values):
+        self.values, self.widths = list(values), []
+
+    def getrandbits(self, width):
+        self.widths.append(width)
+        return self.values.pop(0)
+
+
+def test_walk_phase_redraws_until_it_homes():
+    """A homing miss redraws the phase's start; `draws` misses in a row give None."""
+    g, ordering, bip = perfect_matching_graph(240)
+    params = HomomorphismParams(m1=4, m2=2, k1=4, k2=1, xi=0.25)
+    plan = bandembed.homomorphism._plan(g, ordering, bip, [60] * 4, (1, 3), params)
+    walk_phase = bandembed.homomorphism._walk_phase
+    # Phase 0 is one block: sober pair 0 at the start s, then a drift segment
+    # of pair 1 alone, at s + 1, which must already be on the chord end 0 of
+    # k' = 4.  So only s = 3 homes, and a start takes 2 bits.
+    assert (plan.kprime, plan.targets[0], plan.phases[0]) == (4, 0, (((0,), (1,)),))
+    rng = ScriptedBits([1, 3])
+    assert walk_phase(plan, 0, rng, 5) == (3, {0: 3, 1: 0}, [])
+    assert rng.widths == [2, 2] and rng.values == []
+    rng = ScriptedBits([0, 1, 2] * 2)
+    assert walk_phase(plan, 0, rng, 5) is None
+    assert rng.widths == [2] * 5 and rng.values == [2]

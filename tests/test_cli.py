@@ -837,6 +837,18 @@ class TestPipelineCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["runs"] == 5 and out["successes"] == 5
 
+    def test_montecarlo_counts_failed_builds(self, tmp_path, capsys):
+        # At xi = 0.03 every seeded build of this shape exhausts its retries:
+        # each run is a failed trial, not an aborted command.
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("lam = 0.01\nxi = 0.03\n")
+        assert main(["montecarlo-balance", "--n", "960", "--delta", "2", "--bandwidth", "2",
+                     "--k", "3", "--seed", "2024", "--runs", "3", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "runs": 3, "successes": 0, "first_try_balance_pass": 0, "first_try_fraction": 0.0,
+            "max_attempts": 0, "mean_attempts": 0.0, "recheck_failures": 0,
+        }
+
     def test_montecarlo_negative_runs(self, capsys):
         assert main(["montecarlo-balance", "--n", "64", "--runs", "-1"]) == 1
         captured = capsys.readouterr()
