@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph, at_least, subset_lanes, vertex_mask
+from .graph import Graph, _subset_tables, at_least, vertex_mask
 from .rng import as_fraction, ceil_frac, floor_frac, make_rng, rand_range, sample_indices
 
 __all__ = [
@@ -150,12 +150,11 @@ def check_robust_expander(
         if lo > hi:
             return ExpanderVerdict(True, "exact", nu, tau)
         low = min(n, _BLOCK_BITS)
-        lanes = subset_lanes(low)
+        lanes, low_size = _subset_tables(low)
         full = (1 << (1 << low)) - 1
         # reach[v][k]: lanes where v has at least k neighbours among the low vertices of S.
         reach = [at_least([lanes[u] for u in g.adj(v) if u < low], threshold, full)
                  for v in range(n)]
-        low_size = at_least(lanes, low + 1, full)
         for block in range(1 << (n - low)):
             high, base = block << low, block.bit_count()
             # The high vertices of S are fixed in a block, so is each v's count of them.

@@ -11,6 +11,12 @@ pair is constrained when the second side is matched, so a perfect matching
 on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
 
+Candidates are masks.  Each class keeps a mask of its vacant hosts; in the
+boundary phase each H vertex keeps the mask of hosts adjacent to its placed
+neighbours' images, narrowed in place as they are placed.  The pair phase
+rebuilds a bound vertex's mask from the placements instead, because a
+re-roll takes placements back.
+
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
 class sizes.  In the pipeline the other two are certified before it: equal
@@ -186,47 +192,33 @@ def embed_blowup(
     spent = 0
     attempt = 0
     phi: dict[int, int] = {}
-    used: set[int] = set()
-
-    def admissible(v: int) -> int:
-        """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
-        mask = -1
-        for u in h.adj(v):
-            if u in phi:
-                mask &= gmasks[phi[u]]
-        return mask
-
-    def candidates(v: int) -> list[int]:
-        """The free hosts in v's class that `admissible` allows, in ascending order."""
-        mask, out = admissible(v) & class_masks[cluster_of[v]], []
-        while mask:
-            x = (mask & -mask).bit_length() - 1
-            if x not in used:
-                out.append(x)
-            mask &= mask - 1
-        return out
+    vacant: list[int] = []  # per class, the hosts no vertex holds yet, as a mask
+    allowed: list[int] = []  # per H vertex, the hosts adjacent to its placed neighbours' images
 
     def place_boundary(rng) -> bool:
-        """Phase 1: boundary vertices, most-constrained-by-structure first."""
+        """Phase 1: boundary vertices, most-constrained-by-structure first; no mask is rebuilt."""
         for v in order:
-            cands = candidates(v)
+            cands = _bits(allowed[v] & vacant[cluster_of[v]])
             if not cands:
                 return False
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
-            best = _least_blocked(shuffled(rng, cands), [admissible(u) for u in later[v]])
+            best = _least_blocked(shuffled(rng, cands), [allowed[u] for u in later[v]])
             phi[v] = best
-            used.add(best)
+            vacant[cluster_of[v]] ^= 1 << best
+            for u in h.adj(v):
+                allowed[u] &= gmasks[best]
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
         # poisoned.
-        return all(candidates(v) for v in enclosed)
+        return all(allowed[v] & vacant[cluster_of[v]] for v in enclosed)
 
     while spent <= budget:
         attempt += 1
         rng = make_rng(derive_seed(seed, attempt))
         phi.clear()
-        used.clear()
+        vacant[:] = class_masks
+        allowed[:] = [-1] * h.n
         if not place_boundary(rng):
             spent += len(order)
             continue
@@ -239,7 +231,7 @@ def embed_blowup(
             while status == "retry" and tries < 20 and spent <= budget:
                 tries += 1
                 spent += len(w_sets[x]) + len(w_sets[x + 1])
-                status = _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates)
+                status = _complete_pair(h, gmasks, phi, vacant, w_sets, x, rng)
             if status != "ok":
                 break
         else:
@@ -268,7 +260,26 @@ def _least_blocked(cands: list[int], allowed: list[int]) -> int:
     return next(c for c in cands if fewest >> c & 1)
 
 
-def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _admissible(h: Graph, gmasks: list[int], phi: dict[int, int], v: int) -> int:
+    """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
+    mask = -1
+    for u in h.adj(v):
+        if u in phi:
+            mask &= gmasks[phi[u]]
+    return mask
+
+
+def _complete_pair(h, gmasks, phi, vacant, w_sets, x, rng) -> str:
     """Fill the cluster pair (x, x+1), one side at a time.
 
     Returns 'ok', 'retry', or 'stuck'; on 'retry' and 'stuck' the pair's own
@@ -279,15 +290,17 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
     free vertices exactly.
     """
     placed: set[int] = set()
+    vacant_before = vacant[x], vacant[x + 1]
 
     def undo(status: str) -> str:
         for v in placed:
-            used.discard(phi.pop(v))
+            del phi[v]
+        vacant[x], vacant[x + 1] = vacant_before
         return status
 
     for side in (x, x + 1):
         unplaced = [v for v in w_sets[side] if v not in phi]
-        hosts = [c for c in v_sets[side] if c not in used]
+        hosts = _bits(vacant[side])
         host_index = {c: i for i, c in enumerate(hosts)}
         # Unconstrained vertices take a random bijection slot; constrained
         # ones go through maximum matching on their candidate lists.
@@ -296,10 +309,10 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
         bound = [v for v in unplaced if v not in free_set]
         adjacency = []
         for v in bound:
-            cands = candidates(v)
+            cands = _bits(_admissible(h, gmasks, phi, v) & vacant[side])
             if not cands and not any(u in placed for u in h.adj(v)):
                 return undo("stuck")
-            adjacency.append(sorted(host_index[c] for c in cands))
+            adjacency.append([host_index[c] for c in cands])
         matching = hopcroft_karp(adjacency, len(hosts))
         if len(matching) < len(bound):
             return undo("retry")
@@ -308,7 +321,7 @@ def _complete_pair(h, phi, used, w_sets, v_sets, x, rng, candidates) -> str:
         placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}
         placement.update(zip(free, leftover))
         phi.update(placement)
-        used.update(placement.values())
+        vacant[side] &= ~vertex_mask(placement.values())
         placed.update(placement)
     return "ok"
 

@@ -591,8 +591,8 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
     one cycle vertex and one cluster, validity reads the cycle vertices once
     per crossing side pair, and loads and spreads sum segment sizes.  An
     attempt whose phase misses its chord end on every draw is recorded as a
-    seek-miss, with only the coin logs it reached.  The map f is built once,
-    for the accepted draw.
+    seek-miss, with only the start and coin logs it reached: phase 1's, when
+    only phase 2 missed.  The map f is built once, for the accepted draw.
     """
     kprime, side_sizes = plan.kprime, plan.segment_sizes
     draws = max(MAX_RETRIES, 8 * kprime)
@@ -609,7 +609,8 @@ def _sample(plan: _Plan, seed: int) -> Homomorphism:
             coin_logs.extend(walk[2])
             walks.append(walk)
         if len(walks) < 2:
-            diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
+            start = walks[0][0] if walks else None  # phase 1's start, if only phase 2 missed
+            diagnostics.append(AttemptDiagnostics(start, None, coin_logs, True,
                                                   None, None, None, None))
             continue
 

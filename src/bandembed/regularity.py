@@ -19,16 +19,22 @@ does, and each X is scanned at that one size.
 Exact mode decides every X at once, X being bit X (a "lane") of Python
 ints: with cnt_t(X) = #{j in B : |N(j) & X| >= t}, the q largest X-degrees
 sum to sum_t min(q, cnt_t) and the q smallest to
-sum_t max(0, cnt_t - (|B| - q)).  Only the least violating X is rescanned,
-for its witness Y, so an exact verdict costs about the same either way.
+sum_t max(0, cnt_t - (|B| - q)).  The subset lanes and their size ladder
+depend on |A| alone and are cached.  Only the least violating X is
+rescanned, for its witness Y, so an exact verdict costs about the same
+either way.
 
-Heuristic mode takes candidate X's a block at a time: degree outliers, then
-one fixed family of random X's per (|A|, p_min, count), drawn from a private
-stream and cached, so a heuristic verdict depends on no seed.  Summing lane i
-(a 1 in the byte slot of every X holding A-vertex i) over B-vertex j's
-neighbours gives j's degree into every X; top-q sums are at most q*max and
-bottom-q sums at least q*min, so only X's with max >= ceil(p*hi) or
-min <= floor(p*lo) get the one-X scan.
+Heuristic mode takes candidate X's a block at a time: at most 8 degree
+outliers, then one fixed family of random X's per (|A|, p_min, count), drawn
+from a private stream and cached, so a heuristic verdict depends on no seed.
+An outlier's degrees into B are popcounts of the B-vertices' host masks
+against X's mask, and so is exact mode's one-X witness rescan.  The random
+block is decided together: summing lane i (a 1 in the byte slot of every X
+holding A-vertex i) over B-vertex j's neighbours gives j's degree into every
+X; top-q sums are at most q*max and bottom-q sums at least q*min, so only X's
+with max >= ceil(p*hi) or min <= floor(p*lo) are read back, from each
+degree's bytes, for the one-X scan.  The A-side cross degrees are counted
+once per check: the density and the outlier order both read them.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from functools import lru_cache, reduce
 from operator import and_, or_
 
 from .errors import FeasibilityError, InvalidInputError
-from .graph import Graph, at_least, subset_lanes, vertex_mask
+from .graph import Graph, _subset_tables, at_least, vertex_mask
 from .rng import as_fraction, ceil_frac, make_rng, rand_below, sample_indices
 
 __all__ = [
@@ -86,20 +92,26 @@ class RegularityVerdict:
         return out
 
 
-def pair_density(g: Graph, a_side, b_side) -> Fraction:
-    a = set(a_side)
-    b = set(b_side)
-    if not a or not b:
+def _cross_degrees(g: Graph, a_list: list[int], b_list: list[int]) -> list[int]:
+    """Each A-vertex's degree into B, as popcounts; A and B are sorted vertex lists.
+
+    Empty, overlapping or out-of-range classes are input errors.
+    """
+    if not a_list or not b_list:
         raise InvalidInputError("both classes must be nonempty")
-    if a & b:
+    if not set(a_list).isdisjoint(b_list):
         raise InvalidInputError("classes must be disjoint")
-    for v in (min(a), max(a), min(b), max(b)):
+    for v in (a_list[0], a_list[-1], b_list[0], b_list[-1]):
         if not 0 <= v < g.n:
             raise InvalidInputError(f"vertex {v} lies outside [0,{g.n})")
-    bmask = vertex_mask(b)
+    bmask = vertex_mask(b_list)
     masks = g.masks
-    e = sum((masks[v] & bmask).bit_count() for v in a)
-    return Fraction(e, len(a) * len(b))
+    return [(masks[v] & bmask).bit_count() for v in a_list]
+
+
+def pair_density(g: Graph, a_side, b_side) -> Fraction:
+    a_list, b_list = sorted(set(a_side)), sorted(set(b_side))
+    return Fraction(sum(_cross_degrees(g, a_list, b_list)), len(a_list) * len(b_list))
 
 
 def _extreme_violation(deg_of: list[int], p: int, q: int,
@@ -129,7 +141,7 @@ def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: 
     na, nb = len(a_list), len(nbrs)
     if p_min > na:
         return None
-    lanes = subset_lanes(na)
+    lanes, size = _subset_tables(na)
     lane_of = dict(zip(a_list, lanes))
     full = (1 << (1 << na)) - 1
     degree = [at_least(list(map(lane_of.__getitem__, nb_j)), na, full) for nb_j in nbrs]
@@ -138,7 +150,6 @@ def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: 
     cap = na * q + 1
     top = at_least([c[j] for c in cnt for j in range(1, q + 1)], cap, full)
     bottom = at_least([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)], cap, full)
-    size = at_least(lanes, na + 1, full)
     bad = 0
     for p in range(p_min, na + 1):
         high = min(max(-(-p * q * hi_num // hi_den), 0), cap)
@@ -182,15 +193,36 @@ def _flagged(degrees: list[int], sizes: list[int], width: int,
 
 
 def _first_refuted(nbrs: list[frozenset], a_list: list[int], xs, lanes, q: int, bounds):
-    """(X, Y) index lists for the first X in `xs` that `_extreme_violation` refutes, or None."""
+    """(X, Y) index lists for the first X in `xs` that `_extreme_violation` refutes, or None.
+
+    The lane kernel: every X's degrees are summed at once, and a flagged
+    slot is read from each degree's bytes (one byte each below |A| = 128).
+    """
     width = _slot_width(len(a_list))
     lane_of = dict(zip(a_list, lanes))
     degrees = [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
-    slot = (1 << width) - 1
-    for s in _flagged(degrees, [len(x) for x in xs], width, *bounds):
-        y = _extreme_violation([deg >> s * width & slot for deg in degrees], len(xs[s]), q, *bounds)
+    flagged = _flagged(degrees, [len(x) for x in xs], width, *bounds)
+    step = width // 8
+    rows = [deg.to_bytes(len(xs) * step, "little") for deg in degrees] if flagged else []
+    for s in flagged:
+        at = s * step
+        if step == 1:
+            deg_of = [row[at] for row in rows]
+        else:
+            deg_of = [int.from_bytes(row[at:at + step], "little") for row in rows]
+        y = _extreme_violation(deg_of, len(xs[s]), q, *bounds)
         if y is not None:
             return xs[s], y
+    return None
+
+
+def _first_refuted_by_popcount(b_masks: list[int], a_list: list[int], xs, q: int, bounds):
+    """`_first_refuted` for a few X's: X's degree into B-vertex j is a popcount of j's host mask."""
+    for x in xs:
+        xmask = vertex_mask([a_list[i] for i in x])
+        y = _extreme_violation([(m & xmask).bit_count() for m in b_masks], len(x), q, *bounds)
+        if y is not None:
+            return x, y
     return None
 
 
@@ -232,18 +264,22 @@ def check_regular_pair(
     d = as_fraction(d)
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
-    dens = pair_density(g, a_list, b_list)
+    deg_a = _cross_degrees(g, a_list, b_list)
+    na, nb = len(a_list), len(b_list)
+    dens = Fraction(sum(deg_a), na * nb)
     if dens < d:
         return RegularityVerdict(False, dens, mode, eps, d, witness=None)
-    na, nb = len(a_list), len(b_list)
     p_min = max(1, ceil_frac(eps * na))
     q_min = max(1, ceil_frac(eps * nb))
-
-    # Each B-vertex's neighbours in A, shared by every X.
-    a_set = frozenset(a_list)
-    nbrs = [g.adj(v) & a_set for v in b_list]
     hi, lo = dens + eps, dens - eps
     bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+    masks = g.masks
+    b_masks = [masks[v] for v in b_list]
+
+    def neighbours_in_a() -> list[frozenset]:
+        """Each B-vertex's neighbours in A, for the lane kernels."""
+        a_set = frozenset(a_list)
+        return [g.adj(v) & a_set for v in b_list]
 
     hit = None
     if mode == "exact":
@@ -252,22 +288,19 @@ def check_regular_pair(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        first = _first_violating_x(nbrs, a_list, p_min, q_min, *bounds)
+        first = _first_violating_x(neighbours_in_a(), a_list, p_min, q_min, *bounds)
         if first is not None:
             xs = [tuple(i for i in range(na) if first >> i & 1)]
-            hit = _first_refuted(nbrs, a_list, xs, _lanes(na, xs), q_min, bounds)
+            hit = _first_refuted_by_popcount(b_masks, a_list, xs, q_min, bounds)
     elif p_min <= na:
         # (p_min > |A| when eps > 1: no X, as in exact mode.)  Outliers go first.
-        bmask = vertex_mask(b_list)
-        masks = g.masks
-        deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
         by_deg = sorted(range(na), key=deg_a.__getitem__)
         sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
         outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
-        hit = _first_refuted(nbrs, a_list, outliers, _lanes(na, outliers), q_min, bounds)
+        hit = _first_refuted_by_popcount(b_masks, a_list, outliers, q_min, bounds)
         if hit is None and budget > len(outliers):
             xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
-            hit = _first_refuted(nbrs, a_list, xs, lanes, q_min, bounds)
+            hit = _first_refuted(neighbours_in_a(), a_list, xs, lanes, q_min, bounds)
     if hit is None:
         return RegularityVerdict(True, dens, mode, eps, d)
     xs, y = hit
@@ -289,10 +322,7 @@ def check_super_regular_pair(
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget)
-    masks = g.masks
-    amask, bmask = vertex_mask(a_list), vertex_mask(b_list)
-    deg_a = [(masks[v] & bmask).bit_count() for v in a_list]
-    deg_b = [(masks[v] & amask).bit_count() for v in b_list]
+    deg_a, deg_b = _cross_degrees(g, a_list, b_list), _cross_degrees(g, b_list, a_list)
     verdict.min_cross_degree = (min(deg_a), min(deg_b))
     # An integer degree is below d*|B| iff it is below ceil(d*|B|).
     floors = (("A", a_list, deg_a, ceil_frac(d_f * len(b_list))),

@@ -5,6 +5,7 @@ from bandembed.graph import BandwidthOrdering, Graph
 from bandembed.homomorphism import choose_h_parameters
 from bandembed.hostgen import gen_bandwidth_bipartite_h
 from bandembed.partition import ClusterPartition
+from bandembed.rng import make_rng, rand_below, shuffled
 
 
 def pytest_runtest_setup(item):
@@ -63,3 +64,21 @@ def strip_seconds(obj):
     if isinstance(obj, (list, tuple)):
         return [strip_seconds(v) for v in obj]
     return obj
+
+
+def slot_boundary_pair(seed, na, nb, planted):
+    """A seeded pair whose A side sits at a slot-width boundary, labels shuffled.
+
+    Planted pairs join the even and the odd positions of sorted(A) and
+    sorted(B) completely and nothing else, so every A-degree is about equal
+    and the degree-outlier candidates are balanced; other pairs are random
+    at density 1/2.
+    """
+    rng = make_rng(seed)
+    labels = shuffled(rng, list(range(na + nb + 2)))
+    a, b = labels[:na], labels[na:na + nb]
+    pos_a = {v: i for i, v in enumerate(sorted(a))}
+    pos_b = {v: i for i, v in enumerate(sorted(b))}
+    edges = [(u, v) for u in a for v in b
+             if ((pos_a[u] + pos_b[v]) % 2 == 0 if planted else rand_below(rng, 10) < 5)]
+    return Graph(na + nb + 2, edges), a, b

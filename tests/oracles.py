@@ -15,8 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
 
-from bandembed.errors import InvalidInputError, RetryBudgetError
-from bandembed.graph import Graph
+from bandembed.embedder import BUDGET_FACTOR, _boundary_plan, _class_layout, _least_blocked
+from bandembed.errors import EmbeddingNotFoundError, InvalidInputError, RetryBudgetError
+from bandembed.graph import Graph, vertex_mask
 from bandembed.homomorphism import (
     MAX_RETRIES,
     AttemptDiagnostics,
@@ -24,8 +25,17 @@ from bandembed.homomorphism import (
     _walk_phase,
     chop_into_segments,
 )
+from bandembed.matching import hopcroft_karp
 from bandembed.partition import _CONFIG_FIELDS, Config
-from bandembed.rng import as_fraction, derive_seed, make_rng
+from bandembed.regularity import (
+    _extreme_violation,
+    _flagged,
+    _lanes,
+    _random_candidates,
+    _slot_width,
+    pair_density,
+)
+from bandembed.rng import as_fraction, ceil_frac, derive_seed, make_rng, shuffled
 from bandembed.walks import Matching, _require_perfect
 
 
@@ -156,7 +166,8 @@ def sample_reference(plan, seed: int) -> Homomorphism:
             coin_logs.extend(logs)
             walks.append((start, slots))
         if len(walks) < 2:
-            diagnostics.append(AttemptDiagnostics(None, None, coin_logs, True,
+            start = walks[0][0] if walks else None
+            diagnostics.append(AttemptDiagnostics(start, None, coin_logs, True,
                                                   None, None, None, None))
             continue
 
@@ -211,6 +222,154 @@ def sample_reference(plan, seed: int) -> Homomorphism:
     raise RetryBudgetError(
         f"no accepted assignment in {MAX_RETRIES} attempts "
         f"(last diagnostics: {diagnostics[-1] if diagnostics else None})"
+    )
+
+
+def first_refuted_by_lanes(nbrs, a_list, xs, lanes, q: int, bounds):
+    """The lane kernel as every block used it before the popcount kernel: all
+    X's summed at once, each flagged slot read with one big-int shift per
+    B-vertex.  Same (X, Y) as `regularity._first_refuted`."""
+    width = _slot_width(len(a_list))
+    lane_of = dict(zip(a_list, lanes))
+    degrees = [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
+    slot = (1 << width) - 1
+    for s in _flagged(degrees, [len(x) for x in xs], width, *bounds):
+        y = _extreme_violation([deg >> s * width & slot for deg in degrees], len(xs[s]), q, *bounds)
+        if y is not None:
+            return xs[s], y
+    return None
+
+
+def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):
+    """(regular, witness) of a heuristic `check_regular_pair`, both candidate
+    blocks decided by `first_refuted_by_lanes`.
+
+    The degree outliers are the heuristic's documented rule, with the
+    A-degrees counted from adjacency sets; the random block is the library's
+    fixed family.
+    """
+    eps, d = as_fraction(eps), as_fraction(d)
+    a, b = sorted(set(a_side)), sorted(set(b_side))
+    dens = pair_density(g, a, b)
+    if dens < d:
+        return False, None
+    na, nb = len(a), len(b)
+    p_min, q_min = max(1, ceil_frac(eps * na)), max(1, ceil_frac(eps * nb))
+    if p_min > na:
+        return True, None
+    a_set, b_set = frozenset(a), frozenset(b)
+    nbrs = [g.adj(v) & a_set for v in b]
+    hi, lo = dens + eps, dens - eps
+    bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+    degs = [len(g.adj(v) & b_set) for v in a]
+    by_deg = sorted(range(na), key=degs.__getitem__)
+    sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
+    outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
+    hit = first_refuted_by_lanes(nbrs, a, outliers, _lanes(na, outliers), q_min, bounds)
+    if hit is None and budget > len(outliers):
+        xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
+        hit = first_refuted_by_lanes(nbrs, a, xs, lanes, q_min, bounds)
+    if hit is None:
+        return True, None
+    return False, (frozenset(a[i] for i in hit[0]), frozenset(b[j] for j in hit[1]))
+
+
+def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
+                           seed: int = 0) -> list[int]:
+    """`embedder.embed_blowup` with the phase 1 it had before its masks were
+    narrowed in place: every candidate list and every later peer's mask is
+    rebuilt from phi, and a set of used hosts stands for the vacant masks.
+
+    Same map, or the same `EmbeddingNotFoundError`, on every input.
+    """
+    w_sets, v_sets, cluster_of = _class_layout(h, w_classes, g, v_classes)
+    order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets))
+    gmasks = g.masks
+    class_masks = [vertex_mask(vs) for vs in v_sets]
+    budget = BUDGET_FACTOR * h.n
+    spent = 0
+    attempt = 0
+    phi: dict[int, int] = {}
+    used: set[int] = set()
+
+    def admissible(v: int) -> int:
+        mask = -1
+        for u in h.adj(v):
+            if u in phi:
+                mask &= gmasks[phi[u]]
+        return mask
+
+    def candidates(v: int) -> list[int]:
+        mask, out = admissible(v) & class_masks[cluster_of[v]], []
+        while mask:
+            x = (mask & -mask).bit_length() - 1
+            if x not in used:
+                out.append(x)
+            mask &= mask - 1
+        return out
+
+    def place_boundary(rng) -> bool:
+        for v in order:
+            cands = candidates(v)
+            if not cands:
+                return False
+            best = _least_blocked(shuffled(rng, cands), [admissible(u) for u in later[v]])
+            phi[v] = best
+            used.add(best)
+        return all(candidates(v) for v in enclosed)
+
+    def complete_pair(x: int, rng) -> str:
+        placed: set[int] = set()
+
+        def undo(status: str) -> str:
+            for v in placed:
+                used.discard(phi.pop(v))
+            return status
+
+        for side in (x, x + 1):
+            unplaced = [v for v in w_sets[side] if v not in phi]
+            hosts = [c for c in v_sets[side] if c not in used]
+            host_index = {c: i for i, c in enumerate(hosts)}
+            free = [v for v in unplaced if not any(u in phi for u in h.adj(v))]
+            bound = [v for v in unplaced if v not in set(free)]
+            adjacency = []
+            for v in bound:
+                cands = candidates(v)
+                if not cands and not any(u in placed for u in h.adj(v)):
+                    return undo("stuck")
+                adjacency.append(sorted(host_index[c] for c in cands))
+            matching = hopcroft_karp(adjacency, len(hosts))
+            if len(matching) < len(bound):
+                return undo("retry")
+            taken = set(matching.values())
+            leftover = shuffled(rng, [c for i, c in enumerate(hosts) if i not in taken])
+            placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}
+            placement.update(zip(free, leftover))
+            phi.update(placement)
+            used.update(placement.values())
+            placed.update(placement)
+        return "ok"
+
+    while spent <= budget:
+        attempt += 1
+        rng = make_rng(derive_seed(seed, attempt))
+        phi.clear()
+        used.clear()
+        if not place_boundary(rng):
+            spent += len(order)
+            continue
+        for x in range(0, len(w_sets), 2):
+            status, tries = "retry", 0
+            while status == "retry" and tries < 20 and spent <= budget:
+                tries += 1
+                spent += len(w_sets[x]) + len(w_sets[x + 1])
+                status = complete_pair(x, rng)
+            if status != "ok":
+                break
+        else:
+            return [phi[v] for v in range(h.n)]
+    raise EmbeddingNotFoundError(
+        f"no embedding within the reassignment budget ({budget} placements)"
     )
 
 

@@ -7,11 +7,16 @@ before pytest is installed:
 """
 
 import dataclasses
+from fractions import Fraction
 
+import bandembed.cli
+import bandembed.embedder
 import bandembed.homomorphism
 import oracles
-from bandembed.errors import RetryBudgetError
-from bandembed.graph import Graph
+from bandembed.cli import run_full_pipeline
+from bandembed.embedder import embed_blowup
+from bandembed.errors import EmbeddingNotFoundError, RetryBudgetError
+from bandembed.graph import Graph, vertex_mask
 from bandembed.homomorphism import (
     HomomorphismParams,
     build_homomorphism,
@@ -19,13 +24,22 @@ from bandembed.homomorphism import (
     verify_homomorphism_certificate,
 )
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_super_regular_host
-from bandembed.regularity import build_reduced_graph
-from bandembed.rng import as_fraction, make_rng, rand_below, shuffled
+from bandembed.partition import Config
+from bandembed.regularity import (
+    _first_refuted_by_popcount,
+    _lanes,
+    build_reduced_graph,
+    check_regular_pair,
+)
+from bandembed.rng import as_fraction, ceil_frac, make_rng, rand_below, shuffled
 
-from conftest import mc_shape, perfect_matching_graph
+from conftest import mc_shape, perfect_matching_graph, slot_boundary_pair
 from oracles import (
     eager_plan,
     edges_reference,
+    embed_blowup_reference,
+    first_refuted_by_lanes,
+    heuristic_verdict_by_lanes,
     sample_reference,
     verify_homomorphism_certificate_reference,
 )
@@ -246,3 +260,133 @@ def test_walk_phase_redraws_until_it_homes():
     rng = ScriptedBits([0, 1, 2] * 2)
     assert walk_phase(plan, 0, rng, 5) is None
     assert rng.widths == [2] * 5 and rng.values == [2]
+
+
+def test_graph_masks_match_vertex_mask():
+    """Each adjacency mask, summed from the powers-of-two table, is `vertex_mask` of its set."""
+    graphs = [Graph(0, []), Graph(3, []), gen_super_regular_host(4, 50, 0.5, seed=3).graph,
+              gen_bandwidth_bipartite_h(400, 3, 10, seed=3).graph, perfect_matching_graph(64)[0]]
+    for g in graphs:
+        assert g._masks is None
+        assert g.masks == [vertex_mask(g.adj(v)) for v in range(g.n)]
+        assert g.masks is g._masks
+
+
+def test_popcount_kernel_matches_lane_kernel():
+    """Degree outliers decided by popcounts give the lane kernel's first refuted X and its Y.
+
+    Per pair, eps and budget, the outliers go through both kernels, and the
+    whole heuristic verdict is compared with the oracle that decides both
+    blocks by lanes and reads flagged slots by shifts.
+    """
+    found_by = set()
+    for seed, (na, nb) in enumerate((na, nb) for na in (127, 128, 300) for nb in (18, 160)):
+        g, a, b = slot_boundary_pair(seed, na, nb, planted=seed % 3 != 0)
+        a, b = sorted(a), sorted(b)
+        a_set, b_set = frozenset(a), frozenset(b)
+        nbrs = [g.adj(v) & a_set for v in b]
+        b_masks = [g.masks[v] for v in b]
+        degs = [len(g.adj(v) & b_set) for v in a]
+        by_deg = sorted(range(na), key=degs.__getitem__)
+        dens = Fraction(sum(degs), na * nb)
+        for eps in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
+            p_min, q_min = max(1, ceil_frac(eps * na)), max(1, ceil_frac(eps * nb))
+            sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
+            outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])]
+            hi, lo = dens + eps, dens - eps
+            bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+            for budget in (0, 1, 8, 120):
+                xs = outliers[:budget]
+                assert _first_refuted_by_popcount(b_masks, a, xs, q_min, bounds) == \
+                    first_refuted_by_lanes(nbrs, a, xs, _lanes(na, xs), q_min, bounds)
+                verdict = check_regular_pair(g, a, b, eps, Fraction(1, 4), mode="heuristic",
+                                             budget=budget)
+                want = heuristic_verdict_by_lanes(g, a, b, eps, Fraction(1, 4), budget)
+                assert (verdict.regular, verdict.witness) == want, (na, nb, eps, budget)
+                if verdict.witness is not None:
+                    outlier_sets = [frozenset(a[i] for i in x) for x in xs]
+                    found_by.add("outlier" if verdict.witness[0] in outlier_sets else "random")
+                else:
+                    found_by.add("none")
+    assert found_by == {"outlier", "random", "none"}
+
+
+def embed_calls(shapes):
+    """The `embed_blowup` arguments of each pipeline run on `shapes`, as
+    (k, size, bandwidth, seed) with Delta 3 and d 0.5."""
+    calls = []
+    real = bandembed.cli.embed_blowup
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    bandembed.cli.embed_blowup = recording
+    try:
+        for k, size, bandwidth, seed in shapes:
+            run_full_pipeline(gen_super_regular_host(k=k, size=size, d=0.5, seed=seed),
+                              gen_bandwidth_bipartite_h(2 * k * size, 3, bandwidth, seed=seed),
+                              Config(), seed=seed)
+    finally:
+        bandembed.cli.embed_blowup = real
+    return calls
+
+
+def embed_outcome(embed, args, kwargs):
+    try:
+        return embed(*args, **kwargs)
+    except EmbeddingNotFoundError as exc:
+        return f"EmbeddingNotFoundError: {exc}"
+
+
+def test_embedder_matches_phase_1_oracle():
+    """Phase 1 on narrowed masks places what rebuilding every mask placed.
+
+    On the 20 criterion-1 runs and the seed-0 envelope cells that reach the
+    embed stage, the library and the oracle return the same map or fail
+    with the same error.
+    """
+    shapes = [(4, 50, 10, seed) for seed in range(20)]
+    shapes += [(k, size, b, 0) for k in (3, 4, 5, 6) for size in (40, 50, 64, 100) for b in (5, 10)]
+    outcomes = []
+    for args, kwargs in embed_calls(shapes):
+        got = embed_outcome(embed_blowup, args, kwargs)
+        assert got == embed_outcome(embed_blowup_reference, args, kwargs)
+        outcomes.append(isinstance(got, list))
+    assert len(outcomes) == 29 and outcomes.count(False) == 4
+
+
+def test_phase_1_rebuilds_no_admissible_mask():
+    """Phase 1 makes no `_admissible` call; phase 2 still rebuilds bound vertices' masks."""
+    calls = []
+    real_admissible, real_pair = bandembed.embedder._admissible, bandembed.embedder._complete_pair
+
+    class PhaseTwo(Exception):
+        pass
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real_admissible(*args)
+
+    def stop(*args):
+        raise PhaseTwo
+
+    inputs = [args for args, _ in embed_calls([(4, 50, 10, seed) for seed in range(20)])]
+    bandembed.embedder._admissible = counting
+    try:
+        for seed, args in enumerate(inputs):
+            embed_blowup(*args, seed=seed)
+        full = len(calls)
+        calls.clear()
+        bandembed.embedder._complete_pair = stop
+        for seed, args in enumerate(inputs):
+            try:
+                embed_blowup(*args, seed=seed)
+            except PhaseTwo:
+                pass
+            else:
+                raise AssertionError("phase 1 never handed over to phase 2")
+    finally:
+        bandembed.embedder._admissible = real_admissible
+        bandembed.embedder._complete_pair = real_pair
+    assert full > 0 and calls == []

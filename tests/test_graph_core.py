@@ -1,14 +1,19 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandembed
 from bandembed.errors import InvalidInputError
 from bandembed.graph import (
     BandwidthOrdering,
     Graph,
+    _subset_tables,
     at_least,
     degree_sequence,
     graph_from_json,
@@ -119,6 +124,21 @@ class TestLanes:
                     for k in range(top + 1):
                         assert all((ge[k] >> s & 1) == (sum(v >> s & 1 for v in vectors) >= k)
                                    for s in range(1 << n))
+
+
+    def test_subset_tables_are_built_on_first_use_and_kept(self):
+        # Importing the library builds no table.
+        probe = ("import bandembed, bandembed.graph as g; "
+                 "assert g._subset_tables.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(bandembed.__file__))
+        subprocess.run([sys.executable, "-c", probe], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+        for n in range(7):
+            lanes, size = _subset_tables(n)
+            assert lanes == tuple(subset_lanes(n))
+            assert size == tuple(at_least(subset_lanes(n), n + 1, (1 << (1 << n)) - 1))
+            assert _subset_tables(n) is _subset_tables(n)
+        assert _subset_tables.cache_info().currsize == 2
 
 
 class TestBandwidthOrdering:

@@ -635,6 +635,27 @@ class TestTrialPlanReuse:
         assert first == AttemptDiagnostics(None, None, [], True, None, None, None, None)
         assert not first.accepted and second.accepted and not second.seek_miss
 
+        # Now only phase 2's target misses, on every draw of attempt 1: phase 1
+        # homed as drawn, so the attempt keeps its start and coins.
+        start, _, logs = bandembed.homomorphism._walk_phase(
+            plan, 0, make_rng(derive_seed(1, 1)), misses)
+        assert plan.targets[0] != plan.targets[1]
+        calls.clear()
+
+        def missing_phase_2(pairs, start_pair, target_pair, kprime):
+            if target_pair == plan.targets[1]:
+                calls.append(start_pair)
+                if len(calls) <= misses:
+                    return None
+            return original(pairs, start_pair, target_pair, kprime)
+
+        monkeypatch.setattr(bandembed.homomorphism, "seeking_assign", missing_phase_2)
+        hom = bandembed.homomorphism._sample(plan, 1)
+        assert hom.attempts == 2 and len(calls) > misses
+        first, second = hom.diagnostics
+        assert first == AttemptDiagnostics(start, None, logs, True, None, None, None, None)
+        assert not first.accepted and second.accepted and not second.seek_miss
+
     def test_oversized_boundary_fails_before_any_draw(self, monkeypatch):
         # Hand-picked parameters, outside choose_h_parameters' m1 cap, leave a
         # boundary no schedule can shrink: 92 vertices against xi*n = 48.

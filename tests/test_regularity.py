@@ -20,7 +20,7 @@ from bandembed.regularity import (
 from bandembed.regularity import _first_refuted, _flagged, _lanes, _random_candidates, _slot_width
 from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
-from conftest import complete_graph
+from conftest import complete_graph, slot_boundary_pair
 from oracles import perturbation_bound
 
 
@@ -521,24 +521,6 @@ class TestGoldenVerdicts:
                     outcomes.add((na, nb, verdict.regular, verdict.witness is None))
         assert {(14, 14, True, True), (14, 14, False, False)} <= outcomes
         assert digest.hexdigest() == self.CAP_PIN
-
-
-def slot_boundary_pair(seed, na, nb, planted):
-    """A seeded pair whose A side sits at a slot-width boundary, labels shuffled.
-
-    Planted pairs join the even and the odd positions of sorted(A) and
-    sorted(B) completely and nothing else, so every A-degree is about equal
-    and the degree-outlier candidates are balanced; other pairs are random
-    at density 1/2.
-    """
-    rng = make_rng(seed)
-    labels = shuffled(rng, list(range(na + nb + 2)))
-    a, b = labels[:na], labels[na:na + nb]
-    pos_a = {v: i for i, v in enumerate(sorted(a))}
-    pos_b = {v: i for i, v in enumerate(sorted(b))}
-    edges = [(u, v) for u in a for v in b
-             if ((pos_a[u] + pos_b[v]) % 2 == 0 if planted else rand_below(rng, 10) < 5)]
-    return Graph(na + nb + 2, edges), a, b
 
 
 def degree_outliers(g, a, b, eps):
