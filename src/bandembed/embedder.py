@@ -11,11 +11,11 @@ pair is constrained when the second side is matched, so a perfect matching
 on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
 
-Candidates are masks.  Each class keeps a mask of its vacant hosts; in the
-boundary phase each H vertex keeps the mask of hosts adjacent to its placed
-neighbours' images, narrowed in place as they are placed.  The pair phase
-rebuilds a bound vertex's mask from the placements instead, because a
-re-roll takes placements back.
+Candidates are masks.  Each class keeps a mask of its vacant hosts, and each
+H vertex the mask of hosts adjacent to its placed neighbours' images (-1
+while none is placed).  Both phases place through one routine, which takes
+the host from its class's vacant mask and narrows each neighbour's mask in
+place; a pair re-roll restores the masks it saved when the pair began.
 
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
@@ -196,7 +196,7 @@ def embed_blowup(
     allowed: list[int] = []  # per H vertex, the hosts adjacent to its placed neighbours' images
 
     def place_boundary(rng) -> bool:
-        """Phase 1: boundary vertices, most-constrained-by-structure first; no mask is rebuilt."""
+        """Phase 1: boundary vertices, most-constrained-by-structure first."""
         for v in order:
             cands = _bits(allowed[v] & vacant[cluster_of[v]])
             if not cands:
@@ -204,10 +204,7 @@ def embed_blowup(
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
             best = _least_blocked(shuffled(rng, cands), [allowed[u] for u in later[v]])
-            phi[v] = best
-            vacant[cluster_of[v]] ^= 1 << best
-            for u in h.adj(v):
-                allowed[u] &= gmasks[best]
+            _place(h, gmasks, phi, vacant, allowed, cluster_of[v], v, best)
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
         # poisoned.
@@ -231,7 +228,7 @@ def embed_blowup(
             while status == "retry" and tries < 20 and spent <= budget:
                 tries += 1
                 spent += len(w_sets[x]) + len(w_sets[x + 1])
-                status = _complete_pair(h, gmasks, phi, vacant, w_sets, x, rng)
+                status = _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng)
             if status != "ok":
                 break
         else:
@@ -270,46 +267,44 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _admissible(h: Graph, gmasks: list[int], phi: dict[int, int], v: int) -> int:
-    """Hosts adjacent to the images of v's placed neighbours, as a mask (-1: none placed)."""
-    mask = -1
+def _place(h, gmasks, phi, vacant, allowed, cls, v, host) -> None:
+    """Place v on host: host leaves class cls's vacant mask, and each H-neighbour's mask narrows."""
+    phi[v] = host
+    vacant[cls] ^= 1 << host
     for u in h.adj(v):
-        if u in phi:
-            mask &= gmasks[phi[u]]
-    return mask
+        allowed[u] &= gmasks[host]
 
 
-def _complete_pair(h, gmasks, phi, vacant, w_sets, x, rng) -> str:
+def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
     """Fill the cluster pair (x, x+1), one side at a time.
 
     Returns 'ok', 'retry', or 'stuck'; on 'retry' and 'stuck' the pair's own
-    placements are taken back.  'stuck' means a vertex failed whose placed
-    neighbors were all placed before this pair began, so re-rolling the pair
-    cannot change anything.  Each side has one free host for each unplaced
-    vertex, so once every bound vertex is matched the leftover hosts take the
-    free vertices exactly.
+    placements are taken back and the masks saved on entry restored.  'stuck'
+    means a vertex failed whose placed neighbors were all placed before this
+    pair began, so re-rolling cannot change anything.  Each side has one free
+    host per unplaced vertex, so once every bound vertex is matched the
+    leftover hosts take the free vertices exactly.
     """
     placed: set[int] = set()
-    vacant_before = vacant[x], vacant[x + 1]
+    saved = vacant[x], vacant[x + 1], allowed[:]
 
     def undo(status: str) -> str:
         for v in placed:
             del phi[v]
-        vacant[x], vacant[x + 1] = vacant_before
+        vacant[x], vacant[x + 1], allowed[:] = saved
         return status
 
     for side in (x, x + 1):
         unplaced = [v for v in w_sets[side] if v not in phi]
         hosts = _bits(vacant[side])
         host_index = {c: i for i, c in enumerate(hosts)}
-        # Unconstrained vertices take a random bijection slot; constrained
-        # ones go through maximum matching on their candidate lists.
-        free = [v for v in unplaced if not any(u in phi for u in h.adj(v))]
-        free_set = set(free)
-        bound = [v for v in unplaced if v not in free_set]
+        # A vertex with no placed neighbour (mask -1) takes a random bijection
+        # slot; the others go through maximum matching on their candidates.
+        free = [v for v in unplaced if allowed[v] == -1]
+        bound = [v for v in unplaced if allowed[v] != -1]
         adjacency = []
         for v in bound:
-            cands = _bits(_admissible(h, gmasks, phi, v) & vacant[side])
+            cands = _bits(allowed[v] & vacant[side])
             if not cands and not any(u in placed for u in h.adj(v)):
                 return undo("stuck")
             adjacency.append([host_index[c] for c in cands])
@@ -320,8 +315,8 @@ def _complete_pair(h, gmasks, phi, vacant, w_sets, x, rng) -> str:
         leftover = shuffled(rng, [c for i, c in enumerate(hosts) if i not in taken])
         placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}
         placement.update(zip(free, leftover))
-        phi.update(placement)
-        vacant[side] &= ~vertex_mask(placement.values())
+        for v, c in placement.items():
+            _place(h, gmasks, phi, vacant, allowed, side, v, c)
         placed.update(placement)
     return "ok"
 

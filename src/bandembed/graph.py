@@ -203,7 +203,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    """{"n": n, "edges": [[u, v], ...]} with u < v, sorted, so equal graphs write equal JSON."""
+    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges())]}
 
 
 def _is_int(x) -> bool:

@@ -729,9 +729,11 @@ def prepare_host_partition(
     pair-pure and every certificate is a pair-level check.  The baseline is
     neither redistributed nor certified here: callers hit demanded sizes with
     `redistribute_to_sizes` and certify the partition they keep, once, with
-    `verify_partition_structure`.  Raises ParameterError below n0 and the
-    failing step's own error otherwise.
+    `verify_partition_structure`.  Raises InvalidInputError below k = 2
+    cluster pairs, ParameterError below n0, and else the failing step's error.
     """
+    if partition.k < 2:
+        raise InvalidInputError(f"a host partition needs k >= 2 cluster pairs, got k = {partition.k}")
     if g.n < cfg.n0:
         raise ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
     part1 = assign_exceptional_vertices(g, partition, cfg)

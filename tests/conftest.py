@@ -82,3 +82,74 @@ def slot_boundary_pair(seed, na, nb, planted):
     edges = [(u, v) for u in a for v in b
              if ((pos_a[u] + pos_b[v]) % 2 == 0 if planted else rand_below(rng, 10) < 5)]
     return Graph(na + nb + 2, edges), a, b
+
+
+def split_classes(sizes):
+    """Consecutive vertex ranges of the given sizes."""
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(list(range(start, start + size)))
+        start += size
+    return classes
+
+
+def stuck_instance(spare_edge=True):
+    """A pair completion that can fail before placing anything.
+
+    H classes are [s0, v], [t1, w], [s2, pads], [t3, pads], with the cross edge
+    s0-s2, so S = {s0, s2} and T = {t1, t3}.  The host classes are the same
+    ranges, [a0, a1], [p, q], ...; in G the host p of class 1 sees only a0 of
+    class 0.  When s0 takes a0 and t1 takes p, v (on the first side of the
+    pair, bound by t1) has no free host: "stuck".  When t1 takes q instead, w
+    has no free host on the second side, so the pair re-rolls until its 20
+    tries run out.  When s0 takes a1 the pair completes.  Without the spare
+    edge a1-q, t1 has no candidate after s0 takes a1, and the budget runs out.
+    """
+    w = split_classes([2, 2, 9, 9])  # the 16 isolated pads raise the budget to 220
+    (s0, v), (t1, wv), (s2, *_), (t3, *_) = w
+    h = Graph(sum(map(len, w)), [(s0, t1), (v, t1), (v, wv), (s0, s2), (s2, t3)])
+    (a0, a1), (p, q), z, t = w
+    edges = [(a0, p), (a0, q)] + ([(a1, q)] if spare_edge else [])
+    edges += [(x, y) for x in (a0, a1) for y in z] + [(x, y) for x in z for y in t]
+    return h, w, Graph(h.n, edges), w
+
+
+def poisoned_instance():
+    """Boundary placements that sometimes leave an enclosed vertex no host.
+
+    H is the graph of `test_poisoned_boundary_placement_skips_the_pairs`; b1's only
+    neighbour is the boundary vertex a0.  In G the host x1 of class 0 sees only y0
+    of class 1, so b0 -> y0 with a0 -> x1 poisons the placement and the search
+    restarts before any pair; every other boundary placement embeds.
+    """
+    w = split_classes([3, 3, 3, 3])
+    x, y, z, t = w
+    a, b, c, d = (cls[0] for cls in w)
+    h = Graph(12, [(b, c), (a, b), (c, d), (b + 1, a)])
+    edges = [(x[0], u) for u in y] + [(x[1], y[0]), (x[2], y[1]), (x[2], y[2])]
+    edges += [(u, v) for u in y for v in z] + [(u, v) for u in z for v in t]
+    return h, w, Graph(12, edges), w
+
+
+def retry_instance(spare_edge=True):
+    """One pair, no boundary: vertex 0 sees both of 2 and 3 and is free on the first side.
+
+    Host 1 sees only 2, so the random first-side bijection that sends 0 to 1 fails the
+    second side's matching and the pair re-rolls locally.  Without the spare edge 0-3
+    every try fails and the budget runs out inside the pair's retries.
+    """
+    w = [[0, 1], [2, 3]]
+    h = Graph(4, [(0, 2), (0, 3)])
+    g = Graph(4, [(0, 2), (1, 2)] + ([(0, 3)] if spare_edge else []))
+    return h, w, g, w
+
+
+def search_path_instances():
+    """The hand-built embedder inputs that reach every outcome of its restart loop, by name."""
+    return {
+        "stuck": stuck_instance(),
+        "stuck-exhausted": stuck_instance(spare_edge=False),
+        "poisoned": poisoned_instance(),
+        "retry": retry_instance(),
+        "retry-exhausted": retry_instance(spare_edge=False),
+    }

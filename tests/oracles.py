@@ -276,9 +276,10 @@ def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):
 
 def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
                            seed: int = 0) -> list[int]:
-    """`embedder.embed_blowup` with the phase 1 it had before its masks were
-    narrowed in place: every candidate list and every later peer's mask is
-    rebuilt from phi, and a set of used hosts stands for the vacant masks.
+    """`embedder.embed_blowup` as it was before its masks were narrowed in
+    place: in both phases every candidate list and every later peer's mask is
+    rebuilt from phi, a pair re-roll takes back only its placements, and a
+    set of used hosts stands for the vacant masks.
 
     Same map, or the same `EmbeddingNotFoundError`, on every input.
     """

@@ -542,7 +542,7 @@ class TestSubcommandPin:
             0, 1, 2,  # pipeline
         ]
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-        assert digest == "2582481d25fc61a7c3494e55a2d3e10aa63094400651753964cc4f7c52763e8c"
+        assert digest == "b43b97cc5b2f14a33fc79904c3a31ea637ba91dec121cbf00062965682972a39"
 
 
 class TestPipelineCommand:
@@ -809,6 +809,33 @@ class TestPipelineCommand:
         assert captured.out == ""
         assert captured.err == (f"input error: {demand}: "
                                 "demanded sizes must partition n over 2k classes\n")
+
+    @staticmethod
+    def one_pair_host(path):
+        """The k=2, size-40, seed-1 host with its four classes merged into one cluster pair."""
+        host = gen_super_regular_host(2, 40, d=0.5, seed=1).to_json()
+        classes = host["partition"]["classes"]
+        host["partition"] = {"classes": [classes[0] + classes[2], classes[1] + classes[3]]}
+        path.write_text(json.dumps(host))
+        return path
+
+    def test_lemma_g_one_pair_host_is_input_error(self, tmp_path, capsys):
+        # One cluster pair has no cluster cycle to find: out of contract, not a certified failure.
+        host_path = self.one_pair_host(tmp_path / "host.json")
+        assert main(["lemma-g", "--host", str(host_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: a host partition needs k >= 2 cluster pairs, got k = 1\n"
+
+    def test_pipeline_one_pair_host_is_input_error(self, tmp_path, capsys):
+        host_path = self.one_pair_host(tmp_path / "host.json")
+        h_path = tmp_path / "h.json"
+        h_path.write_text(json.dumps(gen_bandwidth_bipartite_h(160, 3, 2, seed=1).to_json()))
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_stage"] == "host-partition"
+        assert report["stages"][-1]["detail"]["error"] == (
+            "InvalidInputError: a host partition needs k >= 2 cluster pairs, got k = 1")
 
     def test_build_hom_coin_logs(self, tmp_path, capsys):
         # n = 1024 is the smallest power of two whose schedule has drift blocks,

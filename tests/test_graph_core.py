@@ -22,6 +22,8 @@ from bandembed.graph import (
     subset_lanes,
     verify_bandwidth_ordering,
 )
+from bandembed.hostgen import gen_super_regular_host
+from bandembed.rng import make_rng, shuffled
 
 from conftest import complete_graph, cycle_graph, path_graph
 from oracles import neighborhood
@@ -82,6 +84,16 @@ class TestGraph:
     def test_json_round_trip(self):
         g = cycle_graph(6)
         assert graph_from_json(graph_to_json(g)) == g
+
+    def test_equal_graphs_write_equal_json(self):
+        # Rebuilt from its own edges reversed or shuffled, the host is equal but
+        # lists its edges in another order; its JSON must not follow that order.
+        g = gen_super_regular_host(k=4, size=50, d=0.5, seed=3).graph
+        rng = make_rng(3)
+        for edges in (list(g.edges())[::-1], shuffled(rng, list(g.edges()))):
+            rebuilt = Graph(g.n, edges)
+            assert rebuilt == g and rebuilt.edges() != g.edges()
+            assert graph_to_json(rebuilt) == graph_to_json(g)
 
     def test_json_loader_names_offending_edge(self):
         with pytest.raises(InvalidInputError, match=r"\(2,2\)"):

@@ -207,7 +207,7 @@ class TestGeneratorPin:
     and k=3/size 4 at d=0.001 tops up after 100 failed rounds.
     """
 
-    PIN = "94a6f687d1265263ff3aab345eb1f337e26f1c099ad202239590d0cb5e9e7a70"
+    PIN = "cdacd1e9e482f9a7e1502a8dd281ea3dd177e4d19a5a5a0f87b1c1d37303e961"
 
     def test_all_generators(self):
         records = [graph_to_json(gen_cycle_blowup(c, s)) for c, s in ((3, 1), (5, 3), (6, 4))]
