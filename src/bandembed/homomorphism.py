@@ -78,26 +78,18 @@ PLAN_MEMO_SIZE = 8
 
 @dataclass
 class SegmentDecomposition:
-    """Small segment pairs (A_i, B_i), the boundary set and the crossing edges."""
+    """Segment pairs (A_i, B_i) as side codes and sizes, the boundary set and crossing edges."""
 
-    a_segments: list[list[int]]
-    b_segments: list[list[int]]
+    # Vertex v lies on segment side segment_of[v]: 2i for A_i, 2i + 1 for B_i.
+    segment_of: list[int]
+    # sizes[c] vertices lie on side c, for each of the 2*m1 side codes.
+    sizes: list[int]
     boundary: set[int]
     beta: Fraction
     m1: int
     # The edges from B_i to A_{i+1}, both ends in the boundary; every other
     # edge lies inside one segment pair.
     crossing: list[tuple[int, int]] = field(default_factory=list)
-    # Vertex v lies on segment side segment_of[v]: 2i for A_i, 2i + 1 for B_i.
-    segment_of: list[int] = field(default_factory=list)
-
-    @property
-    def total_a(self) -> int:
-        return sum(len(s) for s in self.a_segments)
-
-    @property
-    def total_b(self) -> int:
-        return sum(len(s) for s in self.b_segments)
 
 
 def chop_into_segments(
@@ -111,9 +103,11 @@ def chop_into_segments(
     """Window the ordering into m1 segment pairs and certify the cut structure.
 
     A-class vertices are windowed with a beta*n offset, B-class vertices
-    without; the boundary set S collects the positions within 2*beta*n below
-    or beta*n above a window edge.  Undersized segments are repaired by
-    reassigning isolated vertices from their partner segment.  The four
+    without, and each vertex gets its side code straight from its window:
+    2(i-1) for A_i, 2(j-1)+1 for B_j.  The boundary set S collects the
+    positions within 2*beta*n below or beta*n above a window edge.  An
+    undersized side c is repaired, in code order, by moving the lowest-id
+    isolated vertices outside S from its partner side c ^ 1 to c.  The four
     structural properties (pair sizes, boundary size, edges confined to
     pairs, boundary edges confined to adjacent pairs) are checked exactly
     and failure names the property.
@@ -135,52 +129,44 @@ def chop_into_segments(
     bn = beta * n
     bnum, bden = bn.numerator, bn.denominator
     nden = n * bden
-    a_segments: list[list[int]] = [[] for _ in range(m1)]
-    b_segments: list[list[int]] = [[] for _ in range(m1)]
+    segment_of = [0] * n
+    sizes = [0] * (2 * m1)
     boundary: set[int] = set()
 
     for v in range(n):
         s = ordering.labels[v] + 1  # positions are 1-based in the windowing
         sd = s * bden
-        if v in class_a:
-            if sd > nden - bnum:
-                i = m1
-            else:
-                i = -((-(sd + bnum) * m1) // nden)
-            a_segments[i - 1].append(v)
+        if v not in class_a:
+            code = 2 * -((-s * m1) // n) - 1
+        elif sd > nden - bnum:
+            code = 2 * m1 - 2
         else:
-            j = -((-s * m1) // n)
-            b_segments[j - 1].append(v)
+            code = 2 * -((-(sd + bnum) * m1) // nden) - 2
+        segment_of[v] = code
+        sizes[code] += 1
         i_lo = -((-(sd - bnum) * m1) // nden)
         i_hi = -((-(sd + 2 * bnum) * m1) // nden) - 1
         if max(1, i_lo) <= min(m1, i_hi):
             boundary.add(v)
 
     min_size = Fraction(n, 4 * delta * m1) if delta > 0 else Fraction(0)
-
-    def repair(into: list[list[int]], partner: list[list[int]], i: int) -> None:
-        while len(into[i]) < min_size:
-            v = min((u for u in partner[i] if u not in boundary and h.degree(u) == 0),
-                    default=None)
+    for code in range(2 * m1):
+        # One ascending scan of the partner side; a moved vertex changes
+        # color class, and being isolated it keeps the bipartition valid.
+        movable = (v for v in range(n)
+                   if segment_of[v] == code ^ 1 and v not in boundary and h.degree(v) == 0)
+        while sizes[code] < min_size:
+            v = next(movable, None)
             if v is None:
                 raise DecompositionError(
-                    f"segment {i} cannot reach size {min_size}: "
+                    f"segment {code // 2} cannot reach size {min_size}: "
                     "no isolated vertices left to reassign"
                 )
-            partner[i].remove(v)
-            into[i].append(v)
-            # v changes color class; being isolated, it keeps the bipartition valid.
+            segment_of[v] = code
+            sizes[code] += 1
+            sizes[code ^ 1] -= 1
 
-    for i in range(m1):
-        repair(a_segments, b_segments, i)
-        repair(b_segments, a_segments, i)
-
-    sides = [side for pair in zip(a_segments, b_segments) for side in pair]
-    side_of = {v: code for code, side in enumerate(sides) for v in side}
-    decomp = SegmentDecomposition(
-        [sorted(s) for s in a_segments], [sorted(s) for s in b_segments], boundary, beta, m1,
-        segment_of=[side_of[v] for v in range(n)],
-    )
+    decomp = SegmentDecomposition(segment_of, sizes, boundary, beta, m1)
     decomp.crossing = _certify_chop(h, decomp)
     return decomp
 
@@ -194,28 +180,33 @@ def _certify_chop(h: Graph, decomp: SegmentDecomposition) -> list[tuple[int, int
     lo = n * bn.denominator - m1 * bn.numerator
     hi = n * bn.denominator + m1 * bn.numerator
     for i in range(m1):
-        size = len(decomp.a_segments[i]) + len(decomp.b_segments[i])
+        size = decomp.sizes[2 * i] + decomp.sizes[2 * i + 1]
         if not lo <= size * m1 * bn.denominator <= hi:
             raise DecompositionError(f"pair size property fails at segment {i}: {size}")
     if len(decomp.boundary) * bn.denominator > 3 * m1 * bn.numerator:
         raise DecompositionError(
             f"boundary property fails: |S| = {len(decomp.boundary)} > 3*m1*beta*n"
         )
-    role = [("AB"[side % 2], side // 2) for side in decomp.segment_of]
+
+    def role(code: int) -> tuple[str, int]:
+        return "AB"[code % 2], code // 2
+
+    side = decomp.segment_of
     s = decomp.boundary
     crossing = []
     for u, v in h.edges():
-        ru, rv = role[u], role[v]
-        if ru[1] == rv[1] and ru[0] != rv[0]:
+        su, sv = side[u], side[v]
+        if su ^ sv == 1:
             continue  # inside one segment pair
         if not (u in s and v in s):
             raise DecompositionError(
-                f"interior-edge property fails at edge ({u},{v}): {ru} vs {rv}"
+                f"interior-edge property fails at edge ({u},{v}): {role(su)} vs {role(sv)}"
             )
-        if not ((ru[0] == "B" and rv[0] == "A" and rv[1] == (ru[1] + 1) % m1)
-                or (rv[0] == "B" and ru[0] == "A" and ru[1] == (rv[1] + 1) % m1)):
+        # B_i has code 2i + 1 and A_{i+1} the next code, mod 2*m1.
+        if not ((su % 2 and sv == (su + 1) % (2 * m1))
+                or (sv % 2 and su == (sv + 1) % (2 * m1))):
             raise DecompositionError(
-                f"boundary-edge property fails at edge ({u},{v}): {ru} vs {rv}"
+                f"boundary-edge property fails at edge ({u},{v}): {role(su)} vs {role(sv)}"
             )
         crossing.append((u, v))
     return crossing
@@ -231,7 +222,7 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> int:
     sign-agnostic.
     """
     xi = as_fraction(xi)
-    m1, n = decomp.m1, decomp.total_a + decomp.total_b
+    m1, n = decomp.m1, sum(decomp.sizes)
     if m2 < 1 or m1 % m2 != 0:
         raise ParameterError(f"m2 must divide m1 (got m1={m1}, m2={m2})")
     if not 1 <= k2 < m1 // m2:
@@ -239,15 +230,14 @@ def group_and_split(decomp: SegmentDecomposition, m2: int, xi, k2: int) -> int:
     w = m1 // m2
     imbalances = []
     for j in range(m2):
-        block = range(j * w, (j + 1) * w)
-        a = sum(len(decomp.a_segments[t]) for t in block)
-        b = sum(len(decomp.b_segments[t]) for t in block)
+        block = decomp.sizes[2 * j * w:2 * (j + 1) * w]
+        a, b = sum(block[0::2]), sum(block[1::2])
         # |a + b - n/m2| <= sqrt(beta)*n, squared so that it is exact.
         if (a + b - Fraction(n, m2)) ** 2 > decomp.beta * n * n:
             raise DecompositionError(f"block size property fails at block {j}: {a + b}")
         imbalances.append(a - b)
 
-    diff = decomp.total_a - decomp.total_b
+    diff = sum(decomp.sizes[0::2]) - sum(decomp.sizes[1::2])
     target = Fraction(diff, 2)
     window = xi * n / 20
     lo = max(1, ceil_frac(xi * m2 / 20))
@@ -522,12 +512,11 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
     # Each phase's even share of its blocks, tilted up by diff/(4k') for the
     # A class and down for the B class, plus slack.
     slack = xi_f * n / (6 * kprime)
-    tilt = Fraction(decomp.total_a - decomp.total_b, 4 * kprime)
+    tilt = Fraction(sum(decomp.sizes[0::2]) - sum(decomp.sizes[1::2]), 4 * kprime)
     shares = [Fraction(count * n, m2 * 2 * kprime) for count in (m3, m2 - m3)]
     targets = (g_of_pair.index((c1 - 1) // 2), g_of_pair.index((c2 - 1) // 2))
     cycle = Graph(2 * kprime, [(x, (x + 1) % (2 * kprime)) for x in range(2 * kprime)]
                   + [(2 * targets[0] + 1, 2 * targets[1] + 1)])
-    sides = [side for pair in zip(decomp.a_segments, decomp.b_segments) for side in pair]
     side_of = decomp.segment_of
     return _Plan(
         sizes=sizes,
@@ -542,7 +531,7 @@ def _memo_plan(h: Graph, ordering: BandwidthOrdering, bipartition: tuple, sizes:
         cycle=cycle,
         phases=phases,
         segment_of=tuple(side_of),
-        segment_sizes=tuple(map(len, sides)),
+        segment_sizes=tuple(decomp.sizes),
         load_caps=tuple(size + floor_frac(xi_f * n) for size in sizes),
         spread_caps=tuple((floor_frac(share + tilt + slack), floor_frac(share - tilt + slack))
                           for share in shares),

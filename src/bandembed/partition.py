@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     AssignmentError,
     BalancingError,
+    FeasibilityError,
     InvalidInputError,
     ParameterError,
     RedistributionError,
@@ -730,10 +731,15 @@ def prepare_host_partition(
     neither redistributed nor certified here: callers hit demanded sizes with
     `redistribute_to_sizes` and certify the partition they keep, once, with
     `verify_partition_structure`.  Raises InvalidInputError below k = 2
-    cluster pairs, ParameterError below n0, and else the failing step's error.
+    cluster pairs, FeasibilityError above the Hamilton search's cap,
+    ParameterError below n0, and else the failing step's error.
     """
     if partition.k < 2:
         raise InvalidInputError(f"a host partition needs k >= 2 cluster pairs, got k = {partition.k}")
+    if 2 * partition.k > HAMILTON_CAP:
+        raise FeasibilityError(
+            f"Hamilton search capped at {HAMILTON_CAP} clusters (got 2k = {2 * partition.k})"
+        )
     if g.n < cfg.n0:
         raise ParameterError(f"host has {g.n} < n0 = {cfg.n0} vertices")
     part1 = assign_exceptional_vertices(g, partition, cfg)

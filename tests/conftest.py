@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import bandembed.homomorphism
 from bandembed.graph import BandwidthOrdering, Graph
@@ -55,6 +56,24 @@ def mc_shape(bandwidth, k, chord):
     params = choose_h_parameters(n, 2, bandwidth, 0.1, k)
     return (target.graph, target.ordering, target.bipartition,
             [n // (2 * k)] * (2 * k), chord, params)
+
+
+CHOP_BETAS = [Fraction(0), Fraction(1, 97), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3),
+              Fraction(123457, 1000003), Fraction(999, 1000)]
+
+
+def chop_window_grid():
+    """Edgeless chop inputs (g, ordering, bip, beta, m1) over n, m1 and beta,
+    with seeded vertex positions and a seeded coin-flip bipartition each."""
+    rng = make_rng(8)
+    for n in (1, 5, 12, 40, 97, 256):
+        g = Graph(n, [])
+        for m1 in (1, 2, 3, 7, 16):
+            for beta in CHOP_BETAS:
+                labels = tuple(shuffled(rng, list(range(n))))
+                class_a = {v for v in range(n) if rng.getrandbits(1)}
+                bip = (sorted(class_a), sorted(set(range(n)) - class_a))
+                yield g, BandwidthOrdering(labels, n), bip, beta, m1
 
 
 def strip_seconds(obj):

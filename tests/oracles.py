@@ -16,8 +16,14 @@ from functools import lru_cache
 from math import sqrt
 
 from bandembed.embedder import BUDGET_FACTOR, _boundary_plan, _class_layout, _least_blocked
-from bandembed.errors import EmbeddingNotFoundError, InvalidInputError, RetryBudgetError
-from bandembed.graph import Graph, vertex_mask
+from bandembed.errors import (
+    DecompositionError,
+    EmbeddingNotFoundError,
+    InvalidInputError,
+    ParameterError,
+    RetryBudgetError,
+)
+from bandembed.graph import BandwidthOrdering, Graph, vertex_mask
 from bandembed.homomorphism import (
     MAX_RETRIES,
     AttemptDiagnostics,
@@ -104,6 +110,133 @@ def edges_reference(g: Graph):
         for v in g._adj[u]:
             if u < v:
                 yield (u, v)
+
+
+def chop_reference(
+    h: Graph,
+    ordering: BandwidthOrdering,
+    bipartition: tuple,
+    beta,
+    m1: int,
+    delta: int,
+) -> SimpleNamespace:
+    """Window the ordering into m1 segment pairs and certify the cut structure.
+
+    The list-based chop: per-segment vertex lists, each repair a rescan for
+    the smallest movable vertex, and side codes rebuilt from the lists.  Same
+    boundary, crossing edges, side of every vertex and errors as
+    `homomorphism.chop_into_segments`; the result also holds the sorted
+    `a_segments` and `b_segments`.
+
+    A-class vertices are windowed with a beta*n offset, B-class vertices
+    without; the boundary set S collects the positions within 2*beta*n below
+    or beta*n above a window edge.  Undersized segments are repaired by
+    reassigning isolated vertices from their partner segment.  The four
+    structural properties (pair sizes, boundary size, edges confined to
+    pairs, boundary edges confined to adjacent pairs) are checked exactly
+    and failure names the property.
+    """
+    n = h.n
+    ordering.validate_bijection(n)
+    beta = as_fraction(beta)
+    if m1 < 1 or not 0 <= beta < 1:
+        raise ParameterError("need m1 >= 1 and 0 <= beta < 1")
+    class_a, class_b = set(bipartition[0]), set(bipartition[1])
+    if class_a & class_b or class_a | class_b != set(range(n)):
+        raise InvalidInputError("bipartition must split the vertex set")
+    for u, v in h.edges():
+        if (u in class_a) == (v in class_a):
+            raise InvalidInputError(f"edge ({u},{v}) stays inside one class")
+
+    # With beta*n = bnum/bden, ceil((s + c*beta*n)*m1/n) is the integer
+    # ceiling of (s*bden + c*bnum)*m1 / (n*bden).
+    bn = beta * n
+    bnum, bden = bn.numerator, bn.denominator
+    nden = n * bden
+    a_segments: list[list[int]] = [[] for _ in range(m1)]
+    b_segments: list[list[int]] = [[] for _ in range(m1)]
+    boundary: set[int] = set()
+
+    for v in range(n):
+        s = ordering.labels[v] + 1  # positions are 1-based in the windowing
+        sd = s * bden
+        if v in class_a:
+            if sd > nden - bnum:
+                i = m1
+            else:
+                i = -((-(sd + bnum) * m1) // nden)
+            a_segments[i - 1].append(v)
+        else:
+            j = -((-s * m1) // n)
+            b_segments[j - 1].append(v)
+        i_lo = -((-(sd - bnum) * m1) // nden)
+        i_hi = -((-(sd + 2 * bnum) * m1) // nden) - 1
+        if max(1, i_lo) <= min(m1, i_hi):
+            boundary.add(v)
+
+    min_size = Fraction(n, 4 * delta * m1) if delta > 0 else Fraction(0)
+
+    def repair(into: list[list[int]], partner: list[list[int]], i: int) -> None:
+        while len(into[i]) < min_size:
+            v = min((u for u in partner[i] if u not in boundary and h.degree(u) == 0),
+                    default=None)
+            if v is None:
+                raise DecompositionError(
+                    f"segment {i} cannot reach size {min_size}: "
+                    "no isolated vertices left to reassign"
+                )
+            partner[i].remove(v)
+            into[i].append(v)
+            # v changes color class; being isolated, it keeps the bipartition valid.
+
+    for i in range(m1):
+        repair(a_segments, b_segments, i)
+        repair(b_segments, a_segments, i)
+
+    sides = [side for pair in zip(a_segments, b_segments) for side in pair]
+    side_of = {v: code for code, side in enumerate(sides) for v in side}
+    decomp = SimpleNamespace(
+        a_segments=[sorted(s) for s in a_segments], b_segments=[sorted(s) for s in b_segments],
+        boundary=boundary, beta=beta, m1=m1, segment_of=[side_of[v] for v in range(n)],
+    )
+    decomp.crossing = _certify_chop_reference(h, decomp)
+    return decomp
+
+
+def _certify_chop_reference(h: Graph, decomp: SimpleNamespace) -> list[tuple[int, int]]:
+    """Check the four cut properties; return the crossing edges B_i -- A_{i+1}."""
+    n = h.n
+    m1 = decomp.m1
+    bn = decomp.beta * n
+    # n/m1 - beta*n <= size <= n/m1 + beta*n, times m1 * bn.denominator.
+    lo = n * bn.denominator - m1 * bn.numerator
+    hi = n * bn.denominator + m1 * bn.numerator
+    for i in range(m1):
+        size = len(decomp.a_segments[i]) + len(decomp.b_segments[i])
+        if not lo <= size * m1 * bn.denominator <= hi:
+            raise DecompositionError(f"pair size property fails at segment {i}: {size}")
+    if len(decomp.boundary) * bn.denominator > 3 * m1 * bn.numerator:
+        raise DecompositionError(
+            f"boundary property fails: |S| = {len(decomp.boundary)} > 3*m1*beta*n"
+        )
+    role = [("AB"[side % 2], side // 2) for side in decomp.segment_of]
+    s = decomp.boundary
+    crossing = []
+    for u, v in h.edges():
+        ru, rv = role[u], role[v]
+        if ru[1] == rv[1] and ru[0] != rv[0]:
+            continue  # inside one segment pair
+        if not (u in s and v in s):
+            raise DecompositionError(
+                f"interior-edge property fails at edge ({u},{v}): {ru} vs {rv}"
+            )
+        if not ((ru[0] == "B" and rv[0] == "A" and rv[1] == (ru[1] + 1) % m1)
+                or (rv[0] == "B" and ru[0] == "A" and ru[1] == (rv[1] + 1) % m1)):
+            raise DecompositionError(
+                f"boundary-edge property fails at edge ({u},{v}): {ru} vs {rv}"
+            )
+        crossing.append((u, v))
+    return crossing
 
 
 def eager_plan(plan, shape) -> SimpleNamespace:

@@ -50,6 +50,10 @@ def test_parameter_list(fn, params):
     (conditions.DegreeSequenceVerdict, ["holds", "first_violation"]),
     (cli.PipelineReport, ["failed_stage", "stages", "seed", "config", "embedding",
                           "certified_negative"]),
+    # The segmentation is one side code per vertex plus the vertices per side
+    # (last, so the other ids keep their indices).
+    (homomorphism.SegmentDecomposition, ["segment_of", "sizes", "boundary", "beta", "m1",
+                                         "crossing"]),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_dataclass_fields(cls, fields):
     assert [f.name for f in dataclasses.fields(cls)] == fields
@@ -58,6 +62,7 @@ def test_dataclass_fields(cls, fields):
 def test_removed_report_fields_have_no_alias():
     for cls, names in (
         (homomorphism.AttemptDiagnostics, ["boundary_small", "edges_on_pairs"]),
+        (homomorphism.SegmentDecomposition, ["a_segments", "b_segments", "total_a", "total_b"]),
         (embedder.CompatibilityReport, ["sizes_match", "edges_respect_reduced", "boundary_bounded",
                                         "offending_sizes", "offending_edges"]),
         (partition.HostPartitionReport, ["k", "baseline_sizes"]),

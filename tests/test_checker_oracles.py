@@ -15,12 +15,13 @@ import bandembed.homomorphism
 import oracles
 from bandembed.cli import run_full_pipeline
 from bandembed.embedder import embed_blowup
-from bandembed.errors import EmbeddingNotFoundError, RetryBudgetError
-from bandembed.graph import Graph, vertex_mask
+from bandembed.errors import DecompositionError, EmbeddingNotFoundError, RetryBudgetError
+from bandembed.graph import BandwidthOrdering, Graph, vertex_mask
 from bandembed.homomorphism import (
     HomomorphismParams,
     build_homomorphism,
     choose_h_parameters,
+    chop_into_segments,
     verify_homomorphism_certificate,
 )
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_super_regular_host
@@ -33,7 +34,13 @@ from bandembed.regularity import (
 )
 from bandembed.rng import as_fraction, ceil_frac, make_rng, rand_below, shuffled
 
-from conftest import mc_shape, perfect_matching_graph, search_path_instances, slot_boundary_pair
+from conftest import (
+    chop_window_grid,
+    mc_shape,
+    perfect_matching_graph,
+    search_path_instances,
+    slot_boundary_pair,
+)
 from oracles import (
     eager_plan,
     edges_reference,
@@ -260,6 +267,83 @@ def test_walk_phase_redraws_until_it_homes():
     rng = ScriptedBits([0, 1, 2] * 2)
     assert walk_phase(plan, 0, rng, 5) is None
     assert rng.widths == [2] * 5 and rng.values == [2]
+
+
+def lopsided_chop_inputs():
+    """Chop inputs (h, ordering, bip, beta, m1, delta) that drive the repair.
+
+    Edgeless targets whose A class is a seeded sample of a lopsided size, at
+    delta 1 and 2; each again with edges joining the three lowest ids of A
+    to those of B, which repair must skip as not isolated.
+    """
+    rng = make_rng(5)
+    for n in (16, 40, 96):
+        for m1 in (2, 4, 8):
+            for a_size in (0, 1, n // 8, n // 4, n - n // 4, n - 1, n):
+                labels = tuple(shuffled(rng, list(range(n))))
+                class_a = set(shuffled(rng, list(range(n)))[:a_size])
+                bip = (sorted(class_a), sorted(set(range(n)) - class_a))
+                ordering = BandwidthOrdering(labels, n)
+                for edges in ([], list(zip(bip[0][:3], bip[1][:3]))):
+                    h = Graph(n, edges)
+                    for beta in (Fraction(0), Fraction(1, n), Fraction(3, n)):
+                        for delta in (1, 2):
+                            yield h, ordering, bip, beta, m1, delta
+
+
+def shape_chop_inputs():
+    """The chop each benchmark shape's plan makes, the larger class in the A role:
+    pipeline-k4 targets (n=400, b=10, max degree 3, seeds 0-4, k=4 at the
+    default xi) and the two hom-mc targets (n=1536, max degree 2, b=1 and 2)."""
+    shapes = []
+    for seed in range(5):
+        target = gen_bandwidth_bipartite_h(400, 3, 10, seed=seed)
+        h = target.graph
+        params = choose_h_parameters(400, max(1, h.max_degree()), 10, Config().xi, 4)
+        shapes.append((h, target.ordering, target.bipartition, params))
+    for bandwidth, k, chord in ((1, 2, (1, 3)), (2, 4, (1, 5))):
+        h, ordering, bip, _, _, params = mc_shape(bandwidth, k, chord)
+        shapes.append((h, ordering, bip, params))
+    for h, ordering, bip, params in shapes:
+        classes = bip[::-1] if len(bip[0]) < len(bip[1]) else bip
+        yield (h, ordering, classes, Fraction(ordering.claimed_bound, h.n), params.m1,
+               max(1, h.max_degree()))
+
+
+def run_chop(chop, args):
+    try:
+        return chop(*args)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+def test_chop_matches_list_reference():
+    """The chop that writes one side code per vertex, and repairs by code, gives
+    the list-based chop's per-side vertex sets, sizes, boundary and crossing
+    edges, or its DecompositionError message."""
+    outcomes = set()
+    cases = ([(*args, 0) for args in chop_window_grid()]
+             + list(lopsided_chop_inputs()) + list(shape_chop_inputs()))
+    for args in cases:
+        got, want = run_chop(chop_into_segments, args), run_chop(oracles.chop_reference, args)
+        if isinstance(got, str) or isinstance(want, str):
+            assert got == want, args
+            outcomes.add("cannot reach size" if "cannot reach size" in got
+                         else got.split(" property")[0])
+            continue
+        sides = [set() for _ in range(2 * args[4])]
+        for v, code in enumerate(got.segment_of):
+            sides[code].add(v)
+        ref_sides = [set(side) for pair in zip(want.a_segments, want.b_segments) for side in pair]
+        assert sides == ref_sides, args
+        assert got.sizes == list(map(len, ref_sides)), args
+        assert (got.boundary, got.crossing) == (want.boundary, want.crossing), args
+        # A repair moves a vertex onto a side of the other color class.
+        class_a = set(args[2][0])
+        moved = any(code % 2 != (v not in class_a) for v, code in enumerate(got.segment_of))
+        outcomes.add("repaired" if moved else "ok")
+    assert outcomes == {"ok", "repaired", "cannot reach size", "pair size", "boundary",
+                        "interior-edge", "boundary-edge"}, outcomes
 
 
 def test_graph_masks_match_vertex_mask():

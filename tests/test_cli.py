@@ -837,6 +837,34 @@ class TestPipelineCommand:
         assert report["stages"][-1]["detail"]["error"] == (
             "InvalidInputError: a host partition needs k >= 2 cluster pairs, got k = 1")
 
+    @staticmethod
+    def capped_host(tmp_path, capsys):
+        """The k=17, size-10, seed-0 host gen-host writes: 34 clusters, above the Hamilton cap."""
+        path = tmp_path / "host17.json"
+        assert main(["gen-host", "--k", "17", "--size", "10", "--seed", "0",
+                     "--json-out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_lemma_g_above_hamilton_cap_is_input_error(self, tmp_path, capsys):
+        # The search is refused, not run: nothing about the host is decided.
+        host_path = self.capped_host(tmp_path, capsys)
+        assert main(["lemma-g", "--host", str(host_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: Hamilton search capped at 32 clusters (got 2k = 34)\n"
+
+    def test_pipeline_above_hamilton_cap_is_input_error(self, tmp_path, capsys):
+        host_path = self.capped_host(tmp_path, capsys)
+        h_path = tmp_path / "h.json"
+        assert main(["gen-h", "--n", "340", "--json-out", str(h_path)]) == 0
+        capsys.readouterr()
+        assert main(["pipeline", "--host", str(host_path), "--h", str(h_path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failed_stage"] == "host-partition"
+        assert report["stages"][-1]["detail"]["error"] == (
+            "FeasibilityError: Hamilton search capped at 32 clusters (got 2k = 34)")
+
     def test_build_hom_coin_logs(self, tmp_path, capsys):
         # n = 1024 is the smallest power of two whose schedule has drift blocks,
         # so the coin logs are not empty.

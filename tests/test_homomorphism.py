@@ -32,24 +32,24 @@ from bandembed.homomorphism import (
     verify_homomorphism_certificate,
 )
 from bandembed.hostgen import gen_bandwidth_bipartite_h
-from bandembed.rng import ceil_frac, derive_seed, make_rng, shuffled
+from bandembed.rng import ceil_frac, derive_seed, make_rng
 
-from conftest import mc_shape, perfect_matching_graph
+from conftest import chop_window_grid, mc_shape, perfect_matching_graph
 from oracles import binomial_mod_distribution, cycle_edge_ok
+
+
+def roles(decomp):
+    """Each vertex's segment side as a role ("A", i) or ("B", i), read from its side code."""
+    return [("AB"[code % 2], code // 2) for code in decomp.segment_of]
 
 
 class TestChop:
     def test_perfect_matching_n80(self):
         g, ordering, bip = perfect_matching_graph(80)
         decomp = chop_into_segments(g, ordering, bip, Fraction(1, 80), 4, 1)
-        assert len(decomp.a_segments) == 4
+        assert len(decomp.sizes[0::2]) == 4
         assert len(decomp.boundary) <= 3 * 4 * 1
-        role = {}
-        for i in range(4):
-            for v in decomp.a_segments[i]:
-                role[v] = ("A", i)
-            for v in decomp.b_segments[i]:
-                role[v] = ("B", i)
+        role = roles(decomp)
         for u, v in g.edges():
             assert role[u][1] == role[v][1] and role[u][0] != role[v][0]
 
@@ -61,9 +61,10 @@ class TestChop:
         bip = (list(range(4)), list(range(4, 40)))
         decomp = chop_into_segments(g, ordering, bip, Fraction(1, 40), 4, 2)
         minsize = Fraction(40, 4 * 2 * 4)
+        assert decomp.sizes == [decomp.segment_of.count(code) for code in range(8)]
         for i in range(4):
-            assert len(decomp.a_segments[i]) >= minsize
-            assert len(decomp.b_segments[i]) >= minsize
+            assert decomp.sizes[2 * i] >= minsize
+            assert decomp.sizes[2 * i + 1] >= minsize
 
     def test_hamilton_path_crossings_in_boundary(self):
         n = 100
@@ -71,12 +72,7 @@ class TestChop:
         ordering = BandwidthOrdering(tuple(range(n)), 1)
         bip = ([v for v in range(n) if v % 2 == 0], [v for v in range(n) if v % 2 == 1])
         decomp = chop_into_segments(g, ordering, bip, Fraction(1, 100), 5, 2)
-        seg_of = {}
-        for i in range(5):
-            for v in decomp.a_segments[i]:
-                seg_of[v] = ("A", i)
-            for v in decomp.b_segments[i]:
-                seg_of[v] = ("B", i)
+        seg_of = roles(decomp)
         crossing = []
         for u, v in g.edges():
             if seg_of[u][1] != seg_of[v][1]:
@@ -158,46 +154,34 @@ def chop_windows_reference(n, labels, class_a, beta, m1):
 
 
 class TestChopWindowing:
-    BETAS = [Fraction(0), Fraction(1, 97), Fraction(1, 10), Fraction(1, 7), Fraction(1, 3),
-             Fraction(123457, 1000003), Fraction(999, 1000)]
-
     def test_integer_windows_match_fraction_form(self):
         # Edgeless targets with delta = 0: no edge property and no repair
         # step can fail, so the outcome is the windowing and the two size
         # checks alone.
-        rng = make_rng(8)
         outcomes = set()
-        for n in (1, 5, 12, 40, 97, 256):
-            g = Graph(n, [])
-            for m1 in (1, 2, 3, 7, 16):
-                for beta in self.BETAS:
-                    labels = tuple(shuffled(rng, list(range(n))))
-                    class_a = {v for v in range(n) if rng.getrandbits(1)}
-                    bip = (sorted(class_a), sorted(set(range(n)) - class_a))
-                    ordering = BandwidthOrdering(labels, n)
-                    expected = chop_windows_reference(n, labels, class_a, beta, m1)
-                    if isinstance(expected, str):
-                        outcomes.add(expected.split(" property")[0])
-                        with pytest.raises(DecompositionError) as info:
-                            chop_into_segments(g, ordering, bip, beta, m1, 0)
-                        assert str(info.value) == expected
-                    else:
-                        outcomes.add("ok")
-                        decomp = chop_into_segments(g, ordering, bip, beta, m1, 0)
-                        assert (decomp.a_segments, decomp.b_segments, decomp.boundary) == expected
+        for g, ordering, bip, beta, m1 in chop_window_grid():
+            n = g.n
+            expected = chop_windows_reference(n, ordering.labels, set(bip[0]), beta, m1)
+            if isinstance(expected, str):
+                outcomes.add(expected.split(" property")[0])
+                with pytest.raises(DecompositionError) as info:
+                    chop_into_segments(g, ordering, bip, beta, m1, 0)
+                assert str(info.value) == expected
+            else:
+                outcomes.add("ok")
+                decomp = chop_into_segments(g, ordering, bip, beta, m1, 0)
+                sides = [[v for v in range(n) if decomp.segment_of[v] == code]
+                         for code in range(2 * m1)]
+                assert decomp.sizes == list(map(len, sides))
+                assert (sides[0::2], sides[1::2], decomp.boundary) == expected
         assert outcomes == {"ok", "pair size", "boundary"}
 
 
 def synthetic_decomposition(a_sizes, b_sizes, beta=Fraction(0)):
-    a_segments = []
-    b_segments = []
-    nxt = 0
-    for sa, sb in zip(a_sizes, b_sizes):
-        a_segments.append(list(range(nxt, nxt + sa)))
-        nxt += sa
-        b_segments.append(list(range(nxt, nxt + sb)))
-        nxt += sb
-    return SegmentDecomposition(a_segments, b_segments, set(), beta, len(a_sizes))
+    """Sides A_0, B_0, A_1, ... of the given sizes, on consecutive vertex ids."""
+    sizes = [size for pair in zip(a_sizes, b_sizes) for size in pair]
+    segment_of = [code for code, size in enumerate(sizes) for _ in range(size)]
+    return SegmentDecomposition(segment_of, sizes, set(), beta, len(a_sizes))
 
 
 class TestGroupAndSplit:
