@@ -11,11 +11,12 @@ pair is constrained when the second side is matched, so a perfect matching
 on both sides embeds every remaining edge.  Failure after the reassignment
 budget is a first-class outcome, never a silent success.
 
-Candidates are masks.  Each class keeps a mask of its vacant hosts, and each
-H vertex the mask of hosts adjacent to its placed neighbours' images (-1
-while none is placed).  Both phases place through one routine, which takes
-the host from its class's vacant mask and narrows each neighbour's mask in
-place; a pair re-roll restores the masks it saved when the pair began.
+Candidates are host-id masks: each class keeps a mask of its vacant hosts,
+and each H vertex the mask of hosts adjacent to its placed neighbours' images
+(-1 while none is placed).  Phase 1 scores a candidate mask as it stands, and
+phase 2 matches straight to host ids.  Both place through one routine, which
+takes the host from its class's vacant mask and narrows each neighbour's mask;
+a pair re-roll restores the masks it saved when the pair began.
 
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
@@ -198,12 +199,12 @@ def embed_blowup(
     def place_boundary(rng) -> bool:
         """Phase 1: boundary vertices, most-constrained-by-structure first."""
         for v in order:
-            cands = _bits(allowed[v] & vacant[cluster_of[v]])
+            cands = allowed[v] & vacant[cluster_of[v]]
             if not cands:
                 return False
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
-            best = _least_blocked(shuffled(rng, cands), [allowed[u] for u in later[v]])
+            best = _least_blocked(cands, shuffled(rng, _bits(cands)), [allowed[u] for u in later[v]])
             _place(h, gmasks, phi, vacant, allowed, cluster_of[v], v, best)
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
@@ -238,12 +239,12 @@ def embed_blowup(
     )
 
 
-def _least_blocked(cands: list[int], allowed: list[int]) -> int:
+def _least_blocked(fewest: int, cands: list[int], allowed: list[int]) -> int:
     """`min(cands, key=lambda c: sum(m >> c & 1 for m in allowed))`, all counted at once.
 
-    Plane i holds bit i of every candidate's count; the minimum is narrowed from the top plane.
+    fewest is the mask of cands.  Plane i holds bit i of every candidate's
+    count; the minimum is narrowed from the top plane.
     """
-    fewest = vertex_mask(cands)
     planes: list[int] = []
     for m in allowed:
         carry = m & fewest
@@ -278,12 +279,14 @@ def _place(h, gmasks, phi, vacant, allowed, cls, v, host) -> None:
 def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
     """Fill the cluster pair (x, x+1), one side at a time.
 
-    Returns 'ok', 'retry', or 'stuck'; on 'retry' and 'stuck' the pair's own
-    placements are taken back and the masks saved on entry restored.  'stuck'
-    means a vertex failed whose placed neighbors were all placed before this
-    pair began, so re-rolling cannot change anything.  Each side has one free
-    host per unplaced vertex, so once every bound vertex is matched the
-    leftover hosts take the free vertices exactly.
+    On each side Hopcroft-Karp matches the bound vertices (those with a placed
+    neighbour, so a mask other than -1) to host ids.  The side has one vacant
+    host per unplaced vertex, so the hosts left in the vacant mask, shuffled,
+    take the free vertices exactly.  Returns 'ok', 'retry', or 'stuck'; on
+    'retry' and 'stuck' the pair's own placements are taken back and the masks
+    saved on entry restored.  'stuck' means a vertex failed whose placed
+    neighbors were all placed before this pair began, so re-rolling cannot
+    change anything.
     """
     placed: set[int] = set()
     saved = vacant[x], vacant[x + 1], allowed[:]
@@ -296,10 +299,6 @@ def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
 
     for side in (x, x + 1):
         unplaced = [v for v in w_sets[side] if v not in phi]
-        hosts = _bits(vacant[side])
-        host_index = {c: i for i, c in enumerate(hosts)}
-        # A vertex with no placed neighbour (mask -1) takes a random bijection
-        # slot; the others go through maximum matching on their candidates.
         free = [v for v in unplaced if allowed[v] == -1]
         bound = [v for v in unplaced if allowed[v] != -1]
         adjacency = []
@@ -307,14 +306,13 @@ def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
             cands = _bits(allowed[v] & vacant[side])
             if not cands and not any(u in placed for u in h.adj(v)):
                 return undo("stuck")
-            adjacency.append([host_index[c] for c in cands])
-        matching = hopcroft_karp(adjacency, len(hosts))
+            adjacency.append(cands)
+        matching = hopcroft_karp(adjacency, len(gmasks))
         if len(matching) < len(bound):
             return undo("retry")
-        taken = set(matching.values())
-        leftover = shuffled(rng, [c for i, c in enumerate(hosts) if i not in taken])
-        placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}
-        placement.update(zip(free, leftover))
+        placement = {bound[vi]: c for vi, c in matching.items()}
+        leftover = vacant[side] & ~vertex_mask(placement.values())
+        placement.update(zip(free, shuffled(rng, _bits(leftover))))
         for v, c in placement.items():
             _place(h, gmasks, phi, vacant, allowed, side, v, c)
         placed.update(placement)

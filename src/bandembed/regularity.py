@@ -249,19 +249,20 @@ def check_regular_pair(
 ) -> RegularityVerdict:
     """Ground-truth (exact) or budgeted (heuristic) regularity verdict.
 
-    Exact mode is capped at EXACT_REGULARITY_CAP vertices per side.  Density
-    below d refutes immediately with no witness.  Heuristic mode tries up to
-    `budget` X's, the degree outliers and then the fixed random family, so its
-    verdict depends on no seed.  A heuristic 'regular' result is a
-    non-refutation; a heuristic witness is exact by construction since
-    densities are recomputed exactly.
+    It needs eps > 0 and 0 <= d <= 1.  Exact mode is capped at
+    EXACT_REGULARITY_CAP vertices per side.  Density below d refutes at once
+    with no witness.  Heuristic mode tries up to `budget` X's, the degree
+    outliers and then the fixed random family, so its verdict depends on no
+    seed.  A heuristic 'regular' result is a non-refutation; a heuristic
+    witness is exact by construction since densities are recomputed exactly.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     if budget < 0:
         raise InvalidInputError(f"budget must be nonnegative, got {budget}")
-    eps = as_fraction(eps)
-    d = as_fraction(d)
+    eps, d = as_fraction(eps), as_fraction(d)
+    if not (eps > 0 and 0 <= d <= 1):
+        raise InvalidInputError(f"need eps > 0 and 0 <= d <= 1, got eps = {eps}, d = {d}")
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     deg_a = _cross_degrees(g, a_list, b_list)

@@ -447,7 +447,8 @@ def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
             cands = candidates(v)
             if not cands:
                 return False
-            best = _least_blocked(shuffled(rng, cands), [admissible(u) for u in later[v]])
+            best = _least_blocked(vertex_mask(cands), shuffled(rng, cands),
+                                 [admissible(u) for u in later[v]])
             phi[v] = best
             used.add(best)
         return all(candidates(v) for v in enclosed)

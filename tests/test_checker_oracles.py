@@ -1,9 +1,9 @@
 """Differential checks of the library against its reference oracles.
 
-Standard library only, so the CI can run each check under `python -S`
-before pytest is installed:
+Standard library only, so the CI runs every check under `python -S`
+before pytest is installed, printing each name first:
 
-    PYTHONPATH=src:tests python -S -c "import test_checker_oracles as t; t.test_homomorphism_checker_matches_oracle()"
+    PYTHONPATH=src:tests python -S -c "import test_checker_oracles as t; [(print(n, flush=True), f()) for n, f in list(vars(t).items()) if n.startswith('test_')]"
 """
 
 import dataclasses

@@ -109,6 +109,28 @@ class TestCheckers:
         else:
             assert json.loads(captured.out)["regular"]
 
+    @pytest.mark.parametrize("eps, density, code", [
+        ("-0.5", "0.2", 1), ("0", "0.2", 1), ("0.4", "1.5", 1), ("0.4", "-1", 1),
+        ("1.5", "0.2", 0), ("0.4", "0", 0),
+    ])
+    def test_pair_threshold_range(self, tmp_path, capsys, eps, density, code):
+        # A nonpositive eps, or a density floor outside [0, 1], certifies nothing.
+        host = tmp_path / "host.json"
+        assert main(["gen-host", "--kind", "super-regular", "--k", "2", "--size", "14",
+                     "--density", "0.5", "--seed", "1", "--json-out", str(host)]) == 0
+        capsys.readouterr()
+        files = ["--graph", str(host), "--partition", str(host)]
+        assert main(["check-pair", *files, "--mode", "exact", "--a", "0", "--b", "1",
+                     "--eps", eps, "--density", density]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("input error: need eps > 0 and 0 <= d <= 1")
+            assert err.count("\n") == 1
+            assert main(["build-reduced", *files, "--eps", eps, "--density", density]) == 1
+            assert capsys.readouterr().err == err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("value, code", [("-5", 1), ("0", 0)])
     def test_expander_trials_sign(self, tmp_path, capsys, value, code):
         graph = write_graph(tmp_path, two_cliques(7))

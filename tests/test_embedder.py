@@ -17,7 +17,7 @@ from bandembed.embedder import (
     verify_embedding,
 )
 from bandembed.errors import EmbeddingNotFoundError, InvalidInputError
-from bandembed.graph import Graph
+from bandembed.graph import Graph, vertex_mask
 from bandembed.homomorphism import (
     build_homomorphism,
     choose_h_parameters,
@@ -436,17 +436,18 @@ class TestLeastBlocked:
     @given(blocking_inputs())
     def test_matches_min_over_counts(self, inputs):
         cands, allowed = inputs
-        assert _least_blocked(cands, allowed) == self.reference(cands, allowed)
+        assert _least_blocked(vertex_mask(cands), cands, allowed) == self.reference(cands, allowed)
 
     def test_ties_go_to_the_first_candidate(self):
         cands = [9, 3, 70, 0]
-        assert _least_blocked(cands, []) == 9
-        assert _least_blocked(cands, [-1, 0, -1]) == 9
-        assert _least_blocked(cands, [1 << 9, 1 << 3]) == 70
+        mask = vertex_mask(cands)
+        assert _least_blocked(mask, cands, []) == 9
+        assert _least_blocked(mask, cands, [-1, 0, -1]) == 9
+        assert _least_blocked(mask, cands, [1 << 9, 1 << 3]) == 70
         # Counts 2, 3, 2, 2 (a carry into the second plane), then 3, 5, 3, 4.
         many = [-1, 1 << 3, (1 << 9) | (1 << 3) | (1 << 70) | 1]
-        assert _least_blocked(cands, many) == 9
-        assert _least_blocked(cands, many + [-1, (1 << 3) | 1]) == 9
+        assert _least_blocked(mask, cands, many) == 9
+        assert _least_blocked(mask, cands, many + [-1, (1 << 3) | 1]) == 9
 
 
 class TestVerifyEmbedding:

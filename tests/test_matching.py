@@ -72,3 +72,19 @@ def test_same_matching_as_recursive_reference():
         for adj in adjacency:
             rng.shuffle(adj)
         assert hopcroft_karp(adjacency, n_right) == recursive_hopcroft_karp(adjacency, n_right)
+
+
+def test_matching_does_not_depend_on_right_numbering():
+    # Right vertices are an ascending, sparse subset of [0, n), as vacant
+    # hosts are; matching on those ids equals matching on their compacted
+    # indices mapped back, pair for pair and in the same order.
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        rights = sorted(rng.sample(range(n), rng.randint(1, n)))
+        index = {c: i for i, c in enumerate(rights)}
+        p = rng.random()
+        adjacency = [[c for c in rights if rng.random() < p] for _ in range(rng.randint(0, 12))]
+        compact = hopcroft_karp([[index[c] for c in adj] for adj in adjacency], len(rights))
+        expected = {u: rights[i] for u, i in compact.items()}
+        assert list(hopcroft_karp(adjacency, n).items()) == list(expected.items())

@@ -451,6 +451,20 @@ class TestRegularPair:
         assert set(reduced.edges()) == {(0, 1)}
         assert not check_regular_pair(g, a, b, 0.4, 0.3, mode="heuristic", budget=1).regular
 
+    BAD_THRESHOLDS = [(-0.5, 0.2), (0, 0.2), (0.4, 1.5), (0.4, -1)]
+
+    def test_bad_thresholds_are_input_errors(self):
+        # A nonpositive eps, or a d outside [0, 1], has no verdict to certify.
+        g = gen_random_graph(14, 0.5, seed=1)
+        a, b = list(range(7)), list(range(7, 14))
+        for mode in ("exact", "heuristic"):
+            for eps, d in self.BAD_THRESHOLDS:
+                with pytest.raises(InvalidInputError, match=r"eps > 0 and 0 <= d <= 1"):
+                    check_regular_pair(g, a, b, eps, d, mode=mode)
+            # The closed ends of d's range stay accepted.
+            assert check_regular_pair(g, a, b, 0.4, 0, mode=mode).d == 0
+            assert not check_regular_pair(g, a, b, 0.4, 1, mode=mode).regular
+
     def test_heuristic_witness_reverifies(self):
         a = list(range(8))
         b = list(range(8, 16))
@@ -479,10 +493,11 @@ class TestGoldenVerdicts:
 
     EPSILONS = [Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(2, 5), Fraction(-1, 5),
                 Fraction(1)]
-    # mode -> (largest side, pairs, sha256 over the to_json() of every verdict)
+    # mode -> (largest side, pairs, sha256 over the to_json() of every verdict
+    # at a positive eps; a nonpositive eps is an input error)
     PINS = {
-        "exact": (12, 60, "404f5071fe6e2c49a89b42f3ca59df795ac486d71727740a3f6d23c18a83cafa"),
-        "heuristic": (51, 60, "a57974aaac2778ede1b07d20ed844eeaf9191be19878b90d127059b5c46b3c55"),
+        "exact": (12, 60, "a5100073f486035ca96bea0a7715ae1c30876e8ecc15b4a80f8330cefe2f8719"),
+        "heuristic": (51, 60, "3dc685bbe32b8712535b2ff3e247fbff78ffbf216b3080628243eb7fa606be59"),
     }
     CAP_PIN = "2b3d2672be8b0bf693da76f3f21bff589aa2b01d5a1754538b336db40a06aa3a"
 
@@ -500,6 +515,10 @@ class TestGoldenVerdicts:
             d = Fraction(rand_below(rng, 3), 4)
             for eps in self.EPSILONS:
                 for checker in (check_regular_pair, check_super_regular_pair):
+                    if eps <= 0:
+                        with pytest.raises(InvalidInputError, match="eps > 0"):
+                            checker(g, a, b, eps, d, mode=mode)
+                        continue
                     verdict = checker(g, a, b, eps, d, mode=mode)
                     digest.update(json.dumps(verdict.to_json(), sort_keys=True).encode())
         assert digest.hexdigest() == pin
@@ -587,6 +606,12 @@ class TestSuperRegularPair:
         g2 = Graph(7, [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])
         assert check_super_regular_pair(g2, a, b, 0.5, 0.3).degree_failure == ("A", 0)
 
+    def test_bad_thresholds_are_input_errors(self):
+        g, a, b = complete_pair(5, 5)
+        for eps, d in TestRegularPair.BAD_THRESHOLDS:
+            with pytest.raises(InvalidInputError, match=r"eps > 0 and 0 <= d <= 1"):
+                check_super_regular_pair(g, a, b, eps, d)
+
     def test_random_dense_pair_super_regular(self):
         g = gen_random_graph(24, 0.5, seed=11)
         a = list(range(12))
@@ -637,6 +662,12 @@ class TestReducedGraph:
     def test_empty_class_is_an_isolated_vertex(self):
         reduced = build_reduced_graph(complete_graph(4), [[0, 1], [], [2, 3]], 0.3, 0.2)
         assert reduced.n == 3 and reduced.edges() == ((0, 2),)
+
+    def test_bad_thresholds_are_input_errors(self):
+        g = complete_graph(6)
+        for eps, d in TestRegularPair.BAD_THRESHOLDS + [(-0.35, 0.25)]:
+            with pytest.raises(InvalidInputError, match=r"eps > 0 and 0 <= d <= 1"):
+                build_reduced_graph(g, [[0, 1], [2, 3], [4, 5]], eps, d)
 
     def test_overlapping_classes_rejected(self):
         g = complete_graph(4)
