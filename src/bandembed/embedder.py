@@ -13,10 +13,11 @@ budget is a first-class outcome, never a silent success.
 
 Candidates are host-id masks: each class keeps a mask of its vacant hosts,
 and each H vertex the mask of hosts adjacent to its placed neighbours' images
-(-1 while none is placed).  Phase 1 scores a candidate mask as it stands, and
-phase 2 matches straight to host ids.  Both place through one routine, which
-takes the host from its class's vacant mask and narrows each neighbour's mask;
-a pair re-roll restores the masks it saved when the pair began.
+(-1 while none is placed).  The map phi is a list of hosts, -1 while unplaced.
+Phase 1 scores a candidate mask as it stands, and phase 2 matches straight to
+host ids.  Both place through one routine, which sets phi, takes the host from
+its class's vacant mask and narrows each neighbour's mask; a failed pair try
+restores the map and the masks it saved when the pair began, in one step.
 
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
@@ -192,7 +193,7 @@ def embed_blowup(
     budget = BUDGET_FACTOR * h.n
     spent = 0
     attempt = 0
-    phi: dict[int, int] = {}
+    phi: list[int] = []  # per H vertex, its host, -1 while unplaced
     vacant: list[int] = []  # per class, the hosts no vertex holds yet, as a mask
     allowed: list[int] = []  # per H vertex, the hosts adjacent to its placed neighbours' images
 
@@ -214,7 +215,7 @@ def embed_blowup(
     while spent <= budget:
         attempt += 1
         rng = make_rng(derive_seed(seed, attempt))
-        phi.clear()
+        phi[:] = [-1] * h.n
         vacant[:] = class_masks
         allowed[:] = [-1] * h.n
         if not place_boundary(rng):
@@ -233,7 +234,7 @@ def embed_blowup(
             if status != "ok":
                 break
         else:
-            return [phi[v] for v in range(h.n)]
+            return phi
     raise EmbeddingNotFoundError(
         f"no embedding within the reassignment budget ({budget} placements)"
     )
@@ -282,40 +283,30 @@ def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
     On each side Hopcroft-Karp matches the bound vertices (those with a placed
     neighbour, so a mask other than -1) to host ids.  The side has one vacant
     host per unplaced vertex, so the hosts left in the vacant mask, shuffled,
-    take the free vertices exactly.  Returns 'ok', 'retry', or 'stuck'; on
-    'retry' and 'stuck' the pair's own placements are taken back and the masks
-    saved on entry restored.  'stuck' means a vertex failed whose placed
-    neighbors were all placed before this pair began, so re-rolling cannot
-    change anything.
+    take the free vertices exactly.  Returns 'ok', 'retry', or 'stuck'.  Both
+    failures leave through one exit when a matching falls short, restoring
+    the map and the masks saved on entry.  'stuck' means a re-roll cannot
+    change the outcome: the short side is the first, whose inputs are the
+    saved ones and which draws nothing before its matching, or a vertex has
+    no candidate and no neighbour placed during this pair.
     """
-    placed: set[int] = set()
-    saved = vacant[x], vacant[x + 1], allowed[:]
-
-    def undo(status: str) -> str:
-        for v in placed:
-            del phi[v]
-        vacant[x], vacant[x + 1], allowed[:] = saved
-        return status
-
+    saved = phi[:], vacant[x], vacant[x + 1], allowed[:]
     for side in (x, x + 1):
-        unplaced = [v for v in w_sets[side] if v not in phi]
+        unplaced = [v for v in w_sets[side] if phi[v] < 0]
         free = [v for v in unplaced if allowed[v] == -1]
         bound = [v for v in unplaced if allowed[v] != -1]
-        adjacency = []
-        for v in bound:
-            cands = _bits(allowed[v] & vacant[side])
-            if not cands and not any(u in placed for u in h.adj(v)):
-                return undo("stuck")
-            adjacency.append(cands)
+        adjacency = [_bits(allowed[v] & vacant[side]) for v in bound]
         matching = hopcroft_karp(adjacency, len(gmasks))
         if len(matching) < len(bound):
-            return undo("retry")
+            stuck = side == x or any(not cands and not any(saved[0][u] < 0 <= phi[u] for u in h.adj(v))
+                                     for v, cands in zip(bound, adjacency))
+            phi[:], vacant[x], vacant[x + 1], allowed[:] = saved
+            return "stuck" if stuck else "retry"
         placement = {bound[vi]: c for vi, c in matching.items()}
         leftover = vacant[side] & ~vertex_mask(placement.values())
         placement.update(zip(free, shuffled(rng, _bits(leftover))))
         for v, c in placement.items():
             _place(h, gmasks, phi, vacant, allowed, side, v, c)
-        placed.update(placement)
     return "ok"
 
 

@@ -238,6 +238,18 @@ def _random_candidates(na: int, p_min: int, count: int):
     return xs, _lanes(na, xs)
 
 
+def _thresholds(eps, d, mode: str, budget: int) -> tuple[Fraction, Fraction]:
+    """eps and d as fractions, once they and the mode and the budget are checked."""
+    if mode not in ("exact", "heuristic"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
+    eps, d = as_fraction(eps), as_fraction(d)
+    if not (eps > 0 and 0 <= d <= 1):
+        raise InvalidInputError(f"need eps > 0 and 0 <= d <= 1, got eps = {eps}, d = {d}")
+    return eps, d
+
+
 def check_regular_pair(
     g: Graph,
     a_side,
@@ -256,13 +268,7 @@ def check_regular_pair(
     seed.  A heuristic 'regular' result is a non-refutation; a heuristic
     witness is exact by construction since densities are recomputed exactly.
     """
-    if mode not in ("exact", "heuristic"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    if budget < 0:
-        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
-    eps, d = as_fraction(eps), as_fraction(d)
-    if not (eps > 0 and 0 <= d <= 1):
-        raise InvalidInputError(f"need eps > 0 and 0 <= d <= 1, got eps = {eps}, d = {d}")
+    eps, d = _thresholds(eps, d, mode, budget)
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     deg_a = _cross_degrees(g, a_list, b_list)
@@ -347,16 +353,16 @@ def build_reduced_graph(
 ) -> Graph:
     """Reduced graph on the class indices, with an edge for every pair regular at (eps, d).
 
-    Classes must be pairwise disjoint; covering V(G) is not required.
+    Classes must be pairwise disjoint; covering V(G) is not required.  The
+    thresholds, mode and budget are checked before any class is read.
     """
+    eps, d = _thresholds(eps, d, mode, budget)
     clusters = [frozenset(c) for c in classes]
     seen: set[int] = set()
     for c in clusters:
         if seen & c:
             raise InvalidInputError("cluster classes must be pairwise disjoint")
         seen |= c
-    eps = as_fraction(eps)
-    d = as_fraction(d)
     edges = []
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):

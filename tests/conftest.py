@@ -133,6 +133,25 @@ def stuck_instance(spare_edge=True):
     return h, w, Graph(h.n, edges), w
 
 
+def hall_instance():
+    """A pair whose first side fails Hall's condition while each vertex has a candidate.
+
+    H classes are [s0, v1, v2], [t1, w1, w2], [s2], [t3], with the cross edge
+    s0-s2, so S = {s0, s2} and T = {t1, t3}; v1 and v2 see only t1.  The host
+    classes are the same ranges, and each host of class 1 sees two of class 0,
+    the three pairs in a cycle.  Whatever s0 and t1 take, v1 and v2 share one
+    candidate, so every attempt reaches the pair and its first side falls
+    short until the budget runs out.
+    """
+    w = split_classes([3, 3, 1, 1])
+    (s0, v1, v2), (t1, *_), (s2,), (t3,) = w
+    h = Graph(8, [(s0, t1), (v1, t1), (v2, t1), (s0, s2), (s2, t3)])
+    (a0, a1, a2), (p, q, r), (z,), (t,) = w
+    edges = [(a0, p), (a1, p), (a1, q), (a2, q), (a2, r), (a0, r)]
+    edges += [(z, a0), (z, a1), (z, a2), (z, t)]
+    return h, w, Graph(8, edges), w
+
+
 def poisoned_instance():
     """Boundary placements that sometimes leave an enclosed vertex no host.
 

@@ -412,7 +412,8 @@ def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
     """`embedder.embed_blowup` as it was before its masks were narrowed in
     place: in both phases every candidate list and every later peer's mask is
     rebuilt from phi, a pair re-roll takes back only its placements, and a
-    set of used hosts stands for the vacant masks.
+    set of used hosts stands for the vacant masks.  A short first side is
+    'stuck', as in the library.
 
     Same map, or the same `EmbeddingNotFoundError`, on every input.
     """
@@ -475,7 +476,9 @@ def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
                 adjacency.append(sorted(host_index[c] for c in cands))
             matching = hopcroft_karp(adjacency, len(hosts))
             if len(matching) < len(bound):
-                return undo("retry")
+                # The first side's inputs are those on entry, and nothing
+                # random is drawn before its matching: a re-roll repeats it.
+                return undo("stuck" if side == x else "retry")
             taken = set(matching.values())
             leftover = shuffled(rng, [c for i, c in enumerate(hosts) if i not in taken])
             placement = {bound[vi]: hosts[ci] for vi, ci in matching.items()}

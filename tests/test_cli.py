@@ -131,6 +131,16 @@ class TestCheckers:
         else:
             assert err == ""
 
+    def test_reduced_graph_thresholds_without_a_pair(self, tmp_path, capsys):
+        # One nonempty class: no pair is checked, and the thresholds are still refused.
+        graph = write_graph(tmp_path, Graph(4, [(0, 2)]))
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"classes": [[0, 1, 2, 3], []]}))
+        assert main(["build-reduced", "--graph", str(graph), "--partition", str(partition),
+                     "--eps", "-1", "--density", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: need eps > 0 and 0 <= d <= 1") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value, code", [("-5", 1), ("0", 0)])
     def test_expander_trials_sign(self, tmp_path, capsys, value, code):
         graph = write_graph(tmp_path, two_cliques(7))

@@ -32,7 +32,15 @@ from bandembed.partition import (
     verify_partition_structure,
 )
 
-from conftest import complete_graph, path_graph, search_path_instances, split_classes
+from conftest import (
+    complete_graph,
+    hall_instance,
+    path_graph,
+    retry_instance,
+    search_path_instances,
+    split_classes,
+    stuck_instance,
+)
 
 
 def complete_pair_host(k, size):
@@ -409,6 +417,57 @@ class TestSearchPaths:
         assert all(n > 1 for _, n, _ in runs["stuck-exhausted"])
         assert all(n == 1 for _, n, _ in runs["retry-exhausted"])
         assert digest.hexdigest() == self.PIN
+
+
+class TestPairExit:
+    """A failed pair completion leaves through one exit, which restores its entry state."""
+
+    def test_a_failed_try_restores_the_map_and_the_masks(self, monkeypatch):
+        real_pair = bandembed.embedder._complete_pair
+        statuses = []
+
+        def checking(h, gmasks, phi, vacant, allowed, w_sets, x, rng):
+            entry = phi[:], vacant[:], allowed[:]
+            statuses.append(real_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng))
+            if statuses[-1] != "ok":
+                assert (phi, vacant, allowed) == entry
+            return statuses[-1]
+
+        monkeypatch.setattr(bandembed.embedder, "_complete_pair", checking)
+        for h, w, g, v_classes in (stuck_instance(), retry_instance(), hall_instance()):
+            for seed in range(8):
+                try:
+                    out = embed_blowup(h, w, g, v_classes, seed=seed)
+                except EmbeddingNotFoundError:
+                    continue
+                assert verify_embedding(h, g, out)
+                assert embedding_respects_partition(out, w, v_classes)
+        assert {"ok", "retry", "stuck"} <= set(statuses)
+
+    def test_a_short_first_side_is_stuck(self, monkeypatch):
+        # The first side's matching sees only the restored entry state and
+        # no random draw, so a re-roll would repeat it: one try per attempt.
+        real_pair = bandembed.embedder._complete_pair
+        real_seed = bandembed.embedder.derive_seed
+        attempts, statuses = [], []
+
+        def counting(root, counter):
+            attempts.append(counter)
+            return real_seed(root, counter)
+
+        def recording(h, gmasks, phi, vacant, allowed, w_sets, x, rng):
+            # v1 and v2 each have a candidate: only Hall's condition fails.
+            assert x == 0 and all(allowed[v] & vacant[0] for v in w[0][1:])
+            statuses.append(real_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng))
+            return statuses[-1]
+
+        monkeypatch.setattr(bandembed.embedder, "derive_seed", counting)
+        monkeypatch.setattr(bandembed.embedder, "_complete_pair", recording)
+        h, w, g, v_classes = hall_instance()
+        with pytest.raises(EmbeddingNotFoundError):
+            embed_blowup(h, w, g, v_classes, seed=0)
+        assert len(attempts) > 1
+        assert statuses == ["stuck"] * len(attempts)
 
 
 @st.composite

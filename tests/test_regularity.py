@@ -674,6 +674,19 @@ class TestReducedGraph:
         with pytest.raises(InvalidInputError):
             build_reduced_graph(g, [[0, 1], [1, 2]], 0.3, 0.2)
 
+    def test_parameters_are_checked_before_any_pair(self):
+        # With fewer than two nonempty classes no pair is checked, yet a bad
+        # threshold, mode or budget is still an input error, and it is found
+        # before overlapping classes are.
+        g = Graph(4, [(0, 2)])
+        for classes in ([[0, 1]], [[0, 1, 2, 3], []], [[0, 1], [1, 2]]):
+            with pytest.raises(InvalidInputError, match=r"eps > 0 and 0 <= d <= 1"):
+                build_reduced_graph(g, classes, -1, 5)
+            with pytest.raises(InvalidInputError, match="unknown mode"):
+                build_reduced_graph(g, classes, 0.3, 0.2, mode="fast")
+            with pytest.raises(InvalidInputError, match="budget must be nonnegative"):
+                build_reduced_graph(g, classes, 0.3, 0.2, mode="heuristic", budget=-1)
+
 
 class TestPerturbationBound:
     def test_identity(self):
