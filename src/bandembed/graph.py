@@ -65,11 +65,13 @@ def _subset_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def at_least(vectors, top: int, full: int) -> list[int]:
-    """For k = 0..top, the lanes set in at least k of `vectors` (each within `full`)."""
+    """For k = 0..top, the lanes set in at least k of `vectors`; each must lie within `full`."""
     ge = [full] + [0] * top
     for i, vec in enumerate(filter(None, vectors)):
-        for k in range(min(top, i + 1), 0, -1):
+        for k in range(min(top, i + 1), 1, -1):
             ge[k] |= ge[k - 1] & vec
+        if top:  # ge[0] is `full`, so step k = 1 needs no AND
+            ge[1] |= vec
     return ge
 
 

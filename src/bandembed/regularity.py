@@ -19,10 +19,11 @@ does, and each X is scanned at that one size.
 Exact mode decides every X at once, X being bit X (a "lane") of Python
 ints: with cnt_t(X) = #{j in B : |N(j) & X| >= t}, the q largest X-degrees
 sum to sum_t min(q, cnt_t) and the q smallest to
-sum_t max(0, cnt_t - (|B| - q)).  The subset lanes and their size ladder
-depend on |A| alone and are cached.  Only the least violating X is
-rescanned, for its witness Y, so an exact verdict costs about the same
-either way.
+sum_t max(0, cnt_t - (|B| - q)).  Both sums are bit planes (plane i holds
+bit i of every lane's sum), compared MSB first with each size's thresholds.
+The subset lanes and their size ladder depend on |A| alone and are cached.
+Only the least violating X is rescanned, for its witness Y, so an exact
+verdict costs about the same either way.
 
 Heuristic mode takes candidate X's a block at a time: at most 8 degree
 outliers, then one fixed family of random X's per (|A|, p_min, count), drawn
@@ -137,7 +138,9 @@ def _extreme_violation(deg_of: list[int], p: int, q: int,
 
 def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: int,
                        hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> int | None:
-    """Least X index mask with |X| >= p_min that `_extreme_violation` refutes, or None."""
+    """Least X index mask with |X| >= p_min that `_extreme_violation` refutes, or None.
+
+    Each lane's top-q and bottom-q X-degree sums are bit planes, read at each size's thresholds."""
     na, nb = len(a_list), len(nbrs)
     if p_min > na:
         return None
@@ -146,16 +149,42 @@ def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: 
     full = (1 << (1 << na)) - 1
     degree = [at_least(list(map(lane_of.__getitem__, nb_j)), na, full) for nb_j in nbrs]
     cnt = [at_least([deg[t] for deg in degree], nb, full) for t in range(1, na + 1)]
-    # top[k] / bottom[k]: lanes whose q largest / smallest X-degrees sum to at least k.
-    cap = na * q + 1
-    top = at_least([c[j] for c in cnt for j in range(1, q + 1)], cap, full)
-    bottom = at_least([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)], cap, full)
+    top = _planes([c[j] for c in cnt for j in range(1, q + 1)])
+    bottom = _planes([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)])
     bad = 0
     for p in range(p_min, na + 1):
-        high = min(max(-(-p * q * hi_num // hi_den), 0), cap)
-        low = min(max(p * q * lo_num // lo_den + 1, 0), cap)
-        bad |= size[p] & ~size[p + 1] & (top[high] | ~bottom[low])
+        high = _count_at_least(top, -(-p * q * hi_num // hi_den), full)
+        low = _count_at_least(bottom, p * q * lo_num // lo_den + 1, full)
+        bad |= size[p] & ~size[p + 1] & (high | ~low)
     return (bad & -bad).bit_length() - 1 if bad else None
+
+
+def _planes(vectors) -> list[int]:
+    """Bit planes of each lane's count of `vectors`: plane i holds bit i, added by ripple carry."""
+    planes = []
+    for carry in filter(None, vectors):
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return planes
+
+
+def _count_at_least(planes: list[int], k: int, full: int) -> int:
+    """The lanes within `full` whose count in `planes` is at least k, compared MSB first."""
+    if k <= 0:
+        return full
+    if k >> len(planes):
+        return 0
+    above, equal = 0, full
+    for i in range(len(planes) - 1, -1, -1):
+        if k >> i & 1:
+            equal &= planes[i]
+        else:
+            above |= equal & planes[i]
+    return above | equal
 
 
 def _slot_width(na: int) -> int:

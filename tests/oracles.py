@@ -23,7 +23,7 @@ from bandembed.errors import (
     ParameterError,
     RetryBudgetError,
 )
-from bandembed.graph import BandwidthOrdering, Graph, vertex_mask
+from bandembed.graph import BandwidthOrdering, Graph, _subset_tables, at_least, vertex_mask
 from bandembed.homomorphism import (
     MAX_RETRIES,
     AttemptDiagnostics,
@@ -371,6 +371,31 @@ def first_refuted_by_lanes(nbrs, a_list, xs, lanes, q: int, bounds):
         if y is not None:
             return xs[s], y
     return None
+
+
+def first_violating_x_by_ladders(nbrs, a_list, p_min: int, q: int,
+                                 hi_num: int, hi_den: int, lo_num: int, lo_den: int):
+    """The exact pair kernel as it was before its bit planes: the top-q and
+    bottom-q sums are two `at_least` ladders up to |A|*q + 1, read at clamped
+    thresholds.  Same least violating X as `regularity._first_violating_x`."""
+    na, nb = len(a_list), len(nbrs)
+    if p_min > na:
+        return None
+    lanes, size = _subset_tables(na)
+    lane_of = dict(zip(a_list, lanes))
+    full = (1 << (1 << na)) - 1
+    degree = [at_least(list(map(lane_of.__getitem__, nb_j)), na, full) for nb_j in nbrs]
+    cnt = [at_least([deg[t] for deg in degree], nb, full) for t in range(1, na + 1)]
+    # top[k] / bottom[k]: lanes whose q largest / smallest X-degrees sum to at least k.
+    cap = na * q + 1
+    top = at_least([c[j] for c in cnt for j in range(1, q + 1)], cap, full)
+    bottom = at_least([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)], cap, full)
+    bad = 0
+    for p in range(p_min, na + 1):
+        high = min(max(-(-p * q * hi_num // hi_den), 0), cap)
+        low = min(max(p * q * lo_num // lo_den + 1, 0), cap)
+        bad |= size[p] & ~size[p + 1] & (top[high] | ~bottom[low])
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):

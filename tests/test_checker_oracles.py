@@ -24,10 +24,11 @@ from bandembed.homomorphism import (
     chop_into_segments,
     verify_homomorphism_certificate,
 )
-from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_super_regular_host
+from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
 from bandembed.partition import Config
 from bandembed.regularity import (
     _first_refuted_by_popcount,
+    _first_violating_x,
     _lanes,
     build_reduced_graph,
     check_regular_pair,
@@ -46,6 +47,7 @@ from oracles import (
     edges_reference,
     embed_blowup_reference,
     first_refuted_by_lanes,
+    first_violating_x_by_ladders,
     heuristic_verdict_by_lanes,
     sample_reference,
     verify_homomorphism_certificate_reference,
@@ -393,6 +395,53 @@ def test_popcount_kernel_matches_lane_kernel():
                 else:
                     found_by.add("none")
     assert found_by == {"outlier", "random", "none"}
+
+
+def exact_kernel_inputs(g, a, b):
+    """The exact kernel's B-side neighbour sets, sorted A list and pair density."""
+    a, b = sorted(a), sorted(b)
+    a_set = frozenset(a)
+    nbrs = [g.adj(v) & a_set for v in b]
+    return nbrs, a, Fraction(sum(len(nb) for nb in nbrs), len(a) * len(b))
+
+
+def test_exact_kernel_matches_ladder_reference():
+    """The bit-plane exact kernel finds the ladder kernel's least violating X.
+
+    Inputs: 200 random pairs with sides 1-14 and shuffled labels, at every
+    p_min in 1..|A| (two q's each); random bounds, some with ceil(p*q*hi)
+    above |A|*q or floor(p*q*lo) + 1 at or below 0; and the ten 14x14 pairs
+    of the certify-exact benchmark at seed 0, eps 2/5.
+    """
+    rng = make_rng(37)
+    outcomes = set()
+
+    def compare(nbrs, a, p_min, q, hi, lo):
+        args = (nbrs, a, p_min, q, hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+        got = _first_violating_x(*args)
+        assert got == first_violating_x_by_ladders(*args), (len(a), len(nbrs), p_min, q, hi, lo)
+        outcomes.add(got is None)
+
+    for seed in range(200):
+        na, nb = 1 + rand_below(rng, 14), 1 + rand_below(rng, 14)
+        g = gen_random_graph(na + nb + 2, (1 + rand_below(rng, 9)) / 10, seed=seed)
+        labels = shuffled(rng, list(range(g.n)))
+        nbrs, a, dens = exact_kernel_inputs(g, labels[:na], labels[na:na + nb])
+        for p_min in range(1, na + 1):
+            for eps in (Fraction(p_min, na), Fraction(2 * p_min - 1, 2 * na)):
+                q = max(1, ceil_frac(eps * nb))
+                compare(nbrs, a, p_min, q, dens + eps, dens - eps)
+        for _ in range(2):
+            p_min, q = 1 + rand_below(rng, na), 1 + rand_below(rng, nb)
+            hi = Fraction(rand_below(rng, 41) - 10, 10)  # -1 .. 3: some above 1
+            lo = Fraction(rand_below(rng, 31) - 20, 10)  # -2 .. 1: some at or below 0
+            compare(nbrs, a, p_min, q, hi, lo)
+    for seed in range(10):
+        host = gen_super_regular_host(k=2, size=14, d=0.5, seed=seed)
+        nbrs, a, dens = exact_kernel_inputs(host.graph, *host.partition.classes[:2])
+        eps = Fraction(2, 5)
+        compare(nbrs, a, ceil_frac(eps * 14), ceil_frac(eps * 14), dens + eps, dens - eps)
+    assert outcomes == {True, False}
 
 
 def embed_calls(shapes):

@@ -8,7 +8,7 @@ import pytest
 import bandembed.regularity
 from bandembed.cli import run_full_pipeline
 from bandembed.errors import FeasibilityError, InvalidInputError
-from bandembed.graph import Graph
+from bandembed.graph import Graph, at_least
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
 from bandembed.partition import Config
 from bandembed.regularity import (
@@ -17,7 +17,15 @@ from bandembed.regularity import (
     check_super_regular_pair,
     pair_density,
 )
-from bandembed.regularity import _first_refuted, _flagged, _lanes, _random_candidates, _slot_width
+from bandembed.regularity import (
+    _count_at_least,
+    _first_refuted,
+    _flagged,
+    _lanes,
+    _planes,
+    _random_candidates,
+    _slot_width,
+)
 from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
 from conftest import complete_graph, slot_boundary_pair
@@ -105,6 +113,35 @@ def scan(g, a, xs, b, q_min, e_ab, ab, eps):
     hit = _first_refuted(nbrs, a, [x], _lanes(len(a), [x]), max(1, q_min),
                          (hi.numerator, hi.denominator, lo.numerator, lo.denominator))
     return None if hit is None else frozenset(b[j] for j in hit[1])
+
+
+class TestBitPlanes:
+    """The exact kernel's plane counter and its count comparator against `at_least`."""
+
+    def test_empty_list_counts_zero_everywhere(self):
+        for full in (1, 3, (1 << 1024) - 1):
+            assert _planes([]) == []
+            assert [_count_at_least([], k, full) for k in (-1, 0, 1, 2)] == [full, full, 0, 0]
+
+    def test_matches_at_least_on_random_vectors(self):
+        rng = make_rng(19)
+        for _ in range(150):
+            full = (1 << (1 << rand_below(rng, 11))) - 1  # 1 to 1024 lanes
+            vectors = []
+            for _ in range(rand_below(rng, 91)):
+                kind = rand_below(rng, 4)
+                if kind == 0:
+                    vectors.append(0)
+                elif kind == 1 and vectors:  # nested in the one before, as ladder rows are
+                    vectors.append(vectors[-1] & rng.getrandbits(full.bit_length()))
+                else:
+                    vectors.append(rng.getrandbits(full.bit_length()))
+            planes = _planes(vectors)
+            assert all(0 <= plane <= full for plane in planes)
+            ge = at_least(vectors, len(vectors), full)
+            for k in range(-1, (1 << len(planes)) + 2):
+                want = full if k <= 0 else ge[k] if k <= len(vectors) else 0
+                assert _count_at_least(planes, k, full) == want, (len(vectors), k)
 
 
 class TestIntegerScan:
