@@ -221,9 +221,9 @@ def run_full_pipeline(
 
         # Stage 5: the boundary bound; the sizes and the H-edges were certified above.
         with stage("compatibility") as st:
-            compat = check_compatibility(h, hom.f, final.sizes(), cfg.eps)
-            st.detail = compat.to_json()
-            if not compat.all_ok():
+            off = check_compatibility(h, hom.f, final.sizes(), cfg.eps)
+            st.detail = {"boundary_bounded": not off, "offending_bounds": off, "all_ok": not off}
+            if off:
                 raise BandembedError("compatibility failed")
 
         # Stage 6: the embedding itself.

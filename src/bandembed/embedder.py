@@ -21,11 +21,12 @@ restores the map and the masks it saved when the pair began, in one step.
 
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
-class sizes.  In the pipeline the other two are certified before it: equal
-class sizes by verify-partition's `sizes_exact` (the final sizes are the
-homomorphism's loads), and H-edges on reduced edges by the homomorphism
-recheck's `homomorphism_valid` (every H-edge lands on a cycle edge or the
-B-chord).
+class sizes, and returns the classes that break it.  S and T are two vertex
+sets over all classes, computed there and again for phase 1's plan.  In the
+pipeline the other two are certified before it: equal class sizes by
+verify-partition's `sizes_exact` (the final sizes are the homomorphism's
+loads), and H-edges on reduced edges by the homomorphism recheck's
+`homomorphism_valid` (every H-edge lands on a cycle edge or the B-chord).
 
 Only `embed_blowup` reads the classes, through one layout, and raises
 InvalidInputError unless the class count is even (classes 2i and 2i+1 form
@@ -38,7 +39,7 @@ one free host for each unplaced vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 
 from .errors import EmbeddingNotFoundError, InvalidInputError
 from .graph import Graph, _is_int_list, vertex_mask
@@ -46,7 +47,6 @@ from .matching import hopcroft_karp
 from .rng import as_fraction, derive_seed, make_rng, shuffled
 
 __all__ = [
-    "CompatibilityReport",
     "check_compatibility",
     "embed_blowup",
     "verify_embedding",
@@ -54,23 +54,6 @@ __all__ = [
 ]
 
 BUDGET_FACTOR = 10
-
-
-@dataclass
-class CompatibilityReport:
-    s_sets: list[set[int]] = field(repr=False, default_factory=list)
-    t_sets: list[set[int]] = field(repr=False, default_factory=list)
-    offending_bounds: list[int] = field(default_factory=list)
-
-    def all_ok(self) -> bool:
-        return not self.offending_bounds
-
-    def to_json(self) -> dict:
-        return {
-            "boundary_bounded": not self.offending_bounds,
-            "offending_bounds": self.offending_bounds,
-            "all_ok": self.all_ok(),
-        }
 
 
 def _class_layout(
@@ -107,26 +90,17 @@ def _class_layout(
     return w_sets, v_sets, cluster_of
 
 
-def _boundary(
-    h: Graph, cluster_of: list[int] | dict[int, int], num: int
-) -> tuple[list[set[int]], list[set[int]]]:
-    """The per-class S and T sets of `check_compatibility`; cluster_of[v] is v's class.
+def _boundary(h: Graph, cluster_of: list[int] | dict[int, int]) -> tuple[set[int], set[int]]:
+    """S and T of `check_compatibility`, over all classes; cluster_of[v] is v's class.
 
-    An H-edge inside one class or one cluster pair adds nothing to S.
+    S holds the vertices with an H-edge leaving their class and its partner, so
+    an H-edge inside one class or one cluster pair adds nothing; T is N(S) \\ S.
     """
-    s_sets: list[set[int]] = [set() for _ in range(num)]
+    s: set[int] = set()
     for u, v in h.edges():
-        iu, iv = cluster_of[u], cluster_of[v]
-        if iu != iv and iu ^ 1 != iv:
-            s_sets[iu].add(u)
-            s_sets[iv].add(v)
-    s_all = set().union(*s_sets)
-    t_sets: list[set[int]] = [set() for _ in range(num)]
-    for v in s_all:
-        for u in h.adj(v):
-            if u not in s_all:
-                t_sets[cluster_of[u]].add(u)
-    return s_sets, t_sets
+        if cluster_of[u] // 2 != cluster_of[v] // 2:
+            s.update((u, v))
+    return s, {u for v in s for u in h.adj(v)} - s
 
 
 def _boundary_plan(
@@ -134,12 +108,12 @@ def _boundary_plan(
 ) -> tuple[list[int], dict[int, list[int]], list[int]]:
     """Phase 1's fixed plan, computed once outside the restarts.
 
-    Returns the boundary vertices (S and T of every class) in placement
-    order, most constrained first; each one's same-class peers placed after
-    it; and the other vertices whose neighbors are all boundary vertices.
+    Returns the boundary vertices (S and T) in placement order, most
+    constrained first; each one's same-class peers placed after it; and the
+    other vertices whose neighbors are all boundary vertices.
     """
-    s_sets, t_sets = _boundary(h, cluster_of, num)
-    constrained = set().union(*s_sets, *t_sets)
+    s, t = _boundary(h, cluster_of)
+    constrained = s | t
     order = sorted(constrained, key=lambda v: (-len(h.adj(v) & constrained), v))
     by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
     later = {v: vs[i + 1:] for vs in by_class for i, v in enumerate(vs)}
@@ -150,15 +124,15 @@ def _boundary_plan(
     return order, later, enclosed
 
 
-def check_compatibility(h: Graph, f: list, sizes: list, eps) -> CompatibilityReport:
+def check_compatibility(h: Graph, f: list, sizes: list, eps) -> list[int]:
     """Exact evaluation of the boundary bound, the one condition no earlier stage certifies.
 
-    W_i = f^-1(i).  S_i holds the W_i vertices with neighbors outside W_i
-    and its partner W_{i^1}; T_i holds the neighbors of S inside W_i \\ S.
-    Class i offends when |S_i| > eps sizes[i] or |T_i| > eps
-    min(sizes[i], sizes[i^1]).  The module docstring says which stages
-    certify the other two conditions.  Sizes that are not an even number of
-    integers, or an f that is not a list of h.n classes, are input errors.
+    W_i = f^-1(i), S_i = S & W_i and T_i = T & W_i for `_boundary`'s S and
+    T.  Returns the classes i, ascending, with |S_i| > eps sizes[i] or |T_i| >
+    eps min(sizes[i], sizes[i^1]); an empty list certifies the bound.  The
+    module docstring says which stages certify the other two conditions.
+    Sizes that are not an even number of integers, or an f that is not a list
+    of h.n classes, are input errors.
     """
     if not _is_int_list(sizes) or len(sizes) % 2:
         raise InvalidInputError("the class sizes must be an even number of integers")
@@ -166,10 +140,10 @@ def check_compatibility(h: Graph, f: list, sizes: list, eps) -> CompatibilityRep
     if not (_is_int_list(f) and len(f) == h.n and all(0 <= c < num for c in f)):
         raise InvalidInputError(f"f must send all {h.n} vertices of H to classes 0..{num - 1}")
     eps = as_fraction(eps)
-    s_sets, t_sets = _boundary(h, f, num)
-    offending_bounds = [i for i in range(num) if len(s_sets[i]) > eps * sizes[i]
-                        or len(t_sets[i]) > eps * min(sizes[i], sizes[i ^ 1])]
-    return CompatibilityReport(s_sets, t_sets, offending_bounds)
+    s, t = _boundary(h, f)
+    s_count, t_count = Counter(f[v] for v in s), Counter(f[v] for v in t)
+    return [i for i in range(num) if s_count[i] > eps * sizes[i]
+            or t_count[i] > eps * min(sizes[i], sizes[i ^ 1])]
 
 
 def embed_blowup(

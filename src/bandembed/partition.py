@@ -264,13 +264,15 @@ def find_hamilton_cycle_and_chords(reduced: Graph) -> CycleStructure:
 
     A chord is any reduced-graph edge joining two clusters of equal cycle
     parity; one is needed among the A-positions and one among the
-    B-positions.  Backtracking is capped at 32 clusters.
+    B-positions.  An odd cluster count, or one below 4, is an input error;
+    above the backtracking cap of 32 clusters FeasibilityError decides
+    nothing.  StructuralError means only: no Hamilton cycle, or none with both chords.
     """
     n = reduced.n
     if n % 2 != 0 or n < 4:
-        raise StructuralError(f"need an even number >= 4 of clusters, got {n}")
+        raise InvalidInputError(f"need an even number >= 4 of clusters, got {n}")
     if n > HAMILTON_CAP:
-        raise StructuralError(f"Hamilton search capped at {HAMILTON_CAP} clusters")
+        raise FeasibilityError(f"Hamilton search capped at {HAMILTON_CAP} clusters")
     saw_cycle = False
     for order in _hamilton_cycles(reduced):
         saw_cycle = True

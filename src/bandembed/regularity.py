@@ -25,9 +25,10 @@ The subset lanes and their size ladder depend on |A| alone and are cached.
 Only the least violating X is rescanned, for its witness Y, so an exact
 verdict costs about the same either way.
 
-Heuristic mode takes candidate X's a block at a time: at most 8 degree
-outliers, then one fixed family of random X's per (|A|, p_min, count), drawn
-from a private stream and cached, so a heuristic verdict depends on no seed.
+Heuristic mode takes candidate X's a block at a time: at most 7 distinct
+degree outliers, then one fixed family of random X's per (|A|, p_min,
+count), drawn from a private stream and cached, so a heuristic verdict
+depends on no seed.
 An outlier's degrees into B are popcounts of the B-vertices' host masks
 against X's mask, and so is exact mode's one-X witness rescan.  The random
 block is decided together: summing lane i (a 1 in the byte slot of every X
@@ -332,7 +333,8 @@ def check_regular_pair(
         # (p_min > |A| when eps > 1: no X, as in exact mode.)  Outliers go first.
         by_deg = sorted(range(na), key=deg_a.__getitem__)
         sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
-        outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
+        ends = [tuple(x) for p in sizes for x in (by_deg[:p], by_deg[-p:])]
+        outliers = list(dict.fromkeys(ends))[:budget]  # at p = |A| both ends are X = A
         hit = _first_refuted_by_popcount(b_masks, a_list, outliers, q_min, bounds)
         if hit is None and budget > len(outliers):
             xs, lanes = _random_candidates(na, p_min, budget - len(outliers))

@@ -422,7 +422,8 @@ def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):
     degs = [len(g.adj(v) & b_set) for v in a]
     by_deg = sorted(range(na), key=degs.__getitem__)
     sizes = sorted({p_min, max(p_min, na // 4), max(p_min, na // 2), na})
-    outliers = [idx for p in sizes for idx in (by_deg[:p], by_deg[-p:])][:budget]
+    ends = [tuple(x) for p in sizes for x in (by_deg[:p], by_deg[-p:])]
+    outliers = [x for i, x in enumerate(ends) if x not in ends[:i]][:budget]
     hit = first_refuted_by_lanes(nbrs, a, outliers, _lanes(na, outliers), q_min, bounds)
     if hit is None and budget > len(outliers):
         xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
@@ -430,6 +431,40 @@ def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):
     if hit is None:
         return True, None
     return False, (frozenset(a[i] for i in hit[0]), frozenset(b[j] for j in hit[1]))
+
+
+def boundary_reference(
+    h: Graph, cluster_of: list[int] | dict[int, int], num: int
+) -> tuple[list[set[int]], list[set[int]]]:
+    """The per-class S and T sets of `check_compatibility`; cluster_of[v] is v's class.
+
+    An H-edge inside one class or one cluster pair adds nothing to S.
+    `embedder._boundary` intersected with each class gives the same sets.
+    """
+    s_sets: list[set[int]] = [set() for _ in range(num)]
+    for u, v in h.edges():
+        iu, iv = cluster_of[u], cluster_of[v]
+        if iu != iv and iu ^ 1 != iv:
+            s_sets[iu].add(u)
+            s_sets[iv].add(v)
+    s_all = set().union(*s_sets)
+    t_sets: list[set[int]] = [set() for _ in range(num)]
+    for v in s_all:
+        for u in h.adj(v):
+            if u not in s_all:
+                t_sets[cluster_of[u]].add(u)
+    return s_sets, t_sets
+
+
+def offending_classes_reference(h: Graph, f: list[int], sizes: list[int], eps) -> list[int]:
+    """The classes breaking the boundary bound, counted from the per-class sets
+    of `boundary_reference`.  Same list as `embedder.check_compatibility` on
+    every input that function accepts."""
+    num = len(sizes)
+    eps = as_fraction(eps)
+    s_sets, t_sets = boundary_reference(h, f, num)
+    return [i for i in range(num) if len(s_sets[i]) > eps * sizes[i]
+            or len(t_sets[i]) > eps * min(sizes[i], sizes[i ^ 1])]
 
 
 def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,

@@ -43,7 +43,10 @@ def test_parameter_list(fn, params):
                                        "spread_phase1_ok", "spread_phase2_ok"]),
     (homomorphism.Homomorphism, ["f", "boundary", "chord", "sizes", "kprime",
                                  "roles_swapped", "attempts", "diagnostics"]),
-    (embedder.CompatibilityReport, ["s_sets", "t_sets", "offending_bounds"]),
+    # Verify-partition's report holds `sizes_exact`, the equal class sizes the
+    # compatibility stage, whose certificate is a list of classes, does not recheck.
+    (partition.StructureReport, ["sizes_exact", "super_pairs", "cycle_pairs", "chord_a",
+                                 "chord_b"]),
     (partition.HostPartitionReport, ["partition", "reduced", "balance_ledger"]),
     (regularity.RegularityVerdict, ["regular", "density", "mode", "eps", "d", "witness",
                                     "degree_failure", "min_cross_degree"]),
@@ -63,8 +66,6 @@ def test_removed_report_fields_have_no_alias():
     for cls, names in (
         (homomorphism.AttemptDiagnostics, ["boundary_small", "edges_on_pairs"]),
         (homomorphism.SegmentDecomposition, ["a_segments", "b_segments", "total_a", "total_b"]),
-        (embedder.CompatibilityReport, ["sizes_match", "edges_respect_reduced", "boundary_bounded",
-                                        "offending_sizes", "offending_edges"]),
         (partition.HostPartitionReport, ["k", "baseline_sizes"]),
     ):
         assert not [name for name in names if hasattr(cls, name)]
@@ -91,8 +92,8 @@ MODULE_ALL = {
     "conditions": ["DegreeSequenceVerdict", "EXACT_EXPANDER_CAP", "ExpanderVerdict", "OreVerdict",
                    "check_degree_sequence_condition", "check_ore_condition",
                    "check_robust_expander", "robust_neighborhood", "verify_expander_witness"],
-    "embedder": ["CompatibilityReport", "check_compatibility", "embed_blowup",
-                 "embedding_respects_partition", "verify_embedding"],
+    "embedder": ["check_compatibility", "embed_blowup", "embedding_respects_partition",
+                 "verify_embedding"],
     "graph": ["BandwidthOrdering", "Graph", "at_least", "degree_sequence", "graph_from_json",
               "graph_to_json", "induced_subgraph", "subset_lanes", "verify_bandwidth_ordering",
               "vertex_mask"],
@@ -136,9 +137,11 @@ MOVED_TO_ORACLES = [
 # nothing names it, and `embed_blowup` returns the map itself.  Cluster-level
 # graphs (the reduced graph, the intermediate cycle) are `Graph`s.  Redistribution
 # checks its targets itself and does not re-check the cycle host-partition found.
-# A homing miss is a value the sampler returns, not an error.
+# A homing miss is a value the sampler returns, not an error.  The compatibility
+# certificate is the list of offending classes.
 REMOVED = ["Embedding", "_components", "ReducedGraph", "_normalize_edges", "_cycle_edge_ok",
-           "check_mobility_hypotheses", "HypothesisReport", "SeekMissError"]
+           "check_mobility_hypotheses", "HypothesisReport", "SeekMissError",
+           "CompatibilityReport"]
 
 
 def test_library_surface_is_pinned():

@@ -14,7 +14,7 @@ import bandembed.embedder
 import bandembed.homomorphism
 import oracles
 from bandembed.cli import run_full_pipeline
-from bandembed.embedder import embed_blowup
+from bandembed.embedder import _boundary, check_compatibility, embed_blowup
 from bandembed.errors import DecompositionError, EmbeddingNotFoundError, RetryBudgetError
 from bandembed.graph import BandwidthOrdering, Graph, vertex_mask
 from bandembed.homomorphism import (
@@ -43,12 +43,14 @@ from conftest import (
     slot_boundary_pair,
 )
 from oracles import (
+    boundary_reference,
     eager_plan,
     edges_reference,
     embed_blowup_reference,
     first_refuted_by_lanes,
     first_violating_x_by_ladders,
     heuristic_verdict_by_lanes,
+    offending_classes_reference,
     sample_reference,
     verify_homomorphism_certificate_reference,
 )
@@ -444,24 +446,24 @@ def test_exact_kernel_matches_ladder_reference():
     assert outcomes == {True, False}
 
 
-def embed_calls(shapes):
-    """The `embed_blowup` arguments of each pipeline run on `shapes`, as
-    (k, size, bandwidth, seed) with Delta 3 and d 0.5."""
+def pipeline_calls(name, shapes):
+    """The arguments of each call to `bandembed.cli.<name>` in the pipeline
+    runs on `shapes`, as (k, size, bandwidth, seed) with Delta 3 and d 0.5."""
     calls = []
-    real = bandembed.cli.embed_blowup
+    real = getattr(bandembed.cli, name)
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    bandembed.cli.embed_blowup = recording
+    setattr(bandembed.cli, name, recording)
     try:
         for k, size, bandwidth, seed in shapes:
             run_full_pipeline(gen_super_regular_host(k=k, size=size, d=0.5, seed=seed),
                               gen_bandwidth_bipartite_h(2 * k * size, 3, bandwidth, seed=seed),
                               Config(), seed=seed)
     finally:
-        bandembed.cli.embed_blowup = real
+        setattr(bandembed.cli, name, real)
     return calls
 
 
@@ -482,7 +484,7 @@ def test_embedder_matches_phase_1_oracle():
     shapes = [(4, 50, 10, seed) for seed in range(20)]
     shapes += [(k, size, b, 0) for k in (3, 4, 5, 6) for size in (40, 50, 64, 100) for b in (5, 10)]
     outcomes = []
-    for args, kwargs in embed_calls(shapes):
+    for args, kwargs in pipeline_calls("embed_blowup", shapes):
         got = embed_outcome(embed_blowup, args, kwargs)
         assert got == embed_outcome(embed_blowup_reference, args, kwargs)
         outcomes.append(isinstance(got, list))
@@ -514,7 +516,8 @@ def test_phase_1_hands_over_to_phase_2():
     def stop(*args):
         raise PhaseTwo
 
-    inputs = [args for args, _ in embed_calls([(4, 50, 10, seed) for seed in range(20)])]
+    inputs = [args for args, _ in pipeline_calls("embed_blowup",
+                                                 [(4, 50, 10, seed) for seed in range(20)])]
     real_pair = bandembed.embedder._complete_pair
     bandembed.embedder._complete_pair = stop
     try:
@@ -527,3 +530,46 @@ def test_phase_1_hands_over_to_phase_2():
                 raise AssertionError("phase 1 never handed over to phase 2")
     finally:
         bandembed.embedder._complete_pair = real_pair
+
+
+def bounded_degree_graph(rng, n, delta):
+    """A random graph on n vertices of maximum degree at most delta."""
+    edges, degree = set(), [0] * n
+    for _ in range(n * delta):
+        u, v = rand_below(rng, n), rand_below(rng, n)
+        if u != v and degree[u] < delta and degree[v] < delta and (v, u) not in edges:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, sorted(edges))
+
+
+def test_boundary_matches_per_class_reference():
+    """S and T, intersected with each class, are the per-class sets, and the
+    offending classes are those the per-class sets gave.
+
+    Inputs: 400 random graphs of maximum degree 1-4 on 2-60 vertices, each
+    with a random map onto 2k classes (k = 1-4), random sizes 0-30 and a
+    random eps in [0, 1]; and the 20 (H, f, sizes, eps) of criterion 1.
+    """
+    rng = make_rng(38)
+    inputs = []
+    for _ in range(400):
+        n, two_k = 2 + rand_below(rng, 59), 2 * (1 + rand_below(rng, 4))
+        h = bounded_degree_graph(rng, n, 1 + rand_below(rng, 4))
+        f = [rand_below(rng, two_k) for _ in range(n)]
+        sizes = [rand_below(rng, 31) for _ in range(two_k)]
+        inputs.append((h, f, sizes, Fraction(rand_below(rng, 21), 20)))
+    criterion_1 = pipeline_calls("check_compatibility", [(4, 50, 10, seed) for seed in range(20)])
+    assert len(criterion_1) == 20
+    inputs += [args for args, _ in criterion_1]
+    outcomes = set()
+    for h, f, sizes, eps in inputs:
+        s, t = _boundary(h, f)
+        classes = [{v for v in range(h.n) if f[v] == i} for i in range(len(sizes))]
+        assert ([s & w for w in classes], [t & w for w in classes]) == boundary_reference(
+            h, f, len(sizes))
+        offending = check_compatibility(h, f, sizes, eps)
+        assert offending == offending_classes_reference(h, f, sizes, eps)
+        outcomes.add(bool(offending))
+    assert outcomes == {True, False}

@@ -761,10 +761,8 @@ class TestPipelineCommand:
 
     def test_failed_compatibility_keeps_its_report(self, small_world, capsys, monkeypatch):
         import bandembed.cli
-        from bandembed.embedder import CompatibilityReport
 
-        monkeypatch.setattr(bandembed.cli, "check_compatibility",
-                            lambda *args: CompatibilityReport(offending_bounds=[0]))
+        monkeypatch.setattr(bandembed.cli, "check_compatibility", lambda *args: [0])
         host_path, h_path, cfg_path = small_world
         assert main(["pipeline", "--host", str(host_path), "--h", str(h_path),
                      "--config", str(cfg_path), "--seed", "4"]) == 2

@@ -75,32 +75,40 @@ def class_map(w):
     return [i for _, i in sorted((v, i) for i, c in enumerate(w) for v in c)]
 
 
+def boundary_by_class(h, f, num):
+    """`_boundary`'s S and T intersected with each class W_i = f^-1(i), i < num."""
+    s, t = bandembed.embedder._boundary(h, f)
+    classes = [{v for v in range(h.n) if f[v] == i} for i in range(num)]
+    return [s & w for w in classes], [t & w for w in classes]
+
+
 class TestCompatibility:
     def test_edgeless_passes(self):
         h = Graph(8, [])
-        report = check_compatibility(h, [0, 0, 1, 1, 2, 2, 3, 3], [2, 2, 2, 2], 0.5)
-        assert report.all_ok()
-        assert all(not s for s in report.s_sets)
+        f = [0, 0, 1, 1, 2, 2, 3, 3]
+        assert check_compatibility(h, f, [2, 2, 2, 2], 0.5) == []
+        s_sets, _ = boundary_by_class(h, f, 4)
+        assert all(not s for s in s_sets)
 
     def test_boundary_sets_exact(self):
         # One cross-pair edge from cluster 1 to cluster 2: its endpoints form
         # S, and their untouched neighbors (here 6, in the partner class 3) form T.
         h = Graph(8, [(2, 4), (4, 6)])
-        report = check_compatibility(h, [0, 0, 1, 1, 2, 2, 3, 3], [2, 2, 2, 2], 0.9)
-        assert report.s_sets[1] == {2}
-        assert report.s_sets[2] == {4}
-        assert report.t_sets[3] == {6}
+        f = [0, 0, 1, 1, 2, 2, 3, 3]
+        assert check_compatibility(h, f, [2, 2, 2, 2], 0.9) == []
+        s_sets, t_sets = boundary_by_class(h, f, 4)
+        assert s_sets[1] == {2}
+        assert s_sets[2] == {4}
+        assert t_sets[3] == {6}
 
     def test_boundary_over_eps_of_own_class(self):
         # The cross edge 1-2 puts one vertex in S_1 and one in S_2: within
         # eps * 4 for class 1, above eps * 2 for class 2.
         w = split_classes([4, 4, 2, 2])
         h = Graph(12, [(w[1][0], w[2][0])])
-        report = check_compatibility(h, class_map(w), [4, 4, 2, 2], 0.4)
-        assert report.to_json() == {"boundary_bounded": False, "offending_bounds": [2],
-                                    "all_ok": False}
-        assert report.s_sets[1] == {w[1][0]} and report.s_sets[2] == {w[2][0]}
-        assert report.offending_bounds == [2]
+        assert check_compatibility(h, class_map(w), [4, 4, 2, 2], 0.4) == [2]
+        s_sets, _ = boundary_by_class(h, class_map(w), 4)
+        assert s_sets[1] == {w[1][0]} and s_sets[2] == {w[2][0]}
 
     def test_neighbours_over_eps_of_smallest_class_in_component(self):
         # S_1 = {b0} (cross edge to class 2) and T_0 = {a0, a1}, b0's neighbours:
@@ -108,9 +116,9 @@ class TestCompatibility:
         w = split_classes([4, 2, 4, 2])
         (a0, a1, *_), (b0, _), (c0, *_), _ = w
         h = Graph(12, [(b0, c0), (b0, a0), (b0, a1)])
-        report = check_compatibility(h, class_map(w), [4, 2, 4, 2], 0.5)
-        assert report.s_sets[1] == {b0} and report.t_sets[0] == {a0, a1}
-        assert report.offending_bounds == [0]
+        assert check_compatibility(h, class_map(w), [4, 2, 4, 2], 0.5) == [0]
+        s_sets, t_sets = boundary_by_class(h, class_map(w), 4)
+        assert s_sets[1] == {b0} and t_sets[0] == {a0, a1}
 
     @pytest.mark.parametrize("sizes", [[2, 2, 2], [2, 2, 2.0, 2], (2, 2), [2, True, 2, 2]],
                              ids=["odd-count", "float", "tuple", "bool"])

@@ -13,6 +13,7 @@ from bandembed.errors import (
     AssignmentError,
     BalancingError,
     BandembedError,
+    FeasibilityError,
     InvalidInputError,
     ParameterError,
     RedistributionError,
@@ -158,11 +159,15 @@ class TestHamiltonStructure:
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_needs_an_even_number_of_at_least_four_clusters(self, n):
-        with pytest.raises(StructuralError, match=f"^need an even number >= 4 of clusters, got {n}$"):
+        # Malformed input, not a certified "no".
+        with pytest.raises(InvalidInputError,
+                           match=f"^need an even number >= 4 of clusters, got {n}$") as caught:
             find_hamilton_cycle_and_chords(Graph(n, []))
+        assert not isinstance(caught.value, FeasibilityError)
 
     def test_search_capped_at_32_clusters(self):
-        with pytest.raises(StructuralError, match="^Hamilton search capped at 32 clusters$"):
+        # A scale cap decides nothing, as in prepare_host_partition.
+        with pytest.raises(FeasibilityError, match="^Hamilton search capped at 32 clusters$"):
             find_hamilton_cycle_and_chords(toy_reduced(17))
 
     def test_disconnected_has_no_cycle(self):

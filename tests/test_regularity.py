@@ -359,13 +359,34 @@ class TestSlotFilter:
         assert not check_regular_pair(g, a, b, 0.4, 0.3, mode="heuristic").regular
         assert drawn == []
         # A complete pair refutes nowhere, so the random block is scanned:
-        # sizes {4, 8} give four outliers, and 116 random X's fill the budget.
+        # sizes {4, 8} give three distinct outliers (X = A once), and 117
+        # random X's fill the budget.
         complete = complete_pair(8, 8)[0]
         assert check_regular_pair(complete, a, b, 0.4, 0.3, mode="heuristic").regular
-        assert drawn == [(8, 4, 120 - 4)]
+        assert drawn == [(8, 4, 120 - 3)]
         # A budget the outliers fill draws none.
-        assert check_regular_pair(complete, a, b, 0.4, 0.3, mode="heuristic", budget=4).regular
-        assert drawn == [(8, 4, 120 - 4)]
+        assert check_regular_pair(complete, a, b, 0.4, 0.3, mode="heuristic", budget=3).regular
+        assert drawn == [(8, 4, 120 - 3)]
+
+    def test_outliers_are_pairwise_distinct(self, monkeypatch):
+        # Both ends of the degree order are X = A at |X| = |A|; a holding
+        # pair scans every outlier, and each X is handed over once.
+        handed = []
+        real = bandembed.regularity._first_refuted_by_popcount
+
+        def recording(b_masks, a_list, xs, *args):
+            handed.append([tuple(x) for x in xs])
+            return real(b_masks, a_list, xs, *args)
+
+        monkeypatch.setattr(bandembed.regularity, "_first_refuted_by_popcount", recording)
+        for na, nb, eps in ((8, 8, 0.4), (9, 5, 0.1), (20, 30, 0.3), (4, 4, 0.9)):
+            g, a, b = complete_pair(na, nb)
+            for budget in (1, 7, 8, 120):
+                handed.clear()
+                assert check_regular_pair(g, a, b, eps, 0.3, mode="heuristic",
+                                          budget=budget).regular
+                assert len(handed) == 1 and handed[0]
+                assert len(set(handed[0])) == len(handed[0]), (na, nb, eps, budget, handed)
 
 
 class TestPairDensity:
