@@ -3,7 +3,9 @@
 Every generator is a pure function of (parameters, seed): fixed seeds give
 bit-identical graphs across platforms.  Generated certificates (sizes,
 degrees, bandwidth, class structure) are plain data that the independent
-checkers re-verify in the test suite.
+checkers re-verify in the test suite.  A generator stops drawing once no
+draw can change its graph, and streams its edges into `Graph` in the order
+a list would hold them, so each vertex's adjacency iterates the same way.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def gen_super_regular_host(
 
     def top_up(u: int, other: list[int]) -> None:
         # Always shuffles, even when u already meets the floor: the draws it
-        # consumes are part of the seeded stream that later rows depend on.
+        # consumes are part of the seeded stream that later rows and top-ups
+        # read.  The final sweep stops where no later draw is read (below).
         missing = max(0, floor - deg(u, other))
         link(u, [v for v in shuffled(rng, other) if v not in adj[u]][:missing])
 
@@ -140,11 +143,15 @@ def gen_super_regular_host(
             if deg(u, other) < floor:
                 top_up(u, other)
         # Resampling one row can steal an edge from the opposite side, so a
-        # final addition-only sweep restores the floor monotonically.
-        for u, other in sides:
+        # final addition-only sweep restores the floor monotonically.  It
+        # ends at the last vertex short when it starts: edges are only added,
+        # so no later vertex falls short, and the rest of the sweep would
+        # link nothing and only draw from rng, which nothing reads after it.
+        end = max((i + 1 for i, (u, other) in enumerate(sides) if deg(u, other) < floor), default=0)
+        for u, other in sides[:end]:
             top_up(u, other)
 
-    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
+    edges = ((u, v) for u in range(n) for v in sorted(adj[u]) if u < v)
     return HostBundle(Graph(n, edges), partition)
 
 
@@ -181,7 +188,7 @@ def gen_random_graph(n: int, p: float, seed: int = 0) -> Graph:
         raise InvalidInputError("need n >= 0 and p in [0, 1]")
     rng = make_rng(seed)
     threshold = int(p * (1 << 30))
-    edges = [(u, v) for u in range(n) for v in _bernoulli_row(rng, range(u + 1, n), threshold)]
+    edges = ((u, v) for u in range(n) for v in _bernoulli_row(rng, range(u + 1, n), threshold))
     return Graph(n, edges)
 
 

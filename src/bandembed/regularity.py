@@ -35,8 +35,9 @@ block is decided together: summing lane i (a 1 in the byte slot of every X
 holding A-vertex i) over B-vertex j's neighbours gives j's degree into every
 X; top-q sums are at most q*max and bottom-q sums at least q*min, so only X's
 with max >= ceil(p*hi) or min <= floor(p*lo) are read back, from each
-degree's bytes, for the one-X scan.  The A-side cross degrees are counted
-once per check: the density and the outlier order both read them.
+degree's bytes, for the one-X scan; which slots hold each size is cached.
+The A-side cross degrees are counted once per check: the density and the
+outlier order both read them.
 """
 
 from __future__ import annotations
@@ -203,23 +204,39 @@ def _lanes(na: int, xs) -> tuple[int, ...]:
     return tuple(int.from_bytes(buf, "little") for buf in bufs)
 
 
+@lru_cache(maxsize=16)
+def _slot_layout(sizes: tuple[int, ...], width: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(p, a 1 at the bottom of every slot of size p) per distinct size p, and every slot's top bit."""
+    units: dict[int, int] = {}
+    for s, p in enumerate(sizes):
+        units[p] = units.get(p, 0) | 1 << s * width
+    return tuple(units.items()), sum(units.values()) << width - 1
+
+
 def _flagged(degrees: list[int], sizes: list[int], width: int,
              hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> list[int]:
     """Slots whose largest degree is >= ceil(p*hi) or smallest <= floor(p*lo), ascending.
 
-    Adding half - t sets a slot's top bit iff its degree is >= t; t is clamped, so none carries.
+    Adding half - t sets a slot's top bit iff its degree is >= t; t is clamped
+    to [0, half], so none carries.  The smallest is <= floor(p*lo) iff not
+    every degree is >= floor(p*lo) + 1.
     """
-    step, half, nbytes = width // 8, 1 << width - 1, len(sizes) * width // 8
-    hi_key = {p: (half - min(max(-(-p * hi_num // hi_den), 0), half)).to_bytes(step, "little")
-              for p in set(sizes)}
-    lo_key = {p: (half - 1 - min(max(p * lo_num // lo_den, -1), half - 1)).to_bytes(step, "little")
-              for p in set(sizes)}
-    k_hi = int.from_bytes(b"".join(map(hi_key.__getitem__, sizes)), "little")
-    k_lo = int.from_bytes(b"".join(map(lo_key.__getitem__, sizes)), "little")
-    # The byte holding each slot's top bit, from the OR and the AND over B.
-    hi = reduce(or_, [deg + k_hi for deg in degrees]).to_bytes(nbytes, "little")[step - 1::step]
-    lo = reduce(and_, [deg + k_lo for deg in degrees]).to_bytes(nbytes, "little")[step - 1::step]
-    return [s for s in range(len(sizes)) if hi[s] & 0x80 or not lo[s] & 0x80]
+    units, top = _slot_layout(tuple(sizes), width)
+    half = 1 << width - 1
+    k_hi = k_lo = 0
+    for p, unit in units:
+        t = -(-p * hi_num // hi_den)
+        k_hi += (half - t if 0 <= t <= half else half if t < 0 else 0) * unit
+        t = p * lo_num // lo_den + 1
+        k_lo += (half - t if 0 <= t <= half else half if t < 0 else 0) * unit
+    # The top bits of the OR and the AND over B.
+    bits = (reduce(or_, [deg + k_hi for deg in degrees])
+            | ~reduce(and_, [deg + k_lo for deg in degrees])) & top
+    if not bits:
+        return []
+    step = width // 8
+    flags = bits.to_bytes(len(sizes) * step, "little")[step - 1::step]
+    return [s for s, flag in enumerate(flags) if flag]
 
 
 def _first_refuted(nbrs: list[frozenset], a_list: list[int], xs, lanes, q: int, bounds):

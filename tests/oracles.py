@@ -31,8 +31,9 @@ from bandembed.homomorphism import (
     _walk_phase,
     chop_into_segments,
 )
+from bandembed.hostgen import HostBundle
 from bandembed.matching import hopcroft_karp
-from bandembed.partition import _CONFIG_FIELDS, Config
+from bandembed.partition import _CONFIG_FIELDS, ClusterPartition, Config
 from bandembed.regularity import (
     _extreme_violation,
     _flagged,
@@ -569,6 +570,99 @@ def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
     raise EmbeddingNotFoundError(
         f"no embedding within the reassignment budget ({budget} placements)"
     )
+
+
+# The two seeded generators as they were before the final top-up sweep stopped
+# at its last short vertex and before their edges were streamed into Graph,
+# copied verbatim.  `hostgen` must give the same graphs, adjacency iteration
+# order and partitions.
+
+def _bernoulli_row(rng, vertices, threshold: int) -> list[int]:
+    """The vertices kept by one 30-bit draw each, below `threshold`, in order."""
+    return [v for v in vertices if rng.getrandbits(30) < threshold]
+
+
+def gen_super_regular_host_reference(
+    k: int,
+    size: int,
+    d: float,
+    chords: tuple | None = None,
+    seed: int = 0,
+) -> HostBundle:
+    """Blown-up cycle host with random pair interiors and recorded chords.
+
+    Consecutive cycle pairs (A_i, B_i) and (B_i, A_{i+1}) and the two chord
+    pairs are independent bipartite graphs at the given density; nothing
+    else is present.  Vertices of an (A_i, B_i) pair falling under the
+    degree floor 0.6*d*size are resampled (up to 100 rounds, then topped up
+    deterministically), so those pairs meet a one-sided minimum degree by
+    construction.
+    """
+    if k < 2 or size < 1:
+        raise InvalidInputError("need k >= 2 pairs of size >= 1")
+    if not 0 < d <= 1:
+        raise InvalidInputError("density must lie in (0, 1]")
+    if chords is None:
+        chords = ((0, 2), (0, 2)) if k >= 3 else ((0, 1), (0, 1))
+
+    n = 2 * k * size
+    classes = [list(range(c * size, (c + 1) * size)) for c in range(2 * k)]
+    rng = make_rng(seed)
+    threshold = int(d * (1 << 30))
+    adj: list[set[int]] = [set() for _ in range(n)]
+
+    def link(u: int, vs: list[int]) -> None:
+        adj[u].update(vs)
+        for v in vs:
+            adj[v].add(u)
+
+    def deg(u: int, other: list[int]) -> int:
+        return len(adj[u].intersection(other))
+
+    def top_up(u: int, other: list[int]) -> None:
+        # Always shuffles, even when u already meets the floor: the draws it
+        # consumes are part of the seeded stream that later rows depend on.
+        missing = max(0, floor - deg(u, other))
+        link(u, [v for v in shuffled(rng, other) if v not in adj[u]][:missing])
+
+    partition = ClusterPartition([set(c) for c in classes], *map(tuple, chords))
+    for x, y in partition.skeleton():
+        for u in classes[x]:
+            link(u, _bernoulli_row(rng, classes[y], threshold))
+
+    if d < 1:
+        floor = max(1, int(0.6 * d * size + 0.999999))
+        sides = []
+        for i in range(k):
+            a_cls, b_cls = classes[2 * i], classes[2 * i + 1]
+            sides += [(u, b_cls) for u in a_cls] + [(u, a_cls) for u in b_cls]
+        for u, other in sides:
+            for _ in range(100):
+                if deg(u, other) >= floor:
+                    break
+                adj[u].difference_update(other)
+                for v in other:
+                    adj[v].discard(u)
+                link(u, _bernoulli_row(rng, other, threshold))
+            if deg(u, other) < floor:
+                top_up(u, other)
+        # Resampling one row can steal an edge from the opposite side, so a
+        # final addition-only sweep restores the floor monotonically.
+        for u, other in sides:
+            top_up(u, other)
+
+    edges = [(u, v) for u in range(n) for v in sorted(adj[u]) if u < v]
+    return HostBundle(Graph(n, edges), partition)
+
+
+def gen_random_graph_reference(n: int, p: float, seed: int = 0) -> Graph:
+    """Uniform edge sampling at probability p, seeded."""
+    if n < 0 or not 0 <= p <= 1:
+        raise InvalidInputError("need n >= 0 and p in [0, 1]")
+    rng = make_rng(seed)
+    threshold = int(p * (1 << 30))
+    edges = [(u, v) for u in range(n) for v in _bernoulli_row(rng, range(u + 1, n), threshold)]
+    return Graph(n, edges)
 
 
 def cycle_edge_ok(x: int, y: int, two_k: int, chord: tuple[int, int]) -> bool:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import bandembed.cli
 import bandembed.embedder
 import bandembed.homomorphism
+import bandembed.hostgen
 import oracles
 from bandembed.cli import run_full_pipeline
 from bandembed.embedder import _boundary, check_compatibility, embed_blowup
@@ -49,6 +50,8 @@ from oracles import (
     embed_blowup_reference,
     first_refuted_by_lanes,
     first_violating_x_by_ladders,
+    gen_random_graph_reference,
+    gen_super_regular_host_reference,
     heuristic_verdict_by_lanes,
     offending_classes_reference,
     sample_reference,
@@ -573,3 +576,57 @@ def test_boundary_matches_per_class_reference():
         assert offending == offending_classes_reference(h, f, sizes, eps)
         outcomes.add(bool(offending))
     assert outcomes == {True, False}
+
+
+def test_generators_match_reference():
+    """`gen_super_regular_host` and `gen_random_graph` give the reference's
+    graphs, adjacency iteration order and partitions.
+
+    Hosts: k = 2-4, sizes 4, 14 and 50, d in {0.001, 0.5, 0.8, 1}, default
+    and explicit chords, seeds 0-3 (0-1 at size 50).  Below d = 1 the
+    reference shuffles once per top-up after 100 rounds and once per vertex
+    in the final sweep; the library sweeps only up to the last vertex short
+    when the sweep starts.  The shuffle counts show that the grid reaches a
+    sweep with a short vertex, one with none, and a top-up after 100 rounds.
+    """
+    def adjacency(g):
+        return g.n, [list(g.adj(v)) for v in range(g.n)]
+
+    modules = (bandembed.hostgen, oracles)
+    counts = {}
+
+    def counted(module):
+        def counting(rng, items):
+            counts[module] += 1
+            return shuffled(rng, items)
+        return counting
+
+    for module in modules:
+        module.shuffled = counted(module)
+    explicit = {2: ((0, 1), (0, 1)), 3: ((0, 1), (1, 2)), 4: ((1, 3), (0, 2))}
+    seen = set()
+    try:
+        for k in (2, 3, 4):
+            for size in (4, 14, 50):
+                for d in (0.001, 0.5, 0.8, 1.0):
+                    for chords in (None, explicit[k]):
+                        for seed in range(2 if size == 50 else 4):
+                            counts.update(dict.fromkeys(modules, 0))
+                            got = gen_super_regular_host(k, size, d, chords, seed)
+                            want = gen_super_regular_host_reference(k, size, d, chords, seed)
+                            assert adjacency(got.graph) == adjacency(want.graph)
+                            assert got.partition.to_json() == want.partition.to_json()
+                            if d < 1:
+                                rounds = counts[oracles] - 2 * k * size
+                                seen.add(("sweep shuffles", counts[bandembed.hostgen] > rounds))
+                                seen.add(("top-up after 100 rounds", rounds > 0))
+    finally:
+        for module in modules:
+            module.shuffled = shuffled
+    assert seen == {(case, flag) for case in ("sweep shuffles", "top-up after 100 rounds")
+                    for flag in (True, False)}
+    for n in (0, 1, 2, 7, 30, 90):
+        for p in (0.0, 0.05, Fraction(3, 8), 0.5, 0.9, 1.0):
+            for seed in (0, 5):
+                assert adjacency(gen_random_graph(n, p, seed)) == \
+                    adjacency(gen_random_graph_reference(n, p, seed))

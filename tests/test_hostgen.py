@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bandembed.hostgen
 from bandembed.conditions import check_degree_sequence_condition, check_robust_expander
 from bandembed.errors import InvalidInputError
 from bandembed.graph import degree_sequence, graph_to_json, verify_bandwidth_ordering
@@ -16,6 +17,7 @@ from bandembed.hostgen import (
     gen_super_regular_host,
 )
 from bandembed.regularity import check_regular_pair, check_super_regular_pair
+from bandembed.rng import shuffled
 
 from oracles import has_perfect_matching_small
 
@@ -110,6 +112,24 @@ class TestSuperRegularHost:
                 assert len(g.adj(v) & b_cls) >= floor
             for v in b_cls:
                 assert len(g.adj(v) & a_cls) >= floor
+
+    @pytest.mark.parametrize("k, size, d, seed, shuffles", [
+        (4, 50, 0.5, 0, 0), (2, 14, 0.5, 2, 1), (2, 14, 0.5, 3, 42), (3, 4, 0.001, 0, 8),
+    ])
+    def test_final_sweep_ends_at_its_last_short_vertex(self, monkeypatch, k, size, d, seed,
+                                                       shuffles):
+        # One shuffle per top-up after 100 rounds (8 at d = 0.001) and one per
+        # sweep position up to the last vertex short when the sweep starts:
+        # none on the acceptance shape, positions 0 and 41 at k = 2, size 14.
+        calls = []
+
+        def counting(rng, items):
+            calls.append(len(items))
+            return shuffled(rng, items)
+
+        monkeypatch.setattr(bandembed.hostgen, "shuffled", counting)
+        gen_super_regular_host(k, size, d, seed=seed)
+        assert len(calls) == shuffles
 
     def test_bit_identical_for_fixed_seed(self):
         b1 = gen_super_regular_host(k=3, size=15, d=0.5, seed=7)
