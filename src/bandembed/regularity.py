@@ -31,11 +31,15 @@ count), drawn from a private stream and cached, so a heuristic verdict
 depends on no seed.
 An outlier's degrees into B are popcounts of the B-vertices' host masks
 against X's mask, and so is exact mode's one-X witness rescan.  The random
-block is decided together: summing lane i (a 1 in the byte slot of every X
-holding A-vertex i) over B-vertex j's neighbours gives j's degree into every
-X; top-q sums are at most q*max and bottom-q sums at least q*min, so only X's
-with max >= ceil(p*hi) or min <= floor(p*lo) are read back, from each
-degree's bytes, for the one-X scan; which slots hold each size is cached.
+block is decided together: lane i has a 1 in the byte slot of every X
+holding A-vertex i, so the lanes of B-vertex j's A-neighbours sum to j's
+degree into every X.  The family keeps, per block of 8 A-indices, the 256
+sums of that block's lanes (the "Four Russians" table), so j's degrees are
+one entry per byte of its A-pattern, its host mask cut to A: ceil(|A|/8)
+adds, not one per neighbour.  Top-q sums are at most q*max and bottom-q sums
+at least q*min, so only X's with max >= ceil(p*hi) or min <= floor(p*lo) are
+read back, from each degree's bytes, for the one-X scan; which slots hold
+each size is cached.
 The A-side cross degrees are counted once per check: the density and the
 outlier order both read them.
 """
@@ -45,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_, getitem, or_
 
 from .errors import FeasibilityError, InvalidInputError
 from .graph import Graph, _subset_tables, at_least, vertex_mask
@@ -204,6 +208,48 @@ def _lanes(na: int, xs) -> tuple[int, ...]:
     return tuple(int.from_bytes(buf, "little") for buf in bufs)
 
 
+def _tables(na: int, xs) -> tuple[tuple[int, ...], ...]:
+    """Per block b of 8 A-indices, entry x: the sum of the lanes 8b + k over the bits k of x."""
+    lanes = _lanes(na, xs)
+    tables = []
+    for lo in range(0, na, 8):
+        block = lanes[lo:lo + 8]
+        table = [0] * (1 << len(block))
+        for x in range(1, len(table)):
+            table[x] = table[x & x - 1] + block[(x & -x).bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _patterns(b_masks: list[int], a_list: list[int]) -> list[bytes]:
+    """Each B-vertex's neighbours in A as little-endian bytes, bit i meaning a_list[i].
+
+    A row is a host mask cut to A's span of ids.  When A is not one run of
+    consecutive ids (redistribution moves vertices in), the rows are stacked
+    into one int, and each run is one shift and mask of the whole stack.
+    """
+    lo = a_list[0]
+    span = a_list[-1] - lo + 1
+    step = (span + 7) // 8
+    full = (1 << span) - 1
+    rows = [(m >> lo & full).to_bytes(step, "little") for m in b_masks]
+    starts = [i for i in range(1, len(a_list)) if a_list[i] != a_list[i - 1] + 1]
+    if not starts:
+        return rows
+    stack = int.from_bytes(b"".join(rows), "little")
+    ones = int.from_bytes((b"\1" + bytes(step - 1)) * len(rows), "little")
+    packed = 0
+    for s, e in zip([0, *starts], [*starts, len(a_list)]):
+        packed |= (stack >> a_list[s] - lo & ones * ((1 << e - s) - 1)) << s
+    buf = packed.to_bytes(len(rows) * step, "little")
+    return [buf[at:at + step] for at in range(0, len(buf), step)]
+
+
+def _degrees(b_masks: list[int], a_list: list[int], tables) -> list[int]:
+    """Each B-vertex's degree into every candidate, in slots: a table entry per pattern byte."""
+    return [sum(map(getitem, tables, row)) for row in _patterns(b_masks, a_list)]
+
+
 @lru_cache(maxsize=16)
 def _slot_layout(sizes: tuple[int, ...], width: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """(p, a 1 at the bottom of every slot of size p) per distinct size p, and every slot's top bit."""
@@ -239,15 +285,15 @@ def _flagged(degrees: list[int], sizes: list[int], width: int,
     return [s for s, flag in enumerate(flags) if flag]
 
 
-def _first_refuted(nbrs: list[frozenset], a_list: list[int], xs, lanes, q: int, bounds):
+def _first_refuted(b_masks: list[int], a_list: list[int], xs, tables, q: int, bounds):
     """(X, Y) index lists for the first X in `xs` that `_extreme_violation` refutes, or None.
 
-    The lane kernel: every X's degrees are summed at once, and a flagged
-    slot is read from each degree's bytes (one byte each below |A| = 128).
+    The table kernel: every X's degrees are summed at once, one `_tables`
+    entry per byte of a B-vertex's A-pattern, and a flagged slot is read
+    from each degree's bytes (one byte each below |A| = 128).
     """
     width = _slot_width(len(a_list))
-    lane_of = dict(zip(a_list, lanes))
-    degrees = [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
+    degrees = _degrees(b_masks, a_list, tables)
     flagged = _flagged(degrees, [len(x) for x in xs], width, *bounds)
     step = width // 8
     rows = [deg.to_bytes(len(xs) * step, "little") for deg in degrees] if flagged else []
@@ -278,20 +324,26 @@ _CANDIDATE_SEED = 0  # the one stream every random candidate family is drawn fro
 
 @lru_cache(maxsize=16)
 def _random_candidates(na: int, p_min: int, count: int):
-    """The heuristic's `count` random X's as A-index tuples, with their lanes; no graph needed."""
+    """The heuristic's `count` random X's as A-index tuples, with their `_tables`; no graph needed."""
     rng = make_rng(_CANDIDATE_SEED)
     xs = tuple(tuple(sample_indices(rng, na, p_min + rand_below(rng, na - p_min + 1)))
                for _ in range(count))
-    return xs, _lanes(na, xs)
+    return xs, _tables(na, xs)
 
 
 def _thresholds(eps, d, mode: str, budget: int) -> tuple[Fraction, Fraction]:
     """eps and d as fractions, once they and the mode and the budget are checked."""
     if mode not in ("exact", "heuristic"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if budget < 0:
-        raise InvalidInputError(f"budget must be nonnegative, got {budget}")
-    eps, d = as_fraction(eps), as_fraction(d)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise InvalidInputError(f"budget must be nonnegative and an int, got {budget!r}")
+    try:
+        eps, d = as_fraction(eps), as_fraction(d)
+    except InvalidInputError:  # a NaN or an infinity, named as everywhere else
+        raise
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidInputError(
+            f"need eps > 0 and 0 <= d <= 1 as numbers, got eps = {eps!r}, d = {d!r}") from None
     if not (eps > 0 and 0 <= d <= 1):
         raise InvalidInputError(f"need eps > 0 and 0 <= d <= 1, got eps = {eps}, d = {d}")
     return eps, d
@@ -354,8 +406,8 @@ def check_regular_pair(
         outliers = list(dict.fromkeys(ends))[:budget]  # at p = |A| both ends are X = A
         hit = _first_refuted_by_popcount(b_masks, a_list, outliers, q_min, bounds)
         if hit is None and budget > len(outliers):
-            xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
-            hit = _first_refuted(neighbours_in_a(), a_list, xs, lanes, q_min, bounds)
+            xs, tables = _random_candidates(na, p_min, budget - len(outliers))
+            hit = _first_refuted(b_masks, a_list, xs, tables, q_min, bounds)
     if hit is None:
         return RegularityVerdict(True, dens, mode, eps, d)
     xs, y = hit
@@ -373,7 +425,7 @@ def check_super_regular_pair(
     budget: int = 120,
 ) -> RegularityVerdict:
     """Regularity plus both one-sided minimum cross-degree floors (always exact)."""
-    d_f = as_fraction(d)
+    d_f = _thresholds(eps, d, mode, budget)[1]
     a_list = sorted(set(a_side))
     b_list = sorted(set(b_side))
     verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget)

@@ -359,13 +359,20 @@ def sample_reference(plan, seed: int) -> Homomorphism:
     )
 
 
+def degrees_by_lanes(nbrs, a_list, lanes):
+    """Each B-vertex's degree into every candidate as the random block summed
+    it before its byte tables: one lane added per A-neighbour.  Same ints as
+    `regularity._degrees`."""
+    lane_of = dict(zip(a_list, lanes))
+    return [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
+
+
 def first_refuted_by_lanes(nbrs, a_list, xs, lanes, q: int, bounds):
     """The lane kernel as every block used it before the popcount kernel: all
     X's summed at once, each flagged slot read with one big-int shift per
     B-vertex.  Same (X, Y) as `regularity._first_refuted`."""
     width = _slot_width(len(a_list))
-    lane_of = dict(zip(a_list, lanes))
-    degrees = [sum(map(lane_of.__getitem__, nb)) for nb in nbrs]
+    degrees = degrees_by_lanes(nbrs, a_list, lanes)
     slot = (1 << width) - 1
     for s in _flagged(degrees, [len(x) for x in xs], width, *bounds):
         y = _extreme_violation([deg >> s * width & slot for deg in degrees], len(xs[s]), q, *bounds)
@@ -427,8 +434,8 @@ def heuristic_verdict_by_lanes(g: Graph, a_side, b_side, eps, d, budget: int):
     outliers = [x for i, x in enumerate(ends) if x not in ends[:i]][:budget]
     hit = first_refuted_by_lanes(nbrs, a, outliers, _lanes(na, outliers), q_min, bounds)
     if hit is None and budget > len(outliers):
-        xs, lanes = _random_candidates(na, p_min, budget - len(outliers))
-        hit = first_refuted_by_lanes(nbrs, a, xs, lanes, q_min, bounds)
+        xs = _random_candidates(na, p_min, budget - len(outliers))[0]
+        hit = first_refuted_by_lanes(nbrs, a, xs, _lanes(na, xs), q_min, bounds)
     if hit is None:
         return True, None
     return False, (frozenset(a[i] for i in hit[0]), frozenset(b[j] for j in hit[1]))

@@ -28,9 +28,12 @@ from bandembed.homomorphism import (
 from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
 from bandembed.partition import Config
 from bandembed.regularity import (
+    _degrees,
+    _first_refuted,
     _first_refuted_by_popcount,
     _first_violating_x,
     _lanes,
+    _random_candidates,
     build_reduced_graph,
     check_regular_pair,
 )
@@ -45,6 +48,7 @@ from conftest import (
 )
 from oracles import (
     boundary_reference,
+    degrees_by_lanes,
     eager_plan,
     edges_reference,
     embed_blowup_reference,
@@ -400,6 +404,54 @@ def test_popcount_kernel_matches_lane_kernel():
                 else:
                     found_by.add("none")
     assert found_by == {"outlier", "random", "none"}
+
+
+def test_table_kernel_matches_lane_kernel():
+    """The random block's byte-table degrees are the lane sums, with the same first refuted X and Y.
+
+    Seeded pairs with |A| on both sides of the 8-index table blocks and of
+    the 2-byte slot width (|A| = 128), two pairs with A one run of host ids
+    and two with A scattered over the whole id range; random and planted
+    edges, several eps and family sizes, so families of both widths refute
+    and hold.
+    """
+    rng = make_rng(40)
+    seen = set()
+    for na in (1, 7, 8, 9, 15, 16, 17, 127, 128, 129):
+        for scattered in (False, True) * 2:
+            nb = 1 + rand_below(rng, 60)
+            n = na + nb + 10
+            if scattered:
+                ids = shuffled(rng, list(range(n)))
+                a, b = sorted(ids[:na]), sorted(ids[na:na + nb])
+            else:
+                lo = rand_below(rng, nb + 10)
+                a = list(range(lo, lo + na))
+                b = sorted(shuffled(rng, [v for v in range(n) if not lo <= v < lo + na])[:nb])
+            if na > 1:
+                seen.add(("runs", scattered, any(a[i] != a[i - 1] + 1 for i in range(1, na))))
+            for planted in (False, True):
+                edges = [(u, v) for i, u in enumerate(a) for j, v in enumerate(b)
+                         if ((i + j) % 2 == 0 if planted else rand_below(rng, 2))]
+                g = Graph(n, edges)
+                a_set = frozenset(a)
+                nbrs = [g.adj(v) & a_set for v in b]
+                b_masks = [g.masks[v] for v in b]
+                dens = Fraction(len(edges), na * nb)
+                for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
+                    p_min, q_min = max(1, ceil_frac(eps * na)), max(1, ceil_frac(eps * nb))
+                    hi, lo = dens + eps, dens - eps
+                    bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+                    for count in (1, 40):
+                        xs, tables = _random_candidates(na, p_min, count)
+                        lanes = _lanes(na, xs)
+                        assert _degrees(b_masks, a, tables) == degrees_by_lanes(nbrs, a, lanes)
+                        hit = _first_refuted(b_masks, a, xs, tables, q_min, bounds)
+                        assert hit == first_refuted_by_lanes(nbrs, a, xs, lanes, q_min, bounds), \
+                            (na, scattered, planted, eps, count)
+                        seen.add(("refuted", na >= 128, hit is not None))
+    assert seen == {("runs", False, False), ("runs", True, True),
+                    *(("refuted", wide, hit) for wide in (False, True) for hit in (False, True))}, seen
 
 
 def exact_kernel_inputs(g, a, b):

@@ -25,6 +25,7 @@ from bandembed.regularity import (
     _planes,
     _random_candidates,
     _slot_width,
+    _tables,
 )
 from bandembed.rng import as_fraction, make_rng, rand_below, sample_indices, shuffled
 
@@ -103,14 +104,13 @@ def random_scan_case(rng, seed):
 def scan(g, a, xs, b, q_min, e_ab, ab, eps):
     """The kernel's witness as B-vertices, called with the reference's arguments.
 
-    X goes through the heuristic's own path: its lanes, the slot pre-filter
+    X goes through the heuristic's own path: its tables, the slot pre-filter
     and the per-slot sorted check.
     """
     index = {v: i for i, v in enumerate(a)}
     x = tuple(sorted(index[v] for v in xs))
-    nbrs = [g.adj(v) & set(a) for v in b]
     hi, lo = Fraction(e_ab, ab) + eps, Fraction(e_ab, ab) - eps
-    hit = _first_refuted(nbrs, a, [x], _lanes(len(a), [x]), max(1, q_min),
+    hit = _first_refuted([g.masks[v] for v in b], a, [x], _tables(len(a), [x]), max(1, q_min),
                          (hi.numerator, hi.denominator, lo.numerator, lo.denominator))
     return None if hit is None else frozenset(b[j] for j in hit[1])
 
@@ -270,9 +270,10 @@ class TestRandomCandidatesDrawnOnce:
 
     def test_cache_is_bounded_and_immutable(self):
         for count in range(1, 41):
-            xs, lanes = _random_candidates(12, 3, count)
+            xs, tables = _random_candidates(12, 3, count)
             assert isinstance(xs, tuple) and all(isinstance(x, tuple) for x in xs)
-            assert isinstance(lanes, tuple) and all(isinstance(lane, int) for lane in lanes)
+            assert isinstance(tables, tuple) and all(isinstance(table, tuple) for table in tables)
+            assert all(isinstance(entry, int) for table in tables for entry in table)
         assert _random_candidates.cache_info().currsize <= 16
 
     def test_draws_match_a_fresh_stream(self):
@@ -287,7 +288,12 @@ class TestRandomCandidatesDrawnOnce:
             lanes = tuple(sum(1 << width * s for s, x in enumerate(fresh) if i in x)
                           for i in range(na))
             assert _slot_width(na) == width
-            assert _random_candidates(na, 4, 30) == (tuple(fresh), lanes)
+            assert _lanes(na, fresh) == lanes
+            # Table b, entry x: the lanes 8b + k summed over the bits k of x.
+            tables = tuple(tuple(sum(lanes[lo + k] for k in range(8) if x >> k & 1)
+                                 for x in range(1 << min(8, na - lo)))
+                           for lo in range(0, na, 8))
+            assert _random_candidates(na, 4, 30) == (tuple(fresh), tables)
 
 
 class TestSlotFilter:
@@ -544,6 +550,48 @@ class TestRegularPair:
             heuristic = check_regular_pair(g, a, b, 0.35, 0.25, mode="heuristic", budget=80)
             if not heuristic.regular:
                 assert not exact.regular
+
+
+PAIR_CHECKS = {
+    "check_regular_pair": lambda g, *args, **kw: check_regular_pair(
+        g, [0, 1, 2], [3, 4, 5], *args, **kw),
+    "check_super_regular_pair": lambda g, *args, **kw: check_super_regular_pair(
+        g, [0, 1, 2], [3, 4, 5], *args, **kw),
+    "build_reduced_graph": lambda g, *args, **kw: build_reduced_graph(
+        g, [[0, 1, 2], [3, 4, 5]], *args, **kw),
+}
+
+
+class TestParameterTypes:
+    """A budget that is not a nonnegative int, or a threshold that is not a number, is an input error."""
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS.values(), ids=PAIR_CHECKS)
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    @pytest.mark.parametrize("budget", [2.5, "5", None, True, False], ids=repr)
+    def test_budget_must_be_an_int(self, check, mode, budget):
+        with pytest.raises(InvalidInputError, match="budget must be nonnegative and an int"):
+            check(complete_pair(3, 3)[0], 0.3, 0.2, mode=mode, budget=budget)
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS.values(), ids=PAIR_CHECKS)
+    @pytest.mark.parametrize("eps, d", [
+        ("abc", 0.2), (0.3, "abc"), (None, 0.2), (0.3, None), ([0.3], 0.2), (0.3, object()),
+        ("1/0", 0.2),
+    ], ids=["eps-word", "d-word", "eps-None", "d-None", "eps-list", "d-object", "eps-1/0"])
+    def test_thresholds_must_be_numbers(self, check, eps, d):
+        with pytest.raises(InvalidInputError, match=r"need eps > 0 and 0 <= d <= 1 as numbers"):
+            check(complete_pair(3, 3)[0], eps, d)
+
+    @pytest.mark.parametrize("check", PAIR_CHECKS.values(), ids=PAIR_CHECKS)
+    def test_non_finite_threshold_is_named(self, check):
+        with pytest.raises(InvalidInputError, match="nan is not a finite number"):
+            check(complete_pair(3, 3)[0], 0.3, float("nan"))
+
+    def test_super_regular_checks_every_parameter_before_reading_d(self):
+        g, a, b = complete_pair(3, 3)
+        with pytest.raises(InvalidInputError, match="unknown mode"):
+            check_super_regular_pair(g, a, b, 0.3, None, mode="bogus")
+        with pytest.raises(InvalidInputError, match="budget must be nonnegative"):
+            check_super_regular_pair(g, a, b, 0.3, None, budget=-1)
 
 
 class TestGoldenVerdicts:
