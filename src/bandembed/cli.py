@@ -453,7 +453,7 @@ def _cmd_build_reduced(args) -> int:
                                   mode=args.mode, budget=args.budget)
     _emit({
         "clusters": [sorted(c) for c in classes],
-        "edges": [list(e) for e in sorted(reduced.edges())],
+        "edges": [list(e) for e in reduced.edges()],
         "params": {"eps": str(as_fraction(args.eps)), "d": str(as_fraction(args.density))},
     }, args)
     return 0

@@ -103,8 +103,7 @@ def robust_neighborhood(g: Graph, s, nu) -> set[int]:
         return set()
     threshold = ceil_frac(nu * g.n)
     smask = vertex_mask(s)
-    masks = g.masks
-    return {v for v in range(g.n) if (masks[v] & smask).bit_count() >= threshold}
+    return {v for v, m in enumerate(g.masks) if (m & smask).bit_count() >= threshold}
 
 
 def _size_window(n: int, tau: Fraction) -> tuple[int, int]:
@@ -153,8 +152,8 @@ def check_robust_expander(
         lanes, low_size = _subset_tables(low)
         full = (1 << (1 << low)) - 1
         # reach[v][k]: lanes where v has at least k neighbours among the low vertices of S.
-        reach = [at_least([lanes[u] for u in g.adj(v) if u < low], threshold, full)
-                 for v in range(n)]
+        reach = [at_least([lane for u, lane in enumerate(lanes) if m >> u & 1], threshold, full)
+                 for m in masks]
         for block in range(1 << (n - low)):
             high, base = block << low, block.bit_count()
             # The high vertices of S are fixed in a block, so is each v's count of them.

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import EmbeddingNotFoundError, InvalidInputError
-from .graph import Graph, _is_int_list, vertex_mask
+from .graph import Graph, _bits, _is_int_list, vertex_mask
 from .matching import hopcroft_karp
 from .rng import as_fraction, derive_seed, make_rng, shuffled
 
@@ -100,7 +100,10 @@ def _boundary(h: Graph, cluster_of: list[int] | dict[int, int]) -> tuple[set[int
     for u, v in h.edges():
         if cluster_of[u] // 2 != cluster_of[v] // 2:
             s.update((u, v))
-    return s, {u for v in s for u in h.adj(v)} - s
+    reach = 0
+    for v in s:
+        reach |= h.masks[v]
+    return s, set(_bits(reach & ~vertex_mask(s)))
 
 
 def _boundary_plan(
@@ -114,13 +117,12 @@ def _boundary_plan(
     """
     s, t = _boundary(h, cluster_of)
     constrained = s | t
-    order = sorted(constrained, key=lambda v: (-len(h.adj(v) & constrained), v))
+    inside = vertex_mask(constrained)
+    masks = h.masks
+    order = sorted(constrained, key=lambda v: (-(masks[v] & inside).bit_count(), v))
     by_class = [[v for v in order if cluster_of[v] == c] for c in range(num)]
     later = {v: vs[i + 1:] for vs in by_class for i, v in enumerate(vs)}
-    enclosed = [
-        v for v in range(h.n)
-        if v not in constrained and h.degree(v) > 0 and h.adj(v) <= constrained
-    ]
+    enclosed = [v for v, m in enumerate(masks) if m and not (m & ~inside or inside >> v & 1)]
     return order, later, enclosed
 
 
@@ -163,6 +165,10 @@ def embed_blowup(
     order, later, enclosed = _boundary_plan(h, cluster_of, len(w_sets))
 
     gmasks = g.masks
+    nbrs: list[list[int]] = [[] for _ in range(h.n)]  # H's neighbour lists, for placement
+    for u, v in h.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     class_masks = [vertex_mask(vs) for vs in v_sets]
     budget = BUDGET_FACTOR * h.n
     spent = 0
@@ -180,7 +186,7 @@ def embed_blowup(
             # Prefer the host vertex that blocks the fewest later peers in
             # the same cluster; random tie-break so restarts explore.
             best = _least_blocked(cands, shuffled(rng, _bits(cands)), [allowed[u] for u in later[v]])
-            _place(h, gmasks, phi, vacant, allowed, cluster_of[v], v, best)
+            _place(nbrs, gmasks, phi, vacant, allowed, cluster_of[v], v, best)
         # An enclosed vertex has a candidate list no pair-level retry can
         # change; if any such list is empty the boundary placement itself is
         # poisoned.
@@ -204,7 +210,7 @@ def embed_blowup(
             while status == "retry" and tries < 20 and spent <= budget:
                 tries += 1
                 spent += len(w_sets[x]) + len(w_sets[x + 1])
-                status = _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng)
+                status = _complete_pair(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng)
             if status != "ok":
                 break
         else:
@@ -218,11 +224,14 @@ def _least_blocked(fewest: int, cands: list[int], allowed: list[int]) -> int:
     """`min(cands, key=lambda c: sum(m >> c & 1 for m in allowed))`, all counted at once.
 
     fewest is the mask of cands.  Plane i holds bit i of every candidate's
-    count; the minimum is narrowed from the top plane.
+    count; the minimum is narrowed from the top plane.  A mask that holds all
+    of cands or none adds the same count to each, so it is skipped.
     """
     planes: list[int] = []
     for m in allowed:
         carry = m & fewest
+        if not carry or carry == fewest:
+            continue
         for i, plane in enumerate(planes):
             planes[i], carry = plane ^ carry, plane & carry
         if carry:
@@ -233,25 +242,15 @@ def _least_blocked(fewest: int, cands: list[int], allowed: list[int]) -> int:
     return next(c for c in cands if fewest >> c & 1)
 
 
-def _bits(mask: int) -> list[int]:
-    """The set bits of a nonnegative mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _place(h, gmasks, phi, vacant, allowed, cls, v, host) -> None:
+def _place(nbrs, gmasks, phi, vacant, allowed, cls, v, host) -> None:
     """Place v on host: host leaves class cls's vacant mask, and each H-neighbour's mask narrows."""
     phi[v] = host
     vacant[cls] ^= 1 << host
-    for u in h.adj(v):
+    for u in nbrs[v]:
         allowed[u] &= gmasks[host]
 
 
-def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
+def _complete_pair(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
     """Fill the cluster pair (x, x+1), one side at a time.
 
     On each side Hopcroft-Karp matches the bound vertices (those with a placed
@@ -272,7 +271,7 @@ def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
         adjacency = [_bits(allowed[v] & vacant[side]) for v in bound]
         matching = hopcroft_karp(adjacency, len(gmasks))
         if len(matching) < len(bound):
-            stuck = side == x or any(not cands and not any(saved[0][u] < 0 <= phi[u] for u in h.adj(v))
+            stuck = side == x or any(not cands and not any(saved[0][u] < 0 <= phi[u] for u in nbrs[v])
                                      for v, cands in zip(bound, adjacency))
             phi[:], vacant[x], vacant[x + 1], allowed[:] = saved
             return "stuck" if stuck else "retry"
@@ -280,7 +279,7 @@ def _complete_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
         leftover = vacant[side] & ~vertex_mask(placement.values())
         placement.update(zip(free, shuffled(rng, _bits(leftover))))
         for v, c in placement.items():
-            _place(h, gmasks, phi, vacant, allowed, side, v, c)
+            _place(nbrs, gmasks, phi, vacant, allowed, side, v, c)
     return "ok"
 
 

@@ -2,10 +2,11 @@
 
 Vertices are 0..n-1.  Graphs are immutable after construction and safe to
 share across tasks; every operation here is pure.  Named vertices, if any,
-belong to the file-format layer, not to the algorithms.  The edge list is a
-tuple built once, on the first `edges()` call: it is lazy because the pipeline
-never lists a host's edges, and a kept tuple costs about 0.8 MB per dense
-400-vertex host.
+belong to the file-format layer, not to the algorithms.  A graph keeps one
+adjacency bitmask per vertex, about n/8 bytes each (1.2 MB at n = 3200), and
+derives the rest.  Its edge list is a tuple built on the first `edges()` call
+and kept: the pipeline never lists a host's edges, and the tuple of a dense
+400-vertex host would cost 0.9 MB.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def vertex_mask(vertices) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending, read a byte at a time."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return [8 * i + j for i, byte in enumerate(data) if byte for j in _BYTE_BITS[byte]]
 
 
 def subset_lanes(n: int) -> list[int]:
@@ -76,18 +86,23 @@ def at_least(vectors, top: int, full: int) -> list[int]:
 
 
 class Graph:
-    """Immutable simple graph: no loops, no parallel edges, symmetric adjacency."""
+    """Immutable simple graph: no loops, no parallel edges, symmetric adjacency.
 
-    __slots__ = ("n", "_adj", "_masks", "_edges")
+    masks[v] has bit u set iff uv is an edge; it is the only adjacency kept.  Both
+    constructors end in one check of the masks.
+    """
+
+    __slots__ = ("n", "masks", "_edges", "_hash")
 
     def __init__(self, n: int, edges):
         if not _is_int(n) or n < 0:
             raise InvalidInputError(f"vertex count {n!r} is not a nonnegative integer")
-        adj: list[set[int]] = [set() for _ in range(n)]
         try:
             edges = iter(edges)
         except TypeError:
             raise InvalidInputError(f"edge list {edges!r} is not iterable") from None
+        bit = [1 << v for v in range(n)]
+        masks = [0] * n
         for e in edges:
             try:
                 u, v = e
@@ -99,58 +114,86 @@ class Graph:
                         raise InvalidInputError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
                 if u == v:
                     raise InvalidInputError(f"loop edge ({u},{v}) is not allowed")
-                if v in adj[u]:
+                if masks[u] & bit[v]:
                     raise InvalidInputError(f"duplicate edge ({u},{v})")
-                adj[u].add(v)
-                adj[v].add(u)
+                masks[u] |= bit[v]
+                masks[v] |= bit[u]
             except InvalidInputError:
                 raise
             except (TypeError, ValueError) as exc:  # a bad shape, a bool, a float or a string
                 raise InvalidInputError(f"edge {e!r} is not a pair of integer vertices") from exc
+        self._adopt(masks)
+
+    @classmethod
+    def from_masks(cls, masks) -> Graph:
+        """The graph on range(len(masks)) whose vertex v has neighbour mask masks[v]."""
+        g = cls.__new__(cls)
+        g._adopt(list(masks))
+        return g
+
+    def _adopt(self, masks: list) -> None:
+        """Keep `masks` once they are ints in range, loop-free and symmetric: dense ones in bulk
+        (rows against columns, strided slices of one byte per entry), others edge by edge."""
+        n = len(masks)
+        for v, m in enumerate(masks):
+            if not _is_int(m) or m < 0 or m.bit_length() > n:
+                raise InvalidInputError(
+                    f"adjacency mask of vertex {v} is not a set of vertices in [0,{n})")
+        dense = 32 * sum(m.bit_count() for m in masks) > n * n
+        if dense:
+            cells = b"".join(bin(m)[:1:-1].ljust(n, "0").encode() for m in masks)
+        if not (dense and b"1" not in cells[::n + 1]
+                and all(cells[v * n:(v + 1) * n] == cells[v::n] for v in range(n))):
+            for a, m in enumerate(masks):
+                bit = 1 << a
+                while m:
+                    low = m & -m
+                    b = low.bit_length() - 1
+                    if low == bit:
+                        raise InvalidInputError(f"loop edge ({a},{a}) is not allowed")
+                    if not masks[b] & bit:
+                        raise InvalidInputError(
+                            f"adjacency is not symmetric: {a} lists {b}, {b} does not list {a}")
+                    m ^= low
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks: list[int] | None = None
+        self.masks = tuple(masks)
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._hash = hash(self.masks)
 
     def adj(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        return frozenset(_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v >= 0 and self.masks[u] >> v & 1 == 1
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Each edge once as (u, v), u < v, by ascending u; a tuple built on the first call and kept."""
+        """Each edge once as (u, v), u < v, ascending; a tuple built on the first call and kept."""
         if self._edges is None:
-            self._edges = tuple((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
+            edges = []
+            for u, m in enumerate(self.masks):
+                m >>= u  # bit j is now vertex u + j, and bit 0 (u itself) is clear
+                while m:
+                    low = m & -m
+                    edges.append((u, u + low.bit_length() - 1))
+                    m ^= low
+            self._edges = tuple(edges)
         return self._edges
 
     @property
     def num_edges(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
-
-    @property
-    def masks(self) -> list[int]:
-        """Adjacency bitmasks, built lazily; mask[v] has bit u set iff uv is an edge.
-
-        Each mask sums v's entries of one table of powers of two, built with
-        the masks, so the build makes n shifts rather than one per edge.
-        """
-        if self._masks is None:
-            bit = [1 << v for v in range(self.n)]
-            self._masks = [sum(map(bit.__getitem__, s)) for s in self._adj]
-        return self._masks
+        return max((m.bit_count() for m in self.masks), default=0)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
+        return isinstance(other, Graph) and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return self._hash
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -176,12 +219,7 @@ def verify_bandwidth_ordering(g: Graph, ordering: BandwidthOrdering) -> int:
     """Maximum label stretch over all edges; 0 for edgeless graphs."""
     ordering.validate_bijection(g.n)
     labels = ordering.labels
-    stretch = 0
-    for u, v in g.edges():
-        d = abs(labels[u] - labels[v])
-        if d > stretch:
-            stretch = d
-    return stretch
+    return max((abs(labels[u] - labels[v]) for u, v in g.edges()), default=0)
 
 
 def degree_sequence(g: Graph) -> list[int]:
@@ -205,8 +243,8 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
 
 
 def graph_to_json(g: Graph) -> dict:
-    """{"n": n, "edges": [[u, v], ...]} with u < v, sorted, so equal graphs write equal JSON."""
-    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges())]}
+    """{"n": n, "edges": [[u, v], ...]} with u < v, ascending, so equal graphs write equal JSON."""
+    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
 def _is_int(x) -> bool:

@@ -4,8 +4,8 @@ Every generator is a pure function of (parameters, seed): fixed seeds give
 bit-identical graphs across platforms.  Generated certificates (sizes,
 degrees, bandwidth, class structure) are plain data that the independent
 checkers re-verify in the test suite.  A generator stops drawing once no
-draw can change its graph, and streams its edges into `Graph` in the order
-a list would hold them, so each vertex's adjacency iterates the same way.
+draw can change its graph.  The super-regular host is drawn straight into
+the adjacency masks `Graph` keeps, and handed over whole.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .graph import BandwidthOrdering, Graph, graph_to_json
+from .graph import BandwidthOrdering, Graph, _bits, graph_to_json
 from .partition import ClusterPartition
 from .rng import make_rng, shuffled
 
@@ -61,15 +61,9 @@ def gen_cycle_blowup(classes: int, size: int) -> Graph:
     """
     if classes < 3 or size < 1:
         raise InvalidInputError("need at least 3 classes of size >= 1")
-    n = classes * size
-    edges = set()
-    for c in range(classes):
-        nxt = (c + 1) % classes
-        for i in range(size):
-            for j in range(size):
-                u, v = c * size + i, nxt * size + j
-                edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
+    blocks = [((1 << size) - 1) << c * size for c in range(classes)]
+    return Graph.from_masks(blocks[(u // size - 1) % classes] | blocks[(u // size + 1) % classes]
+                            for u in range(classes * size))
 
 
 def _bernoulli_row(rng, vertices, threshold: int) -> list[int]:
@@ -104,22 +98,24 @@ def gen_super_regular_host(
     classes = [list(range(c * size, (c + 1) * size)) for c in range(2 * k)]
     rng = make_rng(seed)
     threshold = int(d * (1 << 30))
-    adj: list[set[int]] = [set() for _ in range(n)]
+    bit = [1 << v for v in range(n)]
+    class_mask = [sum(bit[c * size:(c + 1) * size]) for c in range(2 * k)]
+    masks = [0] * n  # the adjacency, as `Graph` keeps it
 
     def link(u: int, vs: list[int]) -> None:
-        adj[u].update(vs)
+        masks[u] |= sum(map(bit.__getitem__, vs))
         for v in vs:
-            adj[v].add(u)
+            masks[v] |= bit[u]
 
-    def deg(u: int, other: list[int]) -> int:
-        return len(adj[u].intersection(other))
+    def deg(u: int, c: int) -> int:
+        return (masks[u] & class_mask[c]).bit_count()
 
-    def top_up(u: int, other: list[int]) -> None:
+    def top_up(u: int, c: int) -> None:
         # Always shuffles, even when u already meets the floor: the draws it
         # consumes are part of the seeded stream that later rows and top-ups
         # read.  The final sweep stops where no later draw is read (below).
-        missing = max(0, floor - deg(u, other))
-        link(u, [v for v in shuffled(rng, other) if v not in adj[u]][:missing])
+        missing = max(0, floor - deg(u, c))
+        link(u, [v for v in shuffled(rng, classes[c]) if not masks[u] >> v & 1][:missing])
 
     partition = ClusterPartition([set(c) for c in classes], *map(tuple, chords))
     for x, y in partition.skeleton():
@@ -128,31 +124,28 @@ def gen_super_regular_host(
 
     if d < 1:
         floor = max(1, int(0.6 * d * size + 0.999999))
-        sides = []
-        for i in range(k):
-            a_cls, b_cls = classes[2 * i], classes[2 * i + 1]
-            sides += [(u, b_cls) for u in a_cls] + [(u, a_cls) for u in b_cls]
-        for u, other in sides:
+        # Each vertex of pair i with the other class of its pair, A_i before B_i.
+        sides = [(u, c ^ 1) for c in range(2 * k) for u in classes[c]]
+        for u, c in sides:
             for _ in range(100):
-                if deg(u, other) >= floor:
+                if deg(u, c) >= floor:
                     break
-                adj[u].difference_update(other)
-                for v in other:
-                    adj[v].discard(u)
-                link(u, _bernoulli_row(rng, other, threshold))
-            if deg(u, other) < floor:
-                top_up(u, other)
+                for v in _bits(masks[u] & class_mask[c]):
+                    masks[v] ^= bit[u]
+                masks[u] &= ~class_mask[c]
+                link(u, _bernoulli_row(rng, classes[c], threshold))
+            if deg(u, c) < floor:
+                top_up(u, c)
         # Resampling one row can steal an edge from the opposite side, so a
         # final addition-only sweep restores the floor monotonically.  It
         # ends at the last vertex short when it starts: edges are only added,
         # so no later vertex falls short, and the rest of the sweep would
         # link nothing and only draw from rng, which nothing reads after it.
-        end = max((i + 1 for i, (u, other) in enumerate(sides) if deg(u, other) < floor), default=0)
-        for u, other in sides[:end]:
-            top_up(u, other)
+        end = max((i + 1 for i, (u, c) in enumerate(sides) if deg(u, c) < floor), default=0)
+        for u, c in sides[:end]:
+            top_up(u, c)
 
-    edges = ((u, v) for u in range(n) for v in sorted(adj[u]) if u < v)
-    return HostBundle(Graph(n, edges), partition)
+    return HostBundle(Graph.from_masks(masks), partition)
 
 
 def gen_extremal_counterexample(n: int, m: int) -> Graph:
@@ -163,23 +156,11 @@ def gen_extremal_counterexample(n: int, m: int) -> Graph:
         raise InvalidInputError("n must be even")
     if not 0 < m < n / 2:
         raise InvalidInputError("need 0 < m < n/2")
-    v1 = list(range(m))
-    v2 = list(range(m, 2 * m - 1))
-    v3 = list(range(2 * m - 1, n))
-    edges = []
-    for idx, u in enumerate(v2):
-        for v in v2[idx + 1:]:
-            edges.append((u, v))
-    for idx, u in enumerate(v3):
-        for v in v3[idx + 1:]:
-            edges.append((u, v))
-    for u in v1:
-        for v in v2:
-            edges.append((u, v))
-    for u in v2:
-        for v in v3:
-            edges.append((u, v))
-    return Graph(n, edges)
+    # V1 = [0, m), V2 = [m, 2m - 1) and V3 = [2m - 1, n), as masks.
+    v1, v2 = (1 << m) - 1, (1 << 2 * m - 1) - (1 << m)
+    v3 = (1 << n) - 1 - v1 - v2
+    rows = [v2] * m + [v1 | v2 | v3] * (m - 1) + [v2 | v3] * (n - 2 * m + 1)
+    return Graph.from_masks(row & ~(1 << u) for u, row in enumerate(rows))
 
 
 def gen_random_graph(n: int, p: float, seed: int = 0) -> Graph:
@@ -202,11 +183,8 @@ def gen_bandwidth_bipartite_h(n: int, delta: int, b: int, seed: int = 0) -> Targ
     """
     if b < 1 or delta < 1 or n < 1:
         raise InvalidInputError("need n >= 1, delta >= 1, b >= 1")
-    candidates = []
-    for u in range(n):
-        for v in range(u + 1, min(n, u + b + 1)):
-            if (u + v) % 2 == 1:
-                candidates.append((u, v))
+    # Opposite parities within distance b: v = u + 1, u + 3, ...
+    candidates = [(u, v) for u in range(n) for v in range(u + 1, min(n, u + b + 1), 2)]
     rng = make_rng(seed)
     degree = [0] * n
     edges = []
@@ -217,6 +195,4 @@ def gen_bandwidth_bipartite_h(n: int, delta: int, b: int, seed: int = 0) -> Targ
             degree[v] += 1
     graph = Graph(n, edges)
     ordering = BandwidthOrdering(tuple(range(n)), b)
-    evens = [v for v in range(n) if v % 2 == 0]
-    odds = [v for v in range(n) if v % 2 == 1]
-    return TargetBundle(graph, ordering, (evens, odds))
+    return TargetBundle(graph, ordering, (list(range(0, n, 2)), list(range(1, n, 2))))

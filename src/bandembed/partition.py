@@ -30,7 +30,7 @@ from .errors import (
     StructuralError,
     WalkNotFoundError,
 )
-from .graph import Graph, _is_int_list, induced_subgraph, vertex_mask
+from .graph import Graph, _bits, _is_int_list, induced_subgraph, vertex_mask
 from .regularity import (
     EXACT_REGULARITY_CAP,
     RegularityVerdict,
@@ -237,26 +237,19 @@ HAMILTON_CAP = 32
 
 
 def _hamilton_cycles(reduced: Graph):
-    """Backtracking enumeration of Hamilton cycles anchored at vertex 0."""
-    n, adj = reduced.n, reduced.adj
-    path = [0]
-    used = [False] * n
-    used[0] = True
+    """Backtracking enumeration of Hamilton cycles anchored at vertex 0; each step tries
+    the unvisited neighbours in ascending order."""
+    masks = reduced.masks
 
-    def extend():
-        if len(path) == n:
-            if 0 in adj(path[-1]):
+    def extend(path: list[int], unvisited: int):
+        if not unvisited:
+            if masks[path[-1]] & 1:
                 yield tuple(path)
             return
-        for v in sorted(adj(path[-1])):
-            if not used[v]:
-                used[v] = True
-                path.append(v)
-                yield from extend()
-                path.pop()
-                used[v] = False
+        for v in _bits(masks[path[-1]] & unvisited):
+            yield from extend(path + [v], unvisited ^ 1 << v)
 
-    yield from extend()
+    yield from extend([0], (1 << reduced.n) - 2)
 
 
 def find_hamilton_cycle_and_chords(reduced: Graph) -> CycleStructure:
@@ -279,7 +272,7 @@ def find_hamilton_cycle_and_chords(reduced: Graph) -> CycleStructure:
         pos = {c: p for p, c in enumerate(order)}
         # The first chord among A-positions (even) and among B-positions (odd).
         chords: dict[int, tuple[int, int]] = {}
-        for u, v in sorted(reduced.edges()):
+        for u, v in reduced.edges():
             pu, pv = sorted((pos[u], pos[v]))
             if pu % 2 == pv % 2:
                 chords.setdefault(pu % 2, (pu // 2, pv // 2))

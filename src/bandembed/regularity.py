@@ -142,18 +142,19 @@ def _extreme_violation(deg_of: list[int], p: int, q: int,
     return None
 
 
-def _first_violating_x(nbrs: list[frozenset], a_list: list[int], p_min: int, q: int,
+def _first_violating_x(b_masks: list[int], a_list: list[int], p_min: int, q: int,
                        hi_num: int, hi_den: int, lo_num: int, lo_den: int) -> int | None:
     """Least X index mask with |X| >= p_min that `_extreme_violation` refutes, or None.
 
-    Each lane's top-q and bottom-q X-degree sums are bit planes, read at each size's thresholds."""
-    na, nb = len(a_list), len(nbrs)
+    b_masks are the B-vertices' adjacency masks.  Each lane's top-q and bottom-q
+    X-degree sums are bit planes, read at each size's thresholds."""
+    na, nb = len(a_list), len(b_masks)
     if p_min > na:
         return None
     lanes, size = _subset_tables(na)
-    lane_of = dict(zip(a_list, lanes))
     full = (1 << (1 << na)) - 1
-    degree = [at_least(list(map(lane_of.__getitem__, nb_j)), na, full) for nb_j in nbrs]
+    degree = [at_least([lane for a, lane in zip(a_list, lanes) if m >> a & 1], na, full)
+              for m in b_masks]
     cnt = [at_least([deg[t] for deg in degree], nb, full) for t in range(1, na + 1)]
     top = _planes([c[j] for c in cnt for j in range(1, q + 1)])
     bottom = _planes([c[j] for c in cnt for j in range(nb - q + 1, nb + 1)])
@@ -368,9 +369,13 @@ def check_regular_pair(
     witness is exact by construction since densities are recomputed exactly.
     """
     eps, d = _thresholds(eps, d, mode, budget)
-    a_list = sorted(set(a_side))
-    b_list = sorted(set(b_side))
-    deg_a = _cross_degrees(g, a_list, b_list)
+    a_list, b_list = sorted(set(a_side)), sorted(set(b_side))
+    return _regular_pair(g, a_list, b_list, _cross_degrees(g, a_list, b_list), eps, d, mode, budget)
+
+
+def _regular_pair(g: Graph, a_list: list[int], b_list: list[int], deg_a: list[int], eps: Fraction,
+                  d: Fraction, mode: str, budget: int) -> RegularityVerdict:
+    """`check_regular_pair` on sorted sides, checked thresholds and A's degrees into B."""
     na, nb = len(a_list), len(b_list)
     dens = Fraction(sum(deg_a), na * nb)
     if dens < d:
@@ -379,14 +384,7 @@ def check_regular_pair(
     q_min = max(1, ceil_frac(eps * nb))
     hi, lo = dens + eps, dens - eps
     bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
-    masks = g.masks
-    b_masks = [masks[v] for v in b_list]
-
-    def neighbours_in_a() -> list[frozenset]:
-        """Each B-vertex's neighbours in A, for the lane kernels."""
-        a_set = frozenset(a_list)
-        return [g.adj(v) & a_set for v in b_list]
-
+    b_masks = [g.masks[v] for v in b_list]
     hit = None
     if mode == "exact":
         if na > EXACT_REGULARITY_CAP or nb > EXACT_REGULARITY_CAP:
@@ -394,7 +392,7 @@ def check_regular_pair(
                 f"exact regularity capped at {EXACT_REGULARITY_CAP} per side "
                 f"(got {na}x{nb}); use mode='heuristic'"
             )
-        first = _first_violating_x(neighbours_in_a(), a_list, p_min, q_min, *bounds)
+        first = _first_violating_x(b_masks, a_list, p_min, q_min, *bounds)
         if first is not None:
             xs = [tuple(i for i in range(na) if first >> i & 1)]
             hit = _first_refuted_by_popcount(b_masks, a_list, xs, q_min, bounds)
@@ -425,11 +423,11 @@ def check_super_regular_pair(
     budget: int = 120,
 ) -> RegularityVerdict:
     """Regularity plus both one-sided minimum cross-degree floors (always exact)."""
-    d_f = _thresholds(eps, d, mode, budget)[1]
-    a_list = sorted(set(a_side))
-    b_list = sorted(set(b_side))
-    verdict = check_regular_pair(g, a_list, b_list, eps, d, mode=mode, budget=budget)
-    deg_a, deg_b = _cross_degrees(g, a_list, b_list), _cross_degrees(g, b_list, a_list)
+    eps_f, d_f = _thresholds(eps, d, mode, budget)
+    a_list, b_list = sorted(set(a_side)), sorted(set(b_side))
+    deg_a = _cross_degrees(g, a_list, b_list)
+    verdict = _regular_pair(g, a_list, b_list, deg_a, eps_f, d_f, mode, budget)
+    deg_b = _cross_degrees(g, b_list, a_list)
     verdict.min_cross_degree = (min(deg_a), min(deg_b))
     # An integer degree is below d*|B| iff it is below ceil(d*|B|).
     floors = (("A", a_list, deg_a, ceil_frac(d_f * len(b_list))),

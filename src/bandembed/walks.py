@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, WalkNotFoundError, WalkValidationError
-from .graph import Graph, _is_int_list
+from .graph import Graph, _bits, _is_int_list
 from .rng import as_fraction, floor_frac
 
 __all__ = [
@@ -210,12 +210,9 @@ def find_closed_shifted_walk(g: Graph, m: Matching, a: int, nu) -> ShiftedWalk:
     frontier = [a]
     depth = 1
 
-    def closes(u: int) -> bool:
-        return a in g.adj(u) and not m.contains_edge(u, a)
-
     while depth <= max_len:
         for u in sorted(frontier):
-            if closes(u):
+            if g.has_edge(u, a) and not m.contains_edge(u, a):
                 walk: list[int] = [u, a]
                 x = u
                 while layer_of[x] > 1:
@@ -225,7 +222,7 @@ def find_closed_shifted_walk(g: Graph, m: Matching, a: int, nu) -> ShiftedWalk:
                 return validate_shifted_walk(g, m, walk)
         nxt = []
         for u in sorted(frontier):
-            for w in sorted(g.adj(u)):
+            for w in _bits(g.masks[u]):
                 if m.contains_edge(u, w):
                     continue
                 x = m.partner(w)

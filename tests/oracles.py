@@ -105,12 +105,97 @@ def verify_homomorphism_certificate_reference(
     }
 
 
-def edges_reference(g: Graph):
-    """`Graph.edges()` as a generator that rescans the adjacency sets on every call."""
-    for u in range(g.n):
-        for v in g._adj[u]:
-            if u < v:
-                yield (u, v)
+def edges_reference(edge_list):
+    """`Graph(n, edge_list).edges()` from the input list: each edge once, (u, v), u < v, sorted."""
+    return tuple(sorted({(min(e), max(e)) for e in edge_list}))
+
+
+class FrozensetGraph:
+    """`Graph` as it was when it kept one frozenset per vertex, built edge by edge.
+
+    Same vertex count, adjacency, degrees, edges, masks, equality and error
+    messages as `bandembed.graph.Graph`; `from_sets` restates
+    `Graph.from_masks` on neighbour sets.  Its edges list each vertex's
+    neighbours in set order, so only their set is comparable.
+    """
+
+    def __init__(self, n: int, edges):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InvalidInputError(f"vertex count {n!r} is not a nonnegative integer")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InvalidInputError(f"edge list {edges!r} is not iterable") from None
+        for e in edges:
+            try:
+                u, v = e
+                if not (1 < u < n and 1 < v < n):
+                    if bool in (type(u), type(v)):
+                        raise TypeError("bool endpoint")
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise InvalidInputError(f"edge ({u},{v}) has an endpoint outside [0,{n})")
+                if u == v:
+                    raise InvalidInputError(f"loop edge ({u},{v}) is not allowed")
+                if v in adj[u]:
+                    raise InvalidInputError(f"duplicate edge ({u},{v})")
+                adj[u].add(v)
+                adj[v].add(u)
+            except InvalidInputError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"edge {e!r} is not a pair of integer vertices") from exc
+        self.n = n
+        self._adj = tuple(frozenset(s) for s in adj)
+
+    @classmethod
+    def from_sets(cls, sets):
+        """Per-vertex neighbour sets: each in range, then each listed neighbour in order,
+        which must not be the vertex itself and must list it back."""
+        n = len(sets)
+        for v, s in enumerate(sets):
+            if not all(isinstance(u, int) and 0 <= u < n for u in s):
+                raise InvalidInputError(
+                    f"adjacency mask of vertex {v} is not a set of vertices in [0,{n})")
+        for u in range(n):
+            for v in sorted(sets[u]):
+                if u == v:
+                    raise InvalidInputError(f"loop edge ({u},{u}) is not allowed")
+                if u not in sets[v]:
+                    raise InvalidInputError(
+                        f"adjacency is not symmetric: {u} lists {v}, {v} does not list {u}")
+        g = cls(n, [])
+        g._adj = tuple(frozenset(s) for s in sets)
+        return g
+
+    def adj(self, v: int) -> frozenset[int]:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj[u]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(s) for s in self._adj) // 2
+
+    def max_degree(self) -> int:
+        return max((len(s) for s in self._adj), default=0)
+
+    @property
+    def masks(self) -> list[int]:
+        return [vertex_mask(s) for s in self._adj]
+
+    def __eq__(self, other):
+        return isinstance(other, FrozensetGraph) and self.n == other.n and self._adj == other._adj
+
+    def __hash__(self):
+        return hash((self.n, self._adj))
 
 
 def chop_reference(
@@ -473,6 +558,21 @@ def offending_classes_reference(h: Graph, f: list[int], sizes: list[int], eps) -
     s_sets, t_sets = boundary_reference(h, f, num)
     return [i for i in range(num) if len(s_sets[i]) > eps * sizes[i]
             or len(t_sets[i]) > eps * min(sizes[i], sizes[i ^ 1])]
+
+
+def least_blocked_unfiltered(fewest: int, cands: list[int], allowed: list[int]) -> int:
+    """`embedder._least_blocked` before it skipped uniform masks: every mask is counted."""
+    planes: list[int] = []
+    for m in allowed:
+        carry = m & fewest
+        for i, plane in enumerate(planes):
+            planes[i], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    for plane in reversed(planes):
+        if fewest & ~plane:
+            fewest &= ~plane
+    return next(c for c in cands if fewest >> c & 1)
 
 
 def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,

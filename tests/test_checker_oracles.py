@@ -15,9 +15,14 @@ import bandembed.homomorphism
 import bandembed.hostgen
 import oracles
 from bandembed.cli import run_full_pipeline
-from bandembed.embedder import _boundary, check_compatibility, embed_blowup
-from bandembed.errors import DecompositionError, EmbeddingNotFoundError, RetryBudgetError
-from bandembed.graph import BandwidthOrdering, Graph, vertex_mask
+from bandembed.embedder import _boundary, _least_blocked, check_compatibility, embed_blowup
+from bandembed.errors import (
+    DecompositionError,
+    EmbeddingNotFoundError,
+    InvalidInputError,
+    RetryBudgetError,
+)
+from bandembed.graph import BandwidthOrdering, Graph, induced_subgraph, vertex_mask
 from bandembed.homomorphism import (
     HomomorphismParams,
     build_homomorphism,
@@ -25,7 +30,13 @@ from bandembed.homomorphism import (
     chop_into_segments,
     verify_homomorphism_certificate,
 )
-from bandembed.hostgen import gen_bandwidth_bipartite_h, gen_random_graph, gen_super_regular_host
+from bandembed.hostgen import (
+    gen_bandwidth_bipartite_h,
+    gen_cycle_blowup,
+    gen_extremal_counterexample,
+    gen_random_graph,
+    gen_super_regular_host,
+)
 from bandembed.partition import Config
 from bandembed.regularity import (
     _degrees,
@@ -49,6 +60,7 @@ from conftest import (
 from oracles import (
     boundary_reference,
     degrees_by_lanes,
+    FrozensetGraph,
     eager_plan,
     edges_reference,
     embed_blowup_reference,
@@ -57,6 +69,7 @@ from oracles import (
     gen_random_graph_reference,
     gen_super_regular_host_reference,
     heuristic_verdict_by_lanes,
+    least_blocked_unfiltered,
     offending_classes_reference,
     sample_reference,
     verify_homomorphism_certificate_reference,
@@ -127,24 +140,112 @@ def test_homomorphism_checker_matches_oracle():
     assert checks >= 20000, checks
 
 
+def listed_edges(g):
+    """Every edge of g, pair by pair from `has_edge`, as (u, v) with u < v."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+
 def test_graph_edges_match_oracle():
-    """The kept edge tuple lists the generator's edges in its order, built on first use."""
+    """The kept edge tuple is its input edge list, ascending, whatever the input order; built on
+    first use.  Generated graphs are listed pair by pair, then rebuilt reversed and shuffled."""
     host = gen_super_regular_host(4, 50, 0.5, seed=3).graph
     target = gen_bandwidth_bipartite_h(400, 3, 10, seed=3).graph
     small = gen_super_regular_host(3, 8, 1.0, seed=0)
     reduced = build_reduced_graph(small.graph, small.partition.classes, 0.4, 0.3, mode="heuristic")
-    listed = list(edges_reference(host))
-    backwards = Graph(host.n, [(v, u) for u, v in reversed(listed)])
-    unsorted = Graph(host.n, shuffled(make_rng(5), listed))
-    graphs = [Graph(0, []), Graph(5, []), host, target, reduced, backwards, unsorted]
-    assert host._edges is None and backwards._edges is None
-    for g in graphs:
-        edges = g.edges()
-        assert type(edges) is tuple and edges == tuple(edges_reference(g))
-        assert g.edges() is edges and g._edges is edges
+    listed = listed_edges(host)
+    inputs = [(0, []), (5, []), (host.n, [(v, u) for u, v in reversed(listed)]),
+              (host.n, shuffled(make_rng(5), listed))]
+    assert host._edges is None
+    built = [(g, listed_edges(g)) for g in (target, reduced)] + [(Graph(n, e), e) for n, e in inputs]
+    for g, edges in [(host, listed)] + built:
+        assert g._edges is None
+        kept = g.edges()
+        assert type(kept) is tuple and kept == edges_reference(edges)
+        assert g.edges() is kept and g._edges is kept
     assert len(host.edges()) == host.num_edges > 10000 and len(reduced.edges()) > 0
-    # The order follows each graph's adjacency sets; the edges are the same.
-    assert sorted(backwards.edges()) == sorted(unsorted.edges()) == sorted(host.edges())
+    assert Graph(*inputs[2]).edges() == Graph(*inputs[3]).edges() == host.edges()
+
+
+def same_graph(g, ref, rng):
+    """`Graph` g and `FrozensetGraph` ref agree on every derived view: adjacency, degrees,
+    `has_edge` (every pair up to 60 vertices, else every edge and 3000 seeded pairs), edges,
+    counts and masks."""
+    n = g.n
+    assert n == ref.n
+    assert all(sorted(g.adj(v)) == sorted(ref.adj(v)) for v in range(n))
+    assert [g.degree(v) for v in range(n)] == [ref.degree(v) for v in range(n)]
+    if n <= 60:
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+    else:
+        pairs = ref.edges() + [(rand_below(rng, n), rand_below(rng, n)) for _ in range(3000)]
+    assert all(g.has_edge(u, v) is ref.has_edge(u, v) for u, v in pairs)
+    assert g.edges() == tuple(sorted(ref.edges()))
+    assert (g.num_edges, g.max_degree()) == (ref.num_edges, ref.max_degree())
+    assert list(g.masks) == ref.masks
+
+
+def graph_message(build, *args):
+    try:
+        build(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    raise AssertionError(f"{build.__qualname__}{args} raised nothing")
+
+
+def test_graph_matches_frozenset_reference():
+    """`Graph` on masks agrees with the frozenset `Graph` it replaced.
+
+    Inputs: seeded random edge lists (n up to 130, densities 0 to 1, each
+    edge in a random orientation and the list shuffled) and the output of
+    every generator and of `build_reduced_graph` and `induced_subgraph`.
+    Equal graphs, built in another edge order, hash equally; graphs one edge
+    apart are unequal on both sides.  Malformed edge lists and asymmetric,
+    looped or out-of-range neighbour sets raise the same message on both.
+    """
+    rng = make_rng(41)
+    cases = []
+    for n in (0, 1, 2, 5, 9, 40, 130):
+        for per_mille in (0, 100, 500, 1000):
+            edges = [(u, v) if rand_below(rng, 2) else (v, u) for u in range(n)
+                     for v in range(u + 1, n) if rand_below(rng, 1000) < per_mille]
+            cases.append((Graph(n, shuffled(rng, edges)), FrozensetGraph(n, edges)))
+    small = gen_super_regular_host(3, 8, 1.0, seed=0)
+    reduced = build_reduced_graph(small.graph, small.partition.classes, 0.4, 0.3, mode="heuristic")
+    generated = [gen_cycle_blowup(5, 4), gen_super_regular_host(4, 50, 0.5, seed=3).graph,
+                 gen_super_regular_host(2, 14, 0.8, ((0, 1), (0, 1)), seed=1).graph,
+                 gen_super_regular_host(3, 10, 1.0, seed=2).graph,
+                 gen_extremal_counterexample(20, 6), gen_random_graph(60, 0.3, seed=2),
+                 gen_bandwidth_bipartite_h(400, 3, 10, seed=3).graph, reduced,
+                 induced_subgraph(small.graph, range(0, 48, 3))[0]]
+    cases += [(g, FrozensetGraph(g.n, listed_edges(g))) for g in generated]
+    for g, ref in cases:
+        same_graph(g, ref, rng)
+        edges = list(ref.edges())
+        rebuilt = Graph(g.n, shuffled(rng, edges))
+        assert rebuilt == g and hash(rebuilt) == hash(g) == hash(g)
+        if edges:
+            assert (Graph(g.n, edges[1:]) == g) is (FrozensetGraph(g.n, edges[1:]) == ref) is False
+    assert FrozensetGraph(3, [(0, 1)]) == FrozensetGraph(3, [(1, 0)])
+
+    malformed = [(3, [(0, 1), (1, 1)]), (3, [(0, 1), (1, 0)]), (3, [(0, 3)]), (3, [(-1, 2)]),
+                 (9, [(0, 2), (True, 2)]), (9, [(0, 2), (7, False)]), (9, [(0, 2), (0, 1.0)]),
+                 (9, [(1.0, 2)]), (9, [(0, "1")]), (9, [(0, 1, 2)]), (9, [(1,)]), (9, [5]),
+                 (9, [None]), (3, [(0, 1), (0, 1), (2, 2)]), (3, [(0, 1), (2, 2), (0, 1)]),
+                 (3, 5), (3, None), (3, 2.5), (-1, []), (2.5, []), ("3", []), (True, [])]
+    for args in malformed:
+        assert graph_message(Graph, *args) == graph_message(FrozensetGraph, *args), args
+    bad_sets = [[{1}, set()], [{0}, set()], [set(), {1}], [{1, 2}, {0}, set()],
+                [{1}, {0, 2}, {1, 3}, {0}], [{2}, {0}], [set(), {0, 5}, set()],
+                [{1, 3}, {0, 3}, set(), {1}], [{1}, {0}, {1, 2}]]
+    # One dense and one sparse adjacency, each with edge 5-30 listed at one end only.
+    for g in (gen_random_graph(40, 0.7, seed=1),
+              gen_bandwidth_bipartite_h(200, 3, 10, seed=1).graph):
+        bad_sets.append([set(g.adj(v)) ^ ({30} if v == 5 else set()) for v in range(g.n)])
+    for sets in bad_sets:
+        assert graph_message(Graph.from_masks, [vertex_mask(s) for s in sets]) == \
+            graph_message(FrozensetGraph.from_sets, sets), sets
+    good = [{1, 3}, {0, 3}, set(), {0, 1}]
+    same_graph(Graph.from_masks(map(vertex_mask, good)), FrozensetGraph.from_sets(good), rng)
 
 
 def assert_caps_exact(plan, eager):
@@ -358,13 +459,37 @@ def test_chop_matches_list_reference():
 
 
 def test_graph_masks_match_vertex_mask():
-    """Each adjacency mask, summed from the powers-of-two table, is `vertex_mask` of its set."""
+    """The masks, kept from construction on, are `vertex_mask` of the frozenset reference's sets."""
     graphs = [Graph(0, []), Graph(3, []), gen_super_regular_host(4, 50, 0.5, seed=3).graph,
               gen_bandwidth_bipartite_h(400, 3, 10, seed=3).graph, perfect_matching_graph(64)[0]]
     for g in graphs:
-        assert g._masks is None
-        assert g.masks == [vertex_mask(g.adj(v)) for v in range(g.n)]
-        assert g.masks is g._masks
+        ref = FrozensetGraph(g.n, listed_edges(g))
+        assert type(g.masks) is tuple
+        assert g.masks == tuple(vertex_mask(ref.adj(v)) for v in range(g.n))
+
+
+def test_least_blocked_matches_the_unfiltered_count():
+    """Phase 1's pick, which skips peer masks holding all candidates or none, is the pick of
+    the count over every peer mask.
+
+    Seeded candidate lists over up to 200 hosts, with peer lists that are
+    empty, all uniform (0, -1, cands and masks off or around cands), or mixed.
+    """
+    rng = make_rng(52)
+    kinds = set()
+    for trial in range(900):
+        n = 1 + rand_below(rng, 200)
+        cands = shuffled(rng, list(range(n)))[:1 + rand_below(rng, n)]
+        fewest = vertex_mask(cands)
+        uniform = [0, -1, fewest, rng.getrandbits(n) & ~fewest, rng.getrandbits(n) | fewest]
+        peers = []
+        for _ in range(rand_below(rng, 30) if trial % 3 else 0):
+            mixed = trial % 3 == 2 and rand_below(rng, 2)
+            peers.append(rng.getrandbits(n) if mixed else uniform[rand_below(rng, len(uniform))])
+        uniform_only = all(m & fewest in (0, fewest) for m in peers)
+        kinds.add("empty" if not peers else "uniform" if uniform_only else "mixed")
+        assert _least_blocked(fewest, cands, peers) == least_blocked_unfiltered(fewest, cands, peers)
+    assert kinds == {"empty", "uniform", "mixed"}
 
 
 def test_popcount_kernel_matches_lane_kernel():
@@ -474,9 +599,9 @@ def test_exact_kernel_matches_ladder_reference():
     outcomes = set()
 
     def compare(nbrs, a, p_min, q, hi, lo):
-        args = (nbrs, a, p_min, q, hi.numerator, hi.denominator, lo.numerator, lo.denominator)
-        got = _first_violating_x(*args)
-        assert got == first_violating_x_by_ladders(*args), (len(a), len(nbrs), p_min, q, hi, lo)
+        args = (a, p_min, q, hi.numerator, hi.denominator, lo.numerator, lo.denominator)
+        got = _first_violating_x([vertex_mask(nb) for nb in nbrs], *args)
+        assert got == first_violating_x_by_ladders(nbrs, *args), (len(a), len(nbrs), p_min, q, hi, lo)
         outcomes.add(got is None)
 
     for seed in range(200):

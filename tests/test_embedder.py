@@ -434,9 +434,9 @@ class TestPairExit:
         real_pair = bandembed.embedder._complete_pair
         statuses = []
 
-        def checking(h, gmasks, phi, vacant, allowed, w_sets, x, rng):
+        def checking(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng):
             entry = phi[:], vacant[:], allowed[:]
-            statuses.append(real_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng))
+            statuses.append(real_pair(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng))
             if statuses[-1] != "ok":
                 assert (phi, vacant, allowed) == entry
             return statuses[-1]
@@ -463,10 +463,10 @@ class TestPairExit:
             attempts.append(counter)
             return real_seed(root, counter)
 
-        def recording(h, gmasks, phi, vacant, allowed, w_sets, x, rng):
+        def recording(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng):
             # v1 and v2 each have a candidate: only Hall's condition fails.
             assert x == 0 and all(allowed[v] & vacant[0] for v in w[0][1:])
-            statuses.append(real_pair(h, gmasks, phi, vacant, allowed, w_sets, x, rng))
+            statuses.append(real_pair(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng))
             return statuses[-1]
 
         monkeypatch.setattr(bandembed.embedder, "derive_seed", counting)

@@ -86,14 +86,28 @@ class TestGraph:
         assert graph_from_json(graph_to_json(g)) == g
 
     def test_equal_graphs_write_equal_json(self):
-        # Rebuilt from its own edges reversed or shuffled, the host is equal but
-        # lists its edges in another order; its JSON must not follow that order.
+        # Rebuilt from its own edges reversed or shuffled, the host is equal and
+        # lists its edges in the same ascending order, so its JSON is the same.
         g = gen_super_regular_host(k=4, size=50, d=0.5, seed=3).graph
         rng = make_rng(3)
         for edges in (list(g.edges())[::-1], shuffled(rng, list(g.edges()))):
             rebuilt = Graph(g.n, edges)
-            assert rebuilt == g and rebuilt.edges() != g.edges()
+            assert rebuilt == g and rebuilt.edges() == g.edges() == tuple(sorted(edges))
             assert graph_to_json(rebuilt) == graph_to_json(g)
+
+    @pytest.mark.parametrize("masks, message", [
+        ([2, 0], "0 lists 1, 1 does not list 0"), ([1], r"loop edge \(0,0\)"),
+        ([4, 0], "mask of vertex 0 is not a set"), ([-1], "mask of vertex 0"),
+        ([1.0, 0], "mask of vertex 0"), ([True, 0], "mask of vertex 0"),
+    ], ids=repr)
+    def test_from_masks_rejects_a_malformed_adjacency(self, masks, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Graph.from_masks(masks)
+
+    def test_from_masks_keeps_the_masks(self):
+        g = Graph.from_masks(iter([0b110, 0b001, 0b001]))
+        assert g == Graph(3, [(0, 1), (2, 0)]) and g.masks == (6, 1, 1)
+        assert g.edges() == ((0, 1), (0, 2)) and g.degree(0) == 2 and not g.has_edge(1, 2)
 
     def test_json_loader_names_offending_edge(self):
         with pytest.raises(InvalidInputError, match=r"\(2,2\)"):
