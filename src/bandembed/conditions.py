@@ -103,7 +103,8 @@ def robust_neighborhood(g: Graph, s, nu) -> set[int]:
         return set()
     threshold = ceil_frac(nu * g.n)
     smask = vertex_mask(s)
-    return {v for v, m in enumerate(g.masks) if (m & smask).bit_count() >= threshold}
+    masks = g.masks
+    return {v for v in range(g.n) if (masks[v] & smask).bit_count() >= threshold}
 
 
 def _size_window(n: int, tau: Fraction) -> tuple[int, int]:

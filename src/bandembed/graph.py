@@ -88,8 +88,9 @@ def at_least(vectors, top: int, full: int) -> list[int]:
 class Graph:
     """Immutable simple graph: no loops, no parallel edges, symmetric adjacency.
 
-    masks[v] has bit u set iff uv is an edge; it is the only adjacency kept.  Both
-    constructors end in one check of the masks.
+    masks[v] has bit u set iff uv is an edge; it is the only adjacency kept.
+    `Graph(n, edges)` checks each edge as it packs it, `Graph.from_masks` the
+    masks it is handed.
     """
 
     __slots__ = ("n", "masks", "_edges", "_hash")
@@ -122,40 +123,35 @@ class Graph:
                 raise
             except (TypeError, ValueError) as exc:  # a bad shape, a bool, a float or a string
                 raise InvalidInputError(f"edge {e!r} is not a pair of integer vertices") from exc
-        self._adopt(masks)
+        self._keep(masks)
 
     @classmethod
     def from_masks(cls, masks) -> Graph:
-        """The graph on range(len(masks)) whose vertex v has neighbour mask masks[v]."""
-        g = cls.__new__(cls)
-        g._adopt(list(masks))
-        return g
+        """The graph on range(len(masks)) whose vertex v has neighbour mask masks[v].
 
-    def _adopt(self, masks: list) -> None:
-        """Keep `masks` once they are ints in range, loop-free and symmetric: dense ones in bulk
-        (rows against columns, strided slices of one byte per entry), others edge by edge."""
+        The masks must be ints within [0, n), loop-free and symmetric; each edge is
+        checked from both ends, so the first offending pair is the one named.
+        """
+        masks = list(masks)
         n = len(masks)
         for v, m in enumerate(masks):
             if not _is_int(m) or m < 0 or m.bit_length() > n:
                 raise InvalidInputError(
                     f"adjacency mask of vertex {v} is not a set of vertices in [0,{n})")
-        dense = 32 * sum(m.bit_count() for m in masks) > n * n
-        if dense:
-            cells = b"".join(bin(m)[:1:-1].ljust(n, "0").encode() for m in masks)
-        if not (dense and b"1" not in cells[::n + 1]
-                and all(cells[v * n:(v + 1) * n] == cells[v::n] for v in range(n))):
-            for a, m in enumerate(masks):
-                bit = 1 << a
-                while m:
-                    low = m & -m
-                    b = low.bit_length() - 1
-                    if low == bit:
-                        raise InvalidInputError(f"loop edge ({a},{a}) is not allowed")
-                    if not masks[b] & bit:
-                        raise InvalidInputError(
-                            f"adjacency is not symmetric: {a} lists {b}, {b} does not list {a}")
-                    m ^= low
-        self.n = n
+        for a, m in enumerate(masks):
+            bit = 1 << a
+            for b in _bits(m):
+                if b == a:
+                    raise InvalidInputError(f"loop edge ({a},{a}) is not allowed")
+                if not masks[b] & bit:
+                    raise InvalidInputError(
+                        f"adjacency is not symmetric: {a} lists {b}, {b} does not list {a}")
+        g = cls.__new__(cls)
+        g._keep(masks)
+        return g
+
+    def _keep(self, masks: list[int]) -> None:
+        self.n = len(masks)
         self.masks = tuple(masks)
         self._edges: tuple[tuple[int, int], ...] | None = None
         self._hash = hash(self.masks)
@@ -172,14 +168,8 @@ class Graph:
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Each edge once as (u, v), u < v, ascending; a tuple built on the first call and kept."""
         if self._edges is None:
-            edges = []
-            for u, m in enumerate(self.masks):
-                m >>= u  # bit j is now vertex u + j, and bit 0 (u itself) is clear
-                while m:
-                    low = m & -m
-                    edges.append((u, u + low.bit_length() - 1))
-                    m ^= low
-            self._edges = tuple(edges)
+            # Bit j of m >> u is vertex u + j, and bit 0 (u itself) is clear.
+            self._edges = tuple((u, u + j) for u, m in enumerate(self.masks) for j in _bits(m >> u))
         return self._edges
 
     @property
@@ -219,7 +209,12 @@ def verify_bandwidth_ordering(g: Graph, ordering: BandwidthOrdering) -> int:
     """Maximum label stretch over all edges; 0 for edgeless graphs."""
     ordering.validate_bijection(g.n)
     labels = ordering.labels
-    return max((abs(labels[u] - labels[v]) for u, v in g.edges()), default=0)
+    stretch = 0
+    for u, v in g.edges():
+        d = abs(labels[u] - labels[v])
+        if d > stretch:
+            stretch = d
+    return stretch
 
 
 def degree_sequence(g: Graph) -> list[int]:

@@ -183,8 +183,11 @@ def gen_bandwidth_bipartite_h(n: int, delta: int, b: int, seed: int = 0) -> Targ
     """
     if b < 1 or delta < 1 or n < 1:
         raise InvalidInputError("need n >= 1, delta >= 1, b >= 1")
-    # Opposite parities within distance b: v = u + 1, u + 3, ...
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, min(n, u + b + 1), 2)]
+    candidates = []
+    for u in range(n):
+        for v in range(u + 1, min(n, u + b + 1)):
+            if (u + v) % 2 == 1:
+                candidates.append((u, v))
     rng = make_rng(seed)
     degree = [0] * n
     edges = []
@@ -195,4 +198,6 @@ def gen_bandwidth_bipartite_h(n: int, delta: int, b: int, seed: int = 0) -> Targ
             degree[v] += 1
     graph = Graph(n, edges)
     ordering = BandwidthOrdering(tuple(range(n)), b)
-    return TargetBundle(graph, ordering, (list(range(0, n, 2)), list(range(1, n, 2))))
+    evens = [v for v in range(n) if v % 2 == 0]
+    odds = [v for v in range(n) if v % 2 == 1]
+    return TargetBundle(graph, ordering, (evens, odds))

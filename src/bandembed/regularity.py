@@ -369,8 +369,10 @@ def check_regular_pair(
     witness is exact by construction since densities are recomputed exactly.
     """
     eps, d = _thresholds(eps, d, mode, budget)
-    a_list, b_list = sorted(set(a_side)), sorted(set(b_side))
-    return _regular_pair(g, a_list, b_list, _cross_degrees(g, a_list, b_list), eps, d, mode, budget)
+    a_list = sorted(set(a_side))
+    b_list = sorted(set(b_side))
+    deg_a = _cross_degrees(g, a_list, b_list)
+    return _regular_pair(g, a_list, b_list, deg_a, eps, d, mode, budget)
 
 
 def _regular_pair(g: Graph, a_list: list[int], b_list: list[int], deg_a: list[int], eps: Fraction,
@@ -384,7 +386,8 @@ def _regular_pair(g: Graph, a_list: list[int], b_list: list[int], deg_a: list[in
     q_min = max(1, ceil_frac(eps * nb))
     hi, lo = dens + eps, dens - eps
     bounds = (hi.numerator, hi.denominator, lo.numerator, lo.denominator)
-    b_masks = [g.masks[v] for v in b_list]
+    masks = g.masks
+    b_masks = [masks[v] for v in b_list]
     hit = None
     if mode == "exact":
         if na > EXACT_REGULARITY_CAP or nb > EXACT_REGULARITY_CAP:
@@ -424,7 +427,8 @@ def check_super_regular_pair(
 ) -> RegularityVerdict:
     """Regularity plus both one-sided minimum cross-degree floors (always exact)."""
     eps_f, d_f = _thresholds(eps, d, mode, budget)
-    a_list, b_list = sorted(set(a_side)), sorted(set(b_side))
+    a_list = sorted(set(a_side))
+    b_list = sorted(set(b_side))
     deg_a = _cross_degrees(g, a_list, b_list)
     verdict = _regular_pair(g, a_list, b_list, deg_a, eps_f, d_f, mode, budget)
     deg_b = _cross_degrees(g, b_list, a_list)
