@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 from .conditions import (
@@ -301,12 +301,11 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(data: dict, args) -> None:
-    text = json.dumps(data, indent=2, default=str)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Stream data as indented JSON to --json-out, or to stdout, so the text is never held whole."""
+    path = getattr(args, "json_out", None)
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        json.dump(data, fh, indent=2, default=str)
+        fh.write("\n")
 
 
 def _load_cfg(args) -> Config:

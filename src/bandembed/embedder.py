@@ -14,10 +14,12 @@ budget is a first-class outcome, never a silent success.
 Candidates are host-id masks: each class keeps a mask of its vacant hosts,
 and each H vertex the mask of hosts adjacent to its placed neighbours' images
 (-1 while none is placed).  The map phi is a list of hosts, -1 while unplaced.
-Phase 1 scores a candidate mask as it stands, and phase 2 matches straight to
-host ids.  Both place through one routine, which sets phi, takes the host from
-its class's vacant mask and narrows each neighbour's mask; a failed pair try
-restores the map and the masks it saved when the pair began, in one step.
+Phase 1 scores a candidate mask as it stands, and phase 2 hands each bound
+vertex's candidate mask to Hopcroft-Karp, which matches straight to host ids,
+so phase 2 builds no candidate list.  Both place through one routine, which
+sets phi, takes the host from its class's vacant mask and narrows each
+neighbour's mask; a failed pair try restores the map and the masks it saved
+when the pair began, in one step.
 
 Of the blow-up lemma's three compatibility conditions, `check_compatibility`
 certifies only the boundary bound, from the homomorphism's map f and the
@@ -254,25 +256,26 @@ def _complete_pair(nbrs, gmasks, phi, vacant, allowed, w_sets, x, rng) -> str:
     """Fill the cluster pair (x, x+1), one side at a time.
 
     On each side Hopcroft-Karp matches the bound vertices (those with a placed
-    neighbour, so a mask other than -1) to host ids.  The side has one vacant
-    host per unplaced vertex, so the hosts left in the vacant mask, shuffled,
-    take the free vertices exactly.  Returns 'ok', 'retry', or 'stuck'.  Both
-    failures leave through one exit when a matching falls short, restoring
-    the map and the masks saved on entry.  'stuck' means a re-roll cannot
-    change the outcome: the short side is the first, whose inputs are the
-    saved ones and which draws nothing before its matching, or a vertex has
-    no candidate and no neighbour placed during this pair.
+    neighbour, so a mask other than -1) to host ids, from their candidate
+    masks with no list built.  The side has one vacant host per unplaced
+    vertex, so the hosts left in the vacant mask, shuffled, take the free
+    vertices exactly.  Returns 'ok', 'retry', or 'stuck'.  Both failures leave
+    through one exit when a matching falls short, restoring the map and the
+    masks saved on entry.  'stuck' means a re-roll cannot change the outcome:
+    the short side is the first, whose inputs are the saved ones and which
+    draws nothing before its matching, or a vertex has no candidate and no
+    neighbour placed during this pair.
     """
     saved = phi[:], vacant[x], vacant[x + 1], allowed[:]
     for side in (x, x + 1):
         unplaced = [v for v in w_sets[side] if phi[v] < 0]
         free = [v for v in unplaced if allowed[v] == -1]
         bound = [v for v in unplaced if allowed[v] != -1]
-        adjacency = [_bits(allowed[v] & vacant[side]) for v in bound]
-        matching = hopcroft_karp(adjacency, len(gmasks))
+        cands = [allowed[v] & vacant[side] for v in bound]
+        matching = hopcroft_karp(cands)
         if len(matching) < len(bound):
-            stuck = side == x or any(not cands and not any(saved[0][u] < 0 <= phi[u] for u in nbrs[v])
-                                     for v, cands in zip(bound, adjacency))
+            stuck = side == x or any(not mask and not any(saved[0][u] < 0 <= phi[u] for u in nbrs[v])
+                                     for v, mask in zip(bound, cands))
             phi[:], vacant[x], vacant[x + 1], allowed[:] = saved
             return "stuck" if stuck else "retry"
         placement = {bound[vi]: c for vi, c in matching.items()}

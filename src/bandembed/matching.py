@@ -1,78 +1,91 @@
-"""Bipartite maximum matching (Hopcroft-Karp)."""
+"""Bipartite maximum matching (Hopcroft-Karp) on candidate masks.
+
+Left vertex u's candidates are the set bits of masks[u], so right ids may be
+any sparse set, such as one class's vacant hosts.  Candidates are tried lowest
+id first, which gives the textbook list form's matching on ascending lists,
+pair for pair and in the same item order.  Masks replace its scans: `free`
+holds the unmatched right ids, and `layers[d]` the matched ones whose partner
+is at BFS distance d.  The first phase from the empty matching is the greedy
+one, each left vertex in order taking its lowest free candidate, so it runs as
+that loop, and the search ends there when nobody is left short.
+"""
 
 from __future__ import annotations
 
-from collections import deque
-
 __all__ = ["hopcroft_karp"]
 
-_INF = float("inf")
 
+def hopcroft_karp(masks: list[int]) -> dict[int, int]:
+    """Maximum matching of left vertex u to a set bit of masks[u].
 
-def hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
-    """Maximum matching of a bipartite graph given as left-to-right adjacency lists.
-
-    Returns a dict mapping matched left indices to right indices.
+    Returns a dict mapping matched left indices, ascending, to right ids.
     """
-    n_left = len(adjacency)
-    pair_l: list[int] = [-1] * n_left
-    pair_r: list[int] = [-1] * n_right
-    dist: list[float] = [0.0] * n_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        found = _INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= found:
-                continue
-            for v in adjacency[u]:
-                w = pair_r[v]
-                if w == -1:
-                    if found == _INF:
-                        found = dist[u] + 1
-                elif dist[w] == _INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found != _INF
-
-    def dfs(root: int) -> bool:
-        # The textbook recursion, unrolled so augmenting paths may be longer
-        # than the interpreter's recursion limit.  Each frame holds a left
-        # vertex and the index of the neighbour it is trying; neighbours are
-        # tried in the same order as the recursion, so matchings are equal.
-        stack = [[root, 0]]
-        while stack:
-            frame = stack[-1]
-            u, i = frame
-            if i == len(adjacency[u]):
-                dist[u] = _INF
-                stack.pop()
-                if stack:
-                    stack[-1][1] += 1
-                continue
-            w = pair_r[adjacency[u][i]]
-            if w == -1:
-                for u, i in stack:
-                    v = adjacency[u][i]
-                    pair_l[u] = v
-                    pair_r[v] = u
-                return True
-            if dist[w] == dist[u] + 1:
-                stack.append([w, 0])
-            else:
-                frame[1] += 1
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if pair_l[u] == -1:
-                dfs(u)
-    return {u: v for u, v in enumerate(pair_l) if v != -1}
-
+    pair_l = [-1] * len(masks)
+    pair_r: dict[int, int] = {}
+    free = 0
+    for m in masks:
+        free |= m
+    for u, m in enumerate(masks):
+        low = m & free
+        if low:
+            low &= -low
+            free ^= low
+            pair_l[u] = c = low.bit_length() - 1
+            pair_r[c] = u
+    roots = [u for u, c in enumerate(pair_l) if c < 0]
+    while roots:
+        # BFS a layer at a time, stopping one layer after the first free id
+        # is reached: the DFS takes a free id at any depth, as the list does.
+        layers, seen, frontier = [0], 0, roots
+        while True:
+            reach = 0
+            for u in frontier:
+                reach |= masks[u]
+            matched = reach & ~(free | seen)
+            layers.append(matched)
+            if reach & free:
+                break
+            if not matched:
+                return {u: c for u, c in enumerate(pair_l) if c >= 0}
+            seen |= matched
+            frontier = []
+            while matched:
+                low = matched & -matched
+                frontier.append(pair_r[low.bit_length() - 1])
+                matched ^= low
+        layers.append(0)
+        for root in roots:
+            # Unrolled, so augmenting paths may be longer than the recursion
+            # limit.  Frame d holds a left vertex (us), its untried candidates
+            # (rests) and, below the top, the id through which frame d + 1 was
+            # entered (ids); it tries the lowest of free | layers[d + 1].  A
+            # dead end takes its own id out of layers[d], and an augmenting
+            # path moves the id frame i takes from layers[i + 1] to layers[i].
+            us, rests, ids = [root], [masks[root]], []
+            while us:
+                d = len(us) - 1
+                cands = rests[d] & (free | layers[d + 1])
+                if not cands:
+                    if d:
+                        layers[d] ^= 1 << pair_l[us[d]]
+                        ids.pop()
+                    us.pop()
+                    rests.pop()
+                    continue
+                low = cands & -cands
+                rests[d] &= -(low << 1)
+                c = low.bit_length() - 1
+                ids.append(c)
+                if low & free:
+                    free ^= low
+                    for i, (u, c) in enumerate(zip(us, ids)):
+                        pair_l[u] = c
+                        pair_r[c] = u
+                        layers[i] |= 1 << c
+                        if i < d:
+                            layers[i + 1] ^= 1 << c
+                    break
+                us.append(pair_r[c])
+                rests.append(masks[pair_r[c]])
+        roots = [u for u in roots if pair_l[u] < 0]
+    return {u: c for u, c in enumerate(pair_l) if c >= 0}

@@ -9,6 +9,7 @@ anything here.  Standard library only: the CI imports this module under
 `python -S`.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 from fractions import Fraction
@@ -32,7 +33,6 @@ from bandembed.homomorphism import (
     chop_into_segments,
 )
 from bandembed.hostgen import HostBundle
-from bandembed.matching import hopcroft_karp
 from bandembed.partition import _CONFIG_FIELDS, ClusterPartition, Config
 from bandembed.regularity import (
     _extreme_violation,
@@ -575,6 +575,76 @@ def least_blocked_unfiltered(fewest: int, cands: list[int], allowed: list[int]) 
     return next(c for c in cands if fewest >> c & 1)
 
 
+def hopcroft_karp_lists(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
+    """`matching.hopcroft_karp` as it was on adjacency lists over right
+    indices 0..n_right-1, neighbours tried in list order.
+
+    On ascending lists it gives the mask kernel's dict, in the same item
+    order; on any order it gives the textbook recursive form's.
+    """
+    inf = float("inf")
+    n_left = len(adjacency)
+    pair_l: list[int] = [-1] * n_left
+    pair_r: list[int] = [-1] * n_right
+    dist: list[float] = [0.0] * n_left
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in range(n_left):
+            if pair_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = inf
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= found:
+                continue
+            for v in adjacency[u]:
+                w = pair_r[v]
+                if w == -1:
+                    if found == inf:
+                        found = dist[u] + 1
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found != inf
+
+    def dfs(root: int) -> bool:
+        # The recursion unrolled, so augmenting paths may be longer than the
+        # interpreter's recursion limit: each frame holds a left vertex and
+        # the index of the neighbour it is trying.
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            u, i = frame
+            if i == len(adjacency[u]):
+                dist[u] = inf
+                stack.pop()
+                if stack:
+                    stack[-1][1] += 1
+                continue
+            w = pair_r[adjacency[u][i]]
+            if w == -1:
+                for u, i in stack:
+                    v = adjacency[u][i]
+                    pair_l[u] = v
+                    pair_r[v] = u
+                return True
+            if dist[w] == dist[u] + 1:
+                stack.append([w, 0])
+            else:
+                frame[1] += 1
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if pair_l[u] == -1:
+                dfs(u)
+    return {u: v for u, v in enumerate(pair_l) if v != -1}
+
+
 def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
                            seed: int = 0) -> list[int]:
     """`embedder.embed_blowup` as it was before its masks were narrowed in
@@ -642,7 +712,7 @@ def embed_blowup_reference(h: Graph, w_classes: list, g: Graph, v_classes: list,
                 if not cands and not any(u in placed for u in h.adj(v)):
                     return undo("stuck")
                 adjacency.append(sorted(host_index[c] for c in cands))
-            matching = hopcroft_karp(adjacency, len(hosts))
+            matching = hopcroft_karp_lists(adjacency, len(hosts))
             if len(matching) < len(bound):
                 # The first side's inputs are those on entry, and nothing
                 # random is drawn before its matching: a re-roll repeats it.

@@ -12,6 +12,7 @@ from fractions import Fraction
 import bandembed.cli
 import bandembed.embedder
 import bandembed.homomorphism
+import bandembed.matching
 import bandembed.hostgen
 import oracles
 from bandembed.cli import run_full_pipeline
@@ -69,6 +70,7 @@ from oracles import (
     gen_random_graph_reference,
     gen_super_regular_host_reference,
     heuristic_verdict_by_lanes,
+    hopcroft_karp_lists,
     least_blocked_unfiltered,
     offending_classes_reference,
     sample_reference,
@@ -710,6 +712,79 @@ def test_phase_1_hands_over_to_phase_2():
                 raise AssertionError("phase 1 never handed over to phase 2")
     finally:
         bandembed.embedder._complete_pair = real_pair
+
+
+def ascending(mask):
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def test_mask_matching_matches_list_oracle():
+    """Hopcroft-Karp on candidate masks gives the list oracle's matching on
+    ascending lists: the same dict, in the same item order.
+
+    Inputs: 3000 seeded random cases over sparse right ids, half with a
+    density from near-empty to dense and half with one to four candidates
+    per vertex and one to four spare rights, where the greedy first phase
+    leaves most vertices short and later phases augment through them; the
+    2000-vertex augmenting chain, deeper than the recursion limit; and every
+    phase-2 call of the 20 criterion-1 runs.
+    """
+    def compare(masks):
+        want = hopcroft_karp_lists([ascending(m) for m in masks],
+                                   max((m.bit_length() for m in masks), default=0))
+        got = bandembed.matching.hopcroft_karp(masks)
+        assert list(got.items()) == list(want.items()), masks
+        return got
+
+    rng = make_rng(42)
+    seen = set()
+    for case in range(3000):
+        if case % 2:
+            n_left = rand_below(rng, 24)
+            n_right = 1 + n_left + rand_below(rng, 4)
+        else:
+            n_left, n_right = rand_below(rng, 16), 1 + rand_below(rng, 24)
+        rights = sorted(shuffled(rng, list(range(3 * n_right)))[:n_right])
+        if case % 2:
+            deg = 1 + rand_below(rng, 4)
+            masks = [vertex_mask(shuffled(rng, rights)[:1 + rand_below(rng, deg)])
+                     for _ in range(n_left)]
+        else:
+            p = 1 + rand_below(rng, 100)
+            masks = [vertex_mask(c for c in rights if rand_below(rng, 100) < p)
+                     for _ in range(n_left)]
+        greedy, free = 0, vertex_mask(rights)
+        for m in masks:
+            low = m & free
+            if low:
+                greedy += 1
+                free ^= low & -low
+        got = compare(masks)
+        seen.add(("past the greedy phase", len(got) > greedy))
+        seen.add(("short", len(got) < n_left))
+    assert seen == {("past the greedy phase", True), ("past the greedy phase", False),
+                    ("short", True), ("short", False)}
+
+    n = 2000
+    assert len(compare([3 << i for i in range(n - 1)] + [1])) == n
+
+    calls = []
+    real = bandembed.embedder.hopcroft_karp
+
+    def recording(masks):
+        calls.append(list(masks))
+        return real(masks)
+
+    inputs = pipeline_calls("embed_blowup", [(4, 50, 10, seed) for seed in range(20)])
+    bandembed.embedder.hopcroft_karp = recording
+    try:
+        for args, kwargs in inputs:
+            embed_blowup(*args, **kwargs)
+    finally:
+        bandembed.embedder.hopcroft_karp = real
+    assert len(calls) == 260
+    for masks in calls:
+        compare(masks)
 
 
 def bounded_degree_graph(rng, n, delta):

@@ -2,7 +2,9 @@ import random
 import sys
 from collections import deque
 
+from bandembed.graph import vertex_mask
 from bandembed.matching import hopcroft_karp
+from oracles import hopcroft_karp_lists
 
 
 def recursive_hopcroft_karp(adjacency, n_right):
@@ -56,11 +58,11 @@ def test_long_augmenting_chain():
     # interpreter's recursion limit.
     n = 2000
     assert n > sys.getrecursionlimit()
-    adjacency = [[i, i + 1] for i in range(n - 1)] + [[0]]
-    matching = hopcroft_karp(adjacency, n)
+    masks = [3 << i for i in range(n - 1)] + [1]
+    matching = hopcroft_karp(masks)
     assert len(matching) == n
     assert sorted(matching.values()) == list(range(n))
-    assert all(v in adjacency[u] for u, v in matching.items())
+    assert all(masks[u] >> c & 1 for u, c in matching.items())
 
 
 def test_same_matching_as_recursive_reference():
@@ -71,7 +73,7 @@ def test_same_matching_as_recursive_reference():
         adjacency = [[v for v in range(n_right) if rng.random() < p] for _ in range(n_left)]
         for adj in adjacency:
             rng.shuffle(adj)
-        assert hopcroft_karp(adjacency, n_right) == recursive_hopcroft_karp(adjacency, n_right)
+        assert hopcroft_karp_lists(adjacency, n_right) == recursive_hopcroft_karp(adjacency, n_right)
 
 
 def test_matching_does_not_depend_on_right_numbering():
@@ -82,9 +84,10 @@ def test_matching_does_not_depend_on_right_numbering():
     for _ in range(300):
         n = rng.randint(1, 40)
         rights = sorted(rng.sample(range(n), rng.randint(1, n)))
-        index = {c: i for i, c in enumerate(rights)}
         p = rng.random()
-        adjacency = [[c for c in rights if rng.random() < p] for _ in range(rng.randint(0, 12))]
-        compact = hopcroft_karp([[index[c] for c in adj] for adj in adjacency], len(rights))
+        adjacency = [[i for i in range(len(rights)) if rng.random() < p]
+                     for _ in range(rng.randint(0, 12))]
+        compact = hopcroft_karp([vertex_mask(adj) for adj in adjacency])
         expected = {u: rights[i] for u, i in compact.items()}
-        assert list(hopcroft_karp(adjacency, n).items()) == list(expected.items())
+        sparse = [vertex_mask(rights[i] for i in adj) for adj in adjacency]
+        assert list(hopcroft_karp(sparse).items()) == list(expected.items())
